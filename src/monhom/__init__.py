@@ -7,7 +7,7 @@ generated abelian groups in invariant-factor form.
 """
 
 from .errors import MonhomError
-from .exact_linalg import FgAbGroup, IntMatrix, RatMatrix
+from .exact_linalg import FgAbGroup, IntMatrix
 from .gamma_chain import (COHOMOLOGICAL, HOMOLOGICAL, build_complex, harrison,
                           harrison_dim_q, hochschild, hochschild_dim_q,
                           leech_cohomology, y_exactness_check)
@@ -26,7 +26,7 @@ from .verify import run_suites
 __all__ = [
     "COHOMOLOGICAL", "HOMOLOGICAL", "LEFT", "RIGHT",
     "FgAbGroup", "FiniteCommMonoid", "HodgeProjectorSet", "IntMatrix",
-    "MonhomError", "RatMatrix",
+    "MonhomError",
     "bar_complex_compare", "build_complex", "builder", "cyclic_group",
     "d0_cohomology", "d0_homology", "derivations", "eulerian_idempotents",
     "grillet_char0", "grillet_report", "harrison", "harrison_dim_q",

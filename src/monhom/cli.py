@@ -30,7 +30,7 @@ from .errors import (ComplexityBudget, CompositionNonzero, MonhomError,
                      ValidationError, WeightNotPreserved)
 from .exact_linalg import FgAbGroup
 from .gamma_chain import (COHOMOLOGICAL, HOMOLOGICAL, build_complex, harrison,
-                          hochschild, leech_cohomology)
+                          hochschild)
 from .grillet import grillet_report, tensor_over_hc
 from .hc_modules import (LEFT, RIGHT, derivations, jstar, jstar_finite_cyclic,
                          omega, regular_kc_module, std_projective,
@@ -141,6 +141,7 @@ def _compute(args):
     ring = _resolve_ring(args.ring, forced, args.target)
     report["coefficients"] = args.coeff
     report["ring"] = ring
+    direction = HOMOLOGICAL if side == RIGHT else COHOMOLOGICAL
 
     if args.target == "der":
         group = derivations(monoid, coeff).group
@@ -151,7 +152,6 @@ def _compute(args):
         report["results"] = [{"group": _group_payload(group)}]
         lines = [f"N (x) Omega = {group}"]
     elif args.target == "grillet":
-        direction = HOMOLOGICAL if side == RIGHT else COHOMOLOGICAL
         rep = grillet_report(monoid, coeff, direction, deg,
                              budget=args.budget, monoid_label=args.monoid,
                              coeff_label=args.coeff)
@@ -159,20 +159,15 @@ def _compute(args):
         for entry in rep.entries():
             lines.append(f"degree {entry['degree']} ({entry['path']}): "
                          f"{FgAbGroup(**entry['group'])}")
-    elif args.target == "leech":
-        for n in range(deg + 1):
-            group = leech_cohomology(monoid, coeff, n, budget=args.budget)
-            report.setdefault("results", []).append(
-                {"degree": n, "group": _group_payload(group)})
-            lines.append(f"HH^{n} = {group}")
-    elif args.target == "hh":
-        cx = build_complex(monoid, coeff, deg + 1, HOMOLOGICAL,
+    elif args.target in ("hh", "leech"):
+        cx = build_complex(monoid, coeff, deg + 1, direction,
                            budget=args.budget, ring=ring)
+        mark = "_" if direction == HOMOLOGICAL else "^"
         for n in range(deg + 1):
             group = hochschild(cx, n)
             report.setdefault("results", []).append(
                 {"degree": n, "group": _group_payload(group)})
-            lines.append(f"HH_{n} = {group}")
+            lines.append(f"HH{mark}{n} = {group}")
     elif args.target == "harrison":
         if deg < 1:
             raise ValidationError("--max-degree must be at least 1 here")

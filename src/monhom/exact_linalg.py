@@ -1,17 +1,16 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything is arbitrary-precision (Python int / Fraction); no floats
-anywhere.  Matrices are plain row-major lists of lists and are treated
-as immutable after construction: every operation returns a fresh value.
+Everything is arbitrary-precision Python int; no floats anywhere.
+Matrices are plain row-major lists of lists and are treated as immutable
+after construction: every operation returns a fresh value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .errors import BadParams, CompositionNonzero, DegreeMismatch, NotAnnihilated
+from .errors import BadParams, CompositionNonzero, DegreeMismatch, NotAComplex
 
 
 class IntMatrix:
@@ -123,27 +122,11 @@ class IntMatrix:
         return IntMatrix([sum((p.data[i] for p in parts), []) for i in range(rows)],
                          sum(p.cols for p in parts))
 
-    @staticmethod
-    def vstack(parts, cols=None):
-        parts = list(parts)
-        if not parts:
-            if cols is None:
-                raise BadParams("vstack of nothing needs an explicit column count")
-            return IntMatrix.zeros(0, cols)
-        cols = parts[0].cols
-        for p in parts:
-            if p.cols != cols:
-                raise DegreeMismatch("vstack with differing column counts")
-        return IntMatrix([row for p in parts for row in p.data], cols)
-
     def is_zero(self):
         return all(not v for row in self.data for v in row)
 
     def shape(self):
         return (self.rows, self.cols)
-
-    def to_rat(self):
-        return RatMatrix([[Fraction(v) for v in row] for row in self.data], self.cols)
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
@@ -154,73 +137,6 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
-
-
-class RatMatrix:
-    """Dense matrix over the rationals (Fraction entries)."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, data, cols=None):
-        self.data = [[Fraction(v) for v in row] for row in data]
-        self.rows = len(self.data)
-        if self.rows:
-            width = len(self.data[0])
-            for row in self.data:
-                if len(row) != width:
-                    raise DegreeMismatch("ragged rows")
-            self.cols = width
-        else:
-            self.cols = 0 if cols is None else cols
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls([[Fraction(0)] * cols for _ in range(rows)], cols)
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)], n)
-
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise DegreeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        other_nz = [[(k, b) for k, b in enumerate(row) if b] for row in other.data]
-        out = [[Fraction(0)] * other.cols for _ in range(self.rows)]
-        for i, arow in enumerate(self.data):
-            orow = out[i]
-            for j, a in enumerate(arow):
-                if a:
-                    for k, b in other_nz[j]:
-                        orow[k] += a * b
-        return RatMatrix(out, other.cols)
-
-    def __mul__(self, other):
-        return self.mul(other)
-
-    def add(self, other):
-        return RatMatrix([[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)], self.cols)
-
-    def sub(self, other):
-        return RatMatrix([[a - b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)], self.cols)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return RatMatrix([[c * v for v in row] for row in self.data], self.cols)
-
-    def is_zero(self):
-        return all(not v for row in self.data for v in row)
-
-    def __eq__(self, other):
-        return (isinstance(other, RatMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
-
-    def __repr__(self):
-        return f"RatMatrix({self.rows}x{self.cols})"
 
 
 @dataclass(frozen=True)
@@ -555,14 +471,6 @@ def preimage_lattice(A, L):
     return lattice_basis(top)
 
 
-def quotient_group(K, S):
-    """Lattice(K) / lattice(S); the columns of S must lie in lattice(K)."""
-    X = solve_int(K, S)
-    if X is None:
-        raise BadParams("subgroup generators are not inside the ambient lattice")
-    return cokernel_group(X)
-
-
 def homology_at(d_out, d_in):
     """ker(d_out) / im(d_in) for consecutive integer boundary maps."""
     if d_out.cols != d_in.rows:
@@ -571,7 +479,8 @@ def homology_at(d_out, d_in):
         raise CompositionNonzero("boundary composition is nonzero")
     K = kernel_basis(d_out)
     X = solve_int(K, d_in)
-    assert X is not None, "image escaped a saturated kernel lattice"
+    if X is None:
+        raise NotAComplex("image escaped a saturated kernel lattice")
     return cokernel_group(X)
 
 
@@ -619,60 +528,3 @@ def int_rank(A):
 def rank_of_col_dicts(cols):
     """Rank of a matrix given as sparse columns (rank is transpose-stable)."""
     return int_rank([{k: v for k, v in c.items() if v} for c in cols])
-
-
-def det(A):
-    """Determinant by fraction-free (Bareiss) elimination."""
-    if A.rows != A.cols:
-        raise DegreeMismatch("determinant of a non-square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    M = [row[:] for row in A.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
-def spectral_projectors(T, eigenvalues):
-    """Lagrange projectors of T onto the listed (distinct) eigenvalues.
-
-    Requires the product of (T - lambda*I) over all listed eigenvalues to
-    vanish; raises NotAnnihilated otherwise.
-    """
-    if T.rows != T.cols:
-        raise DegreeMismatch("projectors of a non-square operator")
-    eigs = [Fraction(e) for e in eigenvalues]
-    if len(set(eigs)) != len(eigs):
-        raise BadParams("eigenvalues must be distinct")
-    if not eigs:
-        raise BadParams("need at least one eigenvalue")
-    n = T.rows
-    ident = RatMatrix.identity(n)
-    ann = ident
-    for lam in eigs:
-        ann = ann.mul(T.sub(ident.scale(lam)))
-    if not ann.is_zero():
-        raise NotAnnihilated(f"operator not annihilated by eigenvalues {eigenvalues}")
-    out = []
-    for lam in eigs:
-        P = ident
-        for mu in eigs:
-            if mu != lam:
-                P = P.mul(T.sub(ident.scale(mu))).scale(Fraction(1, 1) / (lam - mu))
-        out.append(P)
-    return out

@@ -24,11 +24,11 @@ from .errors import (
     DegreeMismatch,
     IndexOutOfRange,
     NotAComplex,
+    OracleMismatch,
 )
 from .exact_linalg import (
     FgAbGroup,
     IntMatrix,
-    RatMatrix,
     cokernel_group,
     homology_at,
     kernel_basis,
@@ -86,10 +86,6 @@ class PointedMap:
             raise DegreeMismatch("pointed maps do not compose")
         return PointedMap(self.source_size, other.target_size,
                           tuple(other.map[v] for v in self.map))
-
-
-def identity_pointed(n):
-    return PointedMap(n, n, tuple(range(n + 1)))
 
 
 def epsilon_map(i, n):
@@ -163,43 +159,12 @@ def _push_cols(f, monoid, coeff):
     return cols, tgt_dim
 
 
-def _pull_cols(f, monoid, coeff):
-    """Sparse columns of the contravariant action of f (left coefficients);
-    columns are indexed by the f-target term, rows by the f-source term."""
-    src_tuples, src_prods, src_offs, src_dim = _term_layout(monoid, coeff,
-                                                            f.source_size)
-    tgt_tuples, tgt_prods, tgt_offs, tgt_dim = _term_layout(monoid, coeff,
-                                                            f.target_size)
-    tgt_index = {t: k for k, t in enumerate(tgt_tuples)}
-    cols = [dict() for _ in range(tgt_dim)]
-    for jt, t in enumerate(src_tuples):
-        b, b0 = push_tuple(f, t, monoid)
-        kb = tgt_index[b]
-        A = coeff.act[(b0, tgt_prods[kb])]  # M(pi b) -> M(pi t)
-        for j in range(A.cols):
-            col = cols[tgt_offs[kb] + j]
-            for i in range(A.rows):
-                v = A.data[i][j]
-                if v:
-                    r = src_offs[jt] + i
-                    col[r] = col.get(r, 0) + v
-    return cols, src_dim
-
-
 def push_matrix(f, monoid, coeff):
     """Matrix of the covariant action of f on the tuple summands."""
     if coeff.side != RIGHT:
         raise BadParams("covariant pushes need a right module")
     cols, tgt_dim = _push_cols(f, monoid, coeff)
     return IntMatrix.from_col_dicts(cols, tgt_dim)
-
-
-def pull_matrix(f, monoid, coeff):
-    """Matrix of the contravariant action of f on the tuple summands."""
-    if coeff.side != LEFT:
-        raise BadParams("contravariant pulls need a left module")
-    cols, src_dim = _pull_cols(f, monoid, coeff)
-    return IntMatrix.from_col_dicts(cols, src_dim)
 
 
 def _compose_cols(first, second):
@@ -222,22 +187,31 @@ class GammaChainComplex:
     """Explicit (co)chain complex of a coefficient module over a monoid.
 
     Degree n is the direct sum over n-tuples (lexicographic order) of the
-    coefficient value at the tuple product.  Homological complexes store
-    the boundaries of right coefficients; cohomological complexes store
-    the coboundaries of left coefficients.
+    coefficient value at the tuple product.  The maps go from degree n to
+    degree n + step: step is -1 for the boundaries of a homological
+    complex (right coefficients) and +1 for the coboundaries of a
+    cohomological one (left coefficients).  d_out(n) and d_in(n) are the
+    sparse columns of the map leaving and entering degree n; they are the
+    only place where the two directions differ.
     """
 
-    def __init__(self, monoid, coeff, direction, ring, n_max, layouts, mats):
+    def __init__(self, monoid, coeff, direction, ring, n_max, layouts, faces):
+        """faces[k] holds the columns of the face sum from degree k to
+        k - 1; a cohomological complex stores its transpose."""
         self.monoid = monoid
         self.coeff = coeff
         self.direction = direction
+        self.step = -1 if direction == HOMOLOGICAL else 1
         self.ring = ring
         self.n_max = n_max
         self._tuples = [lay[0] for lay in layouts]
         self._prods = [lay[1] for lay in layouts]
         self._offsets = [lay[2] for lay in layouts]
         self.dims = tuple(lay[3] for lay in layouts)
-        self._mats = mats
+        if self.step > 0:
+            faces = {k: _transpose_cols(cols, self.dims[k - 1])
+                     for k, cols in faces.items()}
+        self._mats = faces
         self._rel_cache = {}
 
     def term_dim(self, n):
@@ -260,12 +234,26 @@ class GammaChainComplex:
         if not 0 <= n <= self.n_max:
             raise DegreeMismatch(f"degree {n} outside 0..{self.n_max}")
 
+    def d_out(self, n):
+        """Columns of the map from degree n to n + step; zero at the ends."""
+        self._check_degree(n)
+        if not 0 <= n + self.step <= self.n_max:
+            return [dict() for _ in range(self.dims[n])]
+        return self._mats[max(n, n + self.step)]
+
+    def d_in(self, n):
+        """Columns of the map from degree n - step to n; zero at the ends."""
+        self._check_degree(n)
+        if not 0 <= n - self.step <= self.n_max:
+            return []
+        return self._mats[max(n, n - self.step)]
+
     def boundary_cols(self, n):
         if self.direction != HOMOLOGICAL:
             raise BadParams("boundaries live on homological complexes")
         if not 1 <= n <= self.n_max:
             raise DegreeMismatch(f"boundary degree {n} outside 1..{self.n_max}")
-        return self._mats[n]
+        return self.d_out(n)
 
     def boundary(self, n):
         return IntMatrix.from_col_dicts(self.boundary_cols(n), self.dims[n - 1])
@@ -276,22 +264,25 @@ class GammaChainComplex:
         if not 0 <= n <= self.n_max - 1:
             raise DegreeMismatch(
                 f"coboundary degree {n} outside 0..{self.n_max - 1}")
-        return self._mats[n + 1]
+        return self.d_out(n)
 
     def coboundary(self, n):
         return IntMatrix.from_col_dicts(self.coboundary_cols(n),
                                         self.dims[n + 1])
 
-    def relation_cols(self, n):
-        """Sparse columns of the blockwise value relations in degree n."""
+    def relation_cols(self, n, copies=1):
+        """Sparse columns of the blockwise value relations in degree n,
+        repeated block-diagonally over `copies` stacked copies of it."""
         self._check_degree(n)
         cols = []
-        for kt, p in enumerate(self._prods[n]):
-            rel = self.coeff.rels[p]
-            off = self._offsets[n][kt]
-            for j in range(rel.cols):
-                cols.append({off + i: rel.data[i][j]
-                             for i in range(rel.rows) if rel.data[i][j]})
+        for b in range(copies):
+            base = b * self.dims[n]
+            for kt, p in enumerate(self._prods[n]):
+                rel = self.coeff.rels[p]
+                off = base + self._offsets[n][kt]
+                for j in range(rel.cols):
+                    cols.append({off + i: rel.data[i][j]
+                                 for i in range(rel.rows) if rel.data[i][j]})
         return cols
 
     def relation_matrix(self, n):
@@ -314,16 +305,14 @@ class GammaChainComplex:
         return labels
 
     def to_json(self):
+        key = "boundary" if self.step < 0 else "coboundary"
         degrees = []
         for n in range(self.n_max + 1):
             entry = {"n": n, "dim": self.dims[n],
                      "basis": self.basis_labels(n)}
-            if self.direction == HOMOLOGICAL and n >= 1:
-                entry["boundary"] = _cols_to_triplets(self._mats[n],
-                                                      self.dims[n - 1])
-            if self.direction == COHOMOLOGICAL and n < self.n_max:
-                entry["coboundary"] = _cols_to_triplets(self._mats[n + 1],
-                                                        self.dims[n + 1])
+            if 0 <= n + self.step <= self.n_max:
+                entry[key] = _cols_to_triplets(self.d_out(n),
+                                               self.dims[n + self.step])
             degrees.append(entry)
         return {"direction": self.direction, "ring": self.ring,
                 "n_max": self.n_max, "dims": list(self.dims),
@@ -337,6 +326,15 @@ def _cols_to_triplets(cols, rows):
             trips.append([i, j, v])
     trips.sort()
     return {"rows": rows, "cols": len(cols), "triplets": trips}
+
+
+def _transpose_cols(cols, rows):
+    """Sparse columns of the transpose of a rows x len(cols) matrix."""
+    out = [dict() for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            out[i][j] = v
+    return out
 
 
 def _expected_side(direction):
@@ -382,67 +380,52 @@ def build_complex(monoid, coeff, n_max, direction, budget=None, ring="Z"):
 
     layouts = [_term_layout(monoid, coeff, n) for n in range(n_max + 1)]
     index = [{t: k for k, t in enumerate(lay[0])} for lay in layouts]
+    # The transposed translations of a left module make a right module of
+    # the same ranks; its boundaries are the coboundaries transposed.
+    act = coeff.act if coeff.side == RIGHT else \
+        {key: A.transpose() for key, A in coeff.act.items()}
 
-    mats = {}
+    faces = {}
     for k in range(1, n_max + 1):
         tuples_k, _, offs_k, dim_k = layouts[k]
-        _, prods_low, offs_low, dim_low = layouts[k - 1]
+        _, prods_low, offs_low, _ = layouts[k - 1]
         idx_low = index[k - 1]
-        cols = [dict() for _ in range(dim_k if direction == HOMOLOGICAL
-                                      else dim_low)]
+        cols = [dict() for _ in range(dim_k)]
         for jt, t in enumerate(tuples_k):
             for i in range(k + 1):
                 s, b0 = _face_tuple(t, i, monoid)
                 sign = -1 if i % 2 else 1
                 ks = idx_low[s]
-                A = coeff.act[(b0, prods_low[ks])]
-                if direction == HOMOLOGICAL:
-                    # N(pi t) -> N(pi s): contributes to columns of degree k
-                    for j in range(A.cols):
-                        col = cols[offs_k[jt] + j]
-                        for p in range(A.rows):
-                            v = A.data[p][j]
-                            if v:
-                                r = offs_low[ks] + p
-                                nv = col.get(r, 0) + sign * v
-                                if nv:
-                                    col[r] = nv
-                                else:
-                                    col.pop(r, None)
-                else:
-                    # M(pi s) -> M(pi t): contributes to columns of degree k-1
-                    for j in range(A.cols):
-                        col = cols[offs_low[ks] + j]
-                        for p in range(A.rows):
-                            v = A.data[p][j]
-                            if v:
-                                r = offs_k[jt] + p
-                                nv = col.get(r, 0) + sign * v
-                                if nv:
-                                    col[r] = nv
-                                else:
-                                    col.pop(r, None)
-        mats[k] = cols
+                A = act[(b0, prods_low[ks])]  # N(pi t) -> N(pi s)
+                for j in range(A.cols):
+                    col = cols[offs_k[jt] + j]
+                    for p in range(A.rows):
+                        v = A.data[p][j]
+                        if v:
+                            r = offs_low[ks] + p
+                            nv = col.get(r, 0) + sign * v
+                            if nv:
+                                col[r] = nv
+                            else:
+                                col.pop(r, None)
+        faces[k] = cols
 
-    cx = GammaChainComplex(monoid, coeff, direction, ring, n_max, layouts, mats)
+    cx = GammaChainComplex(monoid, coeff, direction, ring, n_max, layouts,
+                           faces)
     _check_squares(cx)
     return cx
 
 
 def _check_squares(cx):
     for k in range(1, cx.n_max):
-        if cx.direction == HOMOLOGICAL:
-            comp = _compose_cols(cx._mats[k + 1], cx._mats[k])
-            target = k - 1
-        else:
-            comp = _compose_cols(cx._mats[k], cx._mats[k + 1])
-            target = k + 1
+        comp = _compose_cols(cx.d_in(k), cx.d_out(k))
         bad = [c for c in comp if c]
         if not bad:
             continue
         if not cx.has_torsion:
             raise CompositionNonzero(
                 f"double (co)boundary is nonzero around degree {k}")
+        target = k + cx.step
         dense = IntMatrix.from_col_dicts(bad, cx.dims[target])
         if solve_int(cx.relation_matrix(target), dense) is None:
             raise CompositionNonzero(
@@ -622,16 +605,6 @@ def _sym_action_cols(cx, n, elem):
     return cols
 
 
-def sym_action(cx, n, elem):
-    """Dense rational matrix of the group-algebra action on degree n."""
-    cols = _sym_action_cols(cx, n, elem)
-    data = [[Fraction(0)] * cx.dims[n] for _ in range(cx.dims[n])]
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            data[i][j] = v
-    return RatMatrix(data, cx.dims[n])
-
-
 def _sym_action_int_cols(cx, n, elem):
     cols = _sym_action_cols(cx, n, elem)
     out = []
@@ -664,15 +637,10 @@ def hochschild(cx, n):
         raise BadParams(f"need 0 <= n < n_max = {cx.n_max}")
     if cx.ring == "Q":
         return FgAbGroup.free(hochschild_dim_q(cx, n))
-    if cx.direction == HOMOLOGICAL:
-        d_in = IntMatrix.from_col_dicts(cx._mats[n + 1], cx.dims[n])
-        d_out = cx.boundary(n) if n >= 1 else IntMatrix.zeros(0, cx.dims[n])
-        low = n - 1
-    else:
-        d_in = (IntMatrix.from_col_dicts(cx._mats[n], cx.dims[n])
-                if n >= 1 else IntMatrix.zeros(cx.dims[n], 0))
-        d_out = cx.coboundary(n)
-        low = n + 1
+    low = n + cx.step
+    d_out = IntMatrix.from_col_dicts(cx.d_out(n),
+                                     cx.dims[low] if low >= 0 else 0)
+    d_in = IntMatrix.from_col_dicts(cx.d_in(n), cx.dims[n])
     if not cx.has_torsion:
         return homology_at(d_out, d_in)
     if d_out.rows == 0:
@@ -681,9 +649,8 @@ def hochschild(cx, n):
         cycles = preimage_lattice(d_out, cx.relation_matrix(low))
     borders = IntMatrix.hstack([d_in, cx.relation_matrix(n)],
                                rows=cx.dims[n])
-    X = solve_int(cycles, borders)
-    assert X is not None, "boundaries escaped the cycle lattice"
-    return cokernel_group(X)
+    return _quotient_or_raise(cycles, borders,
+                              "boundaries escaped the cycle lattice")
 
 
 def hochschild_dim_q(cx, n):
@@ -692,13 +659,8 @@ def hochschild_dim_q(cx, n):
         raise BadParams(f"need 0 <= n < n_max = {cx.n_max}")
     if cx.has_torsion:
         raise BadParams("rational dimensions need free-valued coefficients")
-    if cx.direction == HOMOLOGICAL:
-        out_cols = cx._mats[n] if n >= 1 else []
-        in_cols = cx._mats[n + 1]
-    else:
-        out_cols = cx._mats[n + 1]
-        in_cols = cx._mats[n] if n >= 1 else []
-    return cx.dims[n] - rank_of_col_dicts(out_cols) - rank_of_col_dicts(in_cols)
+    return (cx.dims[n] - rank_of_col_dicts(cx.d_out(n))
+            - rank_of_col_dicts(cx.d_in(n)))
 
 
 def leech_cohomology(monoid, coeff, n, budget=None):
@@ -775,14 +737,13 @@ def harrison(cx, n, direction=None):
 
     if cx.direction == HOMOLOGICAL:
         sh_n = _concat_cols(_shuffle_int_cols(cx, n))
-        sh_low = _concat_cols(_shuffle_int_cols(cx, n - 1)) if n >= 1 else []
+        sh_low = _concat_cols(_shuffle_int_cols(cx, n - 1))
         sh_high = _concat_cols(_shuffle_int_cols(cx, n + 1))
-        rel_low = cx.relation_cols(n - 1) if n >= 1 else []
-        low_lat = _lattice_or_empty(sh_low + rel_low,
-                                    cx.dims[n - 1] if n >= 1 else 0)
+        low_lat = _lattice_or_empty(sh_low + cx.relation_cols(n - 1),
+                                    cx.dims[n - 1])
         n_lat = _lattice_or_empty(sh_n + cx.relation_cols(n), cx.dims[n])
-        if n >= 1 and sh_n:
-            moved = _compose_cols(sh_n, cx._mats[n])
+        if sh_n:
+            moved = _compose_cols(sh_n, cx.d_out(n))
             moved = [c for c in moved if c]
             if moved and solve_int(
                     low_lat, IntMatrix.from_col_dicts(moved, cx.dims[n - 1])) \
@@ -790,32 +751,27 @@ def harrison(cx, n, direction=None):
                 raise NotAComplex("shuffle span is not boundary-closed at "
                                   f"degree {n}")
         if sh_high:
-            moved = _compose_cols(sh_high, cx._mats[n + 1])
+            moved = _compose_cols(sh_high, cx.d_in(n))
             moved = [c for c in moved if c]
             if moved and solve_int(
                     n_lat, IntMatrix.from_col_dicts(moved, cx.dims[n])) is None:
                 raise NotAComplex("shuffle span is not boundary-closed at "
                                   f"degree {n + 1}")
-        if n >= 1:
-            cycles = preimage_lattice(cx.boundary(n), low_lat)
-        else:
-            cycles = IntMatrix.identity(cx.dims[n])
+        cycles = preimage_lattice(cx.boundary(n), low_lat)
         borders = IntMatrix.hstack(
-            [IntMatrix.from_col_dicts(cx._mats[n + 1], cx.dims[n]),
+            [IntMatrix.from_col_dicts(cx.d_in(n), cx.dims[n]),
              IntMatrix.from_col_dicts(sh_n + cx.relation_cols(n), cx.dims[n])],
             rows=cx.dims[n])
         return _quotient_or_raise(cycles, borders,
                                   "quotient boundaries escape the cycle span")
 
-    kernel_n = _shuffle_kernel(cx, n)
-    kernel_low = _shuffle_kernel(cx, n - 1) if n >= 1 else None
-    delta_n = IntMatrix.from_col_dicts(cx._mats[n + 1], cx.dims[n + 1])
-    if n >= 1:
-        delta_low = IntMatrix.from_col_dicts(cx._mats[n], cx.dims[n])
-        image_low = delta_low.mul(kernel_low)
-        _check_kernel_closure(cx, n, image_low)
-    else:
-        image_low = IntMatrix.zeros(cx.dims[n], 0)
+    sh_n = _shuffle_int_cols(cx, n)
+    kernel_n = _joint_kernel(cx, n, sh_n)
+    kernel_low = _joint_kernel(cx, n - 1, _shuffle_int_cols(cx, n - 1))
+    delta_n = IntMatrix.from_col_dicts(cx.d_out(n), cx.dims[n + 1])
+    delta_low = IntMatrix.from_col_dicts(cx.d_in(n), cx.dims[n])
+    image_low = delta_low.mul(kernel_low)
+    _check_kernel_closure(cx, n, sh_n, image_low)
     restricted = delta_n.mul(kernel_n)
     if cx.has_torsion:
         inner = preimage_lattice(restricted, cx.relation_matrix(n + 1))
@@ -828,29 +784,21 @@ def harrison(cx, n, direction=None):
                               "coboundaries escape the shuffle kernel")
 
 
-def _shuffle_kernel(cx, m):
-    """Basis of the joint kernel (modulo value relations) of all k >= 2
-    shuffle actions on degree m."""
-    col_lists = _shuffle_int_cols(cx, m)
-    if not col_lists:
+def _joint_kernel(cx, m, blocks):
+    """Basis of the joint kernel (modulo value relations) of the integer
+    operators on degree m given as sparse column lists."""
+    if not blocks:
         return IntMatrix.identity(cx.dims[m])
-    stacked = _stack_cols(col_lists, cx.dims[m])
-    dense = IntMatrix.from_col_dicts(stacked, cx.dims[m] * len(col_lists))
+    rows = cx.dims[m] * len(blocks)
+    dense = IntMatrix.from_col_dicts(_stack_cols(blocks, cx.dims[m]), rows)
     if not cx.has_torsion:
         return kernel_basis(dense)
-    rel = cx.relation_matrix(m)
-    blocks = []
-    for b in range(len(col_lists)):
-        for j in range(rel.cols):
-            blocks.append({b * cx.dims[m] + i: rel.data[i][j]
-                           for i in range(rel.rows) if rel.data[i][j]})
-    rel_rep = IntMatrix.from_col_dicts(blocks, cx.dims[m] * len(col_lists))
+    rel_rep = IntMatrix.from_col_dicts(cx.relation_cols(m, len(blocks)), rows)
     return preimage_lattice(dense, rel_rep)
 
 
-def _check_kernel_closure(cx, n, image_low):
+def _check_kernel_closure(cx, n, col_lists, image_low):
     """Coboundaries of shuffle-kernel cochains must again kill shuffles."""
-    col_lists = _shuffle_int_cols(cx, n)
     if not col_lists or image_low.cols == 0:
         return
     stacked = _stack_cols(col_lists, cx.dims[n])
@@ -858,17 +806,10 @@ def _check_kernel_closure(cx, n, image_low):
     moved = [c for c in moved if c]
     if not moved:
         return
-    if not cx.has_torsion:
-        raise NotAComplex(f"shuffle kernel is not closed at degree {n}")
-    rel = cx.relation_matrix(n)
-    blocks = []
-    for b in range(len(col_lists)):
-        for j in range(rel.cols):
-            blocks.append({b * cx.dims[n] + i: rel.data[i][j]
-                           for i in range(rel.rows) if rel.data[i][j]})
-    rel_rep = IntMatrix.from_col_dicts(blocks, cx.dims[n] * len(col_lists))
-    if solve_int(rel_rep,
-                 IntMatrix.from_col_dicts(moved, rel_rep.rows)) is None:
+    rows = cx.dims[n] * len(col_lists)
+    if not cx.has_torsion or solve_int(
+            IntMatrix.from_col_dicts(cx.relation_cols(n, len(col_lists)), rows),
+            IntMatrix.from_col_dicts(moved, rows)) is None:
         raise NotAComplex(f"shuffle kernel is not closed at degree {n}")
 
 
@@ -889,17 +830,17 @@ def harrison_dim_q(cx, n):
         r_n = rank_of_col_dicts(s_n)
         r_low = rank_of_col_dicts(s_low)
         if s_n:
-            moved = _compose_cols(s_n, cx._mats[n])
+            moved = _compose_cols(s_n, cx.d_out(n))
             if rank_of_col_dicts(s_low + moved) != r_low:
                 raise NotAComplex(
                     f"shuffle span is not boundary-closed at degree {n}")
         if s_high:
-            moved = _compose_cols(s_high, cx._mats[n + 1])
+            moved = _compose_cols(s_high, cx.d_in(n))
             if rank_of_col_dicts(s_n + moved) != r_n:
                 raise NotAComplex(
                     f"shuffle span is not boundary-closed at degree {n + 1}")
-        rank_out = rank_of_col_dicts(cx._mats[n] + s_low) - r_low
-        rank_in = rank_of_col_dicts(cx._mats[n + 1] + s_n) - r_n
+        rank_out = rank_of_col_dicts(cx.d_out(n) + s_low) - r_low
+        rank_in = rank_of_col_dicts(cx.d_in(n) + s_n) - r_n
         return cx.dims[n] - r_n - rank_out - rank_in
 
     def stack(m):
@@ -911,7 +852,7 @@ def harrison_dim_q(cx, n):
     v_n = cx.dims[n] - rank_of_col_dicts(st_n)
     if st_n:
         # coboundaries of shuffle-killing cochains must again kill shuffles
-        moved = _compose_cols(cx._mats[n], st_n)
+        moved = _compose_cols(cx.d_in(n), st_n)
         if st_low:
             combined = _vstack_pair(st_low, moved, rows_low)
             if rank_of_col_dicts(combined) != rank_of_col_dicts(st_low):
@@ -925,8 +866,8 @@ def harrison_dim_q(cx, n):
         # dim of delta(V^m) = rank of [shuffle stack over delta] minus
         # the shuffle stack's own rank
         if not st_m:
-            return rank_of_col_dicts(cx._mats[m + 1])
-        combined = _vstack_pair(st_m, cx._mats[m + 1], st_rows)
+            return rank_of_col_dicts(cx.d_out(m))
+        combined = _vstack_pair(st_m, cx.d_out(m), st_rows)
         return rank_of_col_dicts(combined) - rank_of_col_dicts(st_m)
 
     rank_out = restricted_rank(n, st_n, rows_n)
@@ -968,9 +909,10 @@ def y_exactness_check(hmap, n, lam, budget=None):
     monoid = src.monoid
     cx1 = build_complex(monoid, src, n, HOMOLOGICAL, budget=budget)
     cx2 = build_complex(monoid, tgt, n, HOMOLOGICAL, budget=budget)
-    gens = _young_generators(lam, n)
-    K1 = _invariant_lattice(cx1, n, gens)
-    K2 = _invariant_lattice(cx2, n, gens)
+    gens = [SymGroupElement.from_permutation(g) - SymGroupElement.identity(n)
+            for g in _young_generators(lam, n)]
+    K1, K2 = (_joint_kernel(cx, n, [_sym_action_int_cols(cx, n, g)
+                                    for g in gens]) for cx in (cx1, cx2))
 
     cols = [dict() for _ in range(cx1.dims[n])]
     offs1, offs2 = cx1.tuple_offsets(n), cx2.tuple_offsets(n)
@@ -995,25 +937,4 @@ def y_exactness_check(hmap, n, lam, budget=None):
             return YExactnessReport(
                 False, n, lam, (j, tuple(K2.column(j))),
                 f"invariant generator {j} is not in the image")
-    raise AssertionError("batched solve failed but every column solved")
-
-
-def _invariant_lattice(cx, n, gens):
-    if not gens:
-        return IntMatrix.identity(cx.dims[n])
-    blocks = []
-    for g in gens:
-        elem = SymGroupElement.from_permutation(g) - SymGroupElement.identity(n)
-        blocks.append(_sym_action_int_cols(cx, n, elem))
-    stacked = _stack_cols(blocks, cx.dims[n])
-    dense = IntMatrix.from_col_dicts(stacked, cx.dims[n] * len(blocks))
-    if not cx.has_torsion:
-        return kernel_basis(dense)
-    rel = cx.relation_matrix(n)
-    rel_blocks = []
-    for b in range(len(blocks)):
-        for j in range(rel.cols):
-            rel_blocks.append({b * cx.dims[n] + i: rel.data[i][j]
-                               for i in range(rel.rows) if rel.data[i][j]})
-    rel_rep = IntMatrix.from_col_dicts(rel_blocks, dense.rows)
-    return preimage_lattice(dense, rel_rep)
+    raise OracleMismatch("batched solve failed but every column solved")

@@ -296,7 +296,7 @@ def bar_complex_compare(monoid, kc, n_max, budget=None):
         cols, rows = _classical_bar_cols(monoid, kc, n)
         classical[n] = IntMatrix.from_col_dicts(cols, rows)
         matches.append(_cols_to_triplets(cols, rows)
-                       == _cols_to_triplets(cx._mats[n], cx.dims[n - 1]))
+                       == _cols_to_triplets(cx.d_out(n), cx.dims[n - 1]))
 
     groups = []
     all_match = all(matches)

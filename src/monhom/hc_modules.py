@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadParams
+from .errors import BadParams, NotAComplex
 from .exact_linalg import (
     FgAbGroup,
     IntMatrix,
@@ -569,7 +569,9 @@ def _solve_linear_group(eqs, unknown_rels, equation_rels, layout):
     if unknown_rels.cols == 0:
         return LinearSolution(FgAbGroup.free(K.cols), K, layout)
     X = solve_int(K, unknown_rels)
-    assert X is not None, "unknown-space relations escaped the solution lattice"
+    if X is None:
+        raise NotAComplex(
+            "unknown-space relations escaped the solution lattice")
     return LinearSolution(cokernel_group(X), K, layout)
 
 

@@ -17,8 +17,6 @@ from functools import lru_cache
 from .errors import BadParams, NotAnnihilated, WeightNotPreserved
 from .exact_linalg import rank_of_col_dicts
 from .gamma_chain import (
-    COHOMOLOGICAL,
-    HOMOLOGICAL,
     SymGroupElement,
     _compose_cols,
     _sym_action_cols,
@@ -131,17 +129,8 @@ def hodge_decomposition(cx, n, cap=PROJECTOR_CAP):
     if not 1 <= n < cx.n_max:
         raise BadParams(f"need 1 <= n < n_max = {cx.n_max}")
 
-    if cx.direction == HOMOLOGICAL:
-        d_out = _as_fraction_cols(cx._mats[n]) if n >= 1 else None
-        d_in = _as_fraction_cols(cx._mats[n + 1])
-        out_pair = (n, n - 1)
-        in_pair = (n + 1, n)
-    else:
-        d_out = _as_fraction_cols(cx._mats[n + 1])
-        d_in = _as_fraction_cols(cx._mats[n]) if n >= 1 else None
-        out_pair = (n, n + 1)
-        in_pair = (n - 1, n)
-
+    d_out = _as_fraction_cols(cx.d_out(n))
+    d_in = _as_fraction_cols(cx.d_in(n))
     dims = []
     for i in range(1, n + 1):
         p_here = _projector_cols(cx, n, i, cap)
@@ -151,10 +140,11 @@ def hodge_decomposition(cx, n, cap=PROJECTOR_CAP):
             raise WeightNotPreserved(
                 f"weight-{i} projector trace is not an integer")
 
-        rank_out = _restricted_rank(cx, d_out, p_here, out_pair, i, cap,
-                                    is_out=True)
-        rank_in = _restricted_rank(cx, d_in, p_here, in_pair, i, cap,
-                                   is_out=False)
+        rank_out = _restricted_rank(
+            d_out, p_here, _projector_cols(cx, n + cx.step, i, cap), n, i)
+        rank_in = _restricted_rank(
+            d_in, _projector_cols(cx, n - cx.step, i, cap), p_here,
+            n - cx.step, i)
         dims.append(int(trace) - rank_out - rank_in)
 
     if sum(dims) != hochschild_dim_q(cx, n):
@@ -164,27 +154,11 @@ def hodge_decomposition(cx, n, cap=PROJECTOR_CAP):
     return dims
 
 
-def _restricted_rank(cx, d_cols, p_here, pair, i, cap, is_out):
-    """Rank of the boundary leaving (is_out) or entering the weight-i piece,
-    after an exact commutation check with the neighbouring projector."""
-    if d_cols is None:
-        return 0
-    src_deg, dst_deg = pair
-    if is_out:
-        p_src = p_here
-        p_dst = _as_fraction_cols(_projector_cols(cx, dst_deg, i, cap))
-        moved = _compose_cols(p_src, d_cols)          # d o P_i on source
-        other = _compose_cols(d_cols, p_dst)          # P_i o d
-        if moved != other:
-            raise WeightNotPreserved(
-                f"boundary from degree {src_deg} does not commute with the"
-                f" weight-{i} projector")
-        return rank_of_col_dicts(scale_cols_to_int(moved))
-    p_src = _as_fraction_cols(_projector_cols(cx, src_deg, i, cap))
-    p_dst = p_here
-    moved = _compose_cols(p_src, d_cols)
-    other = _compose_cols(d_cols, p_dst)
-    if moved != other:
+def _restricted_rank(d_cols, p_src, p_dst, src_deg, i):
+    """Rank of the map d_cols restricted to the weight-i piece of its source,
+    after an exact check that it carries p_src to p_dst."""
+    moved = _compose_cols(p_src, d_cols)          # d o P_i on the source
+    if moved != _compose_cols(d_cols, p_dst):     # P_i o d
         raise WeightNotPreserved(
             f"boundary from degree {src_deg} does not commute with the"
             f" weight-{i} projector")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from monhom import cli
+from monhom import cli, exact_linalg
 from monhom.codecs import (dumps, kc_from_payload, kc_to_payload,
                            matrix_from_payload, matrix_to_payload,
                            monoid_to_payload, tabulated_from_payload,
@@ -64,6 +64,15 @@ def test_json_report_round_trips(capsys):
     assert groups == [{"free_rank": 1, "torsion": []},
                       {"free_rank": 0, "torsion": []},
                       {"free_rank": 0, "torsion": [2]}]
+
+
+def test_leech_honours_the_ring(capsys):
+    # over Q the group Z/2 is acyclic: only the degree-0 value survives
+    for coeff in (["trivialQ"], ["jstar:Z:trivial", "--ring", "Q"]):
+        assert run("compute", "leech", "--monoid", "builtin:cyclic_group(2)",
+                   "--coeff", *coeff, "--max-degree", "3") == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["HH^0 = Z", "HH^1 = 0", "HH^2 = 0", "HH^3 = 0"]
 
 
 def test_hodge_report(capsys):
@@ -133,6 +142,16 @@ def test_exit_code_map():
     assert cli._exit_code(OracleMismatch("x")) == 3
     assert cli._exit_code(ComplexityBudget("x")) == 2
     assert cli._exit_code(ParseError("x")) == 1
+
+
+def test_failed_solve_exits_three(monkeypatch, capsys):
+    # a lattice solve that should always succeed is a falsified invariant:
+    # a typed error with exit code 3, not an assert that -O removes
+    monkeypatch.setattr(exact_linalg, "solve_int", lambda B, C: None)
+    assert run("compute", "hh", "--monoid", "builtin:cyclic_group(2)",
+               "--max-degree", "1") == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "NotAComplex"
 
 
 def test_outputs_are_byte_identical_across_runs(tmp_path):

@@ -6,18 +6,23 @@ import random
 
 import pytest
 
+from monhom import gamma_chain
 from monhom.errors import (
     BadParams,
     ComplexityBudget,
     DegreeMismatch,
     IndexOutOfRange,
+    NotAComplex,
+    OracleMismatch,
 )
-from monhom.exact_linalg import FgAbGroup, IntMatrix, RatMatrix
+from monhom.exact_linalg import FgAbGroup, IntMatrix
 from monhom.gamma_chain import (
     COHOMOLOGICAL,
     HOMOLOGICAL,
     PointedMap,
     SymGroupElement,
+    _compose_cols,
+    _sym_action_cols,
     build_complex,
     compositions,
     epsilon_map,
@@ -25,21 +30,19 @@ from monhom.gamma_chain import (
     harrison_dim_q,
     hochschild,
     hochschild_dim_q,
-    identity_pointed,
     leech_cohomology,
     perm_sign,
-    pull_matrix,
     push_matrix,
     push_tuple,
     resolve_budget,
     shuffle_element,
-    sym_action,
     y_exactness_check,
 )
 from monhom.hc_modules import (
     LEFT,
     RIGHT,
     HCModuleMap,
+    TabulatedHCModule,
     derivations,
     jstar_finite_cyclic,
     std_projective,
@@ -85,7 +88,7 @@ def test_pointed_map_validation():
     f = PointedMap(2, 1, (0, 1, 0))
     with pytest.raises(DegreeMismatch):
         f.then(PointedMap(2, 2, (0, 1, 2)))
-    assert identity_pointed(3)(2) == 2
+    assert PointedMap(3, 3, (0, 1, 2, 3))(2) == 2
 
 
 def test_push_tuple_fibres():
@@ -116,6 +119,13 @@ def _random_pointed(rng, src, tgt):
                       (0,) + tuple(rng.randrange(tgt + 1) for _ in range(src)))
 
 
+def _transposed(left):
+    """The right module with the transposed translations of a left one;
+    its pushes are the transposed pulls of the left module."""
+    act = {key: A.transpose() for key, A in left.act.items()}
+    return TabulatedHCModule(RIGHT, left.monoid, left.ranks, act, left.rels)
+
+
 def test_push_functorial_pull_contravariant():
     rng = random.Random(20260814)
     mods = [
@@ -132,16 +142,18 @@ def test_push_functorial_pull_contravariant():
         lhs = push_matrix(f.then(g), monoid, right)
         rhs = push_matrix(g, monoid, right).mul(push_matrix(f, monoid, right))
         assert lhs.sub(rhs).is_zero()
-        lhs = pull_matrix(f.then(g), monoid, left)
-        rhs = pull_matrix(f, monoid, left).mul(pull_matrix(g, monoid, left))
-        assert lhs.sub(rhs).is_zero()
+        flipped = _transposed(left)
+        fg, pf, pg = (push_matrix(h, monoid, flipped).transpose()
+                      for h in (f.then(g), f, g))
+        assert fg.sub(pf.mul(pg)).is_zero()
 
 
 def test_push_requires_right_pull_requires_left():
     with pytest.raises(BadParams):
         push_matrix(epsilon_map(0, 1), Z2, trivial_module(Z2, LEFT))
+    # pulls live only inside cochain complexes, which take left modules
     with pytest.raises(BadParams):
-        pull_matrix(epsilon_map(0, 1), Z2, trivial_module(Z2, RIGHT))
+        build_complex(Z2, trivial_module(Z2, RIGHT), 1, COHOMOLOGICAL)
 
 
 def test_boundary_degree_one_vanishes():
@@ -203,6 +215,28 @@ def test_build_validation():
                       ring="Q")
 
 
+def test_d_out_and_d_in_follow_the_direction():
+    cx = build_complex(Z2, trivial_module(Z2, RIGHT), 3, HOMOLOGICAL)
+    cy = build_complex(Z2, trivial_module(Z2, LEFT), 3, COHOMOLOGICAL)
+    assert (cx.step, cy.step) == (-1, 1)
+    for n in range(1, 4):
+        assert cx.d_out(n) is cx.d_in(n - 1) is cx.boundary_cols(n)
+        assert cy.d_out(n - 1) is cy.d_in(n) is cy.coboundary_cols(n - 1)
+    # zero maps at the ends
+    assert cx.d_out(0) == [{}] * cx.dims[0] and cx.d_in(3) == []
+    assert cy.d_in(0) == [] and cy.d_out(3) == [{}] * cy.dims[3]
+
+
+def test_cochains_are_transposed_chains_of_transposed_translations():
+    for monoid, left in [(Z3, std_projective(Z3, 1, LEFT)),
+                         (truncated_add(2),
+                          jstar_finite_cyclic(truncated_add(2), 4, LEFT))]:
+        cy = build_complex(monoid, left, 3, COHOMOLOGICAL)
+        cx = build_complex(monoid, _transposed(left), 3, HOMOLOGICAL)
+        for n in range(1, 4):
+            assert cy.coboundary(n - 1) == cx.boundary(n).transpose()
+
+
 def test_double_boundary_is_literally_zero_for_free_values():
     cx = build_complex(Z2, std_projective(Z2, 1, RIGHT), 4, HOMOLOGICAL)
     for m in range(2, 5):
@@ -258,6 +292,19 @@ def test_group_cohomology_of_order_two():
     assert leech_cohomology(Z2, coeff, 1) == groups(0)
     assert leech_cohomology(Z2, coeff, 2) == groups(0, 2)
     assert leech_cohomology(Z2, coeff, 3) == groups(0)
+    # H^n(Z/k; Z) = Z, 0, Z/k, 0, Z/k; with Z/4 values the universal
+    # coefficient theorem gives Z/4 then Z/gcd(k, 4) in every degree
+    for k, monoid in ((2, Z2), (3, Z3)):
+        tor = groups(0, 2) if k == 2 else groups(0)
+        cases = [
+            (trivial_module(monoid, LEFT),
+             [groups(1), groups(0), groups(0, k), groups(0), groups(0, k)]),
+            (jstar_finite_cyclic(monoid, 4, LEFT), [groups(0, 4)] + [tor] * 4),
+        ]
+        for coeff, expected in cases:
+            cx = build_complex(monoid, coeff, 5, COHOMOLOGICAL)
+            assert [hochschild(cx, n) for n in range(5)] == expected
+            assert leech_cohomology(monoid, coeff, 4) == expected[4]
 
 
 def test_rational_ring_matches_free_ranks():
@@ -278,18 +325,21 @@ def test_sym_action_group_law():
     cy = build_complex(Z2, trivial_module(Z2, LEFT), 3, COHOMOLOGICAL)
     n = 3
     ident = SymGroupElement.identity(n)
-    assert sym_action(cx, n, ident) == RatMatrix.identity(cx.dims[n])
+    assert _sym_action_cols(cx, n, ident) == [{i: 1} for i in range(cx.dims[n])]
     for _ in range(8):
         p = tuple(rng.sample(range(n), n))
         q = tuple(rng.sample(range(n), n))
         ep, eq = (SymGroupElement.from_permutation(x) for x in (p, q))
-        lhs = sym_action(cx, n, ep.mul(eq))
-        rhs = sym_action(cx, n, ep).mul(sym_action(cx, n, eq))
-        assert lhs.sub(rhs).is_zero()
+        # _compose_cols(a, b) is the product b * a
+        lhs = _sym_action_cols(cx, n, ep.mul(eq))
+        rhs = _compose_cols(_sym_action_cols(cx, n, eq),
+                            _sym_action_cols(cx, n, ep))
+        assert lhs == rhs
         # contravariant degree: the action reverses products
-        lhs = sym_action(cy, n, ep.mul(eq))
-        rhs = sym_action(cy, n, eq).mul(sym_action(cy, n, ep))
-        assert lhs.sub(rhs).is_zero()
+        lhs = _sym_action_cols(cy, n, ep.mul(eq))
+        rhs = _compose_cols(_sym_action_cols(cy, n, ep),
+                            _sym_action_cols(cy, n, eq))
+        assert lhs == rhs
 
 
 def test_shuffle_elements():
@@ -305,7 +355,7 @@ def test_shuffle_elements():
     # on the one-point monoid every permutation acts as the identity,
     # so the signs of sh_{1,1} cancel exactly
     cx = build_complex(TRIV, trivial_module(TRIV, RIGHT), 3, HOMOLOGICAL)
-    assert sym_action(cx, 2, e).is_zero()
+    assert not any(_sym_action_cols(cx, 2, e))
 
 
 def test_compositions_counts():
@@ -389,6 +439,25 @@ def test_y_exactness_failure_carries_witness():
         y_exactness_check(doubling, 2, (1, 2))
     with pytest.raises(BadParams):
         y_exactness_check(doubling, 2, (3,))
+
+
+def test_hochschild_failed_solve_is_typed(monkeypatch):
+    cx = build_complex(Z2, jstar_finite_cyclic(Z2, 4, RIGHT), 2, HOMOLOGICAL)
+    monkeypatch.setattr(gamma_chain, "solve_int", lambda B, C: None)
+    with pytest.raises(NotAComplex):
+        hochschild(cx, 1)
+
+
+def test_y_exactness_disagreeing_solves_are_typed(monkeypatch):
+    # a batched solve that fails while every column solves on its own
+    solve = gamma_chain.solve_int
+    monkeypatch.setattr(gamma_chain, "solve_int",
+                        lambda B, C: None if C.cols > 1 else solve(B, C))
+    hmap = HCModuleMap(trivial_module(Z2, RIGHT),
+                       jstar_finite_cyclic(Z2, 2, RIGHT),
+                       [IntMatrix.identity(1) for _ in Z2.elements])
+    with pytest.raises(OracleMismatch):
+        y_exactness_check(hmap, 2, (1, 1))
 
 
 def test_to_json_is_deterministic():

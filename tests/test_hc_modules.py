@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from monhom.errors import BadParams
+from monhom import hc_modules
+from monhom.errors import BadParams, NotAComplex
 from monhom.exact_linalg import FgAbGroup, IntMatrix
 from monhom.hc_modules import (
     LEFT,
@@ -164,6 +165,13 @@ def test_derivations_constant_targets():
         == FgAbGroup.trivial()
     assert derivations(mon3, jstar_finite_cyclic(mon3, 3, LEFT)).group \
         == FgAbGroup(0, (3,))
+
+
+def test_derivations_failed_solve_is_typed(monkeypatch):
+    mon = cyclic_group(2)
+    monkeypatch.setattr(hc_modules, "solve_int", lambda B, C: None)
+    with pytest.raises(NotAComplex):
+        derivations(mon, jstar_finite_cyclic(mon, 4, LEFT))
 
 
 def test_derivations_semilattice_free_values():
