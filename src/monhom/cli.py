@@ -35,7 +35,7 @@ from .grillet import grillet_report, tensor_over_hc
 from .hc_modules import (LEFT, RIGHT, derivations, jstar, jstar_finite_cyclic,
                          omega, regular_kc_module, std_projective,
                          tabulate_presented, trivial_module)
-from .hodge import hodge_decomposition
+from .hodge import PROJECTOR_CAP, hodge_decomposition
 from .monoids import builder
 from .verify import render_json, render_text, run_suites
 
@@ -161,7 +161,7 @@ def _compute(args):
                          f"{FgAbGroup(**entry['group'])}")
     elif args.target in ("hh", "leech"):
         cx = build_complex(monoid, coeff, deg + 1, direction,
-                           budget=args.budget, ring=ring)
+                           budget=args.budget, ring=ring, normalized=True)
         mark = "_" if direction == HOMOLOGICAL else "^"
         for n in range(deg + 1):
             group = hochschild(cx, n)
@@ -181,8 +181,12 @@ def _compute(args):
     else:
         if deg < 1:
             raise ValidationError("--max-degree must be at least 1 here")
+        if deg > PROJECTOR_CAP:
+            raise ValidationError(
+                f"--max-degree {deg} is above the projector cap "
+                f"{PROJECTOR_CAP} of the weight decomposition")
         cx = build_complex(monoid, coeff, deg + 1, HOMOLOGICAL,
-                           budget=args.budget, ring="Q")
+                           budget=args.budget, ring="Q", normalized=True)
         for n in range(1, deg + 1):
             weights = hodge_decomposition(cx, n)
             report.setdefault("results", []).append(
@@ -235,7 +239,9 @@ def _build_parser():
     comp.add_argument("--max-degree", type=int, default=3)
     comp.add_argument("--ring", choices=("Z", "Q"), default=None)
     comp.add_argument("--budget", type=int, default=None,
-                      help="cap on the total number of basis tuples")
+                      help="cap on the total basis size of the complex; "
+                           "hh, leech, hodge and grillet count the "
+                           "normalized basis (tuples without the identity)")
     comp.add_argument("--format", choices=("text", "json"), default="text")
     comp.add_argument("--out", default=None, help="write the report here")
 

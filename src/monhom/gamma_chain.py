@@ -127,8 +127,15 @@ def _face_tuple(t, i, monoid):
     return t[:i - 1] + (monoid.mul(t[i - 1], t[i]),) + t[i + 1:], monoid.identity
 
 
-def _term_layout(monoid, coeff, n):
-    tuples = list(itertools.product(monoid.elements, repeat=n))
+def _letters(monoid, normalized):
+    """The tuple entries: every element, or all but the identity."""
+    if not normalized:
+        return monoid.elements
+    return [a for a in monoid.elements if a != monoid.identity]
+
+
+def _term_layout(monoid, coeff, n, normalized=False):
+    tuples = list(itertools.product(_letters(monoid, normalized), repeat=n))
     prods = [monoid.product(t) for t in tuples]
     offsets = []
     dim = 0
@@ -187,20 +194,24 @@ class GammaChainComplex:
     """Explicit (co)chain complex of a coefficient module over a monoid.
 
     Degree n is the direct sum over n-tuples (lexicographic order) of the
-    coefficient value at the tuple product.  The maps go from degree n to
-    degree n + step: step is -1 for the boundaries of a homological
-    complex (right coefficients) and +1 for the coboundaries of a
-    cohomological one (left coefficients).  d_out(n) and d_in(n) are the
-    sparse columns of the map leaving and entering degree n; they are the
-    only place where the two directions differ.
+    coefficient value at the tuple product.  A normalized complex keeps
+    only the n-tuples with no entry equal to the identity: the quotient by
+    the degenerate tuples, which has the same (co)homology.  The maps go
+    from degree n to degree n + step: step is -1 for the boundaries of a
+    homological complex (right coefficients) and +1 for the coboundaries
+    of a cohomological one (left coefficients).  d_out(n) and d_in(n) are
+    the sparse columns of the map leaving and entering degree n; they are
+    the only place where the two directions differ.
     """
 
-    def __init__(self, monoid, coeff, direction, ring, n_max, layouts, faces):
+    def __init__(self, monoid, coeff, direction, ring, n_max, layouts, faces,
+                 normalized=False):
         """faces[k] holds the columns of the face sum from degree k to
         k - 1; a cohomological complex stores its transpose."""
         self.monoid = monoid
         self.coeff = coeff
         self.direction = direction
+        self.normalized = normalized
         self.step = -1 if direction == HOMOLOGICAL else 1
         self.ring = ring
         self.n_max = n_max
@@ -341,11 +352,20 @@ def _expected_side(direction):
     return RIGHT if direction == HOMOLOGICAL else LEFT
 
 
-def build_complex(monoid, coeff, n_max, direction, budget=None, ring="Z"):
+def build_complex(monoid, coeff, n_max, direction, budget=None, ring="Z",
+                  normalized=False):
     """Assemble the complex up to degree n_max, checking d o d = 0.
 
+    With normalized set, degree n runs over the n-tuples that contain no
+    identity.  The identity acts as the identity on the coefficients, so
+    inserting it gives the degeneracies of a simplicial object, and the
+    quotient by the degenerate tuples has the same (co)homology
+    (Eilenberg-Mac Lane normalization); a face that lands on a degenerate
+    tuple is zero there.
+
     Raises ComplexityBudget before materializing anything when the total
-    basis count would exceed the cap (parameter, MONHOM_BUDGET, or 10^6).
+    basis count would exceed the cap (parameter, MONHOM_BUDGET, or 10^6);
+    a normalized complex counts its own, smaller basis.
     """
     if direction not in (HOMOLOGICAL, COHOMOLOGICAL):
         raise BadParams(f"unknown direction {direction!r}")
@@ -362,6 +382,7 @@ def build_complex(monoid, coeff, n_max, direction, budget=None, ring="Z"):
         raise BadParams("rational complexes need free-valued coefficients")
 
     cap = resolve_budget(budget)
+    letters = _letters(monoid, normalized)
     counts = [0] * monoid.size
     counts[monoid.identity] = 1
     total = coeff.ranks[monoid.identity]
@@ -370,7 +391,7 @@ def build_complex(monoid, coeff, n_max, direction, budget=None, ring="Z"):
         for y in monoid.elements:
             c = counts[y]
             if c:
-                for a in monoid.elements:
+                for a in letters:
                     nxt[monoid.mul(y, a)] += c
         counts = nxt
         total += sum(c * coeff.ranks[x] for x, c in enumerate(counts))
@@ -378,7 +399,8 @@ def build_complex(monoid, coeff, n_max, direction, budget=None, ring="Z"):
         raise ComplexityBudget(
             f"complex needs {total} basis elements, cap is {cap}")
 
-    layouts = [_term_layout(monoid, coeff, n) for n in range(n_max + 1)]
+    layouts = [_term_layout(monoid, coeff, n, normalized)
+               for n in range(n_max + 1)]
     index = [{t: k for k, t in enumerate(lay[0])} for lay in layouts]
     # The transposed translations of a left module make a right module of
     # the same ranks; its boundaries are the coboundaries transposed.
@@ -395,7 +417,9 @@ def build_complex(monoid, coeff, n_max, direction, budget=None, ring="Z"):
             for i in range(k + 1):
                 s, b0 = _face_tuple(t, i, monoid)
                 sign = -1 if i % 2 else 1
-                ks = idx_low[s]
+                ks = idx_low.get(s)
+                if ks is None:  # degenerate: zero in the normalized quotient
+                    continue
                 A = act[(b0, prods_low[ks])]  # N(pi t) -> N(pi s)
                 for j in range(A.cols):
                     col = cols[offs_k[jt] + j]
@@ -411,7 +435,7 @@ def build_complex(monoid, coeff, n_max, direction, budget=None, ring="Z"):
         faces[k] = cols
 
     cx = GammaChainComplex(monoid, coeff, direction, ring, n_max, layouts,
-                           faces)
+                           faces, normalized)
     _check_squares(cx)
     return cx
 
@@ -664,8 +688,10 @@ def hochschild_dim_q(cx, n):
 
 
 def leech_cohomology(monoid, coeff, n, budget=None):
-    """Cohomology of the contravariant tuple complex with left coefficients."""
-    cx = build_complex(monoid, coeff, n + 1, COHOMOLOGICAL, budget=budget)
+    """Cohomology of the contravariant tuple complex with left coefficients,
+    computed on the normalized complex."""
+    cx = build_complex(monoid, coeff, n + 1, COHOMOLOGICAL, budget=budget,
+                       normalized=True)
     return hochschild(cx, n)
 
 

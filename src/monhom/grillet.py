@@ -57,7 +57,8 @@ def d0_homology(monoid, coeff, budget=None):
     if coeff.side != RIGHT:
         raise BadParams("degree-0 homology takes right coefficients")
     direct = tensor_over_hc(coeff, omega(monoid))
-    cx = build_complex(monoid, coeff, 2, HOMOLOGICAL, budget=budget)
+    cx = build_complex(monoid, coeff, 2, HOMOLOGICAL, budget=budget,
+                       normalized=True)
     from_complex = hochschild(cx, 1)
     if direct != from_complex:
         raise OracleMismatch(
@@ -85,7 +86,7 @@ def grillet_char0(monoid, coeff, n, direction, budget=None):
     if n < 0:
         raise BadParams("negative degree")
     cx = build_complex(monoid, coeff, n + 2, direction, budget=budget,
-                       ring="Q")
+                       ring="Q", normalized=True)
     return harrison_dim_q(cx, n + 1)
 
 

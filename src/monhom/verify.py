@@ -12,7 +12,7 @@ import json
 import time
 from dataclasses import dataclass
 
-from .errors import MonhomError
+from .errors import MonhomError, OracleMismatch
 from .exact_linalg import FgAbGroup, IntMatrix, cokernel_group
 from .gamma_chain import (
     COHOMOLOGICAL,
@@ -424,6 +424,49 @@ def check_grillet():
     return out
 
 
+def _full_and_normalized(monoid, coeff, direction, ring="Z"):
+    return tuple(build_complex(monoid, coeff, 4, direction, ring=ring,
+                               normalized=flag) for flag in (False, True))
+
+
+def _agree(what, full, normalized):
+    if full != normalized:
+        raise OracleMismatch(f"{what}: the full complex gives {full}, the"
+                             f" normalized one {normalized}")
+
+
+def check_normalization():
+    anchor = ("G_*(C,N) ~ G_*(C,N) / (tuples containing the identity)"
+              " (normalization theorem)")
+    out = []
+    for label, monoid in suite_monoids():
+        def body(monoid=monoid):
+            systems = 0
+            for direction, family in ((HOMOLOGICAL, _right_family),
+                                      (COHOMOLOGICAL, _left_family)):
+                for name, coeff in family(monoid):
+                    full, normal = _full_and_normalized(monoid, coeff,
+                                                        direction)
+                    for n in range(4):
+                        _agree(f"{direction} {name} in degree {n}",
+                               hochschild(full, n), hochschild(normal, n))
+                    systems += 1
+            for direction, side in ((HOMOLOGICAL, RIGHT),
+                                    (COHOMOLOGICAL, LEFT)):
+                full, normal = _full_and_normalized(
+                    monoid, trivial_module(monoid, side), direction, "Q")
+                for n in range(1, 4):
+                    _agree(f"{direction} weights in degree {n}",
+                           hodge_decomposition(full, n),
+                           hodge_decomposition(normal, n))
+                    _agree(f"{direction} Harrison dimension in degree {n}",
+                           harrison_dim_q(full, n), harrison_dim_q(normal, n))
+            return (f"{systems} coefficient systems agree over Z in degrees"
+                    " 0..3; weights and Harrison over Q in degrees 1..3")
+        out.append(_guarded(f"normalization[{label}]", anchor, body))
+    return out
+
+
 SUITES = {
     "complex-soundness": check_complex_soundness,
     "degree-bridge": check_degree_bridge,
@@ -435,6 +478,7 @@ SUITES = {
     "products": check_products,
     "kaehler": check_kaehler,
     "grillet": check_grillet,
+    "normalization": check_normalization,
 }
 
 

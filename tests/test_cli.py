@@ -126,6 +126,34 @@ def test_budget_exits_two(capsys):
     assert err["error"]["type"] == "ComplexityBudget"
 
 
+def test_budget_counts_the_normalized_basis(capsys):
+    # 127 tuples without the identity through degree 6; 1093 in full
+    assert run("compute", "hh", "--monoid", "builtin:cyclic_group(3)",
+               "--max-degree", "5", "--budget", "200") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["HH_0 = Z", "HH_1 = Z/3", "HH_2 = 0", "HH_3 = Z/3",
+                   "HH_4 = 0", "HH_5 = Z/3"]
+
+
+def test_hodge_above_the_projector_cap_fails_before_building(monkeypatch,
+                                                             capsys):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("build_complex", "hodge_decomposition"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    assert run("compute", "hodge", "--monoid", "builtin:cyclic_group(2)",
+               "--coeff", "trivialQ", "--max-degree", "6") == 1
+    err = json.loads(capsys.readouterr().err)
+    assert "projector cap 5" in err["error"]["message"]
+    assert calls == []
+
+
 def test_validation_exits_one(capsys):
     assert run("compute", "hodge", "--monoid", "builtin:cyclic_group(2)",
                "--coeff", "trivialZ") == 1

@@ -54,6 +54,7 @@ from monhom.monoids import (
     semilattice_chain,
     trivial_monoid,
     truncated_add,
+    validate_monoid,
 )
 
 Z2 = cyclic_group(2)
@@ -188,6 +189,38 @@ def test_dimension_growth_and_budget():
     with pytest.raises(ComplexityBudget):
         build_complex(Z3, trivial_module(Z3, RIGHT), 5, HOMOLOGICAL,
                       budget=100)
+
+
+def test_normalized_complex_drops_identity_tuples():
+    cx = build_complex(Z2, trivial_module(Z2, RIGHT), 4, HOMOLOGICAL,
+                       normalized=True)
+    assert cx.normalized
+    assert cx.dims == (1, 1, 1, 1, 1)
+    assert cx.tuples_at(2) == [(1, 1)]
+    # the middle face of (1, 1) lands on the degenerate tuple (0,) and drops
+    assert cx.boundary(2).data == [[2]]
+    klein = product_monoid(Z2, Z2).monoid
+    cx = build_complex(klein, trivial_module(klein, RIGHT), 3, HOMOLOGICAL,
+                       normalized=True)
+    assert cx.dims == (1, 3, 9, 27)
+    assert all(klein.identity not in t for t in cx.tuples_at(3))
+    # Z/3 with the identity at index 2 instead of 0
+    shifted = validate_monoid(3, 2, [[(a + b - 2) % 3 for b in range(3)]
+                                     for a in range(3)])
+    cx = build_complex(shifted, trivial_module(shifted, RIGHT), 5,
+                       HOMOLOGICAL, normalized=True)
+    assert [hochschild(cx, n) for n in range(5)] == [
+        groups(1), groups(0, 3), groups(0), groups(0, 3), groups(0)]
+
+
+def test_normalized_budget_counts_the_normalized_basis():
+    # Z/3 to degree 5: 63 normalized basis elements, 364 in full
+    cx = build_complex(Z3, trivial_module(Z3, RIGHT), 5, HOMOLOGICAL,
+                       budget=100, normalized=True)
+    assert sum(cx.dims) == 63
+    with pytest.raises(ComplexityBudget):
+        build_complex(Z3, trivial_module(Z3, RIGHT), 5, HOMOLOGICAL,
+                      budget=62, normalized=True)
 
 
 def test_budget_environment(monkeypatch):

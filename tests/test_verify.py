@@ -2,7 +2,9 @@
 
 import pytest
 
+from monhom import verify
 from monhom.errors import MonhomError
+from monhom.exact_linalg import FgAbGroup
 from monhom.verify import (CheckResult, render_json, render_text, run_suites)
 
 
@@ -49,3 +51,25 @@ def test_failures_are_counted():
     assert "FAIL b: law" in text
     assert text.splitlines()[-1] == "1/2 checks passed"
     assert '"failed": 1' in render_json([good, bad])
+
+
+def test_normalization_suite_runs_green_and_last():
+    assert list(verify.SUITES)[-1] == "normalization"
+    results = run_suites(["normalization"])
+    assert len(results) == 6
+    assert all(r.passed for r in results), [r.detail for r in results]
+
+
+def test_normalization_suite_catches_a_wrong_normalized_group(monkeypatch):
+    real = verify.hochschild
+
+    def wrong_when_normalized(cx, n):
+        group = real(cx, n)
+        return group.direct_sum(FgAbGroup.free(1)) if cx.normalized else group
+
+    monkeypatch.setattr(verify, "hochschild", wrong_when_normalized)
+    results = run_suites(["normalization"])
+    assert not any(r.passed for r in results)
+    assert "OracleMismatch" in results[0].detail
+    assert render_text(results).splitlines()[0].startswith(
+        "FAIL normalization[trivial]")
