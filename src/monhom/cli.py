@@ -181,14 +181,14 @@ def _compute(args):
     else:
         if deg < 1:
             raise ValidationError("--max-degree must be at least 1 here")
-        if deg > PROJECTOR_CAP:
+        if deg + 1 > PROJECTOR_CAP:
             raise ValidationError(
-                f"--max-degree {deg} is above the projector cap "
-                f"{PROJECTOR_CAP} of the weight decomposition")
+                f"--max-degree {deg} needs projectors on degree {deg + 1},"
+                f" above the projector cap {PROJECTOR_CAP} of the weight"
+                " decomposition")
         cx = build_complex(monoid, coeff, deg + 1, HOMOLOGICAL,
                            budget=args.budget, ring="Q", normalized=True)
-        for n in range(1, deg + 1):
-            weights = hodge_decomposition(cx, n)
+        for n, weights in enumerate(hodge_decomposition(cx), start=1):
             report.setdefault("results", []).append(
                 {"degree": n, "weights": list(weights),
                  "total": sum(weights)})

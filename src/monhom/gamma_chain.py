@@ -15,7 +15,6 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import (
     BadParams,
@@ -596,63 +595,34 @@ def compositions(n, min_parts=2):
 
 
 def _sym_action_cols(cx, n, elem):
-    """Sparse rational columns of the action of a group-algebra element on
-    degree n of the complex."""
+    """Sparse integer columns of the action of an integral group-algebra
+    element on degree n of the complex."""
     if elem.n != n:
         raise DegreeMismatch(f"element of S_{elem.n} on degree {n}")
     cx._check_degree(n)
+    terms = []
+    for perm, c in elem.terms.items():
+        if c.denominator != 1:
+            raise BadParams("integral action requested for a non-integral"
+                            " element")
+        # a permutation moves tuple t to (t[perm^-1(j)])_j on chains;
+        # cochains act by the transpose, which reads t through perm itself
+        if cx.direction == HOMOLOGICAL:
+            perm = tuple(sorted(range(n), key=perm.__getitem__))
+        terms.append((perm, int(c)))
     tuples_n = cx.tuples_at(n)
     prods_n = cx.prods_at(n)
     offs = cx.tuple_offsets(n)
     index = {t: k for k, t in enumerate(tuples_n)}
-    cols = [dict() for _ in range(cx.dims[n])]
-    for perm, c in elem.terms.items():
-        inv = [0] * n
-        for i, v in enumerate(perm):
-            inv[v] = i
-        for kt, t in enumerate(tuples_n):
-            s = tuple(t[inv[j]] for j in range(n))
-            ks = index[s]
-            rank = cx.coeff.ranks[prods_n[kt]]
-            if cx.direction == HOMOLOGICAL:
-                src, dst = kt, ks
-            else:
-                src, dst = ks, kt
-            for i in range(rank):
-                col = cols[offs[src] + i]
-                r = offs[dst] + i
-                nv = col.get(r, 0) + c
-                if nv:
-                    col[r] = nv
-                else:
-                    col.pop(r, None)
+    cols = []
+    for kt, t in enumerate(tuples_n):
+        acc = {}
+        for perm, c in terms:
+            ks = index[tuple(t[j] for j in perm)]
+            acc[ks] = acc.get(ks, 0) + c
+        for i in range(cx.coeff.ranks[prods_n[kt]]):
+            cols.append({offs[ks] + i: v for ks, v in acc.items() if v})
     return cols
-
-
-def _sym_action_int_cols(cx, n, elem):
-    cols = _sym_action_cols(cx, n, elem)
-    out = []
-    for col in cols:
-        d = {}
-        for r, v in col.items():
-            if v.denominator != 1:
-                raise BadParams("integral action requested for a non-integral"
-                                " element")
-            d[r] = int(v)
-        out.append(d)
-    return out
-
-
-def scale_cols_to_int(cols):
-    """Clear denominators column by column (rank is unchanged)."""
-    out = []
-    for col in cols:
-        if not col:
-            out.append({})
-            continue
-        mult = lcm(*(v.denominator for v in col.values()))
-        out.append({r: int(v * mult) for r, v in col.items()})
-    return out
 
 
 def hochschild(cx, n):
@@ -698,7 +668,7 @@ def leech_cohomology(monoid, coeff, n, budget=None):
 def _shuffle_int_cols(cx, m):
     """Integer columns of all k >= 2 block-shuffle actions on degree m,
     one list per composition."""
-    return [(_sym_action_int_cols(cx, m, shuffle_element(parts)))
+    return [_sym_action_cols(cx, m, shuffle_element(parts))
             for parts in compositions(m)]
 
 
@@ -937,7 +907,7 @@ def y_exactness_check(hmap, n, lam, budget=None):
     cx2 = build_complex(monoid, tgt, n, HOMOLOGICAL, budget=budget)
     gens = [SymGroupElement.from_permutation(g) - SymGroupElement.identity(n)
             for g in _young_generators(lam, n)]
-    K1, K2 = (_joint_kernel(cx, n, [_sym_action_int_cols(cx, n, g)
+    K1, K2 = (_joint_kernel(cx, n, [_sym_action_cols(cx, n, g)
                                     for g in gens]) for cx in (cx1, cx2))
 
     cols = [dict() for _ in range(cx1.dims[n])]

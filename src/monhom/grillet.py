@@ -35,7 +35,6 @@ from .gamma_chain import (
     build_complex,
     harrison_dim_q,
     hochschild,
-    leech_cohomology,
 )
 from .hc_modules import (
     LEFT,
@@ -48,36 +47,41 @@ from .hc_modules import (
 )
 
 
-def d0_homology(monoid, coeff, budget=None):
-    """N tensored with the universal derivation target, degree-0 exactly.
+def _degree_zero(monoid, coeff, direction, n_max, budget):
+    """The exact degree-0 group and the normalized complex up to n_max.
 
-    The same group must appear as the degree-1 homology of the tuple
-    complex; the two computations share no code path.
+    The group is N tensored with the universal derivation target
+    (homological) or the derivation group (cohomological).  The same group
+    must appear as the degree-1 group of the complex; the two computations
+    share no code path.
     """
-    if coeff.side != RIGHT:
-        raise BadParams("degree-0 homology takes right coefficients")
-    direct = tensor_over_hc(coeff, omega(monoid))
-    cx = build_complex(monoid, coeff, 2, HOMOLOGICAL, budget=budget,
+    if direction == HOMOLOGICAL:
+        if coeff.side != RIGHT:
+            raise BadParams("degree-0 homology takes right coefficients")
+        path, direct = "tensor path", tensor_over_hc(coeff, omega(monoid))
+    else:
+        if coeff.side != LEFT:
+            raise BadParams("degree-0 cohomology takes left coefficients")
+        path, direct = "derivation solve", derivations(monoid, coeff).group
+    cx = build_complex(monoid, coeff, n_max, direction, budget=budget,
                        normalized=True)
     from_complex = hochschild(cx, 1)
     if direct != from_complex:
         raise OracleMismatch(
-            f"tensor path gives {direct} but the tuple complex gives"
+            f"{path} gives {direct} but the tuple complex gives"
             f" {from_complex} in degree 1")
-    return direct
+    return direct, cx
+
+
+def d0_homology(monoid, coeff, budget=None):
+    """N tensored with the universal derivation target, degree-0 exactly,
+    cross-checked against degree-1 homology."""
+    return _degree_zero(monoid, coeff, HOMOLOGICAL, 2, budget)[0]
 
 
 def d0_cohomology(monoid, coeff, budget=None):
     """The derivation group, cross-checked against degree-1 cohomology."""
-    if coeff.side != LEFT:
-        raise BadParams("degree-0 cohomology takes left coefficients")
-    direct = derivations(monoid, coeff).group
-    from_complex = leech_cohomology(monoid, coeff, 1, budget=budget)
-    if direct != from_complex:
-        raise OracleMismatch(
-            f"derivation solve gives {direct} but the tuple complex gives"
-            f" {from_complex} in degree 1")
-    return direct
+    return _degree_zero(monoid, coeff, COHOMOLOGICAL, 2, budget)[0]
 
 
 def grillet_char0(monoid, coeff, n, direction, budget=None):
@@ -120,12 +124,9 @@ def grillet_report(monoid, coeff, direction, max_degree, budget=None,
         raise BadParams(f"unknown direction {direction!r}")
     if max_degree < 0:
         raise BadParams("negative degree cap")
-    if direction == HOMOLOGICAL:
-        zero = d0_homology(monoid, coeff, budget=budget)
-    else:
-        zero = d0_cohomology(monoid, coeff, budget=budget)
-    dims = tuple(grillet_char0(monoid, coeff, k, direction, budget=budget)
-                 for k in range(1, max_degree + 1))
+    # one complex serves degree 0 and every char-0 degree
+    zero, cx = _degree_zero(monoid, coeff, direction, max_degree + 2, budget)
+    dims = tuple(harrison_dim_q(cx, k + 1) for k in range(1, max_degree + 1))
     return GrilletReport(direction, monoid_label, coeff_label, zero, dims)
 
 

@@ -2,10 +2,10 @@
 
 The sum s_n of all two-block shuffle operators acts semisimply on Q[S_n]
 with eigenvalues 2^i - 2 for i = 1..n.  Lagrange interpolation at these
-eigenvalues yields a complete orthogonal family of idempotents; applying
-them to a rational tuple complex splits each degree into weight pieces
-preserved by the boundary, and the per-weight homology dimensions follow
-from traces and ranks.
+eigenvalues yields a complete orthogonal family of idempotents.  Their
+integral multiples D*e^(i) act on a tuple complex by integer matrices,
+split each degree into weight pieces preserved by the boundary, and give
+the per-weight homology dimensions from traces and ranks.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import BadParams, NotAnnihilated, WeightNotPreserved
 from .exact_linalg import rank_of_col_dicts
@@ -21,7 +22,6 @@ from .gamma_chain import (
     _compose_cols,
     _sym_action_cols,
     hochschild_dim_q,
-    scale_cols_to_int,
     shuffle_element,
 )
 
@@ -96,61 +96,77 @@ def _eulerian(n):
     return HodgeProjectorSet(n, tuple(projectors))
 
 
-def eulerian_idempotents(n, cap=PROJECTOR_CAP):
+def eulerian_idempotents(n):
     """Spectral projectors of s_n at the eigenvalues 2^i - 2, i = 1..n."""
     if n < 1:
         raise BadParams("degree must be at least 1")
-    if n > cap:
-        raise BadParams(f"degree {n} above the projector cap {cap}")
+    if n > PROJECTOR_CAP:
+        raise BadParams(f"degree {n} above the projector cap {PROJECTOR_CAP}")
     return _eulerian(n)
 
 
-def _projector_cols(cx, m, i, cap):
-    """Sparse rational columns of e^(i) acting on degree m; zero when the
-    weight exceeds the degree."""
+def _clearing_scale(n_max):
+    """The least D making every D*e^(i) on at most n_max letters integral;
+    n_max! for n_max <= PROJECTOR_CAP."""
+    return lcm(*(c.denominator for m in range(1, n_max + 1)
+                 for e in eulerian_idempotents(m) for c in e.terms.values()))
+
+
+def _projector_cols(cx, m, i, scale):
+    """Sparse integer columns of scale * e^(i) acting on degree m; zero when
+    the weight exceeds the degree."""
     if i > m:
         return [dict() for _ in range(cx.dims[m])]
-    return _sym_action_cols(cx, m, eulerian_idempotents(m, cap)[i])
+    return _sym_action_cols(cx, m, eulerian_idempotents(m)[i].scale(scale))
 
 
-def _as_fraction_cols(cols):
-    return [{r: Fraction(v) for r, v in col.items()} for col in cols]
+def hodge_decomposition(cx):
+    """Dimensions of the weight pieces of the (co)homology in every degree
+    n = 1..n_max-1: entry n-1 lists the weights i = 1..n.
 
-
-def hodge_decomposition(cx, n, cap=PROJECTOR_CAP):
-    """Dimensions of the weight pieces of degree-n (co)homology, i = 1..n.
-
-    The complex must carry ring Q.  Exact projector/boundary commutation
-    is verified before any rank is trusted; the weight dimensions must add
-    up to the total rational dimension.
+    The complex must carry ring Q.  It is acted on by D*e^(i), with D the
+    least integer clearing the denominators of the projectors, so every
+    entry is an integer.  Exact projector/boundary commutation is verified
+    before any rank is trusted, every trace must be divisible by D, and
+    the weights of each degree must add up to its total rational dimension.
     """
     if cx.ring != "Q":
         raise BadParams("weight decomposition needs a ring-Q complex")
-    if not 1 <= n < cx.n_max:
-        raise BadParams(f"need 1 <= n < n_max = {cx.n_max}")
+    if cx.n_max > PROJECTOR_CAP:
+        raise BadParams(f"degree {cx.n_max} above the projector cap"
+                        f" {PROJECTOR_CAP}")
+    top = cx.n_max - 1
+    scale = _clearing_scale(cx.n_max)
+    dims = [[] for _ in range(top)]
+    for i in range(1, top + 1):
+        # Weight i lives in degrees i..n_max; only the projectors on n-1, n
+        # and n+1 are held, and each map's restricted rank is taken once.
+        proj = {i - 1: _projector_cols(cx, i - 1, i, scale),
+                i: _projector_cols(cx, i, i, scale)}
+        ranks = {}
 
-    d_out = _as_fraction_cols(cx.d_out(n))
-    d_in = _as_fraction_cols(cx.d_in(n))
-    dims = []
-    for i in range(1, n + 1):
-        p_here = _projector_cols(cx, n, i, cap)
+        def rank_from(src):
+            if src not in ranks:
+                ranks[src] = _restricted_rank(
+                    cx.d_out(src), proj[src], proj[src + cx.step], src, i)
+            return ranks[src]
 
-        trace = sum(col.get(j, Fraction(0)) for j, col in enumerate(p_here))
-        if trace.denominator != 1:
+        for n in range(i, top + 1):
+            proj.pop(n - 2, None)
+            proj[n + 1] = _projector_cols(cx, n + 1, i, scale)
+            trace = sum(col.get(j, 0) for j, col in enumerate(proj[n]))
+            if trace % scale:
+                raise WeightNotPreserved(
+                    f"weight-{i} projector trace in degree {n} is not an"
+                    " integer")
+            dims[n - 1].append(
+                trace // scale - rank_from(n) - rank_from(n - cx.step))
+
+    for n, weights in enumerate(dims, start=1):
+        if sum(weights) != hochschild_dim_q(cx, n):
             raise WeightNotPreserved(
-                f"weight-{i} projector trace is not an integer")
-
-        rank_out = _restricted_rank(
-            d_out, p_here, _projector_cols(cx, n + cx.step, i, cap), n, i)
-        rank_in = _restricted_rank(
-            d_in, _projector_cols(cx, n - cx.step, i, cap), p_here,
-            n - cx.step, i)
-        dims.append(int(trace) - rank_out - rank_in)
-
-    if sum(dims) != hochschild_dim_q(cx, n):
-        raise WeightNotPreserved(
-            f"weight dimensions {dims} do not add up to the total in degree"
-            f" {n}")
+                f"weight dimensions {weights} do not add up to the total in"
+                f" degree {n}")
     return dims
 
 
@@ -162,4 +178,4 @@ def _restricted_rank(d_cols, p_src, p_dst, src_deg, i):
         raise WeightNotPreserved(
             f"boundary from degree {src_deg} does not commute with the"
             f" weight-{i} projector")
-    return rank_of_col_dicts(scale_cols_to_int(moved))
+    return rank_of_col_dicts(moved)

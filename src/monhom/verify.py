@@ -223,8 +223,7 @@ def check_hodge():
             dq = build_complex(monoid, trivial_module(monoid, LEFT), 5,
                                COHOMOLOGICAL, ring="Q")
             for cx in (cq, dq):
-                for n in range(1, 5):
-                    dims = hodge_decomposition(cx, n)
+                for n, dims in enumerate(hodge_decomposition(cx), start=1):
                     if sum(dims) != hochschild_dim_q(cx, n):
                         raise MonhomError(f"weight sum off in degree {n}")
                     if dims[0] != harrison_dim_q(cx, n):
@@ -455,10 +454,11 @@ def check_normalization():
                                     (COHOMOLOGICAL, LEFT)):
                 full, normal = _full_and_normalized(
                     monoid, trivial_module(monoid, side), direction, "Q")
-                for n in range(1, 4):
-                    _agree(f"{direction} weights in degree {n}",
-                           hodge_decomposition(full, n),
-                           hodge_decomposition(normal, n))
+                weights = zip(hodge_decomposition(full),
+                              hodge_decomposition(normal))
+                for n, (w_full, w_normal) in enumerate(weights, start=1):
+                    _agree(f"{direction} weights in degree {n}", w_full,
+                           w_normal)
                     _agree(f"{direction} Harrison dimension in degree {n}",
                            harrison_dim_q(full, n), harrison_dim_q(normal, n))
             return (f"{systems} coefficient systems agree over Z in degrees"

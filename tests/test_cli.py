@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from monhom import cli, exact_linalg
+from monhom import cli, exact_linalg, grillet
 from monhom.codecs import (dumps, kc_from_payload, kc_to_payload,
                            matrix_from_payload, matrix_to_payload,
                            monoid_to_payload, tabulated_from_payload,
@@ -92,6 +92,35 @@ def test_grillet_report_lines(capsys):
     assert out[1] == "degree 1 (char0): 0"
 
 
+def test_grillet_report_builds_one_complex(monkeypatch, capsys):
+    calls = []
+    original = grillet.build_complex
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(grillet, "build_complex", counted)
+    argv = ("compute", "grillet", "--monoid", "builtin:truncated_add(2)",
+            "--coeff", "trivialZ", "--max-degree", "3")
+    assert run(*argv) == 0
+    assert capsys.readouterr().out == "".join(
+        f"degree {n} ({'exact' if n == 0 else 'char0'}): 0\n"
+        for n in range(4))
+    assert calls == [5]
+    assert run(*argv, "--format", "json") == 0
+    report = json.loads(capsys.readouterr().out)
+    zero = {"free_rank": 0, "torsion": []}
+    assert report["results"] == [
+        {"degree": n, "group": zero, "path": "exact" if n == 0 else "char0"}
+        for n in range(4)]
+    assert run("compute", "grillet", "--monoid", "builtin:cyclic_group(3)",
+               "--coeff", "jstar:regular", "--max-degree", "2") == 0
+    assert capsys.readouterr().out == (
+        "degree 0 (exact): Z/3 + Z/3 + Z/3\ndegree 1 (char0): 0\n"
+        "degree 2 (char0): 0\n")
+
+
 def test_monoid_file_source(tmp_path, capsys):
     path = tmp_path / "z3.json"
     path.write_text(dumps(monoid_to_payload(cyclic_group(3))))
@@ -150,6 +179,23 @@ def test_hodge_above_the_projector_cap_fails_before_building(monkeypatch,
     assert run("compute", "hodge", "--monoid", "builtin:cyclic_group(2)",
                "--coeff", "trivialQ", "--max-degree", "6") == 1
     err = json.loads(capsys.readouterr().err)
+    assert "projector cap 5" in err["error"]["message"]
+    assert calls == []
+
+
+def test_hodge_needing_projectors_above_the_cap_fails_before_building(
+        monkeypatch, capsys):
+    # degree 5 needs the projectors on degree 6
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+
+    monkeypatch.setattr(cli, "build_complex", counted)
+    assert run("compute", "hodge", "--monoid", "builtin:cyclic_group(2)",
+               "--coeff", "trivialQ", "--max-degree", "5") == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValidationError"
     assert "projector cap 5" in err["error"]["message"]
     assert calls == []
 

@@ -5,16 +5,24 @@ from fractions import Fraction
 
 import pytest
 
-from monhom.errors import BadParams
+from monhom import cli, hodge
+from monhom.errors import BadParams, WeightNotPreserved
 from monhom.gamma_chain import (
     COHOMOLOGICAL,
     HOMOLOGICAL,
     SymGroupElement,
+    _sym_action_cols,
     build_complex,
     harrison_dim_q,
     hochschild_dim_q,
 )
-from monhom.hc_modules import LEFT, RIGHT, trivial_module
+from monhom.hc_modules import (
+    LEFT,
+    RIGHT,
+    jstar,
+    regular_kc_module,
+    trivial_module,
+)
 from monhom.hodge import (
     HodgeProjectorSet,
     eulerian_idempotents,
@@ -82,13 +90,12 @@ def test_hodge_validation():
     cz = build_complex(cyclic_group(2), trivial_module(cyclic_group(2), RIGHT),
                        3, HOMOLOGICAL)
     with pytest.raises(BadParams):
-        hodge_decomposition(cz, 2)
-    cq = build_complex(cyclic_group(2), trivial_module(cyclic_group(2), RIGHT),
-                       3, HOMOLOGICAL, ring="Q")
-    with pytest.raises(BadParams):
-        hodge_decomposition(cq, 0)
-    with pytest.raises(BadParams):
-        hodge_decomposition(cq, 3)
+        hodge_decomposition(cz)
+    above_cap = build_complex(cyclic_group(2),
+                              trivial_module(cyclic_group(2), RIGHT), 6,
+                              HOMOLOGICAL, ring="Q", normalized=True)
+    with pytest.raises(BadParams, match="projector cap 5"):
+        hodge_decomposition(above_cap)
 
 
 def test_weights_sum_and_match_totals():
@@ -97,15 +104,15 @@ def test_weights_sum_and_match_totals():
     for monoid in mons:
         cq = build_complex(monoid, trivial_module(monoid, RIGHT), 4,
                            HOMOLOGICAL, ring="Q")
-        for n in range(1, 4):
-            dims = hodge_decomposition(cq, n)
+        weights = hodge_decomposition(cq)
+        assert len(weights) == 3
+        for n, dims in enumerate(weights, start=1):
             assert len(dims) == n
             assert all(d >= 0 for d in dims)
             assert sum(dims) == hochschild_dim_q(cq, n)
         dq = build_complex(monoid, trivial_module(monoid, LEFT), 4,
                            COHOMOLOGICAL, ring="Q")
-        for n in range(1, 4):
-            dims = hodge_decomposition(dq, n)
+        for n, dims in enumerate(hodge_decomposition(dq), start=1):
             assert sum(dims) == hochschild_dim_q(dq, n)
 
 
@@ -115,9 +122,62 @@ def test_weight_one_piece_equals_harrison():
     for monoid in mons:
         cq = build_complex(monoid, trivial_module(monoid, RIGHT), 4,
                            HOMOLOGICAL, ring="Q")
+        weights = hodge_decomposition(cq)
         for n in range(2, 4):
-            assert hodge_decomposition(cq, n)[0] == harrison_dim_q(cq, n)
+            assert weights[n - 1][0] == harrison_dim_q(cq, n)
         dq = build_complex(monoid, trivial_module(monoid, LEFT), 4,
                            COHOMOLOGICAL, ring="Q")
+        weights = hodge_decomposition(dq)
         for n in range(2, 4):
-            assert hodge_decomposition(dq, n)[0] == harrison_dim_q(dq, n)
+            assert weights[n - 1][0] == harrison_dim_q(dq, n)
+
+
+def test_weights_of_regular_coefficients():
+    monoid = truncated_add(2)
+    cx = build_complex(monoid, jstar(regular_kc_module(monoid), RIGHT), 5,
+                       HOMOLOGICAL, ring="Q", normalized=True)
+    assert hodge_decomposition(cx) == [[1], [1, 0], [0, 1, 0], [0, 1, 0, 0]]
+
+
+def test_sym_action_is_integral():
+    cx = build_complex(cyclic_group(3), trivial_module(cyclic_group(3), RIGHT),
+                       3, HOMOLOGICAL, ring="Q")
+    for n in range(1, 4):
+        for e in eulerian_idempotents(n):
+            cols = _sym_action_cols(cx, n, e.scale(6))
+            assert all(type(v) is int for col in cols for v in col.values())
+    with pytest.raises(BadParams, match="non-integral"):
+        _sym_action_cols(cx, 2, eulerian_idempotents(2)[1])
+
+
+def test_each_projector_action_is_built_once(monkeypatch):
+    # 14 = 5 + 4 + 3 + 2 pairs (degree m, weight i <= m) on degrees 1..5
+    calls = []
+    original = hodge._sym_action_cols
+
+    def counted(cx, n, elem):
+        calls.append(n)
+        return original(cx, n, elem)
+
+    monkeypatch.setattr(hodge, "_sym_action_cols", counted)
+    assert cli.main(["compute", "hodge", "--monoid", "builtin:truncated_add(2)",
+                     "--coeff", "jstar:regular", "--max-degree", "4"]) == 0
+    assert len(calls) == 14
+
+
+def test_non_commuting_projector_is_caught(monkeypatch):
+    # the identity in place of e^(1) on degree 2 does not commute with d_3
+    original = hodge._projector_cols
+
+    def broken(cx, m, i, scale):
+        if (m, i) == (2, 1):
+            return _sym_action_cols(
+                cx, m, SymGroupElement.identity(m).scale(scale))
+        return original(cx, m, i, scale)
+
+    monkeypatch.setattr(hodge, "_projector_cols", broken)
+    monoid = truncated_add(2)
+    cx = build_complex(monoid, trivial_module(monoid, RIGHT), 4, HOMOLOGICAL,
+                       ring="Q")
+    with pytest.raises(WeightNotPreserved, match="does not commute"):
+        hodge_decomposition(cx)

@@ -3,9 +3,12 @@
 import ast
 import pathlib
 
+import importlib
+
 import monhom
 
 PACKAGE = pathlib.Path(monhom.__file__).parent
+TRACER = pathlib.Path(__file__).parent.parent / "perfbench" / "tracer.py"
 
 
 def test_no_bare_assert_in_the_package():
@@ -17,3 +20,17 @@ def test_no_bare_assert_in_the_package():
                   if isinstance(node, ast.Assert)]
     assert list(PACKAGE.glob("*.py")), "package sources not found"
     assert not found, f"bare assert statements: {found}"
+
+
+def test_traced_layers_resolve():
+    # the benchmark's tracer wraps these names from outside the program
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"), str(TRACER))
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["LAYERS"])
+    assert layers, "no traced layers found"
+    missing = [f"{module}.{name}" for module, names in layers.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(
+                   f"monhom.{module}"), name, None))]
+    assert not missing, f"traced names missing from monhom: {missing}"
