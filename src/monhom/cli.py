@@ -173,8 +173,7 @@ def _compute(args):
             raise ValidationError("--max-degree must be at least 1 here")
         cx = build_complex(monoid, coeff, deg + 1, HOMOLOGICAL,
                            budget=args.budget, ring=ring)
-        for n in range(1, deg + 1):
-            group = harrison(cx, n)
+        for n, group in enumerate(harrison(cx), start=1):
             report.setdefault("results", []).append(
                 {"degree": n, "group": _group_payload(group)})
             lines.append(f"Harr_{n} = {group}")
@@ -220,7 +219,7 @@ def _verify(args):
     if not body.endswith("\n"):
         body += "\n"
     _write(args.out, body)
-    return 0 if all(r.passed for r in results) else 1
+    return 0 if all(r.passed for r in results) else 3
 
 
 def _build_parser():

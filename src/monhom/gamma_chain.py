@@ -522,6 +522,12 @@ class SymGroupElement:
     def __rmul__(self, scalar):
         return self.scale(scalar)
 
+    def antipode(self):
+        """The image under sigma -> sigma^-1, which acts on a tuple complex
+        by the transpose of this element's action."""
+        return SymGroupElement(self.n, {_perm_inverse(p): c
+                                        for p, c in self.terms.items()})
+
     def is_zero(self):
         return not self.terms
 
@@ -537,6 +543,10 @@ class SymGroupElement:
             return f"SymGroupElement({self.n}, 0)"
         parts = [f"{c}*{p}" for p, c in sorted(self.terms.items())]
         return f"SymGroupElement({self.n}, {' + '.join(parts)})"
+
+
+def _perm_inverse(perm):
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
 
 
 def perm_sign(perm):
@@ -575,25 +585,6 @@ def shuffle_element(*parts):
     return SymGroupElement(n, terms)
 
 
-def compositions(n, min_parts=2):
-    """Ordered tuples of positive integers summing to n with at least
-    min_parts entries."""
-    out = []
-
-    def rec(rem, acc):
-        if rem == 0:
-            if len(acc) >= min_parts:
-                out.append(tuple(acc))
-            return
-        for p in range(1, rem + 1):
-            acc.append(p)
-            rec(rem - p, acc)
-            acc.pop()
-
-    rec(n, [])
-    return out
-
-
 def _sym_action_cols(cx, n, elem):
     """Sparse integer columns of the action of an integral group-algebra
     element on degree n of the complex."""
@@ -608,7 +599,7 @@ def _sym_action_cols(cx, n, elem):
         # a permutation moves tuple t to (t[perm^-1(j)])_j on chains;
         # cochains act by the transpose, which reads t through perm itself
         if cx.direction == HOMOLOGICAL:
-            perm = tuple(sorted(range(n), key=perm.__getitem__))
+            perm = _perm_inverse(perm)
         terms.append((perm, int(c)))
     tuples_n = cx.tuples_at(n)
     prods_n = cx.prods_at(n)
@@ -665,26 +656,26 @@ def leech_cohomology(monoid, coeff, n, budget=None):
     return hochschild(cx, n)
 
 
-def _shuffle_int_cols(cx, m):
-    """Integer columns of all k >= 2 block-shuffle actions on degree m,
-    one list per composition."""
-    return [_sym_action_cols(cx, m, shuffle_element(parts))
-            for parts in compositions(m)]
+def _shuffle_int_cols(cx, m, dual=False):
+    """Integer columns of the two-block shuffle actions sh_{p,m-p},
+    0 < p < m, on degree m, one list per p; with dual set, the columns of
+    their transposes, which are the actions of their antipodes.
 
-
-def _concat_cols(col_lists):
+    The shuffle product is associative: sh_{p,q,r} = sh_{p+q,r}(sh_{p,q} x 1)
+    in Z[S_m].  So these m-1 operators span every block-shuffle image on
+    chains and cut out the joint kernel of all block shuffles on cochains
+    (Barr 1968)."""
     out = []
-    for cols in col_lists:
-        out.extend(cols)
+    for p in range(1, m):
+        sh = shuffle_element(p, m - p)
+        out.append(_sym_action_cols(cx, m, sh.antipode() if dual else sh))
     return out
 
 
 def _stack_cols(col_lists, block_rows):
-    """Stack matrices with identical column counts vertically, sparsely."""
-    if not col_lists:
-        return []
-    width = len(col_lists[0])
-    stacked = [dict() for _ in range(width)]
+    """Stack square operators on one degree vertically, sparsely; no
+    operators give no rows."""
+    stacked = [dict() for _ in range(block_rows)]
     for b, cols in enumerate(col_lists):
         off = b * block_rows
         for j, col in enumerate(cols):
@@ -717,67 +708,70 @@ def _quotient_or_raise(K, S, message):
     return cokernel_group(X)
 
 
-def harrison(cx, n, direction=None):
-    """Harrison group in degree n: homologically the quotient by all block
-    shuffle images, cohomologically the joint shuffle kernel.  Over Q the
-    answer is a free group of the computed dimension; over Z the shuffle
-    span must be closed under the (co)boundary or NotAComplex is raised."""
-    if direction is not None and direction != cx.direction:
-        raise BadParams("direction does not match the complex")
-    if not 0 <= n < cx.n_max:
-        raise BadParams(f"need 0 <= n < n_max = {cx.n_max}")
+def harrison(cx):
+    """Harrison groups in degrees n = 1..n_max-1 (entry n-1 is degree n):
+    homologically the quotient by the two-block shuffle images, which span
+    every block-shuffle image, cohomologically their joint kernel.  Over Q
+    the answers are free groups of the computed dimensions; over Z the
+    shuffle span must be closed under the (co)boundary or NotAComplex is
+    raised."""
     if cx.ring == "Q":
-        return FgAbGroup.free(harrison_dim_q(cx, n))
-    if n <= 1:
-        return hochschild(cx, n)
-
+        return [FgAbGroup.free(d) for d in harrison_dim_q(cx)]
+    if cx.n_max < 2:
+        return []
     if cx.direction == HOMOLOGICAL:
-        sh_n = _concat_cols(_shuffle_int_cols(cx, n))
-        sh_low = _concat_cols(_shuffle_int_cols(cx, n - 1))
-        sh_high = _concat_cols(_shuffle_int_cols(cx, n + 1))
-        low_lat = _lattice_or_empty(sh_low + cx.relation_cols(n - 1),
-                                    cx.dims[n - 1])
-        n_lat = _lattice_or_empty(sh_n + cx.relation_cols(n), cx.dims[n])
-        if sh_n:
-            moved = _compose_cols(sh_n, cx.d_out(n))
-            moved = [c for c in moved if c]
-            if moved and solve_int(
-                    low_lat, IntMatrix.from_col_dicts(moved, cx.dims[n - 1])) \
-                    is None:
-                raise NotAComplex("shuffle span is not boundary-closed at "
-                                  f"degree {n}")
-        if sh_high:
-            moved = _compose_cols(sh_high, cx.d_in(n))
-            moved = [c for c in moved if c]
-            if moved and solve_int(
-                    n_lat, IntMatrix.from_col_dicts(moved, cx.dims[n])) is None:
-                raise NotAComplex("shuffle span is not boundary-closed at "
-                                  f"degree {n + 1}")
-        cycles = preimage_lattice(cx.boundary(n), low_lat)
-        borders = IntMatrix.hstack(
-            [IntMatrix.from_col_dicts(cx.d_in(n), cx.dims[n]),
-             IntMatrix.from_col_dicts(sh_n + cx.relation_cols(n), cx.dims[n])],
-            rows=cx.dims[n])
-        return _quotient_or_raise(cycles, borders,
-                                  "quotient boundaries escape the cycle span")
+        return _harrison_chains(cx)
+    return _harrison_cochains(cx)
 
-    sh_n = _shuffle_int_cols(cx, n)
-    kernel_n = _joint_kernel(cx, n, sh_n)
-    kernel_low = _joint_kernel(cx, n - 1, _shuffle_int_cols(cx, n - 1))
-    delta_n = IntMatrix.from_col_dicts(cx.d_out(n), cx.dims[n + 1])
-    delta_low = IntMatrix.from_col_dicts(cx.d_in(n), cx.dims[n])
-    image_low = delta_low.mul(kernel_low)
-    _check_kernel_closure(cx, n, sh_n, image_low)
-    restricted = delta_n.mul(kernel_n)
-    if cx.has_torsion:
-        inner = preimage_lattice(restricted, cx.relation_matrix(n + 1))
-    else:
-        inner = kernel_basis(restricted)
-    cycles = lattice_basis(kernel_n.mul(inner))
-    borders = IntMatrix.hstack(
-        [image_low, cx.relation_matrix(n)], rows=cx.dims[n])
-    return _quotient_or_raise(cycles, borders,
-                              "coboundaries escape the shuffle kernel")
+
+def _harrison_chains(cx):
+    """H_n of the quotient by the shuffle images, one degree at a time,
+    holding the image lattices of degrees n-1 and n."""
+    out = [hochschild(cx, 1)]
+    sh_n, lat_low = [], None
+    lat_n = _lattice_or_empty(cx.relation_cols(1), cx.dims[1])
+    for n in range(1, cx.n_max):
+        sh_up = [c for cols in _shuffle_int_cols(cx, n + 1) for c in cols]
+        moved = [c for c in _compose_cols(sh_up, cx.d_out(n + 1)) if c]
+        if moved and solve_int(
+                lat_n, IntMatrix.from_col_dicts(moved, cx.dims[n])) is None:
+            raise NotAComplex("shuffle span is not boundary-closed at "
+                              f"degree {n + 1}")
+        if n >= 2:
+            cycles = preimage_lattice(cx.boundary(n), lat_low)
+            borders = IntMatrix.from_col_dicts(
+                cx.d_in(n) + sh_n + cx.relation_cols(n), cx.dims[n])
+            out.append(_quotient_or_raise(
+                cycles, borders, "quotient boundaries escape the cycle span"))
+        if n + 1 < cx.n_max:
+            lat_low, lat_n = lat_n, _lattice_or_empty(
+                sh_up + cx.relation_cols(n + 1), cx.dims[n + 1])
+        sh_n = sh_up
+    return out
+
+
+def _harrison_cochains(cx):
+    """H^n of the joint shuffle kernel, one degree at a time, holding the
+    coboundaries of the kernel one degree down."""
+    out = [hochschild(cx, 1)]
+    image_low = IntMatrix.from_col_dicts(cx.d_in(2), cx.dims[2])
+    for n in range(2, cx.n_max):
+        sh_n = _shuffle_int_cols(cx, n)
+        kernel_n = _joint_kernel(cx, n, sh_n)
+        _check_kernel_closure(cx, n, sh_n, image_low)
+        restricted = IntMatrix.from_col_dicts(
+            cx.d_out(n), cx.dims[n + 1]).mul(kernel_n)
+        if cx.has_torsion:
+            inner = preimage_lattice(restricted, cx.relation_matrix(n + 1))
+        else:
+            inner = kernel_basis(restricted)
+        cycles = lattice_basis(kernel_n.mul(inner))
+        borders = IntMatrix.hstack(
+            [image_low, cx.relation_matrix(n)], rows=cx.dims[n])
+        out.append(_quotient_or_raise(
+            cycles, borders, "coboundaries escape the shuffle kernel"))
+        image_low = restricted
+    return out
 
 
 def _joint_kernel(cx, m, blocks):
@@ -809,66 +803,41 @@ def _check_kernel_closure(cx, n, col_lists, image_low):
         raise NotAComplex(f"shuffle kernel is not closed at degree {n}")
 
 
-def harrison_dim_q(cx, n):
-    """Rational Harrison dimension in degree n by rank arithmetic."""
-    if not 0 <= n < cx.n_max:
-        raise BadParams(f"need 0 <= n < n_max = {cx.n_max}")
+def harrison_dim_q(cx):
+    """Rational Harrison dimensions in degrees n = 1..n_max-1 (entry n-1
+    is degree n), by rank arithmetic on the cochain side.
+
+    V^m is the joint kernel of the stacked shuffle operators S_m, and
+    dim H^n(V) = dim V^n - rank(delta on V^n) - rank(delta on V^(n-1)),
+    where rank(delta on V^m) = rank [S_m; delta_m] - rank S_m.  A chain
+    complex enters through its dual, whose Harrison dimensions are the
+    same over Q: the transposed boundaries, and the antipodes of the
+    shuffles, which act by the transposed matrices.  Every degree's
+    operators are built once, and V^m is checked to map into V^(m+1) for
+    m + 1 = 2..n_max before any rank is used.
+    """
     if cx.has_torsion:
         raise BadParams("rational dimensions need free-valued coefficients")
-    if n <= 1:
-        return hochschild_dim_q(cx, n)
-
-    def sh_cols(m):
-        return _concat_cols(_shuffle_int_cols(cx, m)) if m >= 2 else []
-
-    if cx.direction == HOMOLOGICAL:
-        s_n, s_low, s_high = sh_cols(n), sh_cols(n - 1), sh_cols(n + 1)
-        r_n = rank_of_col_dicts(s_n)
-        r_low = rank_of_col_dicts(s_low)
-        if s_n:
-            moved = _compose_cols(s_n, cx.d_out(n))
-            if rank_of_col_dicts(s_low + moved) != r_low:
-                raise NotAComplex(
-                    f"shuffle span is not boundary-closed at degree {n}")
-        if s_high:
-            moved = _compose_cols(s_high, cx.d_in(n))
-            if rank_of_col_dicts(s_n + moved) != r_n:
-                raise NotAComplex(
-                    f"shuffle span is not boundary-closed at degree {n + 1}")
-        rank_out = rank_of_col_dicts(cx.d_out(n) + s_low) - r_low
-        rank_in = rank_of_col_dicts(cx.d_in(n) + s_n) - r_n
-        return cx.dims[n] - r_n - rank_out - rank_in
-
-    def stack(m):
-        lists = _shuffle_int_cols(cx, m)
-        return _stack_cols(lists, cx.dims[m]), len(lists) * cx.dims[m]
-
-    st_n, rows_n = stack(n)
-    st_low, rows_low = stack(n - 1)
-    v_n = cx.dims[n] - rank_of_col_dicts(st_n)
-    if st_n:
-        # coboundaries of shuffle-killing cochains must again kill shuffles
-        moved = _compose_cols(cx.d_in(n), st_n)
-        if st_low:
-            combined = _vstack_pair(st_low, moved, rows_low)
-            if rank_of_col_dicts(combined) != rank_of_col_dicts(st_low):
-                raise NotAComplex(
-                    f"shuffle kernel is not closed at degree {n}")
-        elif any(moved):
-            raise NotAComplex(
-                f"shuffle kernel is not closed at degree {n}")
-
-    def restricted_rank(m, st_m, st_rows):
-        # dim of delta(V^m) = rank of [shuffle stack over delta] minus
-        # the shuffle stack's own rank
-        if not st_m:
-            return rank_of_col_dicts(cx.d_out(m))
-        combined = _vstack_pair(st_m, cx.d_out(m), st_rows)
-        return rank_of_col_dicts(combined) - rank_of_col_dicts(st_m)
-
-    rank_out = restricted_rank(n, st_n, rows_n)
-    rank_in = restricted_rank(n - 1, st_low, rows_low)
-    return v_n - rank_out - rank_in
+    dual = cx.step < 0
+    out = []
+    st, rows, rank_low = [dict() for _ in range(cx.dims[0])], 0, 0
+    for m in range(cx.n_max):
+        # the map from degree m to m + 1 on the cochain side
+        delta = _transpose_cols(cx.d_in(m), cx.dims[m]) if dual \
+            else cx.d_out(m)
+        st_up = _stack_cols(_shuffle_int_cols(cx, m + 1, dual),
+                            cx.dims[m + 1])
+        rank_st = rank_of_col_dicts(st)
+        moved = _compose_cols(delta, st_up)
+        if any(moved) and rank_of_col_dicts(
+                _vstack_pair(st, moved, rows)) != rank_st:
+            raise NotAComplex("shuffle span is not closed under the"
+                              f" differential at degree {m + 1}")
+        rank_up = rank_of_col_dicts(_vstack_pair(st, delta, rows)) - rank_st
+        if m:
+            out.append(cx.dims[m] - rank_st - rank_up - rank_low)
+        st, rows, rank_low = st_up, m * cx.dims[m + 1], rank_up
+    return out
 
 
 def _young_generators(lam, n):

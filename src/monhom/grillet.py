@@ -91,7 +91,7 @@ def grillet_char0(monoid, coeff, n, direction, budget=None):
         raise BadParams("negative degree")
     cx = build_complex(monoid, coeff, n + 2, direction, budget=budget,
                        ring="Q", normalized=True)
-    return harrison_dim_q(cx, n + 1)
+    return harrison_dim_q(cx)[n]
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def grillet_report(monoid, coeff, direction, max_degree, budget=None,
         raise BadParams("negative degree cap")
     # one complex serves degree 0 and every char-0 degree
     zero, cx = _degree_zero(monoid, coeff, direction, max_degree + 2, budget)
-    dims = tuple(harrison_dim_q(cx, k + 1) for k in range(1, max_degree + 1))
+    dims = tuple(harrison_dim_q(cx)[1:]) if max_degree else ()
     return GrilletReport(direction, monoid_label, coeff_label, zero, dims)
 
 

@@ -64,12 +64,6 @@ class TabulatedHCModule:
         self.rels = tuple(rels)
         self.basis_labels = basis_labels
 
-    def act_matrix(self, c, a):
-        return self.act[(c, a)]
-
-    def rel_matrix(self, a):
-        return self.rels[a]
-
     @property
     def has_torsion(self):
         return any(r.cols for r in self.rels)
@@ -78,9 +72,6 @@ class TabulatedHCModule:
         if self.rels[a].cols == 0:
             return FgAbGroup.free(self.ranks[a])
         return cokernel_group(self.rels[a])
-
-    def total_rank(self):
-        return sum(self.ranks)
 
     def __repr__(self):
         return f"TabulatedHCModule({self.side}, ranks={self.ranks})"
@@ -553,26 +544,23 @@ def tensor_over_hc(right_mod, left_arg):
 
 @dataclass(frozen=True)
 class LinearSolution:
-    """Solution group of an integer system, with a lattice basis for the
-    solutions on the free covers and the unknown-block layout."""
+    """Solution group of an integer system."""
 
     group: FgAbGroup
-    basis: IntMatrix
-    layout: tuple  # of (element, rank)
 
 
-def _solve_linear_group(eqs, unknown_rels, equation_rels, layout):
+def _solve_linear_group(eqs, unknown_rels, equation_rels):
     if equation_rels.cols == 0:
         K = kernel_basis(eqs)
     else:
         K = preimage_lattice(eqs, equation_rels)
     if unknown_rels.cols == 0:
-        return LinearSolution(FgAbGroup.free(K.cols), K, layout)
+        return LinearSolution(FgAbGroup.free(K.cols))
     X = solve_int(K, unknown_rels)
     if X is None:
         raise NotAComplex(
             "unknown-space relations escaped the solution lattice")
-    return LinearSolution(cokernel_group(X), K, layout)
+    return LinearSolution(cokernel_group(X))
 
 
 def derivations(monoid, module):
@@ -609,8 +597,7 @@ def derivations(monoid, module):
     else:
         unknown_rels = IntMatrix.zeros(total, 0)
         equation_rels = IntMatrix.zeros(eqs.rows, 0)
-    layout = tuple((a, module.ranks[a]) for a in mon.elements)
-    return _solve_linear_group(eqs, unknown_rels, equation_rels, layout)
+    return _solve_linear_group(eqs, unknown_rels, equation_rels)
 
 
 def hom_from_presented(presented, module):
@@ -646,8 +633,7 @@ def hom_from_presented(presented, module):
     else:
         unknown_rels = IntMatrix.zeros(total, 0)
         equation_rels = IntMatrix.zeros(eqs.rows, 0)
-    layout = tuple((deg, module.ranks[deg]) for _, deg in presented.generators)
-    return _solve_linear_group(eqs, unknown_rels, equation_rels, layout)
+    return _solve_linear_group(eqs, unknown_rels, equation_rels)
 
 
 def hom_rank_tabulated(m1, m2):

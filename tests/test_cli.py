@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from monhom import cli, exact_linalg, grillet
+from monhom import cli, exact_linalg, grillet, verify
 from monhom.codecs import (dumps, kc_from_payload, kc_to_payload,
                            matrix_from_payload, matrix_to_payload,
                            monoid_to_payload, tabulated_from_payload,
@@ -254,6 +254,19 @@ def test_verify_command(tmp_path, capsys):
     assert run("verify", "bogus") == 1
     err = json.loads(capsys.readouterr().err)
     assert "unknown suite" in err["error"]["message"]
+
+
+def test_failed_verify_check_exits_three(monkeypatch, capsys):
+    # a falsified check is exit 3 as in the README; bad input stays 1
+    def falsified():
+        raise OracleMismatch("two routes disagree")
+
+    monkeypatch.setitem(verify.SUITES, "broken", lambda: [
+        verify._guarded("broken[one]", "anchor", falsified)])
+    assert run("verify", "broken") == 3
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL broken[one]: anchor")
+    assert out.splitlines()[-1] == "0/1 checks passed"
 
 
 # -- codec edge cases ----------------------------------------------------

@@ -1,6 +1,7 @@
 """Tuple-complex layer: faces, boundaries, homology, shuffles, Harrison,
 and Young-invariant surjectivity, against hand-checked small cases."""
 
+import itertools
 import json
 import random
 
@@ -15,7 +16,13 @@ from monhom.errors import (
     NotAComplex,
     OracleMismatch,
 )
-from monhom.exact_linalg import FgAbGroup, IntMatrix
+from monhom.exact_linalg import (
+    FgAbGroup,
+    IntMatrix,
+    kernel_basis,
+    lattice_basis,
+    solve_int,
+)
 from monhom.gamma_chain import (
     COHOMOLOGICAL,
     HOMOLOGICAL,
@@ -24,7 +31,6 @@ from monhom.gamma_chain import (
     _compose_cols,
     _sym_action_cols,
     build_complex,
-    compositions,
     epsilon_map,
     harrison,
     harrison_dim_q,
@@ -56,6 +62,7 @@ from monhom.monoids import (
     truncated_add,
     validate_monoid,
 )
+from monhom.verify import suite_monoids
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -391,29 +398,116 @@ def test_shuffle_elements():
     assert not any(_sym_action_cols(cx, 2, e))
 
 
-def test_compositions_counts():
-    assert set(compositions(2)) == {(1, 1)}
-    assert set(compositions(3)) == {(1, 2), (2, 1), (1, 1, 1)}
-    assert len(compositions(4)) == 7
-    assert compositions(1) == []
+def _every_block_shuffle(n):
+    """shuffle_element(parts) for every composition of n with at least two
+    parts, one per nonempty set of cut points."""
+    out = []
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        if not any(cuts):
+            continue
+        parts, size = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(size)
+                size = 1
+            else:
+                size += 1
+        out.append(shuffle_element(parts + [size]))
+    return out
+
+
+def test_two_block_shuffles_span_every_block_shuffle():
+    # With trivial coefficients each degree is a permutation module, which
+    # splits over the S_n-orbits of tuples, so the lattices are compared
+    # orbit by orbit.  The two-block shuffles are among all block shuffles,
+    # so their joint kernel holds the joint kernel of all of them; it is
+    # equal when every block shuffle kills it.
+    for _, monoid in suite_monoids():
+        for side, direction in ((RIGHT, HOMOLOGICAL), (LEFT, COHOMOLOGICAL)):
+            cx = build_complex(monoid, trivial_module(monoid, side), 5,
+                               direction)
+            for n in range(2, 6):
+                two = gamma_chain._shuffle_int_cols(cx, n)
+                every = [_sym_action_cols(cx, n, e)
+                         for e in _every_block_shuffle(n)]
+                assert len(two) == n - 1 and len(every) == 2 ** (n - 1) - 1
+                orbits = {}
+                for k, t in enumerate(cx.tuples_at(n)):
+                    orbits.setdefault(tuple(sorted(t)), []).append(k)
+                for idx in orbits.values():
+                    local = {k: i for i, k in enumerate(idx)}
+
+                    def restrict(ops):
+                        return [[{local[r]: v for r, v in op[k].items()}
+                                 for k in idx] for op in ops]
+
+                    two_o, every_o = restrict(two), restrict(every)
+                    span = lattice_basis(IntMatrix.from_col_dicts(
+                        [c for op in two_o for c in op], len(idx)))
+                    images = IntMatrix.from_col_dicts(
+                        [c for op in every_o for c in op], len(idx))
+                    assert solve_int(span, images) is not None
+                    stacked = IntMatrix.from_col_dicts(
+                        gamma_chain._stack_cols(two_o, len(idx)),
+                        len(idx) * len(two_o))
+                    kernel = kernel_basis(stacked).col_dicts()
+                    for op in every_o:
+                        assert not any(_compose_cols(kernel, op))
+
+
+def test_each_shuffle_span_is_built_once(monkeypatch):
+    calls = []
+    original = gamma_chain._shuffle_int_cols
+
+    def counted(cx, m, dual=False):
+        calls.append(m)
+        return original(cx, m, dual)
+
+    monkeypatch.setattr(gamma_chain, "_shuffle_int_cols", counted)
+    monoid = truncated_add(2)
+    for side, direction in ((RIGHT, HOMOLOGICAL), (LEFT, COHOMOLOGICAL)):
+        for ring in ("Z", "Q"):
+            cx = build_complex(monoid, trivial_module(monoid, side), 5,
+                               direction, ring=ring)
+            for compute in (harrison, harrison_dim_q):
+                calls.clear()
+                compute(cx)
+                # over Z the cochain side stops below the top degree
+                top = 4 if (ring, direction) == ("Z", COHOMOLOGICAL) else 5
+                assert len(calls) == len(set(calls))
+                assert set(range(2, top + 1)) <= set(calls)
+
+
+def test_unclosed_shuffle_span_is_caught(monkeypatch):
+    # the identity in place of sh_{1,1} spans all of degree 2, which the
+    # boundary does not carry into degree 1's empty shuffle span
+    original = gamma_chain.shuffle_element
+
+    def broken(*parts):
+        if parts == (1, 1):
+            return SymGroupElement.identity(2)
+        return original(*parts)
+
+    monkeypatch.setattr(gamma_chain, "shuffle_element", broken)
+    for side, direction in ((RIGHT, HOMOLOGICAL), (LEFT, COHOMOLOGICAL)):
+        for ring in ("Z", "Q"):
+            cx = build_complex(Z2, trivial_module(Z2, side), 3, direction,
+                               ring=ring)
+            with pytest.raises(NotAComplex, match="degree 2"):
+                harrison(cx)
 
 
 def test_harrison_matches_low_degrees_and_trivial_monoid():
     cx = build_complex(Z2, trivial_module(Z2, RIGHT), 3, HOMOLOGICAL)
-    assert harrison(cx, 1) == hochschild(cx, 1)
-    assert harrison(cx, 0) == hochschild(cx, 0)
+    assert harrison(cx)[0] == hochschild(cx, 1)
     tv = build_complex(TRIV, trivial_module(TRIV, RIGHT), 4, HOMOLOGICAL)
-    for n in range(1, 4):
-        assert harrison(tv, n) == groups(0)
-    with pytest.raises(BadParams):
-        harrison(cx, 1, direction=COHOMOLOGICAL)
+    assert harrison(tv) == [groups(0)] * 3
 
 
 def test_harrison_rational_vanishing_for_group():
     cq = build_complex(Z2, trivial_module(Z2, RIGHT), 5, HOMOLOGICAL,
                        ring="Q")
-    for n in range(1, 5):
-        assert harrison(cq, n) == groups(0)
+    assert harrison(cq) == [groups(0)] * 4
 
 
 def test_harrison_integer_vs_rational_free_rank():
@@ -421,22 +515,19 @@ def test_harrison_integer_vs_rational_free_rank():
         coeff = trivial_module(monoid, RIGHT)
         cz = build_complex(monoid, coeff, 4, HOMOLOGICAL)
         cq = build_complex(monoid, coeff, 4, HOMOLOGICAL, ring="Q")
-        for n in range(2, 4):
-            assert harrison(cz, n).free_rank == harrison_dim_q(cq, n)
+        assert [g.free_rank for g in harrison(cz)] == harrison_dim_q(cq)
         left = trivial_module(monoid, LEFT)
         dz = build_complex(monoid, left, 4, COHOMOLOGICAL)
         dq = build_complex(monoid, left, 4, COHOMOLOGICAL, ring="Q")
-        for n in range(2, 4):
-            assert harrison(dz, n).free_rank == harrison_dim_q(dq, n)
+        assert [g.free_rank for g in harrison(dz)] == harrison_dim_q(dq)
 
 
 def test_harrison_cohomological_with_torsion_values():
     cx = build_complex(Z2, jstar_finite_cyclic(Z2, 4, LEFT), 3, COHOMOLOGICAL)
-    for n in range(3):
-        g = harrison(cx, n)
-        assert g.free_rank == 0
-        if n <= 1:
-            assert g == hochschild(cx, n)
+    found = harrison(cx)
+    assert len(found) == 2
+    assert all(g.free_rank == 0 for g in found)
+    assert found[0] == hochschild(cx, 1)
 
 
 def test_y_exactness_identity_map_passes():

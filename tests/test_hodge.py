@@ -122,14 +122,10 @@ def test_weight_one_piece_equals_harrison():
     for monoid in mons:
         cq = build_complex(monoid, trivial_module(monoid, RIGHT), 4,
                            HOMOLOGICAL, ring="Q")
-        weights = hodge_decomposition(cq)
-        for n in range(2, 4):
-            assert weights[n - 1][0] == harrison_dim_q(cq, n)
+        assert [w[0] for w in hodge_decomposition(cq)] == harrison_dim_q(cq)
         dq = build_complex(monoid, trivial_module(monoid, LEFT), 4,
                            COHOMOLOGICAL, ring="Q")
-        weights = hodge_decomposition(dq)
-        for n in range(2, 4):
-            assert weights[n - 1][0] == harrison_dim_q(dq, n)
+        assert [w[0] for w in hodge_decomposition(dq)] == harrison_dim_q(dq)
 
 
 def test_weights_of_regular_coefficients():
