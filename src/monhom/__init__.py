@@ -2,8 +2,8 @@
 
 Chain complexes of functors on finite pointed sets, with coefficients in
 module systems over the divisibility category of a monoid.  Everything
-runs over exact integer or rational arithmetic; answers are finitely
-generated abelian groups in invariant-factor form.
+runs over exact integer arithmetic, rational dimensions included; answers
+are finitely generated abelian groups in invariant-factor form.
 """
 
 from .errors import MonhomError

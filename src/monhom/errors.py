@@ -46,7 +46,7 @@ class CompositionNonzero(MonhomError):
 
 
 class NotAnnihilated(MonhomError):
-    """An operator is not killed by the product over the supplied eigenvalues."""
+    """Eulerian idempotents fail a spectral identity of the shuffle operator."""
 
 
 class ComplexityBudget(MonhomError):

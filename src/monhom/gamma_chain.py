@@ -12,9 +12,9 @@ groups, and Young-invariant computations.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     BadParams,
@@ -455,8 +455,15 @@ def _check_squares(cx):
                 f"double (co)boundary escapes the relations around degree {k}")
 
 
+def _integer(coeff):
+    try:
+        return operator.index(coeff)
+    except TypeError:
+        raise BadParams(f"non-integral coefficient {coeff!r}")
+
+
 class SymGroupElement:
-    """Formal rational combination of permutations of {1..n}, stored as
+    """Formal integer combination of permutations of {1..n}, stored as
     0-based image tuples."""
 
     __slots__ = ("n", "terms")
@@ -468,7 +475,7 @@ class SymGroupElement:
             perm = tuple(perm)
             if sorted(perm) != list(range(self.n)):
                 raise BadParams(f"not a permutation of {self.n} letters: {perm}")
-            c = Fraction(coeff)
+            c = _integer(coeff)
             if c:
                 clean[perm] = c
         self.terms = clean
@@ -500,27 +507,20 @@ class SymGroupElement:
         return self.add(other.scale(-1))
 
     def scale(self, scalar):
-        c = Fraction(scalar)
+        c = _integer(scalar)
         return SymGroupElement(self.n, {p: c * v for p, v in self.terms.items()})
 
     def mul(self, other):
-        if not isinstance(other, SymGroupElement):
-            return self.scale(other)
         self._require_same(other)
         terms = {}
         for p, a in self.terms.items():
             for q, b in other.terms.items():
-                comp = tuple(p[q[i]] for i in range(self.n))
-                nv = terms.get(comp, 0) + a * b
-                terms[comp] = nv
+                comp = tuple(map(p.__getitem__, q))
+                terms[comp] = terms.get(comp, 0) + a * b
         return SymGroupElement(self.n, terms)
 
     __add__ = add
     __sub__ = sub
-    __mul__ = mul
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
 
     def antipode(self):
         """The image under sigma -> sigma^-1, which acts on a tuple complex
@@ -573,7 +573,7 @@ def shuffle_element(*parts):
     def place(block, avail, sigma):
         if block == len(parts):
             perm = tuple(sigma)
-            terms[perm] = Fraction(perm_sign(perm))
+            terms[perm] = perm_sign(perm)
             return
         for img in itertools.combinations(avail, parts[block]):
             taken = set(img)
@@ -586,21 +586,15 @@ def shuffle_element(*parts):
 
 
 def _sym_action_cols(cx, n, elem):
-    """Sparse integer columns of the action of an integral group-algebra
-    element on degree n of the complex."""
+    """Sparse integer columns of the action of a group-algebra element on
+    degree n of the complex."""
     if elem.n != n:
         raise DegreeMismatch(f"element of S_{elem.n} on degree {n}")
     cx._check_degree(n)
-    terms = []
-    for perm, c in elem.terms.items():
-        if c.denominator != 1:
-            raise BadParams("integral action requested for a non-integral"
-                            " element")
-        # a permutation moves tuple t to (t[perm^-1(j)])_j on chains;
-        # cochains act by the transpose, which reads t through perm itself
-        if cx.direction == HOMOLOGICAL:
-            perm = _perm_inverse(perm)
-        terms.append((perm, int(c)))
+    # a permutation moves tuple t to (t[perm^-1(j)])_j on chains;
+    # cochains act by the transpose, which reads t through perm itself
+    terms = [(_perm_inverse(p) if cx.direction == HOMOLOGICAL else p, c)
+             for p, c in elem.terms.items()]
     tuples_n = cx.tuples_at(n)
     prods_n = cx.prods_at(n)
     offs = cx.tuple_offsets(n)
@@ -701,6 +695,15 @@ def _lattice_or_empty(cols, rows):
     return lattice_basis(IntMatrix.from_col_dicts(cols, rows))
 
 
+def _distinct_up_to_sign(cols):
+    """The nonzero columns, each once up to sign: the same lattice."""
+    kept = {}
+    for col in cols:
+        if col and frozenset((r, -v) for r, v in col.items()) not in kept:
+            kept.setdefault(frozenset(col.items()), col)
+    return list(kept.values())
+
+
 def _quotient_or_raise(K, S, message):
     X = solve_int(K, S)
     if X is None:
@@ -726,26 +729,28 @@ def harrison(cx):
 
 def _harrison_chains(cx):
     """H_n of the quotient by the shuffle images, one degree at a time,
-    holding the image lattices of degrees n-1 and n."""
+    holding the image lattices of degrees n-1 and n.  Every generating set
+    is passed on with each column once up to sign."""
     out = [hochschild(cx, 1)]
     sh_n, lat_low = [], None
     lat_n = _lattice_or_empty(cx.relation_cols(1), cx.dims[1])
     for n in range(1, cx.n_max):
-        sh_up = [c for cols in _shuffle_int_cols(cx, n + 1) for c in cols]
-        moved = [c for c in _compose_cols(sh_up, cx.d_out(n + 1)) if c]
+        sh_up = _distinct_up_to_sign(
+            c for cols in _shuffle_int_cols(cx, n + 1) for c in cols)
+        moved = _distinct_up_to_sign(_compose_cols(sh_up, cx.d_out(n + 1)))
         if moved and solve_int(
                 lat_n, IntMatrix.from_col_dicts(moved, cx.dims[n])) is None:
             raise NotAComplex("shuffle span is not boundary-closed at "
                               f"degree {n + 1}")
         if n >= 2:
             cycles = preimage_lattice(cx.boundary(n), lat_low)
-            borders = IntMatrix.from_col_dicts(
-                cx.d_in(n) + sh_n + cx.relation_cols(n), cx.dims[n])
+            borders = IntMatrix.from_col_dicts(_distinct_up_to_sign(
+                cx.d_in(n) + sh_n + cx.relation_cols(n)), cx.dims[n])
             out.append(_quotient_or_raise(
                 cycles, borders, "quotient boundaries escape the cycle span"))
         if n + 1 < cx.n_max:
-            lat_low, lat_n = lat_n, _lattice_or_empty(
-                sh_up + cx.relation_cols(n + 1), cx.dims[n + 1])
+            lat_low, lat_n = lat_n, _lattice_or_empty(_distinct_up_to_sign(
+                sh_up + cx.relation_cols(n + 1)), cx.dims[n + 1])
         sh_n = sh_up
     return out
 

@@ -1,19 +1,19 @@
 """Eulerian idempotents and weight decompositions over the rationals.
 
-The sum s_n of all two-block shuffle operators acts semisimply on Q[S_n]
-with eigenvalues 2^i - 2 for i = 1..n.  Lagrange interpolation at these
-eigenvalues yields a complete orthogonal family of idempotents.  Their
-integral multiples D*e^(i) act on a tuple complex by integer matrices,
-split each degree into weight pieces preserved by the boundary, and give
-the per-weight homology dimensions from traces and ranks.
+The Eulerian idempotents e^(i) are the spectral projectors of the sum s_n
+of all two-block shuffles, at its eigenvalues 2^i - 2, i = 1..n.  Their
+integral multiples n!*e^(i) have a closed form in descents (Loday, Cyclic
+Homology 4.5).  They act on a tuple complex by integer matrices, split
+each degree into weight pieces preserved by the boundary, and give the
+per-weight homology dimensions from traces and ranks.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import factorial
 
 from .errors import BadParams, NotAnnihilated, WeightNotPreserved
 from .exact_linalg import rank_of_col_dicts
@@ -22,6 +22,7 @@ from .gamma_chain import (
     _compose_cols,
     _sym_action_cols,
     hochschild_dim_q,
+    perm_sign,
     shuffle_element,
 )
 
@@ -32,15 +33,13 @@ def total_shuffle_operator(n):
     """s_n = sum of sh_{p, n-p} for 0 < p < n; zero when n = 1."""
     if n < 1:
         raise BadParams("degree must be at least 1")
-    total = SymGroupElement.zero(n)
-    for p in range(1, n):
-        total = total.add(shuffle_element(p, n - p))
-    return total
+    return sum((shuffle_element(p, n - p) for p in range(1, n)),
+               SymGroupElement.zero(n))
 
 
 @dataclass(frozen=True)
 class HodgeProjectorSet:
-    """The Eulerian idempotents e^(1)..e^(n) of Q[S_n]."""
+    """The integral Eulerian idempotents E_i = n!*e^(i), i = 1..n, of Z[S_n]."""
 
     n: int
     projectors: tuple
@@ -49,55 +48,58 @@ class HodgeProjectorSet:
         return iter(self.projectors)
 
     def __getitem__(self, i):
-        """1-based weight access: self[i] is e^(i)."""
+        """1-based weight access: self[i] is n!*e^(i)."""
         if not 1 <= i <= self.n:
             raise BadParams(f"weight {i} outside 1..{self.n}")
         return self.projectors[i - 1]
 
+    def spectral_violations(self):
+        """Failures of s_n*E_i = (2^i - 2)*E_i and sum_i E_i = n!*1, which
+        force E_i = n!*e^(i): e^(i) kills E_j for j != i and fixes E_i."""
+        s = total_shuffle_operator(self.n)
+        bad = [f"e^({i}) is not a {2 ** i - 2}-eigenvector of s_{self.n}"
+               for i, e in enumerate(self.projectors, start=1)
+               if s.mul(e) != e.scale(2 ** i - 2)]
+        total = sum(self.projectors, SymGroupElement.zero(self.n))
+        if total != SymGroupElement.identity(self.n).scale(factorial(self.n)):
+            bad.append("projectors do not sum to n! times the identity")
+        return bad
+
     def identity_violations(self):
-        """Names of failed algebra identities (empty when all hold)."""
+        """Failures of E_i*E_i = n!*E_i, E_i*E_j = 0 and spectral_violations."""
         bad = []
-        ident = SymGroupElement.identity(self.n)
-        total = SymGroupElement.zero(self.n)
         for i, e in enumerate(self.projectors, start=1):
-            total = total.add(e)
-            if not e.mul(e).sub(e).is_zero():
+            if e.mul(e) != e.scale(factorial(self.n)):
                 bad.append(f"e^({i}) not idempotent")
             for j in range(i + 1, self.n + 1):
                 if not e.mul(self.projectors[j - 1]).is_zero():
                     bad.append(f"e^({i})e^({j}) nonzero")
-        if not total.sub(ident).is_zero():
-            bad.append("projectors do not sum to the identity")
-        return bad
+        return bad + self.spectral_violations()
 
 
 @lru_cache(maxsize=None)
 def _eulerian(n):
-    s = total_shuffle_operator(n)
-    eigenvalues = [Fraction(2 ** i - 2) for i in range(1, n + 1)]
-    ident = SymGroupElement.identity(n)
-
-    annihilator = ident
-    for lam in eigenvalues:
-        annihilator = annihilator.mul(s.sub(ident.scale(lam)))
-    if not annihilator.is_zero():
-        raise NotAnnihilated(
-            f"total shuffle operator on {n} letters is not annihilated by"
-            " its eigenvalue ladder")
-
-    projectors = []
-    for i, lam_i in enumerate(eigenvalues):
-        e = ident
-        for j, lam_j in enumerate(eigenvalues):
-            if j != i:
-                e = e.mul(s.sub(ident.scale(lam_j))).scale(
-                    Fraction(1, lam_i - lam_j))
-        projectors.append(e)
-    return HodgeProjectorSet(n, tuple(projectors))
+    # the coefficient of sigma in n!*e^(i) is sgn(sigma) times that of x^i
+    # in prod_{k<n} (x - des(sigma) + k) (Garsia 1990)
+    terms = [{} for _ in range(n)]
+    for perm in itertools.permutations(range(n)):
+        des = sum(perm[k] > perm[k + 1] for k in range(n - 1))
+        poly = [perm_sign(perm)]
+        for k in range(n):
+            poly = [(k - des) * a + b for a, b in zip(poly + [0], [0] + poly)]
+        for i in range(1, n + 1):
+            terms[i - 1][perm] = poly[i]
+    found = HodgeProjectorSet(n, tuple(SymGroupElement(n, t) for t in terms))
+    bad = found.spectral_violations()
+    if bad:
+        raise NotAnnihilated(f"Eulerian idempotents on {n} letters: "
+                             + "; ".join(bad))
+    return found
 
 
 def eulerian_idempotents(n):
-    """Spectral projectors of s_n at the eigenvalues 2^i - 2, i = 1..n."""
+    """n!*e^(i) for i = 1..n, with e^(i) the spectral projector of s_n at
+    2^i - 2; the closed form, checked on both spectral identities once."""
     if n < 1:
         raise BadParams("degree must be at least 1")
     if n > PROJECTOR_CAP:
@@ -105,28 +107,21 @@ def eulerian_idempotents(n):
     return _eulerian(n)
 
 
-def _clearing_scale(n_max):
-    """The least D making every D*e^(i) on at most n_max letters integral;
-    n_max! for n_max <= PROJECTOR_CAP."""
-    return lcm(*(c.denominator for m in range(1, n_max + 1)
-                 for e in eulerian_idempotents(m) for c in e.terms.values()))
-
-
 def _projector_cols(cx, m, i, scale):
-    """Sparse integer columns of scale * e^(i) acting on degree m; zero when
-    the weight exceeds the degree."""
+    """Sparse integer columns of scale * e^(i) acting on degree m, for scale
+    a multiple of m!; zero when the weight exceeds the degree."""
     if i > m:
         return [dict() for _ in range(cx.dims[m])]
-    return _sym_action_cols(cx, m, eulerian_idempotents(m)[i].scale(scale))
+    return _sym_action_cols(
+        cx, m, eulerian_idempotents(m)[i].scale(scale // factorial(m)))
 
 
 def hodge_decomposition(cx):
     """Dimensions of the weight pieces of the (co)homology in every degree
     n = 1..n_max-1: entry n-1 lists the weights i = 1..n.
 
-    The complex must carry ring Q.  It is acted on by D*e^(i), with D the
-    least integer clearing the denominators of the projectors, so every
-    entry is an integer.  Exact projector/boundary commutation is verified
+    The complex must carry ring Q.  It is acted on by D*e^(i) with
+    D = n_max!, so every entry is an integer.  Exact projector/boundary commutation is verified
     before any rank is trusted, every trace must be divisible by D, and
     the weights of each degree must add up to its total rational dimension.
     """
@@ -136,7 +131,7 @@ def hodge_decomposition(cx):
         raise BadParams(f"degree {cx.n_max} above the projector cap"
                         f" {PROJECTOR_CAP}")
     top = cx.n_max - 1
-    scale = _clearing_scale(cx.n_max)
+    scale = factorial(cx.n_max)
     dims = [[] for _ in range(top)]
     for i in range(1, top + 1):
         # Weight i lives in degrees i..n_max; only the projectors on n-1, n

@@ -4,6 +4,7 @@ and Young-invariant surjectivity, against hand-checked small cases."""
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -398,6 +399,15 @@ def test_shuffle_elements():
     assert not any(_sym_action_cols(cx, 2, e))
 
 
+def test_non_integral_coefficients_are_rejected():
+    # truncating 1/2 to 0 would silently drop a term
+    for bad in (Fraction(1, 2), 0.5):
+        with pytest.raises(BadParams, match="non-integral"):
+            SymGroupElement(2, {(1, 0): bad})
+        with pytest.raises(BadParams, match="non-integral"):
+            shuffle_element(1, 1).scale(bad)
+
+
 def _every_block_shuffle(n):
     """shuffle_element(parts) for every composition of n with at least two
     parts, one per nonempty set of cut points."""
@@ -476,6 +486,30 @@ def test_each_shuffle_span_is_built_once(monkeypatch):
                 top = 4 if (ring, direction) == ("Z", COHOMOLOGICAL) else 5
                 assert len(calls) == len(set(calls))
                 assert set(range(2, top + 1)) <= set(calls)
+
+
+def test_harrison_chain_solves_get_distinct_columns(monkeypatch):
+    # repeated or negated generators span nothing new, so every right-hand
+    # side of the chain-side solves holds each column once up to sign
+    sizes = []
+    original = gamma_chain.solve_int
+
+    def checked(lattice, rhs):
+        cols = rhs.col_dicts()
+        pairs = {frozenset({tuple(sorted(c.items())),
+                            tuple(sorted((r, -v) for r, v in c.items()))})
+                 for c in cols}
+        assert len(pairs) == len(cols)
+        sizes.append(len(cols))
+        return original(lattice, rhs)
+
+    monkeypatch.setattr(gamma_chain, "solve_int", checked)
+    monoid = truncated_add(2)
+    for coeff in (trivial_module(monoid, RIGHT),
+                  std_projective(monoid, 2, RIGHT)):
+        sizes.clear()
+        harrison(build_complex(monoid, coeff, 4, HOMOLOGICAL))
+        assert sizes
 
 
 def test_unclosed_shuffle_span_is_caught(monkeypatch):

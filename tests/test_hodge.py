@@ -1,12 +1,10 @@
 """Eulerian idempotents: algebra identities, eigenvector property, and
 weight decompositions cross-checked against rank arithmetic."""
 
-from fractions import Fraction
-
 import pytest
 
 from monhom import cli, hodge
-from monhom.errors import BadParams, WeightNotPreserved
+from monhom.errors import BadParams, NotAnnihilated, WeightNotPreserved
 from monhom.gamma_chain import (
     COHOMOLOGICAL,
     HOMOLOGICAL,
@@ -52,10 +50,10 @@ def test_total_shuffle_operator_small():
 def test_eulerian_idempotents_small():
     ps1 = eulerian_idempotents(1)
     assert ps1.projectors == (SymGroupElement.identity(1),)
+    # the integral elements 2!*e^(i)
     ps2 = eulerian_idempotents(2)
-    half = Fraction(1, 2)
-    assert ps2[1].terms == {(0, 1): half, (1, 0): half}
-    assert ps2[2].terms == {(0, 1): half, (1, 0): -half}
+    assert ps2[1].terms == {(0, 1): 1, (1, 0): 1}
+    assert ps2[2].terms == {(0, 1): 1, (1, 0): -1}
     with pytest.raises(BadParams):
         ps2[3]
     with pytest.raises(BadParams):
@@ -73,17 +71,37 @@ def test_projectors_are_shuffle_eigenvectors():
     for n in range(2, 5):
         s = total_shuffle_operator(n)
         for i, e in enumerate(eulerian_idempotents(n), start=1):
-            lam = Fraction(2 ** i - 2)
+            lam = 2 ** i - 2
             assert s.mul(e).sub(e.scale(lam)).is_zero()
             assert e.mul(s).sub(e.scale(lam)).is_zero()
 
 
 def test_violations_reported_for_broken_set():
-    e = SymGroupElement.identity(2).scale(Fraction(1, 3))
+    e = SymGroupElement.identity(2).scale(3)
     bad = HodgeProjectorSet(2, (e, e))
     names = bad.identity_violations()
     assert any("idempotent" in x for x in names)
     assert any("sum" in x for x in names)
+
+
+def test_swapped_weights_fail_only_the_eigenvalue_identity():
+    # E_2 and E_3 swapped are still orthogonal idempotents summing to 3!*1;
+    # only s_3*E_i = (2^i - 2)*E_i tells the weights apart
+    e1, e2, e3 = eulerian_idempotents(3)
+    names = HodgeProjectorSet(3, (e1, e3, e2)).identity_violations()
+    assert names == ["e^(2) is not a 2-eigenvector of s_3",
+                     "e^(3) is not a 6-eigenvector of s_3"]
+
+
+def test_corrupted_closed_form_is_caught_at_construction(monkeypatch):
+    # without the signs the sum is still n!*1 but no eigenvalue identity holds
+    monkeypatch.setattr(hodge, "perm_sign", lambda perm: 1)
+    hodge._eulerian.cache_clear()
+    try:
+        with pytest.raises(NotAnnihilated, match="eigenvector"):
+            eulerian_idempotents(3)
+    finally:
+        hodge._eulerian.cache_clear()
 
 
 def test_hodge_validation():
@@ -140,10 +158,8 @@ def test_sym_action_is_integral():
                        3, HOMOLOGICAL, ring="Q")
     for n in range(1, 4):
         for e in eulerian_idempotents(n):
-            cols = _sym_action_cols(cx, n, e.scale(6))
+            cols = _sym_action_cols(cx, n, e)
             assert all(type(v) is int for col in cols for v in col.values())
-    with pytest.raises(BadParams, match="non-integral"):
-        _sym_action_cols(cx, 2, eulerian_idempotents(2)[1])
 
 
 def test_each_projector_action_is_built_once(monkeypatch):

@@ -22,6 +22,24 @@ def test_no_bare_assert_in_the_package():
     assert not found, f"bare assert statements: {found}"
 
 
+def test_no_fractions_in_the_package():
+    # the group algebra and the Eulerian idempotents are integral
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "fractions" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert list(PACKAGE.glob("*.py")), "package sources not found"
+    assert not found, f"fractions imported: {found}"
+
+
 def test_traced_layers_resolve():
     # the benchmark's tracer wraps these names from outside the program
     tree = ast.parse(TRACER.read_text(encoding="utf-8"), str(TRACER))
