@@ -29,10 +29,10 @@ from .exact_linalg import (
     FgAbGroup,
     IntMatrix,
     cokernel_group,
-    homology_at,
     kernel_basis,
     lattice_basis,
     preimage_lattice,
+    rank_and_torsion,
     rank_of_col_dicts,
     solve_int,
 )
@@ -223,6 +223,7 @@ class GammaChainComplex:
                      for k, cols in faces.items()}
         self._mats = faces
         self._rel_cache = {}
+        self._invariants = {}
 
     def term_dim(self, n):
         self._check_degree(n)
@@ -257,6 +258,17 @@ class GammaChainComplex:
         if not 0 <= n - self.step <= self.n_max:
             return []
         return self._mats[max(n, n - self.step)]
+
+    def map_invariants(self, k):
+        """Rank and invariant factors >= 2 of the map between degrees k - 1
+        and k, which leaves one of them and enters the other; k = 0 names
+        no map, of rank 0.  Each map is reduced once per complex."""
+        if k == 0:
+            return 0, ()
+        if k not in self._invariants:
+            rows = self.dims[k - 1] if self.step < 0 else self.dims[k]
+            self._invariants[k] = rank_and_torsion(self._mats[k], rows)
+        return self._invariants[k]
 
     def boundary_cols(self, n):
         if self.direction != HOMOLOGICAL:
@@ -611,23 +623,35 @@ def _sym_action_cols(cx, n, elem):
 
 
 def hochschild(cx, n):
-    """The degree-n (co)homology group of the complex."""
+    """The degree-n (co)homology group of the complex.
+
+    With free-valued coefficients over Z it is Z^(dim - rank d_out -
+    rank d_in) plus the torsion of d_in, from each map's rank and
+    invariant factors (rank_and_torsion); d o d = 0 was checked when the
+    complex was built.  Torsion coefficients take the lattice path: the
+    cycles modulo the value relations, against the boundaries and the
+    relations."""
     if not 0 <= n < cx.n_max:
         raise BadParams(f"need 0 <= n < n_max = {cx.n_max}")
     if cx.ring == "Q":
         return FgAbGroup.free(hochschild_dim_q(cx, n))
-    low = n + cx.step
-    d_out = IntMatrix.from_col_dicts(cx.d_out(n),
-                                     cx.dims[low] if low >= 0 else 0)
-    d_in = IntMatrix.from_col_dicts(cx.d_in(n), cx.dims[n])
     if not cx.has_torsion:
-        return homology_at(d_out, d_in)
-    if d_out.rows == 0:
+        rank_out = cx.map_invariants(max(n, n + cx.step))[0]
+        rank_in, torsion = cx.map_invariants(max(n, n - cx.step))
+        free = cx.dims[n] - rank_out - rank_in
+        if free < 0:
+            raise NotAComplex(f"boundary ranks {rank_out} + {rank_in} exceed"
+                              f" the dimension {cx.dims[n]} of degree {n}")
+        return FgAbGroup(free, torsion)
+    low = n + cx.step
+    if low < 0 or cx.dims[low] == 0:
         cycles = IntMatrix.identity(cx.dims[n])
     else:
-        cycles = preimage_lattice(d_out, cx.relation_matrix(low))
-    borders = IntMatrix.hstack([d_in, cx.relation_matrix(n)],
-                               rows=cx.dims[n])
+        cycles = preimage_lattice(
+            IntMatrix.from_col_dicts(cx.d_out(n), cx.dims[low]),
+            cx.relation_matrix(low))
+    borders = IntMatrix.from_col_dicts(
+        _distinct_up_to_sign(cx.d_in(n) + cx.relation_cols(n)), cx.dims[n])
     return _quotient_or_raise(cycles, borders,
                               "boundaries escaped the cycle lattice")
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from monhom import cli, exact_linalg, grillet, verify
+from monhom import cli, gamma_chain, grillet, verify
 from monhom.codecs import (dumps, kc_from_payload, kc_to_payload,
                            matrix_from_payload, matrix_to_payload,
                            monoid_to_payload, tabulated_from_payload,
@@ -220,8 +220,20 @@ def test_exit_code_map():
 
 def test_failed_solve_exits_three(monkeypatch, capsys):
     # a lattice solve that should always succeed is a falsified invariant:
-    # a typed error with exit code 3, not an assert that -O removes
-    monkeypatch.setattr(exact_linalg, "solve_int", lambda B, C: None)
+    # a typed error with exit code 3, not an assert that -O removes; free
+    # coefficients solve nothing, so this runs on torsion coefficients
+    monkeypatch.setattr(gamma_chain, "solve_int", lambda B, C: None)
+    assert run("compute", "hh", "--monoid", "builtin:cyclic_group(2)",
+               "--coeff", "jstar:Zmod4:trivial", "--max-degree", "1") == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "NotAComplex"
+
+
+def test_over_reported_boundary_rank_exits_three(monkeypatch, capsys):
+    # ranks that leave a negative free rank mean d o d != 0 after all
+    real = gamma_chain.rank_and_torsion
+    monkeypatch.setattr(gamma_chain, "rank_and_torsion",
+                        lambda cols, rows: (real(cols, rows)[0] + 1, ()))
     assert run("compute", "hh", "--monoid", "builtin:cyclic_group(2)",
                "--max-degree", "1") == 3
     err = json.loads(capsys.readouterr().err)
@@ -267,6 +279,16 @@ def test_failed_verify_check_exits_three(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.startswith("FAIL broken[one]: anchor")
     assert out.splitlines()[-1] == "0/1 checks passed"
+
+
+def test_sparse_homology_suite_catches_dropped_torsion(monkeypatch, capsys):
+    real = gamma_chain.rank_and_torsion
+    monkeypatch.setattr(gamma_chain, "rank_and_torsion",
+                        lambda cols, rows: (real(cols, rows)[0], ()))
+    assert run("verify", "sparse-homology") == 3
+    out = capsys.readouterr().out
+    assert "FAIL sparse-homology[cyclic_group(2)]" in out
+    assert "OracleMismatch" in out
 
 
 # -- codec edge cases ----------------------------------------------------

@@ -13,6 +13,7 @@ from monhom.exact_linalg import (
     kernel_basis,
     lattice_basis,
     preimage_lattice,
+    rank_and_torsion,
     rank_of_col_dicts,
     smith_normal_form,
     snf_diagonal,
@@ -172,6 +173,58 @@ def test_int_rank_matches_snf():
         assert int_rank(A) == sum(1 for d in snf_diagonal(A) if d)
     cols = IntMatrix([[1, 2], [2, 4]]).col_dicts()
     assert rank_of_col_dicts(cols) == 1
+
+
+def dense_rank_and_torsion(A):
+    diag = [abs(d) for d in snf_diagonal(A) if d]
+    return len(diag), tuple(d for d in diag if d >= 2)
+
+
+def test_rank_and_torsion_without_unit_entries():
+    assert rank_and_torsion(IntMatrix([[2, 4], [6, 8]]).col_dicts(), 2) == \
+        (2, (2, 4))
+
+
+def test_rank_and_torsion_of_zero_and_empty_matrices():
+    assert rank_and_torsion([], 0) == (0, ())
+    assert rank_and_torsion([], 3) == (0, ())
+    assert rank_and_torsion([{}, {}], 0) == (0, ())
+    assert rank_and_torsion([{}, {0: 0}, {}], 2) == (0, ())
+    # zero columns between live ones
+    assert rank_and_torsion([{}, {0: 1}, {}, {1: 2}, {0: 0}], 2) == (2, (2,))
+
+
+def test_rank_and_torsion_residual_from_fill_in(monkeypatch):
+    # the unit pivot leaves -2 behind, which no unit pivot can clear
+    seen = []
+    real = exact_linalg.snf_diagonal
+
+    def recorded(A):
+        seen.append(A.data)
+        return real(A)
+
+    monkeypatch.setattr(exact_linalg, "snf_diagonal", recorded)
+    cols = IntMatrix([[1, 1], [1, -1]]).col_dicts()
+    assert rank_and_torsion(cols, 2) == (2, (2,))
+    assert seen == [[[-2]]]
+    # the input columns are left as they were
+    assert cols == [{0: 1, 1: 1}, {0: 1, 1: -1}]
+    seen.clear()
+    assert rank_and_torsion(IntMatrix([[1, 1], [0, 1]]).col_dicts(), 2) == \
+        (2, ())
+    assert seen == []
+
+
+def test_rank_and_torsion_matches_the_dense_snf():
+    rng = random.Random(2001)
+    for trial in range(150):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        values = [-3, -2, 2, 3] if trial % 3 == 0 else \
+            [-3, -2, -1, 1, 2, 3]
+        A = IntMatrix([[rng.choice(values) if rng.random() < 0.35 else 0
+                        for _ in range(cols)] for _ in range(rows)], cols)
+        assert rank_and_torsion(A.col_dicts(), rows) == \
+            dense_rank_and_torsion(A), A.data
 
 
 def test_fgabgroup_normal_form():

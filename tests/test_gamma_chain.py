@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from monhom import gamma_chain
+from monhom import exact_linalg, gamma_chain
 from monhom.errors import (
     BadParams,
     ComplexityBudget,
@@ -51,7 +51,9 @@ from monhom.hc_modules import (
     HCModuleMap,
     TabulatedHCModule,
     derivations,
+    jstar,
     jstar_finite_cyclic,
+    regular_kc_module,
     std_projective,
     trivial_module,
 )
@@ -63,7 +65,7 @@ from monhom.monoids import (
     truncated_add,
     validate_monoid,
 )
-from monhom.verify import suite_monoids
+from monhom.verify import _lattice_homology, suite_monoids
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -604,6 +606,79 @@ def test_hochschild_failed_solve_is_typed(monkeypatch):
     monkeypatch.setattr(gamma_chain, "solve_int", lambda B, C: None)
     with pytest.raises(NotAComplex):
         hochschild(cx, 1)
+
+
+def test_free_homology_reduces_each_map_once(monkeypatch):
+    reduced = []
+    original = gamma_chain.rank_and_torsion
+
+    def counted(cols, rows):
+        reduced.append(id(cols))
+        return original(cols, rows)
+
+    monkeypatch.setattr(gamma_chain, "rank_and_torsion", counted)
+    monoid = truncated_add(2)
+    for side, direction in ((RIGHT, HOMOLOGICAL), (LEFT, COHOMOLOGICAL)):
+        for normalized in (False, True):
+            cx = build_complex(monoid, jstar(regular_kc_module(monoid), side),
+                               4, direction, normalized=normalized)
+            reduced.clear()
+            [hochschild(cx, n) for n in range(cx.n_max)]
+            assert sorted(reduced) == sorted(
+                id(cx._mats[k]) for k in range(1, cx.n_max + 1))
+
+
+def test_free_homology_takes_no_lattice_path(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("lattice routine on free coefficients")
+
+    klein = product_monoid(Z2, Z2).monoid
+    complexes = [build_complex(klein, trivial_module(klein, RIGHT), 4,
+                               HOMOLOGICAL, normalized=True),
+                 build_complex(Z3, std_projective(Z3, 2, LEFT), 4,
+                               COHOMOLOGICAL)]
+    expected = [[_lattice_homology(cx, n) for n in range(4)]
+                for cx in complexes]
+    for name in ("smith_normal_form", "solve_int", "homology_at"):
+        monkeypatch.setattr(exact_linalg, name, forbidden)
+    monkeypatch.setattr(gamma_chain, "solve_int", forbidden)
+    assert [[hochschild(cx, n) for n in range(4)]
+            for cx in complexes] == expected
+    assert expected[0] == [groups(1), groups(0, 2, 2), groups(0, 2),
+                           groups(0, 2, 2, 2)]
+
+
+def test_klein_group_in_degree_seven():
+    # Kuenneth: H_7(Z/2 x Z/2; Z) = (Z/2)^5, out of reach of the lattice path
+    klein = product_monoid(Z2, Z2).monoid
+    cx = build_complex(klein, trivial_module(klein, RIGHT), 8, HOMOLOGICAL,
+                       normalized=True)
+    assert hochschild(cx, 7) == groups(0, 2, 2, 2, 2, 2)
+
+
+def test_torsion_borders_hold_each_column_once(monkeypatch):
+    # d(a, b) = d(b, a) on a commutative monoid; repeated or negated
+    # columns span nothing new, so no right-hand side of the quotient
+    # solves repeats a column up to sign
+    sizes = []
+    original = gamma_chain.solve_int
+
+    def checked(lattice, rhs):
+        cols = [frozenset(c.items()) for c in rhs.col_dicts()]
+        negated = [frozenset((r, -v) for r, v in c) for c in cols]
+        assert len(set(cols) | set(negated)) == 2 * len(cols)
+        sizes.append(len(cols))
+        return original(lattice, rhs)
+
+    klein = product_monoid(Z2, Z2).monoid
+    for side, direction in ((RIGHT, HOMOLOGICAL), (LEFT, COHOMOLOGICAL)):
+        cx = build_complex(klein, jstar_finite_cyclic(klein, 4, side), 4,
+                           direction)
+        monkeypatch.setattr(gamma_chain, "solve_int", checked)
+        sizes.clear()
+        [hochschild(cx, n) for n in range(cx.n_max)]
+        assert len(sizes) == cx.n_max
+        monkeypatch.setattr(gamma_chain, "solve_int", original)
 
 
 def test_y_exactness_disagreeing_solves_are_typed(monkeypatch):

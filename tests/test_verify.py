@@ -53,11 +53,18 @@ def test_failures_are_counted():
     assert '"failed": 1' in render_json([good, bad])
 
 
-def test_normalization_suite_runs_green_and_last():
-    assert list(verify.SUITES)[-1] == "normalization"
+def test_normalization_suite_runs_green():
     results = run_suites(["normalization"])
     assert len(results) == 6
     assert all(r.passed for r in results), [r.detail for r in results]
+
+
+def test_sparse_homology_suite_runs_green_and_last():
+    assert list(verify.SUITES)[-2:] == ["normalization", "sparse-homology"]
+    results = run_suites(["sparse-homology"])
+    assert len(results) == 6
+    assert all(r.passed for r in results), [r.detail for r in results]
+    assert all(r.detail.startswith("48 groups agree") for r in results)
 
 
 def test_normalization_suite_catches_a_wrong_normalized_group(monkeypatch):
