@@ -597,9 +597,21 @@ def shuffle_element(*parts):
     return SymGroupElement(n, terms)
 
 
+def _pattern(t):
+    """Each entry of t replaced by the position where its letter first
+    occurs: (b, a, b, c) becomes (0, 1, 0, 3)."""
+    return tuple(map(t.index, t))
+
+
 def _sym_action_cols(cx, n, elem):
     """Sparse integer columns of the action of a group-algebra element on
-    degree n of the complex."""
+    degree n of the complex.
+
+    A permutation moves positions, not letters, so its image of a tuple is
+    its image of the tuple's first-occurrence pattern with the same letters
+    put back, and putting them back is injective.  So the element acts once
+    per pattern (at most Bell(n) of them), and each tuple costs one
+    relabelling and one lookup per nonzero image."""
     if elem.n != n:
         raise DegreeMismatch(f"element of S_{elem.n} on degree {n}")
     cx._check_degree(n)
@@ -611,14 +623,22 @@ def _sym_action_cols(cx, n, elem):
     prods_n = cx.prods_at(n)
     offs = cx.tuple_offsets(n)
     index = {t: k for k, t in enumerate(tuples_n)}
+    images = {}  # pattern -> [(image pattern, nonzero coefficient)]
     cols = []
     for kt, t in enumerate(tuples_n):
-        acc = {}
-        for perm, c in terms:
-            ks = index[tuple(t[j] for j in perm)]
-            acc[ks] = acc.get(ks, 0) + c
+        pat = _pattern(t)
+        moves = images.get(pat)
+        if moves is None:
+            acc = {}
+            for perm, c in terms:
+                img = tuple(map(pat.__getitem__, perm))
+                acc[img] = acc.get(img, 0) + c
+            moves = images[pat] = [(img, v) for img, v in acc.items() if v]
+        letter = dict(zip(pat, t))
+        hits = [(offs[index[tuple(map(letter.__getitem__, img))]], v)
+                for img, v in moves]
         for i in range(cx.coeff.ranks[prods_n[kt]]):
-            cols.append({offs[ks] + i: v for ks, v in acc.items() if v})
+            cols.append({off + i: v for off, v in hits})
     return cols
 
 
@@ -657,13 +677,15 @@ def hochschild(cx, n):
 
 
 def hochschild_dim_q(cx, n):
-    """dim over Q of the degree-n (co)homology, by rank arithmetic."""
+    """dim over Q of the degree-n (co)homology, by rank arithmetic.  The
+    rank over Q of an integer map is its rank over Z, so each map's rank
+    comes from map_invariants, once per complex."""
     if not 0 <= n < cx.n_max:
         raise BadParams(f"need 0 <= n < n_max = {cx.n_max}")
     if cx.has_torsion:
         raise BadParams("rational dimensions need free-valued coefficients")
-    return (cx.dims[n] - rank_of_col_dicts(cx.d_out(n))
-            - rank_of_col_dicts(cx.d_in(n)))
+    return (cx.dims[n] - cx.map_invariants(max(n, n + cx.step))[0]
+            - cx.map_invariants(max(n, n - cx.step))[0])
 
 
 def leech_cohomology(monoid, coeff, n, budget=None):

@@ -20,6 +20,7 @@ from .exact_linalg import rank_of_col_dicts
 from .gamma_chain import (
     SymGroupElement,
     _compose_cols,
+    _distinct_up_to_sign,
     _sym_action_cols,
     hochschild_dim_q,
     perm_sign,
@@ -167,10 +168,11 @@ def hodge_decomposition(cx):
 
 def _restricted_rank(d_cols, p_src, p_dst, src_deg, i):
     """Rank of the map d_cols restricted to the weight-i piece of its source,
-    after an exact check that it carries p_src to p_dst."""
+    after an exact check that it carries p_src to p_dst; the rank is taken
+    on its columns each once up to sign, which span the same space."""
     moved = _compose_cols(p_src, d_cols)          # d o P_i on the source
     if moved != _compose_cols(d_cols, p_dst):     # P_i o d
         raise WeightNotPreserved(
             f"boundary from degree {src_deg} does not commute with the"
             f" weight-{i} projector")
-    return rank_of_col_dicts(moved)
+    return rank_of_col_dicts(_distinct_up_to_sign(moved))

@@ -17,13 +17,16 @@ from .exact_linalg import FgAbGroup, IntMatrix, cokernel_group, homology_at
 from .gamma_chain import (
     COHOMOLOGICAL,
     HOMOLOGICAL,
+    _sym_action_cols,
     _term_layout,
+    _transpose_cols,
     build_complex,
     epsilon_map,
     harrison_dim_q,
     hochschild,
     leech_cohomology,
     push_matrix,
+    shuffle_element,
     y_exactness_check,
 )
 from .grillet import (
@@ -471,6 +474,64 @@ def check_normalization():
     return out
 
 
+def _direct_action_cols(cx, n, elem):
+    """sum_sigma c_sigma (t o sigma^-1) on degree n, one permutation and
+    one tuple at a time: position sigma(j) of the image holds t_j.  A
+    cochain complex takes the transpose."""
+    tuples, prods = cx.tuples_at(n), cx.prods_at(n)
+    index = {t: k for k, t in enumerate(tuples)}
+    offs = cx.tuple_offsets(n)
+    cols = [dict() for _ in range(cx.dims[n])]
+    for kt, t in enumerate(tuples):
+        for perm, c in elem.terms.items():
+            moved = [None] * n
+            for j, a in enumerate(t):
+                moved[perm[j]] = a
+            ks = index[tuple(moved)]
+            for i in range(cx.coeff.ranks[prods[kt]]):
+                col, r = cols[offs[kt] + i], offs[ks] + i
+                col[r] = col.get(r, 0) + c
+                if not col[r]:
+                    del col[r]
+    if cx.step > 0:
+        return _transpose_cols(cols, cx.dims[n])
+    return cols
+
+
+def check_sym_action():
+    anchor = ("sum_sigma c_sigma (t o sigma^-1), acted once per"
+              " first-occurrence pattern of t")
+    elements = [(f"e^({i}) on {m} letters", e)
+                for m in range(1, 5)
+                for i, e in enumerate(eulerian_idempotents(m), start=1)]
+    elements += [(f"sh_({p},{m - p})", shuffle_element(p, m - p))
+                 for m in range(2, 5) for p in range(1, m)]
+    out = []
+    for label, monoid in suite_monoids():
+        def body(monoid=monoid):
+            compared = 0
+            for direction, side in ((HOMOLOGICAL, RIGHT),
+                                    (COHOMOLOGICAL, LEFT)):
+                for name, coeff in (
+                        ("trivialZ", trivial_module(monoid, side)),
+                        ("jstar:regular",
+                         jstar(regular_kc_module(monoid), side))):
+                    for cx in _full_and_normalized(monoid, coeff, direction):
+                        kind = "normalized" if cx.normalized else "full"
+                        for what, elem in elements:
+                            if _sym_action_cols(cx, elem.n, elem) != \
+                                    _direct_action_cols(cx, elem.n, elem):
+                                raise OracleMismatch(
+                                    f"{direction} {name}, {kind} complex:"
+                                    f" {what} differs from the direct sum"
+                                    " over permutations")
+                            compared += 1
+            return (f"{compared} actions agree with the direct sum over"
+                    " permutations, full and normalized, degrees 1..4")
+        out.append(_guarded(f"sym-action[{label}]", anchor, body))
+    return out
+
+
 def _lattice_homology(cx, n):
     """homology_at on the dense maps leaving and entering degree n."""
     low = n + cx.step
@@ -522,6 +583,7 @@ SUITES = {
     "products": check_products,
     "kaehler": check_kaehler,
     "grillet": check_grillet,
+    "sym-action": check_sym_action,
     "normalization": check_normalization,
     "sparse-homology": check_sparse_homology,
 }

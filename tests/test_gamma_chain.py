@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from monhom import exact_linalg, gamma_chain
+from monhom import cli, exact_linalg, gamma_chain
 from monhom.errors import (
     BadParams,
     ComplexityBudget,
@@ -65,7 +65,7 @@ from monhom.monoids import (
     truncated_add,
     validate_monoid,
 )
-from monhom.verify import _lattice_homology, suite_monoids
+from monhom.verify import _direct_action_cols, _lattice_homology, suite_monoids
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -385,6 +385,37 @@ def test_sym_action_group_law():
         assert lhs == rhs
 
 
+def test_pattern_action_matches_the_direct_action():
+    # 100 random integer elements of Z[S_n], n <= 5, on chains and
+    # cochains, with values of rank 3 and on the normalized complex
+    rng = random.Random(7321)
+    monoid = truncated_add(2)
+    complexes = [
+        build_complex(monoid, jstar(regular_kc_module(monoid), side), 5,
+                      direction, normalized=normalized)
+        for side, direction in ((RIGHT, HOMOLOGICAL), (LEFT, COHOMOLOGICAL))
+        for normalized in (False, True)]
+    assert {cx.coeff.ranks[p] for cx in complexes for p in cx.prods_at(5)} \
+        == {3}
+    for k in range(100):
+        n = rng.randint(1, 5)
+        perms = list(itertools.permutations(range(n)))
+        chosen = rng.sample(perms, rng.randint(1, len(perms)))
+        elem = SymGroupElement(n, {p: rng.randint(-4, 4) for p in chosen})
+        cx = complexes[k % len(complexes)]
+        assert _sym_action_cols(cx, n, elem) == \
+            _direct_action_cols(cx, n, elem)
+
+
+def test_sym_action_suite_catches_a_wrong_pattern_key(monkeypatch, capsys):
+    # tuples with the same letters in another order do not share images
+    monkeypatch.setattr(gamma_chain, "_pattern", lambda t: tuple(sorted(t)))
+    assert cli.main(["verify", "sym-action"]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL sym-action[cyclic_group(2)]" in out
+    assert "OracleMismatch" in out
+
+
 def test_shuffle_elements():
     e = shuffle_element(1, 1)
     assert e.terms == {(0, 1): 1, (1, 0): -1}
@@ -626,6 +657,23 @@ def test_free_homology_reduces_each_map_once(monkeypatch):
             [hochschild(cx, n) for n in range(cx.n_max)]
             assert sorted(reduced) == sorted(
                 id(cx._mats[k]) for k in range(1, cx.n_max + 1))
+
+
+def test_rational_homology_reduces_each_map_once(monkeypatch):
+    reduced = []
+
+    def counted(original):
+        def wrapper(cols, *rows):
+            reduced.append(id(cols))
+            return original(cols, *rows)
+        return wrapper
+
+    for name in ("rank_of_col_dicts", "rank_and_torsion"):
+        monkeypatch.setattr(gamma_chain, name,
+                            counted(getattr(gamma_chain, name)))
+    assert cli.main(["compute", "hh", "--monoid", "builtin:truncated_add(2)",
+                     "--coeff", "trivialQ", "--max-degree", "4"]) == 0
+    assert len(reduced) == len(set(reduced)) == 5
 
 
 def test_free_homology_takes_no_lattice_path(monkeypatch):

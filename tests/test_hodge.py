@@ -193,3 +193,25 @@ def test_non_commuting_projector_is_caught(monkeypatch):
                        ring="Q")
     with pytest.raises(WeightNotPreserved, match="does not commute"):
         hodge_decomposition(cx)
+
+
+def test_corrupted_twin_column_is_caught_before_deduplication(monkeypatch):
+    # e^(1) on degree 2 gives (1,2) and (2,1) the same column; the
+    # restricted rank keeps equal columns of d o P once, so commutation
+    # must be checked on every column before that
+    original = hodge._projector_cols
+
+    def broken(cx, m, i, scale):
+        cols = original(cx, m, i, scale)
+        if (m, i) == (2, 1):
+            twin = cx.tuples_at(2).index((2, 1))
+            assert cols[twin] == cols[cx.tuples_at(2).index((1, 2))]
+            cols[twin][twin] += 1
+        return cols
+
+    monkeypatch.setattr(hodge, "_projector_cols", broken)
+    monoid = truncated_add(2)
+    cx = build_complex(monoid, trivial_module(monoid, RIGHT), 4, HOMOLOGICAL,
+                       ring="Q")
+    with pytest.raises(WeightNotPreserved, match="does not commute"):
+        hodge_decomposition(cx)
