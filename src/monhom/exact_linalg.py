@@ -9,18 +9,23 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 
 from .errors import BadParams, CompositionNonzero, DegreeMismatch, NotAComplex
 
 
 class IntMatrix:
-    """Dense matrix over the integers."""
+    """Dense matrix over the integers.
+
+    data is a list of equal-length lists of int, kept as given: outside
+    input is checked where it enters (codecs), and no matrix is changed
+    after construction, so no copy is needed."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data, cols=None):
-        self.data = [[int(v) for v in row] for row in data]
+        self.data = data
         self.rows = len(self.data)
         if self.rows:
             width = len(self.data[0])
@@ -68,10 +73,10 @@ class IntMatrix:
     def col_dicts(self):
         """Per-column {row: value} maps of the nonzero entries."""
         out = [{} for _ in range(self.cols)]
+        keys = range(self.cols)
         for i, row in enumerate(self.data):
-            for j, v in enumerate(row):
-                if v:
-                    out[j][i] = v
+            for j in compress(keys, row):
+                out[j][i] = row[j]
         return out
 
     def transpose(self):
@@ -393,24 +398,25 @@ def snf_diagonal(A):
 
 
 def cokernel_group(A):
-    """Z^rows / column span of A."""
-    return FgAbGroup.from_diagonal(snf_diagonal(A), A.rows)
+    """Z^rows / column span of A, from the unit-pivot elimination of its
+    columns (rank_and_torsion)."""
+    rank, torsion = rank_and_torsion(A.col_dicts(), A.rows)
+    return FgAbGroup(A.rows - rank, torsion)
 
 
-def kernel_basis(A):
-    """Columns forming a basis of the integer kernel lattice of A.
-
-    The lattice is saturated: any integer vector in ker(A) over Q is an
-    integer combination of these columns.
-    """
+def dense_kernel_basis(A):
+    """kernel_basis from the Smith form of the whole matrix: the columns of
+    V past the nonzero diagonal.  It solves the residual of kernel_basis
+    and is the oracle it is checked against."""
     m, n = A.rows, A.cols
     U, D, V = smith_normal_form(A)
     free = [j for j in range(n) if j >= min(m, n) or D.data[j][j] == 0]
     return IntMatrix.from_cols([V.column(j) for j in free], n)
 
 
-def solve_int(B, C):
-    """X with B*X = C over the integers, or None when no solution exists."""
+def dense_solve_int(B, C):
+    """solve_int from the Smith form of the whole of B.  It solves the
+    residual of solve_int and is the oracle it is checked against."""
     p, q = B.rows, B.cols
     if C.rows != p:
         raise DegreeMismatch(f"solve {B.shape()} against {C.shape()}")
@@ -431,35 +437,133 @@ def solve_int(B, C):
     return V.mul(IntMatrix(Y, C.cols))
 
 
+def _sparse_rows(A):
+    keys = range(A.cols)
+    return [{j: row[j] for j in compress(keys, row)} for row in A.data]
+
+
+def _residual(rows):
+    """Dense copy of the live sparse rows on their live keys, and the keys."""
+    keys = sorted(set().union(*rows))
+    return IntMatrix([[row.get(k, 0) for k in keys] for row in rows],
+                     len(keys)), keys
+
+
+def _back_substitute(pivots, X, rhs):
+    """Fill X[key] for every pivot, last pivot first.  A pivot row says
+    p*x_key + (its other entries . x) = its right-hand side, with p = +-1,
+    so x_key is p times the difference; every other key in the row was
+    pivoted later or is no pivot, so its value is known by then.  X maps
+    each variable to {column: value}; rhs is None for a kernel."""
+    for i, key, row in reversed(pivots):
+        val = dict(rhs[i]) if rhs is not None else {}
+        for k, v in row.items():
+            if k == key:
+                continue
+            for c, x in X[k].items():
+                nv = val.get(c, 0) - v * x
+                if nv:
+                    val[c] = nv
+                else:
+                    del val[c]
+        X[key] = val if row[key] == 1 else {c: -w for c, w in val.items()}
+
+
+def _dense_from_rows(X, cols):
+    out = [[0] * cols for _ in X]
+    for row, vals in zip(out, X):
+        for c, v in vals.items():
+            row[c] = v
+    return IntMatrix(out, cols)
+
+
+def kernel_basis(A):
+    """Columns forming a basis of the integer kernel lattice of A.
+
+    The rows of A go through the unit-pivot elimination of
+    _eliminate_units; each pivot expresses its variable through the
+    others.  The residual rows, on the variables no pivot took, get the
+    dense kernel of dense_kernel_basis, every variable in no residual row
+    and no pivot gets a unit vector, and back-substitution fills in the
+    pivot variables.  That map is one-to-one and integral both ways, so
+    the lattice is saturated: any integer vector in ker(A) over Q is an
+    integer combination of these columns.
+    """
+    n = A.cols
+    rows = _sparse_rows(A)
+    pivots = list(_eliminate_units(rows, n, equations=True))
+    live = [row for row in rows if row]
+    X = [{} for _ in range(n)]
+    taken = {key for _, key, _ in pivots}
+    width = 0
+    if live:
+        residual, keys = _residual(live)
+        K = dense_kernel_basis(residual)
+        for k, vals in zip(keys, K.data):
+            X[k] = {c: v for c, v in enumerate(vals) if v}
+        taken.update(keys)
+        width = K.cols
+    for k in range(n):
+        if k not in taken:
+            X[k] = {width: 1}
+            width += 1
+    _back_substitute(pivots, X, None)
+    return _dense_from_rows(X, width)
+
+
+def solve_int(B, C):
+    """X with B*X = C over the integers, or None when no solution exists.
+
+    The rows of B go through the unit-pivot elimination of
+    _eliminate_units, the rows of C carried along.  A row of B that
+    reaches zero with a nonzero right-hand side has no solution; the
+    residual rows are solved by dense_solve_int, the variables in none of
+    them are set to 0, and back-substitution gives the pivot variables.
+    """
+    if C.rows != B.rows:
+        raise DegreeMismatch(f"solve {B.shape()} against {C.shape()}")
+    rows, rhs = _sparse_rows(B), _sparse_rows(C)
+    pivots = list(_eliminate_units(rows, B.cols, rhs, equations=True))
+    live = []
+    for i, row in enumerate(rows):
+        if row:
+            live.append(i)
+        elif row is not None and rhs[i]:
+            return None
+    X = [{} for _ in range(B.cols)]
+    if live:
+        residual, keys = _residual([rows[i] for i in live])
+        Y = dense_solve_int(residual, IntMatrix(
+            [[rhs[i].get(c, 0) for c in range(C.cols)] for i in live],
+            C.cols))
+        if Y is None:
+            return None
+        for k, vals in zip(keys, Y.data):
+            X[k] = {c: v for c, v in enumerate(vals) if v}
+    _back_substitute(pivots, X, rhs)
+    return _dense_from_rows(X, C.cols)
+
+
 def lattice_basis(M):
-    """Basis of the lattice spanned by the columns of M (column ops only)."""
-    cols = [M.column(j) for j in range(M.cols)]
-    cols = [c for c in cols if any(c)]
-    basis = []
-    for r in range(M.rows):
-        live = [c for c in cols if c[r]]
-        if not live:
-            continue
-        rest = [c for c in cols if not c[r]]
-        while len(live) > 1:
-            live.sort(key=lambda c: abs(c[r]))
-            pivot = live[0]
-            out = [pivot]
-            for c in live[1:]:
-                a, b = pivot[r], c[r]
-                q, rem = divmod(b, a)
-                newc = [x - q * y for x, y in zip(c, pivot)]
-                if rem:
-                    out.append(newc)
-                elif any(newc):
-                    rest.append(newc)
-            live = out
-        pivot = live[0]
-        if pivot[r] < 0:
-            pivot = [-x for x in pivot]
-        basis.append(pivot)
-        cols = rest
-    return IntMatrix.from_cols(basis, M.rows)
+    """Basis of the lattice spanned by the columns of M.
+
+    Column operations keep the lattice.  _eliminate_units on the columns
+    clears each unit pivot's row from every other column, so the pivot
+    columns are independent of each other and of the rest, and stay in
+    the basis.  The residual columns, on the rows no pivot took, add the
+    first rank rows of U*R for the Smith form U*R*V = D of R, the dense
+    matrix whose rows are those columns: they are D*V^-1's nonzero rows.
+    """
+    cols = M.col_dicts()
+    basis = [vec for _, _, vec in _eliminate_units(cols, M.rows)]
+    live = [col for col in cols if col]
+    if live:
+        R, keys = _residual(live)
+        U, D, _ = smith_normal_form(R)
+        rank = sum(1 for i in range(min(D.rows, D.cols)) if D.data[i][i])
+        for row in U.mul(R).data[:rank]:
+            basis.append({keys[a]: v for a, v in enumerate(row) if v})
+    return IntMatrix.from_col_dicts(basis, M.rows)
 
 
 def preimage_lattice(A, L):
@@ -475,57 +579,66 @@ def preimage_lattice(A, L):
 def homology_at(d_out, d_in):
     """ker(d_out) / im(d_in) for consecutive integer boundary maps.
 
-    This is the lattice oracle: a saturated kernel basis, a solve for the
-    image in it and the Smith form of the quotient, with transforms.
-    Complexes with free-valued coefficients compute their homology from
-    rank_and_torsion instead, and the sparse-homology suite checks the two
-    against each other."""
+    This is the oracle, with no elimination in front: a saturated kernel
+    basis and a solve for the image in it, both from the Smith form with
+    transforms of the whole matrix (dense_kernel_basis, dense_solve_int),
+    and the Smith diagonal of the quotient.  Complexes with free-valued
+    coefficients compute their homology from rank_and_torsion instead, the
+    lattice routines eliminate unit pivots first, and the sparse-homology
+    suite checks both against this."""
     if d_out.cols != d_in.rows:
         raise DegreeMismatch(f"{d_out.shape()} then {d_in.shape()}")
     if not d_out.mul(d_in).is_zero():
         raise CompositionNonzero("boundary composition is nonzero")
-    K = kernel_basis(d_out)
-    X = solve_int(K, d_in)
+    K = dense_kernel_basis(d_out)
+    X = dense_solve_int(K, d_in)
     if X is None:
         raise NotAComplex("image escaped a saturated kernel lattice")
-    return cokernel_group(X)
+    return FgAbGroup.from_diagonal(snf_diagonal(X), X.rows)
 
 
-def rank_and_torsion(cols, rows):
-    """Rank and invariant factors >= 2 of a rows x len(cols) integer matrix
-    given as sparse {row: value} columns.
+def _eliminate_units(vecs, size, carry=None, equations=False):
+    """Greedy elimination of +-1 pivots on sparse integer vectors, in place.
 
-    A pivot of +-1 is cleared from its row by column operations and from
-    its column by row operations that touch nothing else, and neither
-    changes the Smith form: the pivot adds a unit factor, one to the rank,
-    and is dropped with its row and column.  Pivots come greedily from the
-    shortest column, at its row with the fewest entries, to limit fill-in
-    (Dumas-Saunders-Villard, JSC 2001).  When no unit entry is left, the
-    residual on its live rows and columns goes to snf_diagonal.
+    vecs holds {key: value} maps with keys in range(size).  The shortest
+    vector comes first (a heap of lengths; stale entries are skipped), at
+    its unit entry whose key the fewest vectors hold (a where index, key
+    -> vectors), to limit fill-in (Dumas-Saunders-Villard, JSC 2001).  A
+    multiple of it is subtracted from every other vector holding that key,
+    which leaves the key in the pivot alone; the pivot's slot in vecs
+    becomes None.  When no unit entry is left, the nonempty vectors are
+    the residual.  carry, when given, holds one {key: value} map per
+    vector that takes the same vector operations.  With equations set,
+    each vector is an equation (vector . x = its carry) whose integer
+    solutions are what counts, so one without a unit entry is divided by
+    the gcd of its entries when that gcd divides its carry too, which
+    may give it one.  Yields the pivots as (index, key, vector) in
+    elimination order, so a caller that needs only their number keeps
+    none of them.
     """
-    cols = [{r: v for r, v in col.items() if v} for col in cols]
-    where = [set() for _ in range(rows)]  # row -> columns with an entry there
-    for j, col in enumerate(cols):
-        for r in col:
+    where = [set() for _ in range(size)]  # key -> vectors with an entry there
+    for j, vec in enumerate(vecs):
+        for r in vec:
             where[r].add(j)
-    heap = [(len(col), j) for j, col in enumerate(cols) if col]
+    heap = [(len(vec), j) for j, vec in enumerate(vecs) if vec]
     heapq.heapify(heap)
-    rank = 0
     while heap:
-        size, j = heapq.heappop(heap)
-        col = cols[j]
-        if size != len(col):  # stale entry: dropped or changed since
+        length, j = heapq.heappop(heap)
+        vec = vecs[j]
+        if not vec or length != len(vec):  # stale entry: pivoted or changed
             continue
-        units = [r for r, v in col.items() if v == 1 or v == -1]
+        units = [r for r, v in vec.items() if v == 1 or v == -1]
+        if not units and equations:
+            units = _divide_out_content(vec, carry and carry[j])
         if not units:
             continue
         r = min(units, key=lambda u: len(where[u]))
-        p = col[r]
+        p = vec[r]
         where[r].discard(j)
         for k in where[r]:
-            other = cols[k]
+            other = vecs[k]
             f = other[r] * p
-            for s, v in col.items():
+            for s, v in vec.items():
                 nv = other.get(s, 0) - f * v
                 if nv:
                     if s not in other:
@@ -535,12 +648,48 @@ def rank_and_torsion(cols, rows):
                     del other[s]
                     if s != r:
                         where[s].discard(k)
+            if carry is not None:
+                target = carry[k]
+                for s, v in carry[j].items():
+                    nv = target.get(s, 0) - f * v
+                    if nv:
+                        target[s] = nv
+                    else:
+                        del target[s]
             heapq.heappush(heap, (len(other), k))
         where[r] = set()
-        for s in col:
+        for s in vec:
             where[s].discard(j)
-        cols[j] = {}
-        rank += 1
+        vecs[j] = None
+        yield j, r, vec
+
+
+def _divide_out_content(vec, rhs):
+    """Divide vec, and rhs when given, in place by the gcd of vec's entries
+    if it divides every entry of rhs; return vec's unit keys after."""
+    g = 0
+    for v in vec.values():
+        g = gcd(g, v)
+    if g == 1 or (rhs and any(v % g for v in rhs.values())):
+        return []
+    for m in (vec, rhs) if rhs else (vec,):
+        for k in m:
+            m[k] //= g
+    return [r for r, v in vec.items() if v == 1 or v == -1]
+
+
+def rank_and_torsion(cols, rows):
+    """Rank and invariant factors >= 2 of a rows x len(cols) integer matrix
+    given as sparse {row: value} columns.
+
+    _eliminate_units clears each +-1 pivot from its row by column
+    operations; row operations that touch nothing else then clear its
+    column, and neither changes the Smith form: the pivot adds a unit
+    factor, one to the rank, and is dropped with its row and column.  The
+    residual on its live rows and columns goes to snf_diagonal.
+    """
+    cols = [{r: v for r, v in col.items() if v} for col in cols]
+    rank = sum(1 for _ in _eliminate_units(cols, rows))
     live = [col for col in cols if col]
     if not live:
         return rank, ()

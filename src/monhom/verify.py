@@ -13,10 +13,24 @@ import time
 from dataclasses import dataclass
 
 from .errors import MonhomError, OracleMismatch
-from .exact_linalg import FgAbGroup, IntMatrix, cokernel_group, homology_at
+from .exact_linalg import (
+    FgAbGroup,
+    IntMatrix,
+    cokernel_group,
+    dense_kernel_basis,
+    dense_solve_int,
+    homology_at,
+    kernel_basis,
+    lattice_basis,
+    snf_diagonal,
+    solve_int,
+)
 from .gamma_chain import (
     COHOMOLOGICAL,
     HOMOLOGICAL,
+    _compose_cols,
+    _distinct_up_to_sign,
+    _shuffle_int_cols,
     _sym_action_cols,
     _term_layout,
     _transpose_cols,
@@ -540,6 +554,82 @@ def _lattice_homology(cx, n):
     return homology_at(d_out, IntMatrix.from_col_dicts(cx.d_in(n), cx.dims[n]))
 
 
+def _compare_solve(B, C, what):
+    X, Y = solve_int(B, C), dense_solve_int(B, C)
+    if (X is None) != (Y is None):
+        found = ("no solution, the dense solve one" if X is None
+                 else "a solution, the dense solve none")
+        raise OracleMismatch(f"{what}: elimination finds {found}")
+    if X is not None and B.mul(X) != C:
+        raise OracleMismatch(f"{what}: the solution of elimination misses")
+
+
+def _same_lattice(P, Q):
+    return (dense_solve_int(P, Q) is not None
+            and dense_solve_int(Q, P) is not None)
+
+
+def _compared_kernel(A, what):
+    K = kernel_basis(A)
+    if not _same_lattice(K, dense_kernel_basis(A)):
+        raise OracleMismatch(f"{what}: the kernel lattice of elimination"
+                             " differs from the dense one")
+    return K
+
+
+def _compared_lattice(M, what):
+    B = lattice_basis(M)
+    if not _same_lattice(B, M) or \
+            sum(1 for d in snf_diagonal(B) if d) != B.cols:
+        raise OracleMismatch(f"{what}: the lattice basis of elimination is"
+                             " not a basis of the column lattice")
+    return B
+
+
+def _torsion_lattice_checks(cx):
+    """The cycles and borders of hochschild's torsion branch, degrees 0..3,
+    each step of preimage_lattice compared: the kernel of [d_out | -R]
+    and the lattice of its top rows.  Returns the number of problems."""
+    count = 0
+    for n in range(4):
+        what = f"{cx.direction} degree {n}"
+        low = n + cx.step
+        if low < 0 or cx.dims[low] == 0:
+            cycles = IntMatrix.identity(cx.dims[n])
+        else:
+            K = _compared_kernel(IntMatrix.hstack([
+                IntMatrix.from_col_dicts(cx.d_out(n), cx.dims[low]),
+                cx.relation_matrix(low).scale(-1)]), f"{what} cycles")
+            cycles = _compared_lattice(
+                IntMatrix(K.data[:cx.dims[n]], K.cols), f"{what} cycles")
+            count += 2
+        borders = IntMatrix.from_col_dicts(
+            cx.d_in(n) + cx.relation_cols(n), cx.dims[n])
+        _compare_solve(cycles, borders, f"{what} borders")
+        count += 1
+    return count
+
+
+def _harrison_lattice_checks(cx):
+    """The shuffle image lattices of Harrison chains, degrees 0..4, the
+    boundary-closure solve into each of degrees 1..3, and the cycles
+    modulo the one below.  Returns the number of problems."""
+    lattices = [_compared_lattice(IntMatrix.from_col_dicts(
+        _distinct_up_to_sign(c for cols in _shuffle_int_cols(cx, n)
+                             for c in cols), cx.dims[n]),
+        f"shuffle lattice of degree {n}") for n in range(5)]
+    count = len(lattices)
+    for n in range(1, 4):
+        moved = _compose_cols(lattices[n + 1].col_dicts(), cx.d_out(n + 1))
+        _compare_solve(lattices[n], IntMatrix.from_col_dicts(
+            moved, cx.dims[n]), f"shuffle closure into degree {n}")
+        _compared_kernel(IntMatrix.hstack(
+            [cx.boundary(n), lattices[n - 1].scale(-1)]),
+            f"Harrison cycles in degree {n}")
+        count += 2
+    return count
+
+
 def check_sparse_homology():
     anchor = ("free values: H_n = Z^(dim - rank d_out - rank d_in) +"
               " torsion(d_in)")
@@ -569,6 +659,25 @@ def check_sparse_homology():
             return (f"{compared} groups agree with the lattice path,"
                     " full and normalized, degrees 0..3")
         out.append(_guarded(f"sparse-homology[{label}]", anchor, body))
+    anchor = ("unit-pivot elimination solves, kernels and lattice bases ="
+              " those of the whole-matrix Smith form")
+    for label, monoid in suite_monoids():
+        def body(monoid=monoid):
+            compared = 0
+            for direction, side in ((HOMOLOGICAL, RIGHT),
+                                    (COHOMOLOGICAL, LEFT)):
+                for cx in _full_and_normalized(
+                        monoid, jstar_finite_cyclic(monoid, 4, side),
+                        direction):
+                    compared += _torsion_lattice_checks(cx)
+            compared += _harrison_lattice_checks(build_complex(
+                monoid, trivial_module(monoid, RIGHT), 4, HOMOLOGICAL))
+            return (f"{compared} lattice problems agree with the dense Smith"
+                    " form: jstar:Zmod4:trivial cycles and borders in degrees"
+                    " 0..3, full and normalized, and Harrison shuffle"
+                    " lattices of trivialZ in degrees 0..4")
+        out.append(_guarded(f"sparse-homology[{label}: lattices]", anchor,
+                            body))
     return out
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from monhom import cli, gamma_chain, grillet, verify
+from monhom import cli, exact_linalg, gamma_chain, grillet, verify
 from monhom.codecs import (dumps, kc_from_payload, kc_to_payload,
                            matrix_from_payload, matrix_to_payload,
                            monoid_to_payload, tabulated_from_payload,
@@ -139,6 +139,19 @@ def test_module_file_coefficients(tmp_path, capsys):
     assert capsys.readouterr().out == "HH_0 = Z/4\nHH_1 = Z/2\n"
 
 
+def test_fractional_matrix_entry_exits_one(tmp_path, capsys):
+    payload = tabulated_to_payload(jstar_finite_cyclic(cyclic_group(2), 4,
+                                                       RIGHT))
+    payload["act"][0]["matrix"]["entries"][0][0] = 1.5
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload))
+    assert run("compute", "hh", "--monoid", "builtin:cyclic_group(2)",
+               "--coeff", str(path), "--max-degree", "1") == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ParseError"
+    assert "entries[0][0]" in err["error"]["message"]
+
+
 def test_corrupted_monoid_file_exits_one(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"size": 2, "identity": 0, "table": [[0, 1], [1, 9]]}')
@@ -210,6 +223,41 @@ def test_validation_exits_one(capsys):
     assert run("compute", "hh", "--monoid", "builtin:cyclic_group(2)",
                "--coeff", "jstar:Zmod4:bogus") == 1
     capsys.readouterr()
+
+
+def test_harrison_builds_the_full_complex(monkeypatch, capsys):
+    # the normalized complex gives other Harrison groups over Z
+    flags = []
+    original = cli.build_complex
+
+    def recorded(*args, **kwargs):
+        flags.append(kwargs.get("normalized", False))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_complex", recorded)
+    assert run("compute", "harrison", "--monoid", "builtin:cyclic_group(2)",
+               "--coeff", "trivialZ", "--max-degree", "4") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "Harr_4 = Z/2 + Z/2"
+    assert flags == [False]
+
+
+def test_harrison_sends_few_cells_to_the_dense_smith_form(monkeypatch,
+                                                          capsys):
+    # unit-pivot elimination leaves small residuals; Smith forms of the
+    # whole matrices would take about 360 000 cells here
+    cells = []
+    original = exact_linalg._smith_core
+
+    def counted(D, m, n, U, V):
+        cells.append(m * n)
+        return original(D, m, n, U, V)
+
+    monkeypatch.setattr(exact_linalg, "_smith_core", counted)
+    assert run("compute", "harrison", "--monoid", "builtin:truncated_add(2)",
+               "--coeff", "jstar:regular", "--max-degree", "4") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "Harr_4 = " + " + ".join(["Z/2"] * 9)
+    assert 0 < sum(cells) <= 5000
 
 
 def test_exit_code_map():
@@ -288,6 +336,17 @@ def test_sparse_homology_suite_catches_dropped_torsion(monkeypatch, capsys):
     assert run("verify", "sparse-homology") == 3
     out = capsys.readouterr().out
     assert "FAIL sparse-homology[cyclic_group(2)]" in out
+    assert "OracleMismatch" in out
+
+
+def test_sparse_homology_suite_catches_a_dropped_back_substitution(
+        monkeypatch, capsys):
+    real = exact_linalg._back_substitute
+    monkeypatch.setattr(exact_linalg, "_back_substitute",
+                        lambda pivots, X, rhs: real(pivots[1:], X, rhs))
+    assert run("verify", "sparse-homology") == 3
+    out = capsys.readouterr().out
+    assert "FAIL sparse-homology[cyclic_group(2): lattices]" in out
     assert "OracleMismatch" in out
 
 

@@ -8,6 +8,8 @@ from monhom.exact_linalg import (
     FgAbGroup,
     IntMatrix,
     cokernel_group,
+    dense_kernel_basis,
+    dense_solve_int,
     homology_at,
     int_rank,
     kernel_basis,
@@ -128,8 +130,9 @@ def test_homology_at_rejects_nonzero_composition():
 
 
 def test_homology_at_failed_solve_is_typed(monkeypatch):
-    # a failed lattice solve is a falsified invariant, even under -O
-    monkeypatch.setattr(exact_linalg, "solve_int", lambda B, C: None)
+    # a failed lattice solve is a falsified invariant, even under -O; the
+    # oracle solves on the whole matrix, with no elimination in front
+    monkeypatch.setattr(exact_linalg, "dense_solve_int", lambda B, C: None)
     with pytest.raises(NotAComplex):
         homology_at(IntMatrix.zeros(0, 2), IntMatrix([[2], [0]]))
 
@@ -225,6 +228,124 @@ def test_rank_and_torsion_matches_the_dense_snf():
                         for _ in range(cols)] for _ in range(rows)], cols)
         assert rank_and_torsion(A.col_dicts(), rows) == \
             dense_rank_and_torsion(A), A.data
+
+
+def sparse_matrix(rng, rows, cols, values, density=0.35):
+    return IntMatrix([[rng.choice(values) if rng.random() < density else 0
+                       for _ in range(cols)] for _ in range(rows)], cols)
+
+
+def same_lattice(K, D):
+    return dense_solve_int(K, D) is not None and \
+        dense_solve_int(D, K) is not None
+
+
+def is_saturated(K):
+    # Z^rows / (column span of K) is torsion-free
+    return FgAbGroup.from_diagonal(snf_diagonal(K), K.rows).torsion == ()
+
+
+def agree_with_the_dense_routines(A, C):
+    X, Y = solve_int(A, C), dense_solve_int(A, C)
+    assert (X is None) == (Y is None), (A.data, C.data)
+    if X is not None:
+        assert A.mul(X) == C
+    K, D = kernel_basis(A), dense_kernel_basis(A)
+    assert K.shape() == D.shape() and A.mul(K).is_zero()
+    assert same_lattice(K, D) and is_saturated(K), A.data
+    L = lattice_basis(A)
+    assert same_lattice(L, A) and int_rank(L) == L.cols, A.data
+    return X is not None
+
+
+def test_lattice_routines_match_the_dense_ones_on_random_sparse_matrices():
+    rng = random.Random(2024)
+    solvable = 0
+    for trial in range(200):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        values = [-3, -2, 2, 3] if trial % 4 == 0 else \
+            [-3, -2, -1, 1, 2, 3]
+        A = sparse_matrix(rng, rows, cols, values)
+        if trial % 2:
+            C = A.mul(sparse_matrix(rng, cols, 2, values, 0.6))
+        else:
+            C = sparse_matrix(rng, rows, 2, values, 0.6)
+        solvable += agree_with_the_dense_routines(A, C)
+    assert 100 < solvable < 200
+
+
+def test_lattice_routines_without_unit_entries():
+    rng = random.Random(77)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        A = sparse_matrix(rng, rows, cols, [-4, -3, 3, 4, 6], 0.5)
+        C = A.mul(sparse_matrix(rng, cols, 2, [-1, 1, 2], 0.5))
+        assert agree_with_the_dense_routines(A, C)
+        agree_with_the_dense_routines(A, sparse_matrix(rng, rows, 1, [1, 5]))
+
+
+def test_solve_int_finds_an_inconsistent_zeroed_row(monkeypatch):
+    rng = random.Random(5)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        top = sparse_matrix(rng, rows, cols, [-1, 1, 2], 0.5).data
+        # the last row is the sum of two others, its right-hand side not
+        i, j = rng.sample(range(rows), 2) if rows > 1 else (0, 0)
+        A = IntMatrix(top + [[a + b for a, b in zip(top[i], top[j])]], cols)
+        rhs = A.mul(sparse_matrix(rng, cols, 1, [-1, 1, 3], 0.7)).data
+        C = IntMatrix(rhs[:-1] + [[rhs[-1][0] + 1]], 1)
+        assert solve_int(A, C) is None and dense_solve_int(A, C) is None
+    # a row that elimination zeroes answers before any dense solve
+    monkeypatch.setattr(exact_linalg, "dense_solve_int", None)
+    assert solve_int(IntMatrix([[1, 2], [2, 4]]), IntMatrix([[1], [3]])) \
+        is None
+
+
+def test_lattice_routines_on_empty_and_zero_shapes():
+    for rows, cols in ((0, 3), (3, 0), (0, 0), (2, 3)):
+        A = IntMatrix.zeros(rows, cols)
+        assert kernel_basis(A) == dense_kernel_basis(A) == \
+            IntMatrix.identity(cols)
+        assert solve_int(A, IntMatrix.zeros(rows, 2)) == \
+            IntMatrix.zeros(cols, 2)
+        assert solve_int(A, IntMatrix.zeros(rows, 0)).shape() == (cols, 0)
+        assert lattice_basis(A).shape() == (rows, 0)
+        if rows:
+            assert solve_int(A, IntMatrix([[1]] * rows, 1)) is None
+
+
+def test_elimination_leaves_a_residual_from_fill_in(monkeypatch):
+    # the unit pivot of row 0 leaves 2, 3 in row 1: no unit, content 1
+    seen = []
+    for name in ("dense_solve_int", "dense_kernel_basis"):
+        real = getattr(exact_linalg, name)
+
+        def recorded(A, *rest, real=real):
+            seen.append(A.data)
+            return real(A, *rest)
+
+        monkeypatch.setattr(exact_linalg, name, recorded)
+    B = IntMatrix([[1, 1, 1], [1, 3, 4]])
+    K = kernel_basis(B)
+    assert seen == [[[2, 3]]]
+    assert K.cols == 1 and B.mul(K).is_zero() and is_saturated(K)
+    seen.clear()
+    C = IntMatrix([[1, 0], [2, 5]])
+    assert B.mul(solve_int(B, C)) == C
+    assert seen == [[[2, 3]]]
+
+
+def test_elimination_that_clears_everything_needs_no_dense_form(
+        monkeypatch):
+    for name in ("dense_solve_int", "dense_kernel_basis"):
+        monkeypatch.setattr(exact_linalg, name, None)
+    # unit pivots, and a row whose content 2 divides out with its
+    # right-hand side
+    B = IntMatrix([[1, 2, 0, 3], [0, 2, 4, 0], [0, 1, 0, -1]])
+    K = kernel_basis(B)
+    assert K.cols == 1 and B.mul(K).is_zero() and is_saturated(K)
+    C = IntMatrix([[1, 0], [4, -2], [0, 7]])
+    assert B.mul(solve_int(B, C)) == C
 
 
 def test_fgabgroup_normal_form():
