@@ -1,8 +1,13 @@
 """Exact integer linear algebra.
 
-Everything is arbitrary-precision Python int; no floats anywhere.
-Matrices are plain row-major lists of lists and are treated as immutable
-after construction: every operation returns a fresh value.
+Everything is arbitrary-precision Python int; no floats anywhere.  The
+lattice routines (solve_int, kernel_basis, lattice_basis,
+preimage_lattice, cokernel_group, rank_and_torsion) take and return
+sparse matrices: a list of {row: value} columns and a row count.  They
+copy their input and drop explicit zero entries on the way in, so callers
+may pass any columns they hold.  A dense IntMatrix, row-major lists of
+lists, holds module data and the unit-free residual of an elimination,
+which goes to the whole-matrix Smith form.
 """
 
 from __future__ import annotations
@@ -47,14 +52,6 @@ class IntMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     @classmethod
-    def from_triplets(cls, rows, cols, triplets):
-        """Build from (row, col, value) entries; duplicate positions add up."""
-        data = [[0] * cols for _ in range(rows)]
-        for i, j, v in triplets:
-            data[i][j] += v
-        return cls(data, cols)
-
-    @classmethod
     def from_cols(cls, columns, rows):
         data = [[col[i] for col in columns] for i in range(rows)]
         return cls(data, len(columns))
@@ -96,37 +93,11 @@ class IntMatrix:
                         orow[k] += a * b
         return IntMatrix(out, other.cols)
 
-    def __mul__(self, other):
-        return self.mul(other)
-
-    def add(self, other):
-        if self.shape() != other.shape():
-            raise DegreeMismatch(f"{self.shape()} + {other.shape()}")
-        return IntMatrix([[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)], self.cols)
-
     def sub(self, other):
         if self.shape() != other.shape():
             raise DegreeMismatch(f"{self.shape()} - {other.shape()}")
         return IntMatrix([[a - b for a, b in zip(r1, r2)]
                           for r1, r2 in zip(self.data, other.data)], self.cols)
-
-    def scale(self, c):
-        return IntMatrix([[c * v for v in row] for row in self.data], self.cols)
-
-    @staticmethod
-    def hstack(parts, rows=None):
-        parts = list(parts)
-        if not parts:
-            if rows is None:
-                raise BadParams("hstack of nothing needs an explicit row count")
-            return IntMatrix.zeros(rows, 0)
-        rows = parts[0].rows
-        for p in parts:
-            if p.rows != rows:
-                raise DegreeMismatch("hstack with differing row counts")
-        return IntMatrix([sum((p.data[i] for p in parts), []) for i in range(rows)],
-                         sum(p.cols for p in parts))
 
     def is_zero(self):
         return all(not v for row in self.data for v in row)
@@ -397,17 +368,17 @@ def snf_diagonal(A):
     return [D[i][i] for i in range(min(m, n))]
 
 
-def cokernel_group(A):
-    """Z^rows / column span of A, from the unit-pivot elimination of its
-    columns (rank_and_torsion)."""
-    rank, torsion = rank_and_torsion(A.col_dicts(), A.rows)
-    return FgAbGroup(A.rows - rank, torsion)
+def cokernel_group(A, rows):
+    """Z^rows / the span of the sparse columns A, from the unit-pivot
+    elimination of rank_and_torsion."""
+    rank, torsion = rank_and_torsion(A, rows)
+    return FgAbGroup(rows - rank, torsion)
 
 
 def dense_kernel_basis(A):
-    """kernel_basis from the Smith form of the whole matrix: the columns of
-    V past the nonzero diagonal.  It solves the residual of kernel_basis
-    and is the oracle it is checked against."""
+    """kernel_basis of a dense matrix from the Smith form of the whole of
+    it: the columns of V past the nonzero diagonal.  It solves the residual
+    of kernel_basis and is the oracle it is checked against."""
     m, n = A.rows, A.cols
     U, D, V = smith_normal_form(A)
     free = [j for j in range(n) if j >= min(m, n) or D.data[j][j] == 0]
@@ -415,8 +386,9 @@ def dense_kernel_basis(A):
 
 
 def dense_solve_int(B, C):
-    """solve_int from the Smith form of the whole of B.  It solves the
-    residual of solve_int and is the oracle it is checked against."""
+    """solve_int of dense matrices from the Smith form of the whole of B.
+    It solves the residual of solve_int and is the oracle it is checked
+    against."""
     p, q = B.rows, B.cols
     if C.rows != p:
         raise DegreeMismatch(f"solve {B.shape()} against {C.shape()}")
@@ -437,15 +409,26 @@ def dense_solve_int(B, C):
     return V.mul(IntMatrix(Y, C.cols))
 
 
-def _sparse_rows(A):
-    keys = range(A.cols)
-    return [{j: row[j] for j in compress(keys, row)} for row in A.data]
+def _transpose_cols(cols, rows):
+    """Sparse columns of the transpose of a rows x len(cols) matrix given as
+    sparse columns, without its explicit zero entries."""
+    out = [dict() for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            if v:
+                out[i][j] = v
+    return out
 
 
-def _residual(rows):
-    """Dense copy of the live sparse rows on their live keys, and the keys."""
-    keys = sorted(set().union(*rows))
-    return IntMatrix([[row.get(k, 0) for k in keys] for row in rows],
+def _nonzero_copies(cols):
+    return [{r: v for r, v in col.items() if v} for col in cols]
+
+
+def _residual(vecs):
+    """Dense copy of the live sparse vectors on their live keys, one row
+    per vector, and the keys."""
+    keys = sorted(set().union(*vecs))
+    return IntMatrix([[vec.get(k, 0) for k in keys] for vec in vecs],
                      len(keys)), keys
 
 
@@ -469,16 +452,9 @@ def _back_substitute(pivots, X, rhs):
         X[key] = val if row[key] == 1 else {c: -w for c, w in val.items()}
 
 
-def _dense_from_rows(X, cols):
-    out = [[0] * cols for _ in X]
-    for row, vals in zip(out, X):
-        for c, v in vals.items():
-            row[c] = v
-    return IntMatrix(out, cols)
-
-
-def kernel_basis(A):
-    """Columns forming a basis of the integer kernel lattice of A.
+def kernel_basis(A, rows):
+    """Sparse columns forming a basis of the integer kernel lattice of the
+    rows x len(A) matrix with sparse columns A.
 
     The rows of A go through the unit-pivot elimination of
     _eliminate_units; each pivot expresses its variable through the
@@ -489,10 +465,10 @@ def kernel_basis(A):
     the lattice is saturated: any integer vector in ker(A) over Q is an
     integer combination of these columns.
     """
-    n = A.cols
-    rows = _sparse_rows(A)
-    pivots = list(_eliminate_units(rows, n, equations=True))
-    live = [row for row in rows if row]
+    n = len(A)
+    eqs = _transpose_cols(A, rows)
+    pivots = list(_eliminate_units(eqs, n, equations=True))
+    live = [row for row in eqs if row]
     X = [{} for _ in range(n)]
     taken = {key for _, key, _ in pivots}
     width = 0
@@ -508,44 +484,44 @@ def kernel_basis(A):
             X[k] = {width: 1}
             width += 1
     _back_substitute(pivots, X, None)
-    return _dense_from_rows(X, width)
+    return _transpose_cols(X, width)
 
 
-def solve_int(B, C):
-    """X with B*X = C over the integers, or None when no solution exists.
+def solve_int(B, rows, C):
+    """Sparse columns X with B*X = C over the integers, for B and C sparse
+    columns on the same rows, or None when no solution exists.
 
     The rows of B go through the unit-pivot elimination of
     _eliminate_units, the rows of C carried along.  A row of B that
     reaches zero with a nonzero right-hand side has no solution; the
-    residual rows are solved by dense_solve_int, the variables in none of
-    them are set to 0, and back-substitution gives the pivot variables.
+    residual rows are solved by dense_solve_int on the columns of C they
+    hold, every other unknown of theirs is 0, the variables in none of
+    them are 0 too, and back-substitution gives the pivot variables.
     """
-    if C.rows != B.rows:
-        raise DegreeMismatch(f"solve {B.shape()} against {C.shape()}")
-    rows, rhs = _sparse_rows(B), _sparse_rows(C)
-    pivots = list(_eliminate_units(rows, B.cols, rhs, equations=True))
+    eqs, rhs = _transpose_cols(B, rows), _transpose_cols(C, rows)
+    pivots = list(_eliminate_units(eqs, len(B), rhs, equations=True))
     live = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(eqs):
         if row:
             live.append(i)
         elif row is not None and rhs[i]:
             return None
-    X = [{} for _ in range(B.cols)]
+    X = [{} for _ in range(len(B))]
     if live:
-        residual, keys = _residual([rows[i] for i in live])
-        Y = dense_solve_int(residual, IntMatrix(
-            [[rhs[i].get(c, 0) for c in range(C.cols)] for i in live],
-            C.cols))
+        residual, keys = _residual([eqs[i] for i in live])
+        values, used = _residual([rhs[i] for i in live])
+        Y = dense_solve_int(residual, values)
         if Y is None:
             return None
         for k, vals in zip(keys, Y.data):
-            X[k] = {c: v for c, v in enumerate(vals) if v}
+            X[k] = {used[c]: v for c, v in enumerate(vals) if v}
     _back_substitute(pivots, X, rhs)
-    return _dense_from_rows(X, C.cols)
+    return _transpose_cols(X, len(C))
 
 
-def lattice_basis(M):
-    """Basis of the lattice spanned by the columns of M.
+def lattice_basis(M, rows):
+    """Sparse columns forming a basis of the lattice spanned by the sparse
+    columns M on the given rows.
 
     Column operations keep the lattice.  _eliminate_units on the columns
     clears each unit pivot's row from every other column, so the pivot
@@ -554,8 +530,8 @@ def lattice_basis(M):
     first rank rows of U*R for the Smith form U*R*V = D of R, the dense
     matrix whose rows are those columns: they are D*V^-1's nonzero rows.
     """
-    cols = M.col_dicts()
-    basis = [vec for _, _, vec in _eliminate_units(cols, M.rows)]
+    cols = _nonzero_copies(M)
+    basis = [vec for _, _, vec in _eliminate_units(cols, rows)]
     live = [col for col in cols if col]
     if live:
         R, keys = _residual(live)
@@ -563,17 +539,20 @@ def lattice_basis(M):
         rank = sum(1 for i in range(min(D.rows, D.cols)) if D.data[i][i])
         for row in U.mul(R).data[:rank]:
             basis.append({keys[a]: v for a, v in enumerate(row) if v})
-    return IntMatrix.from_col_dicts(basis, M.rows)
+    return basis
 
 
-def preimage_lattice(A, L):
-    """Basis of the lattice {x : A*x lies in the column lattice of L}."""
-    if L.cols == 0:
-        return kernel_basis(A)
-    stacked = IntMatrix.hstack([A, L.scale(-1)])
-    K = kernel_basis(stacked)
-    top = IntMatrix([K.data[i] for i in range(A.cols)], K.cols)
-    return lattice_basis(top)
+def preimage_lattice(A, L, rows):
+    """Sparse columns forming a basis of the lattice {x : A*x lies in the
+    span of L}, for sparse columns A and L on the given rows: the first
+    len(A) entries of the kernel of [A | -L]."""
+    if not L:
+        return kernel_basis(A, rows)
+    n = len(A)
+    K = kernel_basis(A + [{r: -v for r, v in col.items()} for col in L],
+                     rows)
+    return lattice_basis([{k: v for k, v in col.items() if k < n}
+                          for col in K], n)
 
 
 def homology_at(d_out, d_in):
@@ -688,7 +667,7 @@ def rank_and_torsion(cols, rows):
     factor, one to the rank, and is dropped with its row and column.  The
     residual on its live rows and columns goes to snf_diagonal.
     """
-    cols = [{r: v for r, v in col.items() if v} for col in cols]
+    cols = _nonzero_copies(cols)
     rank = sum(1 for _ in _eliminate_units(cols, rows))
     live = [col for col in cols if col]
     if not live:
@@ -700,13 +679,11 @@ def rank_and_torsion(cols, rows):
     return rank + len(diag), tuple(d for d in diag if d >= 2)
 
 
-def int_rank(A):
-    """Rank over Q of an integer matrix, by exact sparse elimination."""
-    if isinstance(A, IntMatrix):
-        rows = [{j: v for j, v in enumerate(row) if v} for row in A.data]
-    else:
-        rows = [dict(r) for r in A]
-    rows = [r for r in rows if r]
+def int_rank(vecs):
+    """Rank over Q of the integer matrix whose rows, or columns (the rank
+    is the same), are the sparse {key: value} vectors vecs, by exact
+    sparse elimination."""
+    rows = [r for r in _nonzero_copies(vecs) if r]
     rank = 0
     while rows:
         bi = min(range(len(rows)), key=lambda i: len(rows[i]))
@@ -739,8 +716,3 @@ def int_rank(A):
                 nxt.append(out)
         rows = nxt
     return rank
-
-
-def rank_of_col_dicts(cols):
-    """Rank of a matrix given as sparse columns (rank is transpose-stable)."""
-    return int_rank([{k: v for k, v in c.items() if v} for c in cols])

@@ -28,12 +28,12 @@ from .errors import (
 from .exact_linalg import (
     FgAbGroup,
     IntMatrix,
+    _transpose_cols,
     cokernel_group,
-    kernel_basis,
+    int_rank,
     lattice_basis,
     preimage_lattice,
     rank_and_torsion,
-    rank_of_col_dicts,
     solve_int,
 )
 from .hc_modules import LEFT, RIGHT
@@ -222,7 +222,6 @@ class GammaChainComplex:
             faces = {k: _transpose_cols(cols, self.dims[k - 1])
                      for k, cols in faces.items()}
         self._mats = faces
-        self._rel_cache = {}
         self._invariants = {}
 
     def term_dim(self, n):
@@ -307,12 +306,6 @@ class GammaChainComplex:
                                  for i in range(rel.rows) if rel.data[i][j]})
         return cols
 
-    def relation_matrix(self, n):
-        if n not in self._rel_cache:
-            self._rel_cache[n] = IntMatrix.from_col_dicts(
-                self.relation_cols(n), self.dims[n])
-        return self._rel_cache[n]
-
     @property
     def has_torsion(self):
         return self.coeff.has_torsion
@@ -348,15 +341,6 @@ def _cols_to_triplets(cols, rows):
             trips.append([i, j, v])
     trips.sort()
     return {"rows": rows, "cols": len(cols), "triplets": trips}
-
-
-def _transpose_cols(cols, rows):
-    """Sparse columns of the transpose of a rows x len(cols) matrix."""
-    out = [dict() for _ in range(rows)]
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            out[i][j] = v
-    return out
 
 
 def _expected_side(direction):
@@ -461,8 +445,7 @@ def _check_squares(cx):
             raise CompositionNonzero(
                 f"double (co)boundary is nonzero around degree {k}")
         target = k + cx.step
-        dense = IntMatrix.from_col_dicts(bad, cx.dims[target])
-        if solve_int(cx.relation_matrix(target), dense) is None:
+        if solve_int(cx.relation_cols(target), cx.dims[target], bad) is None:
             raise CompositionNonzero(
                 f"double (co)boundary escapes the relations around degree {k}")
 
@@ -665,14 +648,12 @@ def hochschild(cx, n):
         return FgAbGroup(free, torsion)
     low = n + cx.step
     if low < 0 or cx.dims[low] == 0:
-        cycles = IntMatrix.identity(cx.dims[n])
+        cycles = [{i: 1} for i in range(cx.dims[n])]
     else:
-        cycles = preimage_lattice(
-            IntMatrix.from_col_dicts(cx.d_out(n), cx.dims[low]),
-            cx.relation_matrix(low))
-    borders = IntMatrix.from_col_dicts(
-        _distinct_up_to_sign(cx.d_in(n) + cx.relation_cols(n)), cx.dims[n])
-    return _quotient_or_raise(cycles, borders,
+        cycles = preimage_lattice(cx.d_out(n), cx.relation_cols(low),
+                                  cx.dims[low])
+    borders = _distinct_up_to_sign(cx.d_in(n) + cx.relation_cols(n))
+    return _quotient_or_raise(cycles, borders, cx.dims[n],
                               "boundaries escaped the cycle lattice")
 
 
@@ -735,12 +716,6 @@ def _vstack_pair(top_cols, bottom_cols, top_rows):
     return out
 
 
-def _lattice_or_empty(cols, rows):
-    if not cols:
-        return IntMatrix.zeros(rows, 0)
-    return lattice_basis(IntMatrix.from_col_dicts(cols, rows))
-
-
 def _distinct_up_to_sign(cols):
     """The nonzero columns, each once up to sign: the same lattice."""
     kept = {}
@@ -750,11 +725,13 @@ def _distinct_up_to_sign(cols):
     return list(kept.values())
 
 
-def _quotient_or_raise(K, S, message):
-    X = solve_int(K, S)
+def _quotient_or_raise(K, S, rows, message):
+    """The span of K modulo S, sparse columns on the given rows, where S
+    must lie in the span of K and K must be a basis."""
+    X = solve_int(K, rows, S)
     if X is None:
         raise NotAComplex(message)
-    return cokernel_group(X)
+    return cokernel_group(X, len(K))
 
 
 def harrison(cx):
@@ -779,23 +756,23 @@ def _harrison_chains(cx):
     is passed on with each column once up to sign."""
     out = [hochschild(cx, 1)]
     sh_n, lat_low = [], None
-    lat_n = _lattice_or_empty(cx.relation_cols(1), cx.dims[1])
+    lat_n = lattice_basis(cx.relation_cols(1), cx.dims[1])
     for n in range(1, cx.n_max):
         sh_up = _distinct_up_to_sign(
             c for cols in _shuffle_int_cols(cx, n + 1) for c in cols)
         moved = _distinct_up_to_sign(_compose_cols(sh_up, cx.d_out(n + 1)))
-        if moved and solve_int(
-                lat_n, IntMatrix.from_col_dicts(moved, cx.dims[n])) is None:
+        if moved and solve_int(lat_n, cx.dims[n], moved) is None:
             raise NotAComplex("shuffle span is not boundary-closed at "
                               f"degree {n + 1}")
         if n >= 2:
-            cycles = preimage_lattice(cx.boundary(n), lat_low)
-            borders = IntMatrix.from_col_dicts(_distinct_up_to_sign(
-                cx.d_in(n) + sh_n + cx.relation_cols(n)), cx.dims[n])
+            cycles = preimage_lattice(cx.d_out(n), lat_low, cx.dims[n - 1])
+            borders = _distinct_up_to_sign(
+                cx.d_in(n) + sh_n + cx.relation_cols(n))
             out.append(_quotient_or_raise(
-                cycles, borders, "quotient boundaries escape the cycle span"))
+                cycles, borders, cx.dims[n],
+                "quotient boundaries escape the cycle span"))
         if n + 1 < cx.n_max:
-            lat_low, lat_n = lat_n, _lattice_or_empty(_distinct_up_to_sign(
+            lat_low, lat_n = lat_n, lattice_basis(_distinct_up_to_sign(
                 sh_up + cx.relation_cols(n + 1)), cx.dims[n + 1])
         sh_n = sh_up
     return out
@@ -805,22 +782,18 @@ def _harrison_cochains(cx):
     """H^n of the joint shuffle kernel, one degree at a time, holding the
     coboundaries of the kernel one degree down."""
     out = [hochschild(cx, 1)]
-    image_low = IntMatrix.from_col_dicts(cx.d_in(2), cx.dims[2])
+    image_low = cx.d_in(2)
     for n in range(2, cx.n_max):
         sh_n = _shuffle_int_cols(cx, n)
         kernel_n = _joint_kernel(cx, n, sh_n)
         _check_kernel_closure(cx, n, sh_n, image_low)
-        restricted = IntMatrix.from_col_dicts(
-            cx.d_out(n), cx.dims[n + 1]).mul(kernel_n)
-        if cx.has_torsion:
-            inner = preimage_lattice(restricted, cx.relation_matrix(n + 1))
-        else:
-            inner = kernel_basis(restricted)
-        cycles = lattice_basis(kernel_n.mul(inner))
-        borders = IntMatrix.hstack(
-            [image_low, cx.relation_matrix(n)], rows=cx.dims[n])
+        restricted = _compose_cols(kernel_n, cx.d_out(n))
+        inner = preimage_lattice(restricted, cx.relation_cols(n + 1),
+                                 cx.dims[n + 1])
+        cycles = lattice_basis(_compose_cols(inner, kernel_n), cx.dims[n])
         out.append(_quotient_or_raise(
-            cycles, borders, "coboundaries escape the shuffle kernel"))
+            cycles, image_low + cx.relation_cols(n), cx.dims[n],
+            "coboundaries escape the shuffle kernel"))
         image_low = restricted
     return out
 
@@ -829,28 +802,23 @@ def _joint_kernel(cx, m, blocks):
     """Basis of the joint kernel (modulo value relations) of the integer
     operators on degree m given as sparse column lists."""
     if not blocks:
-        return IntMatrix.identity(cx.dims[m])
-    rows = cx.dims[m] * len(blocks)
-    dense = IntMatrix.from_col_dicts(_stack_cols(blocks, cx.dims[m]), rows)
-    if not cx.has_torsion:
-        return kernel_basis(dense)
-    rel_rep = IntMatrix.from_col_dicts(cx.relation_cols(m, len(blocks)), rows)
-    return preimage_lattice(dense, rel_rep)
+        return [{i: 1} for i in range(cx.dims[m])]
+    return preimage_lattice(_stack_cols(blocks, cx.dims[m]),
+                            cx.relation_cols(m, len(blocks)),
+                            cx.dims[m] * len(blocks))
 
 
 def _check_kernel_closure(cx, n, col_lists, image_low):
     """Coboundaries of shuffle-kernel cochains must again kill shuffles."""
-    if not col_lists or image_low.cols == 0:
+    if not col_lists or not image_low:
         return
     stacked = _stack_cols(col_lists, cx.dims[n])
-    moved = _compose_cols(image_low.col_dicts(), stacked)
-    moved = [c for c in moved if c]
+    moved = [c for c in _compose_cols(image_low, stacked) if c]
     if not moved:
         return
-    rows = cx.dims[n] * len(col_lists)
     if not cx.has_torsion or solve_int(
-            IntMatrix.from_col_dicts(cx.relation_cols(n, len(col_lists)), rows),
-            IntMatrix.from_col_dicts(moved, rows)) is None:
+            cx.relation_cols(n, len(col_lists)),
+            cx.dims[n] * len(col_lists), moved) is None:
         raise NotAComplex(f"shuffle kernel is not closed at degree {n}")
 
 
@@ -878,13 +846,12 @@ def harrison_dim_q(cx):
             else cx.d_out(m)
         st_up = _stack_cols(_shuffle_int_cols(cx, m + 1, dual),
                             cx.dims[m + 1])
-        rank_st = rank_of_col_dicts(st)
+        rank_st = int_rank(st)
         moved = _compose_cols(delta, st_up)
-        if any(moved) and rank_of_col_dicts(
-                _vstack_pair(st, moved, rows)) != rank_st:
+        if any(moved) and int_rank(_vstack_pair(st, moved, rows)) != rank_st:
             raise NotAComplex("shuffle span is not closed under the"
                               f" differential at degree {m + 1}")
-        rank_up = rank_of_col_dicts(_vstack_pair(st, delta, rows)) - rank_st
+        rank_up = int_rank(_vstack_pair(st, delta, rows)) - rank_st
         if m:
             out.append(cx.dims[m] - rank_st - rank_up - rank_low)
         st, rows, rank_low = st_up, m * cx.dims[m + 1], rank_up
@@ -939,18 +906,14 @@ def y_exactness_check(hmap, n, lam, budget=None):
             for i in range(A.rows):
                 if A.data[i][j]:
                     col[offs2[kt] + i] = A.data[i][j]
-    T = IntMatrix.from_col_dicts(cols, cx2.dims[n])
-
-    reachable = IntMatrix.hstack([T.mul(K1), cx2.relation_matrix(n)],
-                                 rows=cx2.dims[n])
-    X = solve_int(reachable, K2)
-    if X is not None:
+    rows = cx2.dims[n]
+    reachable = _compose_cols(K1, cols) + cx2.relation_cols(n)
+    if solve_int(reachable, rows, K2) is not None:
         return YExactnessReport(True, n, lam, None,
-                                f"all {K2.cols} invariant generators hit")
-    for j in range(K2.cols):
-        col = IntMatrix.from_cols([K2.column(j)], K2.rows)
-        if solve_int(reachable, col) is None:
+                                f"all {len(K2)} invariant generators hit")
+    for j, col in enumerate(K2):
+        if solve_int(reachable, rows, [col]) is None:
             return YExactnessReport(
-                False, n, lam, (j, tuple(K2.column(j))),
+                False, n, lam, (j, tuple(col.get(i, 0) for i in range(rows))),
                 f"invariant generator {j} is not in the image")
     raise OracleMismatch("batched solve failed but every column solved")

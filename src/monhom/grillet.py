@@ -24,8 +24,8 @@ from .exact_linalg import (
     IntMatrix,
     cokernel_group,
     homology_at,
+    int_rank,
     lattice_basis,
-    rank_of_col_dicts,
     solve_int,
 )
 from .gamma_chain import (
@@ -201,22 +201,19 @@ def kaehler_compare(monoid, ring="Z"):
     direct = _kaehler_direct_cols(monoid)
     total = _kaehler_total_cols(monoid)
     if ring == "Q":
-        ra = rank_of_col_dicts(direct)
-        rb = rank_of_col_dicts(total)
-        both = rank_of_col_dicts(direct + total)
+        ra = int_rank(direct)
+        rb = int_rank(total)
+        both = int_rank(direct + total)
         passed = ra == rb == both
         group = FgAbGroup.free(rows - ra)
         detail = (f"spans agree at rank {ra}" if passed else
                   f"span ranks {ra}/{rb}, joint {both}")
         return KaehlerReport(passed, ring, group, detail)
-    A = IntMatrix.from_col_dicts(direct, rows)
-    B = IntMatrix.from_col_dicts(total, rows)
-    lat_a = lattice_basis(A)
-    lat_b = lattice_basis(B)
-    passed = (solve_int(lat_a, B) is not None
-              and solve_int(lat_b, A) is not None)
-    group_a = cokernel_group(A)
-    group_b = cokernel_group(B)
+    passed = (solve_int(lattice_basis(direct, rows), rows, total) is not None
+              and solve_int(lattice_basis(total, rows), rows, direct)
+              is not None)
+    group_a = cokernel_group(direct, rows)
+    group_b = cokernel_group(total, rows)
     if group_a != group_b:
         passed = False
     detail = ("relation lattices coincide" if passed else

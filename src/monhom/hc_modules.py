@@ -17,7 +17,7 @@ from .exact_linalg import (
     FgAbGroup,
     IntMatrix,
     cokernel_group,
-    kernel_basis,
+    int_rank,
     preimage_lattice,
     solve_int,
 )
@@ -71,7 +71,7 @@ class TabulatedHCModule:
     def value_group(self, a):
         if self.rels[a].cols == 0:
             return FgAbGroup.free(self.ranks[a])
-        return cokernel_group(self.rels[a])
+        return cokernel_group(self.rels[a].col_dicts(), self.rels[a].rows)
 
     def __repr__(self):
         return f"TabulatedHCModule({self.side}, ranks={self.ranks})"
@@ -84,13 +84,16 @@ def _shape_for(side, ranks, monoid, c, a):
     return ranks[a], ranks[ca]
 
 
-def _eq_mod(X, Y, relmat):
-    if X.shape() != Y.shape():
-        return False
-    diff = X.sub(Y)
+def _in_relations(M, relmat):
+    """Whether every column of M lies in the column lattice of relmat."""
     if relmat.cols == 0:
-        return diff.is_zero()
-    return solve_int(relmat, diff) is not None
+        return M.is_zero()
+    return solve_int(relmat.col_dicts(), relmat.rows,
+                     M.col_dicts()) is not None
+
+
+def _eq_mod(X, Y, relmat):
+    return X.shape() == Y.shape() and _in_relations(X.sub(Y), relmat)
 
 
 def validate_module(module):
@@ -139,12 +142,8 @@ def validate_module(module):
             if rel_src.cols == 0:
                 continue
             target = mon.mul(c, a) if module.side == LEFT else a
-            moved = module.act[(c, a)].mul(rel_src)
-            if module.rels[target].cols == 0:
-                ok = moved.is_zero()
-            else:
-                ok = solve_int(module.rels[target], moved) is not None
-            if not ok:
+            if not _in_relations(module.act[(c, a)].mul(rel_src),
+                                 module.rels[target]):
                 bad.append(("RelationsNotPreserved", (c, a)))
                 hit = True
                 break
@@ -445,15 +444,17 @@ def _offsets(sizes):
 
 
 def _block_diag(mats):
-    offs_r = _offsets([m.rows for m in mats])
-    offs_c = _offsets([m.cols for m in mats])
-    trips = []
-    for k, m in enumerate(mats):
-        for i, row in enumerate(m.data):
-            for j, v in enumerate(row):
-                if v:
-                    trips.append((offs_r[k] + i, offs_c[k] + j, v))
-    return IntMatrix.from_triplets(offs_r[-1], offs_c[-1], trips)
+    """Sparse columns of the block-diagonal matrix of dense blocks."""
+    cols, off = [], 0
+    for m in mats:
+        cols += [{off + i: v for i, v in col.items()} for col in m.col_dicts()]
+        off += m.rows
+    return cols
+
+
+def _accumulate(vec, key, value):
+    if value:
+        vec[key] = vec.get(key, 0) + value
 
 
 def tensor_over_hc(right_mod, left_arg):
@@ -478,24 +479,19 @@ def tensor_over_hc(right_mod, left_arg):
         cols = []
         for rdeg, terms in left_arg.relations:
             for i in range(right_mod.ranks[rdeg]):
-                col = [0] * total
+                col = {}
                 for lab, ct, coeff in terms:
                     gdeg = degree_of[lab]
                     mat = right_mod.act[(ct, gdeg)]  # N(rdeg) -> N(gdeg)
                     base = offs[gen_pos[lab]]
                     for p in range(mat.rows):
-                        if mat.data[p][i]:
-                            col[base + p] += coeff * mat.data[p][i]
+                        _accumulate(col, base + p, coeff * mat.data[p][i])
                 cols.append(col)
         for lab, gdeg in left_arg.generators:
-            relm = right_mod.rels[gdeg]
             base = offs[gen_pos[lab]]
-            for j in range(relm.cols):
-                col = [0] * total
-                for i in range(relm.rows):
-                    col[base + i] = relm.data[i][j]
-                cols.append(col)
-        return cokernel_group(IntMatrix.from_cols(cols, total))
+            cols += [{base + i: v for i, v in col.items()}
+                     for col in right_mod.rels[gdeg].col_dicts()]
+        return cokernel_group(cols, total)
 
     left_mod = left_arg
     if left_mod.side != LEFT:
@@ -517,29 +513,22 @@ def tensor_over_hc(right_mod, left_arg):
             actM = left_mod.act[(c, a)]    # M(a)  -> M(ca)
             for i in range(right_mod.ranks[ca]):
                 for j in range(left_mod.ranks[a]):
-                    col = [0] * total
+                    col = {}
                     for p in range(actN.rows):
-                        if actN.data[p][i]:
-                            col[gen(a, p, j)] += actN.data[p][i]
+                        _accumulate(col, gen(a, p, j), actN.data[p][i])
                     for q in range(actM.rows):
-                        if actM.data[q][j]:
-                            col[gen(ca, i, q)] -= actM.data[q][j]
-                    if any(col):
-                        cols.append(col)
+                        _accumulate(col, gen(ca, i, q), -actM.data[q][j])
+                    cols.append(col)
     for a in mon.elements:
         for relm, other_rank, is_right in ((right_mod.rels[a],
                                             left_mod.ranks[a], True),
                                            (left_mod.rels[a],
                                             right_mod.ranks[a], False)):
-            for jcol in range(relm.cols):
+            for rel in relm.col_dicts():
                 for k in range(other_rank):
-                    col = [0] * total
-                    for i in range(relm.rows):
-                        if relm.data[i][jcol]:
-                            idx = gen(a, i, k) if is_right else gen(a, k, i)
-                            col[idx] = relm.data[i][jcol]
-                    cols.append(col)
-    return cokernel_group(IntMatrix.from_cols(cols, total))
+                    cols.append({gen(a, i, k) if is_right else gen(a, k, i): v
+                                 for i, v in rel.items()})
+    return cokernel_group(cols, total)
 
 
 @dataclass(frozen=True)
@@ -549,18 +538,17 @@ class LinearSolution:
     group: FgAbGroup
 
 
-def _solve_linear_group(eqs, unknown_rels, equation_rels):
-    if equation_rels.cols == 0:
-        K = kernel_basis(eqs)
-    else:
-        K = preimage_lattice(eqs, equation_rels)
-    if unknown_rels.cols == 0:
-        return LinearSolution(FgAbGroup.free(K.cols))
-    X = solve_int(K, unknown_rels)
+def _solve_linear_group(eqs, n_eqs, unknown_rels, equation_rels):
+    """Solutions of the n_eqs equations whose sparse columns eqs are one per
+    unknown, modulo the sparse relation columns on each side."""
+    K = preimage_lattice(eqs, equation_rels, n_eqs)
+    if not unknown_rels:
+        return LinearSolution(FgAbGroup.free(len(K)))
+    X = solve_int(K, len(eqs), unknown_rels)
     if X is None:
         raise NotAComplex(
             "unknown-space relations escaped the solution lattice")
-    return LinearSolution(cokernel_group(X))
+    return LinearSolution(cokernel_group(X, len(K)))
 
 
 def derivations(monoid, module):
@@ -573,8 +561,8 @@ def derivations(monoid, module):
         raise BadParams("derivations take values in a left module")
     mon = module.monoid
     offs = _offsets(module.ranks)
-    total = offs[-1]
-    rows = []
+    eqs = [dict() for _ in range(offs[-1])]  # one column per unknown
+    n_eqs = 0
     eq_rel_blocks = []
     for a in mon.elements:
         for b in mon.elements:
@@ -582,22 +570,18 @@ def derivations(monoid, module):
             act_a = module.act[(a, b)]   # M(b) -> M(ab)
             act_b = module.act[(b, a)]   # M(a) -> M(ab)
             for r in range(module.ranks[ab]):
-                row = [0] * total
-                row[offs[ab] + r] += 1
+                _accumulate(eqs[offs[ab] + r], n_eqs, 1)
                 for j in range(module.ranks[b]):
-                    row[offs[b] + j] -= act_a.data[r][j]
+                    _accumulate(eqs[offs[b] + j], n_eqs, -act_a.data[r][j])
                 for j in range(module.ranks[a]):
-                    row[offs[a] + j] -= act_b.data[r][j]
-                rows.append(row)
+                    _accumulate(eqs[offs[a] + j], n_eqs, -act_b.data[r][j])
+                n_eqs += 1
             eq_rel_blocks.append(module.rels[ab])
-    eqs = IntMatrix(rows, total)
-    if module.has_torsion:
-        unknown_rels = _block_diag([module.rels[a] for a in mon.elements])
-        equation_rels = _block_diag(eq_rel_blocks)
-    else:
-        unknown_rels = IntMatrix.zeros(total, 0)
-        equation_rels = IntMatrix.zeros(eqs.rows, 0)
-    return _solve_linear_group(eqs, unknown_rels, equation_rels)
+    if not module.has_torsion:
+        return _solve_linear_group(eqs, n_eqs, [], [])
+    return _solve_linear_group(
+        eqs, n_eqs, _block_diag([module.rels[a] for a in mon.elements]),
+        _block_diag(eq_rel_blocks))
 
 
 def hom_from_presented(presented, module):
@@ -610,30 +594,24 @@ def hom_from_presented(presented, module):
     gen_rank = [module.ranks[deg] for _, deg in presented.generators]
     offs = _offsets(gen_rank)
     gen_pos = {lab: k for k, (lab, _) in enumerate(presented.generators)}
-    total = offs[-1]
-    rows = []
+    eqs = [dict() for _ in range(offs[-1])]  # one column per unknown
+    n_eqs = 0
     eq_rel_blocks = []
     for rdeg, terms in presented.relations:
         for r in range(module.ranks[rdeg]):
-            row = [0] * total
             for lab, ct, coeff in terms:
                 act = module.act[(ct, degree_of[lab])]  # M(deg g) -> M(rdeg)
                 base = offs[gen_pos[lab]]
                 for j in range(act.cols):
-                    if act.data[r][j]:
-                        row[base + j] += coeff * act.data[r][j]
-            rows.append(row)
+                    _accumulate(eqs[base + j], n_eqs, coeff * act.data[r][j])
+            n_eqs += 1
         eq_rel_blocks.append(module.rels[rdeg])
-    eqs = IntMatrix(rows, total) if rows else IntMatrix.zeros(0, total)
-    if module.has_torsion:
-        unknown_rels = _block_diag(
-            [module.rels[deg] for _, deg in presented.generators])
-        equation_rels = _block_diag(eq_rel_blocks) \
-            if eq_rel_blocks else IntMatrix.zeros(0, 0)
-    else:
-        unknown_rels = IntMatrix.zeros(total, 0)
-        equation_rels = IntMatrix.zeros(eqs.rows, 0)
-    return _solve_linear_group(eqs, unknown_rels, equation_rels)
+    if not module.has_torsion:
+        return _solve_linear_group(eqs, n_eqs, [], [])
+    return _solve_linear_group(
+        eqs, n_eqs,
+        _block_diag([module.rels[deg] for _, deg in presented.generators]),
+        _block_diag(eq_rel_blocks))
 
 
 def hom_rank_tabulated(m1, m2):
@@ -660,29 +638,24 @@ def hom_rank_tabulated(m1, m2):
                 A1, A2 = m1.act[(c, a)], m2.act[(c, a)]
                 for i in range(m2.ranks[ca]):
                     for j in range(m1.ranks[a]):
-                        row = [0] * total
+                        row = {}
                         for k in range(m1.ranks[ca]):
-                            if A1.data[k][j]:
-                                row[unknown(ca, i, k)] += A1.data[k][j]
+                            _accumulate(row, unknown(ca, i, k), A1.data[k][j])
                         for k in range(m2.ranks[a]):
-                            if A2.data[i][k]:
-                                row[unknown(a, k, j)] -= A2.data[i][k]
+                            _accumulate(row, unknown(a, k, j), -A2.data[i][k])
                         rows.append(row)
             else:
                 # phi_a . act1 = act2 . phi_{ca}  on N1(ca) -> N2(a)
                 A1, A2 = m1.act[(c, a)], m2.act[(c, a)]
                 for i in range(m2.ranks[a]):
                     for j in range(m1.ranks[ca]):
-                        row = [0] * total
+                        row = {}
                         for k in range(m1.ranks[a]):
-                            if A1.data[k][j]:
-                                row[unknown(a, i, k)] += A1.data[k][j]
+                            _accumulate(row, unknown(a, i, k), A1.data[k][j])
                         for k in range(m2.ranks[ca]):
-                            if A2.data[i][k]:
-                                row[unknown(ca, k, j)] -= A2.data[i][k]
+                            _accumulate(row, unknown(ca, k, j), -A2.data[i][k])
                         rows.append(row)
-    eqs = IntMatrix(rows, total) if rows else IntMatrix.zeros(0, total)
-    return kernel_basis(eqs).cols
+    return total - int_rank(rows)  # the rank of the solution lattice
 
 
 def hom_rank_kc(a1, a2):
@@ -695,13 +668,10 @@ def hom_rank_kc(a1, a2):
         A1, A2 = a1.action[c], a2.action[c]
         for i in range(a2.rank):
             for j in range(a1.rank):
-                row = [0] * total
+                row = {}
                 for k in range(a1.rank):
-                    if A1.data[k][j]:
-                        row[i * a1.rank + k] += A1.data[k][j]
+                    _accumulate(row, i * a1.rank + k, A1.data[k][j])
                 for k in range(a2.rank):
-                    if A2.data[i][k]:
-                        row[k * a1.rank + j] -= A2.data[i][k]
+                    _accumulate(row, k * a1.rank + j, -A2.data[i][k])
                 rows.append(row)
-    eqs = IntMatrix(rows, total) if rows else IntMatrix.zeros(0, total)
-    return kernel_basis(eqs).cols
+    return total - int_rank(rows)  # the rank of the solution lattice

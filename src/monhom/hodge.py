@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import BadParams, NotAnnihilated, WeightNotPreserved
-from .exact_linalg import rank_of_col_dicts
+from .exact_linalg import int_rank
 from .gamma_chain import (
     SymGroupElement,
     _compose_cols,
@@ -175,4 +175,4 @@ def _restricted_rank(d_cols, p_src, p_dst, src_deg, i):
         raise WeightNotPreserved(
             f"boundary from degree {src_deg} does not commute with the"
             f" weight-{i} projector")
-    return rank_of_col_dicts(_distinct_up_to_sign(moved))
+    return int_rank(_distinct_up_to_sign(moved))

@@ -16,6 +16,7 @@ from .errors import MonhomError, OracleMismatch
 from .exact_linalg import (
     FgAbGroup,
     IntMatrix,
+    _transpose_cols,
     cokernel_group,
     dense_kernel_basis,
     dense_solve_int,
@@ -33,7 +34,6 @@ from .gamma_chain import (
     _shuffle_int_cols,
     _sym_action_cols,
     _term_layout,
-    _transpose_cols,
     build_complex,
     epsilon_map,
     harrison_dim_q,
@@ -159,9 +159,8 @@ def check_degree_bridge():
                     raise MonhomError("d_1 is not the zero matrix")
                 if hochschild(cx, 0) != coeff.value_group(monoid.identity):
                     raise MonhomError("HH_0 differs from the identity value")
-                stacked = IntMatrix.hstack(
-                    [cx.boundary(2), cx.relation_matrix(1)], rows=cx.dims[1])
-                if hochschild(cx, 1) != cokernel_group(stacked):
+                if hochschild(cx, 1) != cokernel_group(
+                        cx.d_out(2) + cx.relation_cols(1), cx.dims[1]):
                     raise MonhomError("HH_1 differs from coker d_2")
                 pairs += 1
             return f"{pairs} coefficient systems checked"
@@ -554,13 +553,16 @@ def _lattice_homology(cx, n):
     return homology_at(d_out, IntMatrix.from_col_dicts(cx.d_in(n), cx.dims[n]))
 
 
-def _compare_solve(B, C, what):
-    X, Y = solve_int(B, C), dense_solve_int(B, C)
+def _compare_solve(B, rows, C, what):
+    X = solve_int(B, rows, C)
+    Y = dense_solve_int(IntMatrix.from_col_dicts(B, rows),
+                        IntMatrix.from_col_dicts(C, rows))
     if (X is None) != (Y is None):
         found = ("no solution, the dense solve one" if X is None
                  else "a solution, the dense solve none")
         raise OracleMismatch(f"{what}: elimination finds {found}")
-    if X is not None and B.mul(X) != C:
+    if X is not None and _compose_cols(X, B) != \
+            [{r: v for r, v in col.items() if v} for col in C]:
         raise OracleMismatch(f"{what}: the solution of elimination misses")
 
 
@@ -569,43 +571,50 @@ def _same_lattice(P, Q):
             and dense_solve_int(Q, P) is not None)
 
 
-def _compared_kernel(A, what):
-    K = kernel_basis(A)
-    if not _same_lattice(K, dense_kernel_basis(A)):
+def _compared_kernel(A, rows, what):
+    K = kernel_basis(A, rows)
+    D = dense_kernel_basis(IntMatrix.from_col_dicts(A, rows))
+    if not _same_lattice(IntMatrix.from_col_dicts(K, len(A)), D):
         raise OracleMismatch(f"{what}: the kernel lattice of elimination"
                              " differs from the dense one")
     return K
 
 
-def _compared_lattice(M, what):
-    B = lattice_basis(M)
-    if not _same_lattice(B, M) or \
-            sum(1 for d in snf_diagonal(B) if d) != B.cols:
+def _compared_lattice(M, rows, what):
+    B = lattice_basis(M, rows)
+    dense = IntMatrix.from_col_dicts(B, rows)
+    if not _same_lattice(dense, IntMatrix.from_col_dicts(M, rows)) or \
+            sum(1 for d in snf_diagonal(dense) if d) != len(B):
         raise OracleMismatch(f"{what}: the lattice basis of elimination is"
                              " not a basis of the column lattice")
     return B
 
 
+def _compared_preimage(A, L, rows, what):
+    """preimage_lattice's two steps, each compared: the kernel of [A | -L]
+    and the lattice of its first len(A) entries."""
+    K = _compared_kernel(A + [{r: -v for r, v in col.items()} for col in L],
+                         rows, what)
+    return _compared_lattice([{k: v for k, v in col.items() if k < len(A)}
+                              for col in K], len(A), what)
+
+
 def _torsion_lattice_checks(cx):
     """The cycles and borders of hochschild's torsion branch, degrees 0..3,
-    each step of preimage_lattice compared: the kernel of [d_out | -R]
-    and the lattice of its top rows.  Returns the number of problems."""
+    each step of preimage_lattice compared.  Returns the number of
+    problems."""
     count = 0
     for n in range(4):
         what = f"{cx.direction} degree {n}"
         low = n + cx.step
         if low < 0 or cx.dims[low] == 0:
-            cycles = IntMatrix.identity(cx.dims[n])
+            cycles = [{i: 1} for i in range(cx.dims[n])]
         else:
-            K = _compared_kernel(IntMatrix.hstack([
-                IntMatrix.from_col_dicts(cx.d_out(n), cx.dims[low]),
-                cx.relation_matrix(low).scale(-1)]), f"{what} cycles")
-            cycles = _compared_lattice(
-                IntMatrix(K.data[:cx.dims[n]], K.cols), f"{what} cycles")
+            cycles = _compared_preimage(cx.d_out(n), cx.relation_cols(low),
+                                        cx.dims[low], f"{what} cycles")
             count += 2
-        borders = IntMatrix.from_col_dicts(
-            cx.d_in(n) + cx.relation_cols(n), cx.dims[n])
-        _compare_solve(cycles, borders, f"{what} borders")
+        _compare_solve(cycles, cx.dims[n], cx.d_in(n) + cx.relation_cols(n),
+                       f"{what} borders")
         count += 1
     return count
 
@@ -614,18 +623,18 @@ def _harrison_lattice_checks(cx):
     """The shuffle image lattices of Harrison chains, degrees 0..4, the
     boundary-closure solve into each of degrees 1..3, and the cycles
     modulo the one below.  Returns the number of problems."""
-    lattices = [_compared_lattice(IntMatrix.from_col_dicts(
+    lattices = [_compared_lattice(
         _distinct_up_to_sign(c for cols in _shuffle_int_cols(cx, n)
-                             for c in cols), cx.dims[n]),
+                             for c in cols), cx.dims[n],
         f"shuffle lattice of degree {n}") for n in range(5)]
     count = len(lattices)
     for n in range(1, 4):
-        moved = _compose_cols(lattices[n + 1].col_dicts(), cx.d_out(n + 1))
-        _compare_solve(lattices[n], IntMatrix.from_col_dicts(
-            moved, cx.dims[n]), f"shuffle closure into degree {n}")
-        _compared_kernel(IntMatrix.hstack(
-            [cx.boundary(n), lattices[n - 1].scale(-1)]),
-            f"Harrison cycles in degree {n}")
+        moved = _compose_cols(lattices[n + 1], cx.d_out(n + 1))
+        _compare_solve(lattices[n], cx.dims[n], moved,
+                       f"shuffle closure into degree {n}")
+        _compared_kernel(cx.d_out(n) + [{r: -v for r, v in col.items()}
+                                        for col in lattices[n - 1]],
+                         cx.dims[n - 1], f"Harrison cycles in degree {n}")
         count += 2
     return count
 

@@ -16,11 +16,18 @@ from monhom.exact_linalg import (
     lattice_basis,
     preimage_lattice,
     rank_and_torsion,
-    rank_of_col_dicts,
     smith_normal_form,
     snf_diagonal,
     solve_int,
 )
+
+
+def dense(cols, rows):
+    return IntMatrix.from_col_dicts(cols, rows)
+
+
+def units(n):
+    return [{i: 1} for i in range(n)]
 
 
 def random_matrix(rng, rows, cols, span=9):
@@ -72,38 +79,37 @@ def test_snf_random_properties():
         U, D, V = smith_normal_form(A)
         assert U.mul(A).mul(V) == D
         for T in (U, V):  # unimodular: an integer inverse exists
-            inverse = solve_int(T, IntMatrix.identity(T.rows))
+            inverse = solve_int(T.col_dicts(), T.rows, units(T.rows))
             assert inverse is not None
-            assert T.mul(inverse) == IntMatrix.identity(T.rows)
+            assert T.mul(dense(inverse, T.cols)) == IntMatrix.identity(T.rows)
         assert is_snf_diagonal(D)
 
 
 def test_cokernel_examples():
-    assert cokernel_group(IntMatrix([[2]])) == FgAbGroup(0, (2,))
-    assert cokernel_group(IntMatrix.zeros(3, 0)) == FgAbGroup(3)
-    assert cokernel_group(IntMatrix([[2, 0], [0, 3]])) == FgAbGroup(0, (6,))
-    assert str(cokernel_group(IntMatrix([[2, 0], [0, 3]]))) == "Z/6"
+    assert cokernel_group([{0: 2}], 1) == FgAbGroup(0, (2,))
+    assert cokernel_group([], 3) == FgAbGroup(3)
+    assert cokernel_group([{0: 2}, {1: 3}], 2) == FgAbGroup(0, (6,))
+    assert str(cokernel_group([{0: 2}, {1: 3}], 2)) == "Z/6"
 
 
 def test_kernel_basis_is_saturated():
     A = IntMatrix([[2, 4]])
-    K = kernel_basis(A)
-    assert K.cols == 1
-    assert A.mul(K).is_zero()
+    K = kernel_basis(A.col_dicts(), 1)
+    assert len(K) == 1
+    assert A.mul(dense(K, 2)).is_zero()
     # primitive generator: entries coprime
-    col = K.column(0)
-    assert sorted(abs(v) for v in col) == [1, 2]
+    assert sorted(abs(v) for v in K[0].values()) == [1, 2]
 
 
 def test_kernel_random():
     rng = random.Random(11)
     for _ in range(40):
         A = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
-        K = kernel_basis(A)
-        assert A.mul(K).is_zero()
-        assert int_rank(A) + K.cols == A.cols
-        if K.cols:
-            assert int_rank(K) == K.cols
+        K = kernel_basis(A.col_dicts(), A.rows)
+        assert A.mul(dense(K, A.cols)).is_zero()
+        assert int_rank(A.col_dicts()) + len(K) == A.cols
+        if K:
+            assert int_rank(K) == len(K)
 
 
 def test_homology_at_free():
@@ -138,10 +144,10 @@ def test_homology_at_failed_solve_is_typed(monkeypatch):
 
 
 def test_solve_int():
-    B = IntMatrix([[2, 0], [0, 3]])
-    X = solve_int(B, IntMatrix([[4], [3]]))
-    assert B.mul(X) == IntMatrix([[4], [3]])
-    assert solve_int(B, IntMatrix([[1], [0]])) is None
+    B = [{0: 2}, {1: 3}]
+    X = solve_int(B, 2, [{0: 4, 1: 3}])
+    assert dense(B, 2).mul(dense(X, 2)) == IntMatrix([[4], [3]])
+    assert solve_int(B, 2, [{0: 1}]) is None
 
 
 def test_solve_int_random():
@@ -150,32 +156,33 @@ def test_solve_int_random():
         B = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         X0 = random_matrix(rng, B.cols, 2, span=4)
         C = B.mul(X0)
-        X = solve_int(B, C)
-        assert X is not None and B.mul(X) == C
+        X = solve_int(B.col_dicts(), B.rows, C.col_dicts())
+        assert X is not None and B.mul(dense(X, B.cols)) == C
 
 
 def test_lattice_basis():
-    M = IntMatrix([[2, 4, 0], [0, 0, 0]])
-    B = lattice_basis(M)
-    assert B.cols == 1 and B.column(0) == [2, 0]
+    M = [{0: 2}, {0: 4}, {}]
+    B = lattice_basis(M, 2)
+    assert B == [{0: 2}]
     # basis spans the same lattice: every original column solves
-    assert solve_int(B, M) is not None
+    assert solve_int(B, 2, M) is not None
 
 
 def test_preimage_lattice():
-    A = IntMatrix([[1]])
-    L = IntMatrix([[2]])
-    P = preimage_lattice(A, L)
-    assert P.cols == 1 and abs(P.data[0][0]) == 2
+    P = preimage_lattice([{0: 1}], [{0: 2}], 1)
+    assert len(P) == 1 and abs(P[0][0]) == 2
 
 
 def test_int_rank_matches_snf():
     rng = random.Random(19)
     for _ in range(40):
         A = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        assert int_rank(A) == sum(1 for d in snf_diagonal(A) if d)
-    cols = IntMatrix([[1, 2], [2, 4]]).col_dicts()
-    assert rank_of_col_dicts(cols) == 1
+        rank = sum(1 for d in snf_diagonal(A) if d)
+        assert int_rank(A.col_dicts()) == rank
+        assert int_rank(A.transpose().col_dicts()) == rank
+    # explicit zero entries count for nothing
+    assert int_rank([{0: 1, 1: 2}, {0: 2, 1: 4}, {0: 0, 1: 0}]) == 1
+    assert int_rank([{0: 0}, {}]) == 0
 
 
 def dense_rank_and_torsion(A):
@@ -246,15 +253,18 @@ def is_saturated(K):
 
 
 def agree_with_the_dense_routines(A, C):
-    X, Y = solve_int(A, C), dense_solve_int(A, C)
+    cols = A.col_dicts()
+    X, Y = solve_int(cols, A.rows, C.col_dicts()), dense_solve_int(A, C)
     assert (X is None) == (Y is None), (A.data, C.data)
     if X is not None:
-        assert A.mul(X) == C
-    K, D = kernel_basis(A), dense_kernel_basis(A)
+        assert A.mul(dense(X, A.cols)) == C
+    K, D = kernel_basis(cols, A.rows), dense_kernel_basis(A)
+    K = dense(K, A.cols)
     assert K.shape() == D.shape() and A.mul(K).is_zero()
     assert same_lattice(K, D) and is_saturated(K), A.data
-    L = lattice_basis(A)
-    assert same_lattice(L, A) and int_rank(L) == L.cols, A.data
+    L = lattice_basis(cols, A.rows)
+    assert same_lattice(dense(L, A.rows), A) and int_rank(L) == len(L), \
+        A.data
     return X is not None
 
 
@@ -294,24 +304,74 @@ def test_solve_int_finds_an_inconsistent_zeroed_row(monkeypatch):
         A = IntMatrix(top + [[a + b for a, b in zip(top[i], top[j])]], cols)
         rhs = A.mul(sparse_matrix(rng, cols, 1, [-1, 1, 3], 0.7)).data
         C = IntMatrix(rhs[:-1] + [[rhs[-1][0] + 1]], 1)
-        assert solve_int(A, C) is None and dense_solve_int(A, C) is None
+        assert solve_int(A.col_dicts(), A.rows, C.col_dicts()) is None
+        assert dense_solve_int(A, C) is None
     # a row that elimination zeroes answers before any dense solve
     monkeypatch.setattr(exact_linalg, "dense_solve_int", None)
-    assert solve_int(IntMatrix([[1, 2], [2, 4]]), IntMatrix([[1], [3]])) \
-        is None
+    assert solve_int([{0: 1, 1: 2}, {0: 2, 1: 4}], 2, [{0: 1, 1: 3}]) is None
 
 
 def test_lattice_routines_on_empty_and_zero_shapes():
     for rows, cols in ((0, 3), (3, 0), (0, 0), (2, 3)):
-        A = IntMatrix.zeros(rows, cols)
-        assert kernel_basis(A) == dense_kernel_basis(A) == \
-            IntMatrix.identity(cols)
-        assert solve_int(A, IntMatrix.zeros(rows, 2)) == \
+        A = [{} for _ in range(cols)]
+        D = IntMatrix.zeros(rows, cols)
+        assert dense(kernel_basis(A, rows), cols) == dense_kernel_basis(D) \
+            == IntMatrix.identity(cols)
+        assert solve_int(A, rows, [{}, {}]) == [{}, {}] and \
+            dense_solve_int(D, IntMatrix.zeros(rows, 2)) == \
             IntMatrix.zeros(cols, 2)
-        assert solve_int(A, IntMatrix.zeros(rows, 0)).shape() == (cols, 0)
-        assert lattice_basis(A).shape() == (rows, 0)
+        assert solve_int(A, rows, []) == []
+        assert lattice_basis(A, rows) == []
+        assert preimage_lattice(A, [], rows) == units(cols)
+        assert cokernel_group(A, rows) == FgAbGroup(rows)
         if rows:
-            assert solve_int(A, IntMatrix([[1]] * rows, 1)) is None
+            assert solve_int(A, rows, [{i: 1 for i in range(rows)}]) is None
+
+
+def agree_on_sparse_input(A, rows, C):
+    """The lattice routines on sparse columns A and C, as given, against
+    the dense oracles on the same matrices."""
+    D, R = dense(A, rows), dense(C, rows)
+    X, Y = solve_int(A, rows, C), dense_solve_int(D, R)
+    assert (X is None) == (Y is None)
+    if X is not None:
+        assert D.mul(dense(X, len(A))) == R
+    K = dense(kernel_basis(A, rows), len(A))
+    assert same_lattice(K, dense_kernel_basis(D)) and is_saturated(K)
+    L = lattice_basis(A, rows)
+    assert same_lattice(dense(L, rows), D) and int_rank(L) == len(L)
+    assert all(v for col in L for v in col.values())
+    assert cokernel_group(A, rows) == \
+        FgAbGroup.from_diagonal(snf_diagonal(D), rows)
+    return X is not None
+
+
+def test_lattice_routines_on_explicit_zeros_and_spare_rows(monkeypatch):
+    exact = [{0: 1, 1: 0}, {1: 0, 2: 1}, {}]
+    assert agree_on_sparse_input(exact, 3, [{0: 2, 2: 0}, {}])
+    # an explicit zero entry is no equation: it leaves no live residual
+    # row behind, so a system with unit pivots needs no dense solve
+    monkeypatch.setattr(exact_linalg, "dense_solve_int", None)
+    assert solve_int(exact, 3, [{0: 2, 2: 0}]) == [{0: 2}]
+    monkeypatch.undo()
+    # rows past every key are zero rows of the matrix
+    assert agree_on_sparse_input([{0: 2}, {1: 3}], 5, [{0: 4, 1: 3}])
+    assert not agree_on_sparse_input([{0: 2}], 4, [{3: 1}])
+    assert cokernel_group([{0: 2}], 4) == FgAbGroup(3, (2,))
+    # columns that are all empty or all zero
+    assert agree_on_sparse_input([{}, {0: 0, 1: 0}], 2, [{}, {1: 0}])
+    assert kernel_basis([{}, {0: 0}], 1) == units(2)
+    assert lattice_basis([{0: 0}, {}], 2) == []
+    # the input columns are left as they were
+    assert exact == [{0: 1, 1: 0}, {1: 0, 2: 1}, {}]
+    rng = random.Random(31)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        A = [{r: rng.choice([-2, -1, 0, 0, 1, 3]) for r in range(rows)
+              if rng.random() < 0.5} for _ in range(cols)]
+        C = [{r: rng.choice([0, 1, -2]) for r in range(rows)
+              if rng.random() < 0.5} for _ in range(2)]
+        agree_on_sparse_input(A, rows + rng.randint(0, 2), C)
 
 
 def test_elimination_leaves_a_residual_from_fill_in(monkeypatch):
@@ -326,12 +386,12 @@ def test_elimination_leaves_a_residual_from_fill_in(monkeypatch):
 
         monkeypatch.setattr(exact_linalg, name, recorded)
     B = IntMatrix([[1, 1, 1], [1, 3, 4]])
-    K = kernel_basis(B)
+    K = dense(kernel_basis(B.col_dicts(), 2), 3)
     assert seen == [[[2, 3]]]
     assert K.cols == 1 and B.mul(K).is_zero() and is_saturated(K)
     seen.clear()
     C = IntMatrix([[1, 0], [2, 5]])
-    assert B.mul(solve_int(B, C)) == C
+    assert B.mul(dense(solve_int(B.col_dicts(), 2, C.col_dicts()), 3)) == C
     assert seen == [[[2, 3]]]
 
 
@@ -342,10 +402,10 @@ def test_elimination_that_clears_everything_needs_no_dense_form(
     # unit pivots, and a row whose content 2 divides out with its
     # right-hand side
     B = IntMatrix([[1, 2, 0, 3], [0, 2, 4, 0], [0, 1, 0, -1]])
-    K = kernel_basis(B)
+    K = dense(kernel_basis(B.col_dicts(), 3), 4)
     assert K.cols == 1 and B.mul(K).is_zero() and is_saturated(K)
     C = IntMatrix([[1, 0], [4, -2], [0, 7]])
-    assert B.mul(solve_int(B, C)) == C
+    assert B.mul(dense(solve_int(B.col_dicts(), 3, C.col_dicts()), 4)) == C
 
 
 def test_fgabgroup_normal_form():
@@ -363,7 +423,6 @@ def test_matrix_plumbing():
     A = IntMatrix([[1, 2], [3, 4]])
     assert A.transpose() == IntMatrix([[1, 3], [2, 4]])
     assert A.mul(IntMatrix.identity(2)) == A
-    assert IntMatrix.hstack([A, IntMatrix.zeros(2, 1)]).shape() == (2, 3)
-    trip = IntMatrix.from_triplets(2, 2, [(0, 0, 1), (0, 0, 1), (1, 1, -1)])
-    assert trip == IntMatrix([[2, 0], [0, -1]])
-    assert trip.col_dicts() == [{0: 2}, {1: -1}]
+    sparse = IntMatrix.from_col_dicts([{0: 2}, {1: -1}], 2)
+    assert sparse == IntMatrix([[2, 0], [0, -1]])
+    assert sparse.col_dicts() == [{0: 2}, {1: -1}]

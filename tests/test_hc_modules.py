@@ -169,7 +169,8 @@ def test_derivations_constant_targets():
 
 def test_derivations_failed_solve_is_typed(monkeypatch):
     mon = cyclic_group(2)
-    monkeypatch.setattr(hc_modules, "solve_int", lambda B, C: None)
+    monkeypatch.setattr(hc_modules, "solve_int",
+                        lambda B, rows, C: None)
     with pytest.raises(NotAComplex):
         derivations(mon, jstar_finite_cyclic(mon, 4, LEFT))
 

@@ -40,15 +40,25 @@ def test_no_fractions_in_the_package():
     assert not found, f"fractions imported: {found}"
 
 
+def _tracer_value(tree, name):
+    return next(node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == [name])
+
+
 def test_traced_layers_resolve():
     # the benchmark's tracer wraps these names from outside the program
     tree = ast.parse(TRACER.read_text(encoding="utf-8"), str(TRACER))
-    layers = next(ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and [t.id for t in node.targets] == ["LAYERS"])
+    layers = ast.literal_eval(_tracer_value(tree, "LAYERS"))
     assert layers, "no traced layers found"
     missing = [f"{module}.{name}" for module, names in layers.items()
                for name in names
                if not callable(getattr(importlib.import_module(
                    f"monhom.{module}"), name, None))]
     assert not missing, f"traced names missing from monhom: {missing}"
+    # and its size metrics (cells, nnz) hang on traced names
+    traced = {f"{module}.{name}" for module, names in layers.items()
+              for name in names}
+    sized = [ast.literal_eval(key)
+             for key in _tracer_value(tree, "SIZES").keys]
+    assert sized and set(sized) <= traced, sized
