@@ -144,7 +144,7 @@ def _compute(args):
     direction = HOMOLOGICAL if side == RIGHT else COHOMOLOGICAL
 
     if args.target == "der":
-        group = derivations(monoid, coeff).group
+        group = derivations(monoid, coeff)
         report["results"] = [{"group": _group_payload(group)}]
         lines = [f"Der = {group}"]
     elif args.target == "tensor":
@@ -153,8 +153,7 @@ def _compute(args):
         lines = [f"N (x) Omega = {group}"]
     elif args.target == "grillet":
         rep = grillet_report(monoid, coeff, direction, deg,
-                             budget=args.budget, monoid_label=args.monoid,
-                             coeff_label=args.coeff)
+                             budget=args.budget)
         report["results"] = rep.entries()
         for entry in rep.entries():
             lines.append(f"degree {entry['degree']} ({entry['path']}): "

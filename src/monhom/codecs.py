@@ -14,12 +14,11 @@ import json
 
 from .errors import ParseError
 from .exact_linalg import IntMatrix
-from .hc_modules import KCModule, TabulatedHCModule, validate_module
+from .hc_modules import TabulatedHCModule, validate_module
 from .monoids import validate_monoid
 
 MONOID_FORMAT = "monoid"
 TABULATED_FORMAT = "tabulated-module"
-KC_FORMAT = "kc-module"
 
 
 def dumps(payload):
@@ -201,67 +200,10 @@ def tabulated_from_payload(payload, where="module"):
     return module
 
 
-# -- modules over the monoid algebra ------------------------------------
-
-def kc_to_payload(kc):
-    if kc.ring != "Z":
-        raise ParseError("only integer monoid-algebra modules are encodable")
-    action = [{"element": c, "matrix": matrix_to_payload(kc.action[c])}
-              for c in sorted(kc.action)]
-    return {"format": KC_FORMAT,
-            "monoid": monoid_to_payload(kc.monoid),
-            "ring": kc.ring,
-            "rank": kc.rank,
-            "action": action}
-
-
-def kc_from_payload(payload, where="module"):
-    _expect_object(payload, where)
-    _check_fields(payload, ("format", "monoid", "ring", "rank", "action"),
-                  where)
-    if payload["format"] != KC_FORMAT:
-        raise ParseError(f"{where}.format: expected {KC_FORMAT!r}, "
-                         f"got {payload['format']!r}")
-    monoid = monoid_from_payload(payload["monoid"], f"{where}.monoid")
-    if payload["ring"] != "Z":
-        raise ParseError(f"{where}.ring: expected 'Z', got "
-                         f"{payload['ring']!r}")
-    rank = _expect_int(payload["rank"], f"{where}.rank")
-    if rank < 0:
-        raise ParseError(f"{where}.rank: negative rank {rank}")
-    action = {}
-    for k, item in enumerate(_expect_list(payload["action"],
-                                          f"{where}.action")):
-        spot = f"{where}.action[{k}]"
-        _expect_object(item, spot)
-        _check_fields(item, ("element", "matrix"), spot)
-        c = _expect_int(item["element"], f"{spot}.element")
-        if not (0 <= c < monoid.size):
-            raise ParseError(f"{spot}.element: element {c} not in "
-                             f"[0, {monoid.size})")
-        if c in action:
-            raise ParseError(f"{spot}: duplicate element {c}")
-        mat = matrix_from_payload(item["matrix"], f"{spot}.matrix")
-        if mat.rows != rank or mat.cols != rank:
-            raise ParseError(f"{spot}.matrix: {mat.rows}x{mat.cols}, "
-                             f"expected {rank}x{rank}")
-        action[c] = mat
-    if set(action) != set(monoid.elements):
-        sample = sorted(set(monoid.elements) - set(action))[:3]
-        raise ParseError(f"{where}.action: missing elements {sample}")
-    kc = KCModule(monoid, "Z", rank, action)
-    bad = kc.validate()
-    if bad:
-        law, witness = bad[0]
-        raise ParseError(f"{where}: action law {law} fails at {witness}")
-    return kc
-
-
 # -- files --------------------------------------------------------------
 
 _READERS = {MONOID_FORMAT: monoid_from_payload,
-            TABULATED_FORMAT: tabulated_from_payload,
-            KC_FORMAT: kc_from_payload}
+            TABULATED_FORMAT: tabulated_from_payload}
 
 
 def read_file(path, expected_format):
@@ -279,7 +221,3 @@ def read_file(path, expected_format):
                          f"{expected_format!r}")
     return _READERS[expected_format](payload, where=path)
 
-
-def write_file(path, payload):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(payload))

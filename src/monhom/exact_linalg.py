@@ -152,9 +152,6 @@ class FgAbGroup:
         return cls(ambient_rank - len(nonzero),
                    tuple(d for d in nonzero if d >= 2))
 
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.torsion
-
     def direct_sum(self, other):
         return FgAbGroup(self.free_rank + other.free_rank,
                          _invariant_chain(list(self.torsion) + list(other.torsion)))
@@ -535,9 +532,10 @@ def lattice_basis(M, rows):
     live = [col for col in cols if col]
     if live:
         R, keys = _residual(live)
-        U, D, _ = smith_normal_form(R)
-        rank = sum(1 for i in range(min(D.rows, D.cols)) if D.data[i][i])
-        for row in U.mul(R).data[:rank]:
+        m = R.rows
+        U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+        rank = _smith_core([row[:] for row in R.data], m, R.cols, U, None)
+        for row in IntMatrix(U, m).mul(R).data[:rank]:
             basis.append({keys[a]: v for a, v in enumerate(row) if v})
     return basis
 

@@ -224,10 +224,6 @@ class GammaChainComplex:
         self._mats = faces
         self._invariants = {}
 
-    def term_dim(self, n):
-        self._check_degree(n)
-        return self.dims[n]
-
     def tuples_at(self, n):
         self._check_degree(n)
         return self._tuples[n]
@@ -309,29 +305,6 @@ class GammaChainComplex:
     @property
     def has_torsion(self):
         return self.coeff.has_torsion
-
-    def basis_labels(self, n):
-        self._check_degree(n)
-        labels = []
-        for kt, t in enumerate(self._tuples[n]):
-            head = "(" + ",".join(str(a) for a in t) + ")"
-            for i in range(self.coeff.ranks[self._prods[n][kt]]):
-                labels.append(f"{head}#{i}")
-        return labels
-
-    def to_json(self):
-        key = "boundary" if self.step < 0 else "coboundary"
-        degrees = []
-        for n in range(self.n_max + 1):
-            entry = {"n": n, "dim": self.dims[n],
-                     "basis": self.basis_labels(n)}
-            if 0 <= n + self.step <= self.n_max:
-                entry[key] = _cols_to_triplets(self.d_out(n),
-                                               self.dims[n + self.step])
-            degrees.append(entry)
-        return {"direction": self.direction, "ring": self.ring,
-                "n_max": self.n_max, "dims": list(self.dims),
-                "degrees": degrees}
 
 
 def _cols_to_triplets(cols, rows):

@@ -62,7 +62,7 @@ def _degree_zero(monoid, coeff, direction, n_max, budget):
     else:
         if coeff.side != LEFT:
             raise BadParams("degree-0 cohomology takes left coefficients")
-        path, direct = "derivation solve", derivations(monoid, coeff).group
+        path, direct = "derivation solve", derivations(monoid, coeff)
     cx = build_complex(monoid, coeff, n_max, direction, budget=budget,
                        normalized=True)
     from_complex = hochschild(cx, 1)
@@ -98,9 +98,6 @@ def grillet_char0(monoid, coeff, n, direction, budget=None):
 class GrilletReport:
     """Exact degree-0 group plus rational dimensions upward."""
 
-    direction: str
-    monoid_label: str
-    coeff_label: str
     degree_zero: FgAbGroup
     char0_dims: tuple
 
@@ -112,13 +109,8 @@ class GrilletReport:
                         "path": "char0"})
         return out
 
-    def to_json(self):
-        return {"direction": self.direction, "monoid": self.monoid_label,
-                "coefficients": self.coeff_label, "entries": self.entries()}
 
-
-def grillet_report(monoid, coeff, direction, max_degree, budget=None,
-                   monoid_label="", coeff_label=""):
+def grillet_report(monoid, coeff, direction, max_degree, budget=None):
     """Degree-0 exact value and char-0 dimensions through max_degree."""
     if direction not in (HOMOLOGICAL, COHOMOLOGICAL):
         raise BadParams(f"unknown direction {direction!r}")
@@ -127,7 +119,7 @@ def grillet_report(monoid, coeff, direction, max_degree, budget=None,
     # one complex serves degree 0 and every char-0 degree
     zero, cx = _degree_zero(monoid, coeff, direction, max_degree + 2, budget)
     dims = tuple(harrison_dim_q(cx)[1:]) if max_degree else ()
-    return GrilletReport(direction, monoid_label, coeff_label, zero, dims)
+    return GrilletReport(zero, dims)
 
 
 def _pair_index(monoid, a, c):
@@ -179,13 +171,8 @@ def _kaehler_total_cols(monoid):
 @dataclass(frozen=True)
 class KaehlerReport:
     passed: bool
-    ring: str
     group: FgAbGroup
     detail: str
-
-    def to_json(self):
-        return {"passed": self.passed, "ring": self.ring,
-                "group": self.group.to_json(), "detail": self.detail}
 
 
 def kaehler_compare(monoid, ring="Z"):
@@ -208,7 +195,7 @@ def kaehler_compare(monoid, ring="Z"):
         group = FgAbGroup.free(rows - ra)
         detail = (f"spans agree at rank {ra}" if passed else
                   f"span ranks {ra}/{rb}, joint {both}")
-        return KaehlerReport(passed, ring, group, detail)
+        return KaehlerReport(passed, group, detail)
     passed = (solve_int(lattice_basis(direct, rows), rows, total) is not None
               and solve_int(lattice_basis(total, rows), rows, direct)
               is not None)
@@ -218,7 +205,7 @@ def kaehler_compare(monoid, ring="Z"):
         passed = False
     detail = ("relation lattices coincide" if passed else
               f"presentations differ: {group_a} vs {group_b}")
-    return KaehlerReport(passed, ring, group_a, detail)
+    return KaehlerReport(passed, group_a, detail)
 
 
 def _classical_bar_cols(monoid, kc, n):
@@ -266,16 +253,9 @@ def _classical_bar_cols(monoid, kc, n):
 @dataclass(frozen=True)
 class BarCompareReport:
     passed: bool
-    max_degree: int
     boundary_match: tuple
     homology: tuple
     detail: str
-
-    def to_json(self):
-        return {"passed": self.passed, "max_degree": self.max_degree,
-                "boundary_match": list(self.boundary_match),
-                "homology": [g.to_json() for g in self.homology],
-                "detail": self.detail}
 
 
 def bar_complex_compare(monoid, kc, n_max, budget=None):
@@ -285,8 +265,6 @@ def bar_complex_compare(monoid, kc, n_max, budget=None):
         raise BadParams("bar comparison capped at degree 4")
     if n_max < 1:
         raise BadParams("need at least one boundary to compare")
-    if kc.ring != "Z":
-        raise BadParams("bar comparison runs over the integers")
     cx = build_complex(monoid, jstar(kc, RIGHT), n_max, HOMOLOGICAL,
                        budget=budget)
     classical = {}
@@ -309,5 +287,4 @@ def bar_complex_compare(monoid, kc, n_max, budget=None):
     detail = ("boundaries and homology agree through degree "
               f"{n_max}" if all_match else
               f"per-degree boundary matches: {matches}")
-    return BarCompareReport(all_match, n_max, tuple(matches), tuple(groups),
-                            detail)
+    return BarCompareReport(all_match, tuple(matches), tuple(groups), detail)

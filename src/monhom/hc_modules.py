@@ -17,11 +17,10 @@ from .exact_linalg import (
     FgAbGroup,
     IntMatrix,
     cokernel_group,
-    int_rank,
     preimage_lattice,
     solve_int,
 )
-from .monoids import FiniteCommMonoid, MonoidHom, product_monoid, quotient_set
+from .monoids import FiniteCommMonoid, product_monoid, quotient_set
 
 LEFT = "left"
 RIGHT = "right"
@@ -174,8 +173,7 @@ def std_projective(monoid, a, side):
             for j, u in enumerate(src):
                 data[dst[monoid.mul(c, u)]][j] = 1
             act[(c, x)] = IntMatrix(data, cols)
-    labels = tuple(tuple(bs) for bs in bases)
-    return TabulatedHCModule(side, monoid, ranks, act, basis_labels=labels)
+    return TabulatedHCModule(side, monoid, ranks, act)
 
 
 def constant_module(monoid, side, rank=1, rel_columns=()):
@@ -234,35 +232,19 @@ def boxtimes(m1, m2, product=None):
 
 @dataclass(frozen=True)
 class KCModule:
-    """Finitely generated module over the monoid algebra K[C]."""
+    """Finitely generated module over the integral monoid algebra Z[C]."""
 
     monoid: FiniteCommMonoid
-    ring: str
     rank: int
     action: dict
 
     def __post_init__(self):
-        if self.ring not in ("Z", "Q"):
-            raise BadParams(f"ring must be Z or Q, got {self.ring!r}")
         if self.rank < 0:
             raise BadParams("negative rank")
 
-    def validate(self):
-        bad = []
-        ident_cls = self.action[self.monoid.identity]
-        if ident_cls != type(ident_cls).identity(self.rank):
-            bad.append(("IdentityAction", (self.monoid.identity,)))
-        for a in self.monoid.elements:
-            for b in self.monoid.elements:
-                if self.action[self.monoid.mul(a, b)] != \
-                        self.action[a].mul(self.action[b]):
-                    bad.append(("Composition", (a, b)))
-                    return bad
-        return bad
 
-
-def regular_kc_module(monoid, ring="Z"):
-    """K[C] acting on itself; multiplication by c permutes-and-merges the
+def regular_kc_module(monoid):
+    """Z[C] acting on itself; multiplication by c permutes-and-merges the
     monomial basis."""
     size = monoid.size
     action = {}
@@ -271,50 +253,21 @@ def regular_kc_module(monoid, ring="Z"):
         for x in monoid.elements:
             data[monoid.mul(c, x)][x] = 1
         action[c] = IntMatrix(data, size)
-    return KCModule(monoid, ring, size, action)
+    return KCModule(monoid, size, action)
 
 
-def trivial_kc_module(monoid, ring="Z"):
-    """Rank-one K[C]-module with every element acting as the identity."""
+def trivial_kc_module(monoid):
+    """Rank-one Z[C]-module with every element acting as the identity."""
     action = {c: IntMatrix.identity(1) for c in monoid.elements}
-    return KCModule(monoid, ring, 1, action)
+    return KCModule(monoid, 1, action)
 
 
 def jstar(kc, side=LEFT):
     """Constant H(C)-module with every value the K[C]-module's underlying
     group and every structure map the action of the translating element."""
-    if kc.ring != "Z":
-        raise BadParams("only integer K[C]-modules pull back to integer carriers")
     mon = kc.monoid
     act = {(c, a): kc.action[c] for c in mon.elements for a in mon.elements}
     return TabulatedHCModule(side, mon, [kc.rank] * mon.size, act)
-
-
-def jlower(module):
-    """Total K[C]-module of a left module: the direct sum of all values,
-    with c acting blockwise through c_* into the block of c*x."""
-    if module.side != LEFT:
-        raise BadParams("total module is taken of a left module")
-    if module.has_torsion:
-        raise BadParams("total module implemented for free-valued modules")
-    mon = module.monoid
-    offs = [0]
-    for r in module.ranks:
-        offs.append(offs[-1] + r)
-    total = offs[-1]
-    action = {}
-    for c in mon.elements:
-        data = [[0] * total for _ in range(total)]
-        for x in mon.elements:
-            block = module.act[(c, x)]
-            cx = mon.mul(c, x)
-            for i in range(block.rows):
-                row = data[offs[cx] + i]
-                for j in range(block.cols):
-                    if block.data[i][j]:
-                        row[offs[x] + j] = block.data[i][j]
-        action[c] = IntMatrix(data, total)
-    return KCModule(mon, "Z", total, action)
 
 
 @dataclass(frozen=True)
@@ -531,65 +484,36 @@ def tensor_over_hc(right_mod, left_arg):
     return cokernel_group(cols, total)
 
 
-@dataclass(frozen=True)
-class LinearSolution:
-    """Solution group of an integer system."""
-
-    group: FgAbGroup
-
-
 def _solve_linear_group(eqs, n_eqs, unknown_rels, equation_rels):
     """Solutions of the n_eqs equations whose sparse columns eqs are one per
     unknown, modulo the sparse relation columns on each side."""
     K = preimage_lattice(eqs, equation_rels, n_eqs)
     if not unknown_rels:
-        return LinearSolution(FgAbGroup.free(len(K)))
+        return FgAbGroup.free(len(K))
     X = solve_int(K, len(eqs), unknown_rels)
     if X is None:
         raise NotAComplex(
             "unknown-space relations escaped the solution lattice")
-    return LinearSolution(cokernel_group(X, len(K)))
+    return cokernel_group(X, len(K))
 
 
 def derivations(monoid, module):
-    """Maps a -> delta(a) in M(a) with delta(ab) = a*delta(b) + b*delta(a).
+    """Maps a -> delta(a) in M(a) with delta(ab) = a*delta(b) + b*delta(a),
+    as Hom(Omega_C, M): Omega_C is their universal target."""
+    return hom_from_presented(omega(monoid), module)
+
+
+def hom_from_presented(presented, module):
+    """Module maps out of a presentation: pick images of the generators,
+    subject to every relation mapping to zero.
 
     Solved exactly over the integers; torsion values are handled through
     the relation lattices on both the unknown and the equation side.
     """
     if module.side != LEFT:
-        raise BadParams("derivations take values in a left module")
-    mon = module.monoid
-    offs = _offsets(module.ranks)
-    eqs = [dict() for _ in range(offs[-1])]  # one column per unknown
-    n_eqs = 0
-    eq_rel_blocks = []
-    for a in mon.elements:
-        for b in mon.elements:
-            ab = mon.mul(a, b)
-            act_a = module.act[(a, b)]   # M(b) -> M(ab)
-            act_b = module.act[(b, a)]   # M(a) -> M(ab)
-            for r in range(module.ranks[ab]):
-                _accumulate(eqs[offs[ab] + r], n_eqs, 1)
-                for j in range(module.ranks[b]):
-                    _accumulate(eqs[offs[b] + j], n_eqs, -act_a.data[r][j])
-                for j in range(module.ranks[a]):
-                    _accumulate(eqs[offs[a] + j], n_eqs, -act_b.data[r][j])
-                n_eqs += 1
-            eq_rel_blocks.append(module.rels[ab])
-    if not module.has_torsion:
-        return _solve_linear_group(eqs, n_eqs, [], [])
-    return _solve_linear_group(
-        eqs, n_eqs, _block_diag([module.rels[a] for a in mon.elements]),
-        _block_diag(eq_rel_blocks))
-
-
-def hom_from_presented(presented, module):
-    """Module maps out of a presentation: pick images of the generators,
-    subject to every relation mapping to zero."""
-    if module.side != LEFT:
         raise BadParams("hom target must be a left module")
-    mon = module.monoid
+    if module.monoid != presented.monoid:
+        raise BadParams("presentation and module live over different monoids")
     degree_of = dict(presented.generators)
     gen_rank = [module.ranks[deg] for _, deg in presented.generators]
     offs = _offsets(gen_rank)
@@ -612,66 +536,3 @@ def hom_from_presented(presented, module):
         eqs, n_eqs,
         _block_diag([module.rels[deg] for _, deg in presented.generators]),
         _block_diag(eq_rel_blocks))
-
-
-def hom_rank_tabulated(m1, m2):
-    """Rank of the group of module maps m1 -> m2 (free-valued modules)."""
-    if m1.monoid != m2.monoid or m1.side != m2.side:
-        raise BadParams("hom between incompatible modules")
-    if m1.has_torsion or m2.has_torsion:
-        raise BadParams("hom rank implemented for free-valued modules")
-    mon = m1.monoid
-    sizes = [m2.ranks[a] * m1.ranks[a] for a in mon.elements]
-    offs = _offsets(sizes)
-    total = offs[-1]
-
-    def unknown(a, i, j):
-        # entry (i, j) of the component at a, row-major
-        return offs[a] + i * m1.ranks[a] + j
-
-    rows = []
-    for c in mon.elements:
-        for a in mon.elements:
-            ca = mon.mul(c, a)
-            if m1.side == LEFT:
-                # phi_{ca} . act1 = act2 . phi_a  on M1(a) -> M2(ca)
-                A1, A2 = m1.act[(c, a)], m2.act[(c, a)]
-                for i in range(m2.ranks[ca]):
-                    for j in range(m1.ranks[a]):
-                        row = {}
-                        for k in range(m1.ranks[ca]):
-                            _accumulate(row, unknown(ca, i, k), A1.data[k][j])
-                        for k in range(m2.ranks[a]):
-                            _accumulate(row, unknown(a, k, j), -A2.data[i][k])
-                        rows.append(row)
-            else:
-                # phi_a . act1 = act2 . phi_{ca}  on N1(ca) -> N2(a)
-                A1, A2 = m1.act[(c, a)], m2.act[(c, a)]
-                for i in range(m2.ranks[a]):
-                    for j in range(m1.ranks[ca]):
-                        row = {}
-                        for k in range(m1.ranks[a]):
-                            _accumulate(row, unknown(a, i, k), A1.data[k][j])
-                        for k in range(m2.ranks[ca]):
-                            _accumulate(row, unknown(ca, k, j), -A2.data[i][k])
-                        rows.append(row)
-    return total - int_rank(rows)  # the rank of the solution lattice
-
-
-def hom_rank_kc(a1, a2):
-    """Rank of the group of K[C]-module maps a1 -> a2 (ring Z)."""
-    if a1.monoid != a2.monoid or a1.ring != "Z" or a2.ring != "Z":
-        raise BadParams("hom between incompatible algebra modules")
-    total = a2.rank * a1.rank
-    rows = []
-    for c in a1.monoid.elements:
-        A1, A2 = a1.action[c], a2.action[c]
-        for i in range(a2.rank):
-            for j in range(a1.rank):
-                row = {}
-                for k in range(a1.rank):
-                    _accumulate(row, i * a1.rank + k, A1.data[k][j])
-                for k in range(a2.rank):
-                    _accumulate(row, k * a1.rank + j, -A2.data[i][k])
-                rows.append(row)
-    return total - int_rank(rows)  # the rank of the solution lattice

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import BadParams, MonoidLawError, ParseError
+from .errors import BadParams, MonoidLawError
 
 
 class FiniteCommMonoid:
@@ -166,13 +166,6 @@ class MonoidHom:
     def __call__(self, a):
         return self.map[a]
 
-    def compose(self, inner):
-        """self after inner."""
-        if inner.target is not self.source and inner.target != self.source:
-            raise BadParams("homs do not compose")
-        return MonoidHom(inner.source, self.target,
-                         tuple(self.map[inner.map[a]] for a in range(inner.source.size)))
-
 
 @dataclass(frozen=True)
 class ProductMonoid:
@@ -216,26 +209,3 @@ def quotient_set(b, a, monoid):
     """All c with b = a*c, in ascending element order."""
     return [c for c in range(monoid.size) if monoid.mul(a, c) == b]
 
-
-def monoid_to_json(monoid):
-    return monoid.to_json()
-
-
-def monoid_from_json(payload):
-    if not isinstance(payload, dict):
-        raise ParseError("monoid payload must be an object")
-    extra = set(payload) - {"size", "identity", "table"}
-    if extra:
-        raise ParseError(f"unknown monoid fields {sorted(extra)}")
-    for field in ("size", "identity", "table"):
-        if field not in payload:
-            raise ParseError(f"monoid payload missing {field!r}")
-    size, identity, table = payload["size"], payload["identity"], payload["table"]
-    if not isinstance(size, int) or not isinstance(identity, int):
-        raise ParseError("size and identity must be integers")
-    if (not isinstance(table, list)
-            or any(not isinstance(row, list) for row in table)
-            or any(not isinstance(v, int) or isinstance(v, bool)
-                   for row in table for v in row)):
-        raise ParseError("table must be a list of integer lists")
-    return validate_monoid(size, identity, table)

@@ -5,14 +5,13 @@ import json
 import pytest
 
 from monhom import cli, exact_linalg, gamma_chain, grillet, verify
-from monhom.codecs import (dumps, kc_from_payload, kc_to_payload,
-                           matrix_from_payload, matrix_to_payload,
-                           monoid_to_payload, tabulated_from_payload,
-                           tabulated_to_payload)
+from monhom.codecs import (dumps, matrix_from_payload, matrix_to_payload,
+                           monoid_from_payload, monoid_to_payload,
+                           tabulated_from_payload, tabulated_to_payload)
 from monhom.errors import ComplexityBudget, OracleMismatch, ParseError
 from monhom.exact_linalg import IntMatrix
-from monhom.hc_modules import (RIGHT, jstar_finite_cyclic, regular_kc_module,
-                               std_projective)
+from monhom.hc_modules import (RIGHT, jstar, jstar_finite_cyclic,
+                               regular_kc_module, std_projective)
 from monhom.monoids import cyclic_group, product_monoid, truncated_add
 
 
@@ -404,18 +403,17 @@ def test_module_codec_round_trip_with_wide_action():
     assert again.rels == torsion.rels
 
 
-def test_kc_codec_round_trip():
-    kc = regular_kc_module(cyclic_group(3))
-    back = kc_from_payload(kc_to_payload(kc))
-    assert back.rank == 3 and back.action == kc.action
-
-
 def test_codec_rejects_unknown_fields_with_location():
     mon = monoid_to_payload(cyclic_group(2))
     mon["extra"] = 1
     with pytest.raises(ParseError, match="unknown fields"):
-        from monhom.codecs import monoid_from_payload
         monoid_from_payload(mon, "f.json")
+    with pytest.raises(ParseError, match=r"f.json: missing fields \['table'\]"):
+        monoid_from_payload({"size": 1, "identity": 0}, "f.json")
+    with pytest.raises(ParseError, match=r"f.json.table\[0\]\[0\]: expected "
+                                         "an integer, got bool"):
+        monoid_from_payload({"size": 1, "identity": 0, "table": [[True]]},
+                            "f.json")
 
     payload = tabulated_to_payload(jstar_finite_cyclic(cyclic_group(2), 4,
                                                        RIGHT))
@@ -425,7 +423,10 @@ def test_codec_rejects_unknown_fields_with_location():
 
 
 def test_codec_rejects_broken_action_law():
-    kc = kc_to_payload(regular_kc_module(cyclic_group(2)))
-    kc["action"][1]["matrix"]["entries"] = [[1, 1], [0, 1]]
-    with pytest.raises(ParseError, match="action law"):
-        kc_from_payload(kc)
+    payload = tabulated_to_payload(jstar(regular_kc_module(cyclic_group(2)),
+                                         RIGHT))
+    spot = next(item for item in payload["act"]
+                if (item["c"], item["a"]) == (1, 0))
+    spot["matrix"]["entries"] = [[1, 1], [0, 1]]
+    with pytest.raises(ParseError, match=r"f.json: module law \w+ fails at"):
+        tabulated_from_payload(payload, "f.json")

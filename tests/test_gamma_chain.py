@@ -2,7 +2,6 @@
 and Young-invariant surjectivity, against hand-checked small cases."""
 
 import itertools
-import json
 import random
 from fractions import Fraction
 
@@ -194,8 +193,6 @@ def test_trivial_monoid_boundary_alternates():
 def test_dimension_growth_and_budget():
     cx = build_complex(Z2, trivial_module(Z2, RIGHT), 4, HOMOLOGICAL)
     assert cx.dims == (1, 2, 4, 8, 16)
-    assert len(cx.basis_labels(2)) == 4
-    assert len(set(cx.basis_labels(2))) == 4
     with pytest.raises(ComplexityBudget):
         build_complex(Z3, trivial_module(Z3, RIGHT), 5, HOMOLOGICAL,
                       budget=100)
@@ -327,7 +324,7 @@ def test_cohomology_degree_zero_and_one():
         assert leech_cohomology(monoid, coeff, 0) == \
             coeff.value_group(monoid.identity)
         assert leech_cohomology(monoid, coeff, 1) == \
-            derivations(monoid, coeff).group
+            derivations(monoid, coeff)
 
 
 def test_group_cohomology_of_order_two():
@@ -753,17 +750,6 @@ def test_y_exactness_disagreeing_solves_are_typed(monkeypatch):
                        [IntMatrix.identity(1) for _ in Z2.elements])
     with pytest.raises(OracleMismatch):
         y_exactness_check(hmap, 2, (1, 1))
-
-
-def test_to_json_is_deterministic():
-    cx = build_complex(Z2, jstar_finite_cyclic(Z2, 4, RIGHT), 2, HOMOLOGICAL)
-    a = json.dumps(cx.to_json(), sort_keys=True)
-    cx2 = build_complex(Z2, jstar_finite_cyclic(Z2, 4, RIGHT), 2, HOMOLOGICAL)
-    b = json.dumps(cx2.to_json(), sort_keys=True)
-    assert a == b
-    payload = cx.to_json()
-    assert payload["dims"] == [1, 2, 4]
-    assert payload["degrees"][1]["boundary"]["rows"] == 1
 
 
 def test_homology_on_product_monoid_kuenneth_spot_check():

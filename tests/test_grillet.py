@@ -97,18 +97,15 @@ def test_char0_group_acyclicity():
 
 
 def test_grillet_report_shape():
-    rep = grillet_report(Z2, trivial_module(Z2, RIGHT), HOMOLOGICAL, 2,
-                         monoid_label="builtin:cyclic_group(2)",
-                         coeff_label="trivialZ")
+    rep = grillet_report(Z2, trivial_module(Z2, RIGHT), HOMOLOGICAL, 2)
     entries = rep.entries()
     assert entries[0] == {"degree": 0, "group": FgAbGroup(0, (2,)).to_json(),
                           "path": "exact"}
     assert [e["path"] for e in entries] == ["exact", "char0", "char0"]
-    payload = json.dumps(rep.to_json(), sort_keys=True)
+    payload = json.dumps(entries, sort_keys=True)
     assert json.dumps(grillet_report(
-        Z2, trivial_module(Z2, RIGHT), HOMOLOGICAL, 2,
-        monoid_label="builtin:cyclic_group(2)",
-        coeff_label="trivialZ").to_json(), sort_keys=True) == payload
+        Z2, trivial_module(Z2, RIGHT), HOMOLOGICAL, 2).entries(),
+        sort_keys=True) == payload
     with pytest.raises(BadParams):
         grillet_report(Z2, trivial_module(Z2, RIGHT), "diagonal", 1)
 
