@@ -25,13 +25,13 @@ import argparse
 import sys
 
 from .codecs import MONOID_FORMAT, TABULATED_FORMAT, dumps, read_file
-from .errors import (ComplexityBudget, CompositionNonzero, MonhomError,
-                     NotAComplex, NotAnnihilated, OracleMismatch,
+from .errors import (BadParams, ComplexityBudget, CompositionNonzero,
+                     MonhomError, NotAComplex, NotAnnihilated, OracleMismatch,
                      ValidationError, WeightNotPreserved)
 from .exact_linalg import FgAbGroup
 from .gamma_chain import (COHOMOLOGICAL, HOMOLOGICAL, build_complex, harrison,
                           hochschild)
-from .grillet import grillet_report, tensor_over_hc
+from .grillet import GrilletReport, grillet_report, tensor_over_hc
 from .hc_modules import (LEFT, RIGHT, derivations, jstar, jstar_finite_cyclic,
                          omega, regular_kc_module, std_projective,
                          tabulate_presented, trivial_module)
@@ -118,6 +118,11 @@ def _group_payload(group):
     return group.to_json()
 
 
+def _in_ring(group, ring):
+    """The group as the report's ring sees it: over Q its free part."""
+    return FgAbGroup.free(group.free_rank) if ring == "Q" else group
+
+
 def _compute(args):
     monoid = _load_monoid(args.monoid)
     deg = args.max_degree
@@ -141,19 +146,22 @@ def _compute(args):
     ring = _resolve_ring(args.ring, forced, args.target)
     report["coefficients"] = args.coeff
     report["ring"] = ring
+    if ring == "Q" and coeff.has_torsion:
+        raise BadParams("rational complexes need free-valued coefficients")
     direction = HOMOLOGICAL if side == RIGHT else COHOMOLOGICAL
 
     if args.target == "der":
-        group = derivations(monoid, coeff)
+        group = _in_ring(derivations(monoid, coeff), ring)
         report["results"] = [{"group": _group_payload(group)}]
         lines = [f"Der = {group}"]
     elif args.target == "tensor":
-        group = tensor_over_hc(coeff, omega(monoid))
+        group = _in_ring(tensor_over_hc(coeff, omega(monoid)), ring)
         report["results"] = [{"group": _group_payload(group)}]
         lines = [f"N (x) Omega = {group}"]
     elif args.target == "grillet":
         rep = grillet_report(monoid, coeff, direction, deg,
                              budget=args.budget)
+        rep = GrilletReport(_in_ring(rep.degree_zero, ring), rep.char0_dims)
         report["results"] = rep.entries()
         for entry in rep.entries():
             lines.append(f"degree {entry['degree']} ({entry['path']}): "

@@ -2,12 +2,12 @@
 
 Everything is arbitrary-precision Python int; no floats anywhere.  The
 lattice routines (solve_int, kernel_basis, lattice_basis,
-preimage_lattice, cokernel_group, rank_and_torsion) take and return
-sparse matrices: a list of {row: value} columns and a row count.  They
-copy their input and drop explicit zero entries on the way in, so callers
-may pass any columns they hold.  A dense IntMatrix, row-major lists of
-lists, holds module data and the unit-free residual of an elimination,
-which goes to the whole-matrix Smith form.
+preimage_lattice, subquotient_group, cokernel_group, rank_and_torsion)
+take and return sparse matrices: a list of {row: value} columns and a row
+count.  They copy their input and drop explicit zero entries on the way
+in, so callers may pass any columns they hold.  A dense IntMatrix,
+row-major lists of lists, holds module data and the unit-free residual of
+an elimination, which goes to the whole-matrix Smith form.
 """
 
 from __future__ import annotations
@@ -153,8 +153,9 @@ class FgAbGroup:
                    tuple(d for d in nonzero if d >= 2))
 
     def direct_sum(self, other):
-        return FgAbGroup(self.free_rank + other.free_rank,
-                         _invariant_chain(list(self.torsion) + list(other.torsion)))
+        torsion = self.torsion + other.torsion
+        return cokernel_group([{i: d} for i, d in enumerate(torsion)],
+                              len(torsion) + self.free_rank + other.free_rank)
 
     def to_json(self):
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
@@ -167,39 +168,6 @@ class FgAbGroup:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-def _factorize(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def _invariant_chain(divisors):
-    """Invariant factors of a direct sum of cyclic groups Z/d."""
-    powers = {}
-    for d in divisors:
-        for p, e in _factorize(d):
-            powers.setdefault(p, []).append(e)
-    if not powers:
-        return ()
-    depth = max(len(v) for v in powers.values())
-    factors = [1] * depth
-    for p, exps in powers.items():
-        exps = sorted(exps)
-        for i, e in enumerate(exps):
-            factors[depth - len(exps) + i] *= p ** e
-    return tuple(f for f in factors if f > 1)
 
 
 def _xgcd(a, b):
@@ -551,6 +519,20 @@ def preimage_lattice(A, L, rows):
                      rows)
     return lattice_basis([{k: v for k, v in col.items() if k < n}
                           for col in K], n)
+
+
+def subquotient_group(A, L, low_rows, B, rows):
+    """{x in Z^rows : A*x lies in the span of L} / the span of B, for the
+    sparse columns A (one per row of x) and L on low_rows rows and B on
+    rows rows: the cycles of preimage_lattice, B solved into their basis,
+    and the cokernel of the solution.  With L empty the cycles are ker(A),
+    and with low_rows = 0 too they are all of Z^rows.  Raises NotAComplex
+    when B leaves the cycles."""
+    K = preimage_lattice(A, L, low_rows)
+    X = solve_int(K, rows, B)
+    if X is None:
+        raise NotAComplex("borders escape the cycle lattice")
+    return cokernel_group(X, len(K))
 
 
 def homology_at(d_out, d_in):

@@ -29,12 +29,12 @@ from .exact_linalg import (
     FgAbGroup,
     IntMatrix,
     _transpose_cols,
-    cokernel_group,
     int_rank,
     lattice_basis,
     preimage_lattice,
     rank_and_torsion,
     solve_int,
+    subquotient_group,
 )
 from .hc_modules import LEFT, RIGHT
 
@@ -606,7 +606,7 @@ def hochschild(cx, n):
     invariant factors (rank_and_torsion); d o d = 0 was checked when the
     complex was built.  Torsion coefficients take the lattice path: the
     cycles modulo the value relations, against the boundaries and the
-    relations."""
+    relations (subquotient_group)."""
     if not 0 <= n < cx.n_max:
         raise BadParams(f"need 0 <= n < n_max = {cx.n_max}")
     if cx.ring == "Q":
@@ -620,14 +620,11 @@ def hochschild(cx, n):
                               f" the dimension {cx.dims[n]} of degree {n}")
         return FgAbGroup(free, torsion)
     low = n + cx.step
-    if low < 0 or cx.dims[low] == 0:
-        cycles = [{i: 1} for i in range(cx.dims[n])]
-    else:
-        cycles = preimage_lattice(cx.d_out(n), cx.relation_cols(low),
-                                  cx.dims[low])
+    low_rows = cx.dims[low] if low >= 0 else 0
+    relations = cx.relation_cols(low) if low_rows else []
     borders = _distinct_up_to_sign(cx.d_in(n) + cx.relation_cols(n))
-    return _quotient_or_raise(cycles, borders, cx.dims[n],
-                              "boundaries escaped the cycle lattice")
+    return subquotient_group(cx.d_out(n), relations, low_rows, borders,
+                             cx.dims[n])
 
 
 def hochschild_dim_q(cx, n):
@@ -698,15 +695,6 @@ def _distinct_up_to_sign(cols):
     return list(kept.values())
 
 
-def _quotient_or_raise(K, S, rows, message):
-    """The span of K modulo S, sparse columns on the given rows, where S
-    must lie in the span of K and K must be a basis."""
-    X = solve_int(K, rows, S)
-    if X is None:
-        raise NotAComplex(message)
-    return cokernel_group(X, len(K))
-
-
 def harrison(cx):
     """Harrison groups in degrees n = 1..n_max-1 (entry n-1 is degree n):
     homologically the quotient by the two-block shuffle images, which span
@@ -738,12 +726,10 @@ def _harrison_chains(cx):
             raise NotAComplex("shuffle span is not boundary-closed at "
                               f"degree {n + 1}")
         if n >= 2:
-            cycles = preimage_lattice(cx.d_out(n), lat_low, cx.dims[n - 1])
             borders = _distinct_up_to_sign(
                 cx.d_in(n) + sh_n + cx.relation_cols(n))
-            out.append(_quotient_or_raise(
-                cycles, borders, cx.dims[n],
-                "quotient boundaries escape the cycle span"))
+            out.append(subquotient_group(cx.d_out(n), lat_low,
+                                         cx.dims[n - 1], borders, cx.dims[n]))
         if n + 1 < cx.n_max:
             lat_low, lat_n = lat_n, lattice_basis(_distinct_up_to_sign(
                 sh_up + cx.relation_cols(n + 1)), cx.dims[n + 1])
@@ -752,21 +738,21 @@ def _harrison_chains(cx):
 
 
 def _harrison_cochains(cx):
-    """H^n of the joint shuffle kernel, one degree at a time, holding the
-    coboundaries of the kernel one degree down."""
+    """H^n of the joint shuffle kernel V^n, one degree at a time, in the
+    coordinates of its basis K_n, holding the coboundaries of V^(n-1).
+    K_n holds the value relations, so the coboundaries and relations solve
+    into it exactly when V^(n-1) maps into V^n."""
     out = [hochschild(cx, 1)]
     image_low = cx.d_in(2)
     for n in range(2, cx.n_max):
-        sh_n = _shuffle_int_cols(cx, n)
-        kernel_n = _joint_kernel(cx, n, sh_n)
-        _check_kernel_closure(cx, n, sh_n, image_low)
+        kernel_n = _joint_kernel(cx, n, _shuffle_int_cols(cx, n))
+        borders = solve_int(kernel_n, cx.dims[n],
+                            image_low + cx.relation_cols(n))
+        if borders is None:
+            raise NotAComplex(f"shuffle kernel is not closed at degree {n}")
         restricted = _compose_cols(kernel_n, cx.d_out(n))
-        inner = preimage_lattice(restricted, cx.relation_cols(n + 1),
-                                 cx.dims[n + 1])
-        cycles = lattice_basis(_compose_cols(inner, kernel_n), cx.dims[n])
-        out.append(_quotient_or_raise(
-            cycles, image_low + cx.relation_cols(n), cx.dims[n],
-            "coboundaries escape the shuffle kernel"))
+        out.append(subquotient_group(restricted, cx.relation_cols(n + 1),
+                                     cx.dims[n + 1], borders, len(kernel_n)))
         image_low = restricted
     return out
 
@@ -774,25 +760,9 @@ def _harrison_cochains(cx):
 def _joint_kernel(cx, m, blocks):
     """Basis of the joint kernel (modulo value relations) of the integer
     operators on degree m given as sparse column lists."""
-    if not blocks:
-        return [{i: 1} for i in range(cx.dims[m])]
     return preimage_lattice(_stack_cols(blocks, cx.dims[m]),
                             cx.relation_cols(m, len(blocks)),
                             cx.dims[m] * len(blocks))
-
-
-def _check_kernel_closure(cx, n, col_lists, image_low):
-    """Coboundaries of shuffle-kernel cochains must again kill shuffles."""
-    if not col_lists or not image_low:
-        return
-    stacked = _stack_cols(col_lists, cx.dims[n])
-    moved = [c for c in _compose_cols(image_low, stacked) if c]
-    if not moved:
-        return
-    if not cx.has_torsion or solve_int(
-            cx.relation_cols(n, len(col_lists)),
-            cx.dims[n] * len(col_lists), moved) is None:
-        raise NotAComplex(f"shuffle kernel is not closed at degree {n}")
 
 
 def harrison_dim_q(cx):

@@ -25,7 +25,6 @@ from .exact_linalg import (
     cokernel_group,
     homology_at,
     int_rank,
-    lattice_basis,
     solve_int,
 )
 from .gamma_chain import (
@@ -196,9 +195,8 @@ def kaehler_compare(monoid, ring="Z"):
         detail = (f"spans agree at rank {ra}" if passed else
                   f"span ranks {ra}/{rb}, joint {both}")
         return KaehlerReport(passed, group, detail)
-    passed = (solve_int(lattice_basis(direct, rows), rows, total) is not None
-              and solve_int(lattice_basis(total, rows), rows, direct)
-              is not None)
+    passed = (solve_int(direct, rows, total) is not None
+              and solve_int(total, rows, direct) is not None)
     group_a = cokernel_group(direct, rows)
     group_b = cokernel_group(total, rows)
     if group_a != group_b:

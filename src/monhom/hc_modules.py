@@ -12,14 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadParams, NotAComplex
-from .exact_linalg import (
-    FgAbGroup,
-    IntMatrix,
-    cokernel_group,
-    preimage_lattice,
-    solve_int,
-)
+from .errors import BadParams
+from .exact_linalg import (IntMatrix, cokernel_group, solve_int,
+                           subquotient_group)
 from .monoids import FiniteCommMonoid, product_monoid, quotient_set
 
 LEFT = "left"
@@ -68,8 +63,6 @@ class TabulatedHCModule:
         return any(r.cols for r in self.rels)
 
     def value_group(self, a):
-        if self.rels[a].cols == 0:
-            return FgAbGroup.free(self.ranks[a])
         return cokernel_group(self.rels[a].col_dicts(), self.rels[a].rows)
 
     def __repr__(self):
@@ -484,19 +477,6 @@ def tensor_over_hc(right_mod, left_arg):
     return cokernel_group(cols, total)
 
 
-def _solve_linear_group(eqs, n_eqs, unknown_rels, equation_rels):
-    """Solutions of the n_eqs equations whose sparse columns eqs are one per
-    unknown, modulo the sparse relation columns on each side."""
-    K = preimage_lattice(eqs, equation_rels, n_eqs)
-    if not unknown_rels:
-        return FgAbGroup.free(len(K))
-    X = solve_int(K, len(eqs), unknown_rels)
-    if X is None:
-        raise NotAComplex(
-            "unknown-space relations escaped the solution lattice")
-    return cokernel_group(X, len(K))
-
-
 def derivations(monoid, module):
     """Maps a -> delta(a) in M(a) with delta(ab) = a*delta(b) + b*delta(a),
     as Hom(Omega_C, M): Omega_C is their universal target."""
@@ -507,8 +487,9 @@ def hom_from_presented(presented, module):
     """Module maps out of a presentation: pick images of the generators,
     subject to every relation mapping to zero.
 
-    Solved exactly over the integers; torsion values are handled through
-    the relation lattices on both the unknown and the equation side.
+    Solved exactly over the integers by subquotient_group: the unknowns
+    whose equations vanish modulo the value relations at the relation
+    degrees, modulo the value relations at the generator degrees.
     """
     if module.side != LEFT:
         raise BadParams("hom target must be a left module")
@@ -530,9 +511,7 @@ def hom_from_presented(presented, module):
                     _accumulate(eqs[base + j], n_eqs, coeff * act.data[r][j])
             n_eqs += 1
         eq_rel_blocks.append(module.rels[rdeg])
-    if not module.has_torsion:
-        return _solve_linear_group(eqs, n_eqs, [], [])
-    return _solve_linear_group(
-        eqs, n_eqs,
+    return subquotient_group(
+        eqs, _block_diag(eq_rel_blocks), n_eqs,
         _block_diag([module.rels[deg] for _, deg in presented.generators]),
-        _block_diag(eq_rel_blocks))
+        offs[-1])

@@ -74,6 +74,36 @@ def test_leech_honours_the_ring(capsys):
         assert out == ["HH^0 = Z", "HH^1 = 0", "HH^2 = 0", "HH^3 = 0"]
 
 
+def test_exact_groups_honour_the_ring(capsys):
+    # over Q the tensor and grillet's degree 0 keep only their free part
+    cases = (("builtin:cyclic_group(2)", ["trivialQ"], "0"),
+             ("builtin:truncated_add(2)", ["jstar:regular", "--ring", "Q"],
+              "Z"))
+    for monoid, coeff, group in cases:
+        assert run("compute", "tensor", "--monoid", monoid,
+                   "--coeff", *coeff) == 0
+        assert capsys.readouterr().out == f"N (x) Omega = {group}\n"
+        assert run("compute", "grillet", "--monoid", monoid, "--coeff",
+                   *coeff, "--max-degree", "1", "--format", "json") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ring"] == "Q"
+        assert report["results"][0]["group"] == \
+            {"free_rank": int(group != "0"), "torsion": []}
+    assert run("compute", "tensor", "--monoid", "builtin:truncated_add(2)",
+               "--coeff", "jstar:regular") == 0
+    assert capsys.readouterr().out == "N (x) Omega = Z + Z/2\n"
+
+
+def test_torsion_coefficients_over_q_exit_one(capsys):
+    for target in cli.TARGETS:
+        if target == "omega":
+            continue
+        assert run("compute", target, "--monoid", "builtin:cyclic_group(2)",
+                   "--coeff", "jstar:Zmod4:trivial", "--ring", "Q") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "BadParams"
+
+
 def test_hodge_report(capsys):
     assert run("compute", "hodge", "--monoid", "builtin:cyclic_group(2)",
                "--coeff", "trivialQ", "--max-degree", "2",
@@ -297,8 +327,9 @@ def test_exit_code_map():
 def test_failed_solve_exits_three(monkeypatch, capsys):
     # a lattice solve that should always succeed is a falsified invariant:
     # a typed error with exit code 3, not an assert that -O removes; free
-    # coefficients solve nothing, so this runs on torsion coefficients
-    monkeypatch.setattr(gamma_chain, "solve_int", lambda B, rows, C: None)
+    # coefficients solve nothing, so this runs on torsion coefficients,
+    # whose quotient solve is subquotient_group's
+    monkeypatch.setattr(exact_linalg, "solve_int", lambda B, rows, C: None)
     assert run("compute", "hh", "--monoid", "builtin:cyclic_group(2)",
                "--coeff", "jstar:Zmod4:trivial", "--max-degree", "1") == 3
     err = json.loads(capsys.readouterr().err)

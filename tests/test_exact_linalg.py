@@ -19,6 +19,7 @@ from monhom.exact_linalg import (
     smith_normal_form,
     snf_diagonal,
     solve_int,
+    subquotient_group,
 )
 
 
@@ -415,6 +416,9 @@ def test_fgabgroup_normal_form():
     assert str(g) == "Z + Z/2 + Z/6"
     assert g.direct_sum(FgAbGroup(0, (2,))) == FgAbGroup(1, (2, 2, 6))
     assert FgAbGroup(0, (2,)).direct_sum(FgAbGroup(0, (3,))) == FgAbGroup(0, (6,))
+    assert FgAbGroup(0, (4, 12)).direct_sum(FgAbGroup(2, (10,))) == \
+        FgAbGroup(2, (2, 4, 60))
+    assert FgAbGroup(1).direct_sum(FgAbGroup.trivial()) == FgAbGroup(1)
     assert str(FgAbGroup.trivial()) == "0"
 
 
@@ -425,3 +429,56 @@ def test_matrix_plumbing():
     sparse = IntMatrix.from_col_dicts([{0: 2}, {1: -1}], 2)
     assert sparse == IntMatrix([[2, 0], [0, -1]])
     assert sparse.col_dicts() == [{0: 2}, {1: -1}]
+
+
+def dense_subquotient(A, L, B):
+    """subquotient_group from the whole-matrix Smith forms alone.  K, a
+    basis of ker [A | -L], maps onto the cycles by its first A.cols
+    entries, with kernel the (0, y) for y in ker L.  So the group is Z^K
+    modulo those and the lifts (b, y) of B, A*b = L*y, solved into K; None
+    when some A*b leaves the span of L."""
+    rows = A.cols
+    AL = IntMatrix([arow + [-v for v in lrow]
+                    for arow, lrow in zip(A.data, L.data)], rows + L.cols)
+    K = dense_kernel_basis(AL)
+    Y = dense_solve_int(L, A.mul(B))
+    if Y is None:
+        return None
+    lifts = [B.column(j) + Y.column(j) for j in range(B.cols)]
+    lifts += [[0] * rows + dense_kernel_basis(L).column(j)
+              for j in range(dense_kernel_basis(L).cols)]
+    X = dense_solve_int(K, IntMatrix.from_cols(lifts, AL.cols))
+    return FgAbGroup.from_diagonal(snf_diagonal(X), K.cols)
+
+
+def test_subquotient_group_matches_the_dense_oracle():
+    rng = random.Random(1212)
+    values = [-3, -2, -1, 1, 2, 3]
+    seen = {"escapes": 0, "torsion": 0, "no B": 0, "no L": 0, "no rows": 0}
+    for trial in range(240):
+        rows, low = rng.randint(1, 6), rng.randint(0, 4) if trial % 6 else 0
+        A = sparse_matrix(rng, low, rows, values)
+        L = sparse_matrix(rng, low, rng.randint(0, 3) if low else 0,
+                          [-4, -2, 2, 3, 4], 0.5)
+        AL = IntMatrix([arow + [-v for v in lrow]
+                        for arow, lrow in zip(A.data, L.data)],
+                       rows + L.cols)
+        cycles = IntMatrix(dense_kernel_basis(AL).data[:rows])
+        if trial % 5 == 0:
+            B = sparse_matrix(rng, rows, 2, values, 0.6)
+        else:
+            B = cycles.mul(sparse_matrix(rng, cycles.cols,
+                                         rng.randint(0, 3), values, 0.6))
+        want = dense_subquotient(A, L, B)
+        args = (A.col_dicts(), L.col_dicts(), low, B.col_dicts(), rows)
+        if want is None:
+            seen["escapes"] += 1
+            with pytest.raises(NotAComplex):
+                subquotient_group(*args)
+            continue
+        assert subquotient_group(*args) == want, (A.data, L.data, B.data)
+        seen["torsion"] += bool(want.torsion)
+        seen["no B"] += not B.cols
+        seen["no L"] += not L.cols
+        seen["no rows"] += not low
+    assert all(count >= 10 for count in seen.values()), seen

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from monhom import cli, exact_linalg, gamma_chain
+from monhom import cli, exact_linalg, gamma_chain, hc_modules
 from monhom.errors import (
     BadParams,
     ComplexityBudget,
@@ -518,25 +518,31 @@ def test_each_shuffle_span_is_built_once(monkeypatch):
 
 def test_harrison_chain_solves_get_distinct_columns(monkeypatch):
     # repeated or negated generators span nothing new, so every right-hand
-    # side of the chain-side solves holds each column once up to sign
-    sizes = []
-    original = gamma_chain.solve_int
+    # side of the chain-side solves holds each column once up to sign: the
+    # closure solves in gamma_chain and the quotient solves of
+    # subquotient_group
+    sizes = {gamma_chain: [], exact_linalg: []}
+    original = exact_linalg.solve_int
 
-    def checked(lattice, rows, cols):
-        pairs = {frozenset({tuple(sorted(c.items())),
-                            tuple(sorted((r, -v) for r, v in c.items()))})
-                 for c in cols}
-        assert len(pairs) == len(cols)
-        sizes.append(len(cols))
-        return original(lattice, rows, cols)
+    def checked(module):
+        def solve(lattice, rows, cols):
+            pairs = {frozenset({tuple(sorted(c.items())),
+                                tuple(sorted((r, -v) for r, v in c.items()))})
+                     for c in cols}
+            assert len(pairs) == len(cols)
+            sizes[module].append(len(cols))
+            return original(lattice, rows, cols)
+        return solve
 
-    monkeypatch.setattr(gamma_chain, "solve_int", checked)
+    for module in sizes:
+        monkeypatch.setattr(module, "solve_int", checked(module))
     monoid = truncated_add(2)
     for coeff in (trivial_module(monoid, RIGHT),
                   std_projective(monoid, 2, RIGHT)):
-        sizes.clear()
+        for seen in sizes.values():
+            seen.clear()
         harrison(build_complex(monoid, coeff, 4, HOMOLOGICAL))
-        assert sizes
+        assert all(sizes.values())
 
 
 def test_unclosed_shuffle_span_is_caught(monkeypatch):
@@ -644,7 +650,7 @@ def test_y_exactness_failure_carries_witness():
 
 def test_hochschild_failed_solve_is_typed(monkeypatch):
     cx = build_complex(Z2, jstar_finite_cyclic(Z2, 4, RIGHT), 2, HOMOLOGICAL)
-    monkeypatch.setattr(gamma_chain, "solve_int", lambda B, rows, C: None)
+    monkeypatch.setattr(exact_linalg, "solve_int", lambda B, rows, C: None)
     with pytest.raises(NotAComplex):
         hochschild(cx, 1)
 
@@ -717,9 +723,9 @@ def test_klein_group_in_degree_seven():
 def test_torsion_borders_hold_each_column_once(monkeypatch):
     # d(a, b) = d(b, a) on a commutative monoid; repeated or negated
     # columns span nothing new, so no right-hand side of the quotient
-    # solves repeats a column up to sign
+    # solves (subquotient_group's) repeats a column up to sign
     sizes = []
-    original = gamma_chain.solve_int
+    original = exact_linalg.solve_int
 
     def checked(lattice, rows, rhs):
         cols = [frozenset(c.items()) for c in rhs]
@@ -732,11 +738,11 @@ def test_torsion_borders_hold_each_column_once(monkeypatch):
     for side, direction in ((RIGHT, HOMOLOGICAL), (LEFT, COHOMOLOGICAL)):
         cx = build_complex(klein, jstar_finite_cyclic(klein, 4, side), 4,
                            direction)
-        monkeypatch.setattr(gamma_chain, "solve_int", checked)
+        monkeypatch.setattr(exact_linalg, "solve_int", checked)
         sizes.clear()
         [hochschild(cx, n) for n in range(cx.n_max)]
         assert len(sizes) == cx.n_max
-        monkeypatch.setattr(gamma_chain, "solve_int", original)
+        monkeypatch.setattr(exact_linalg, "solve_int", original)
 
 
 def test_y_exactness_disagreeing_solves_are_typed(monkeypatch):
@@ -758,3 +764,45 @@ def test_homology_on_product_monoid_kuenneth_spot_check():
     assert hochschild(cx, 0) == groups(1)
     assert hochschild(cx, 1) == groups(0, 2, 2)
     assert hochschild(cx, 2) == groups(0, 2)
+
+
+def test_harrison_cochains_over_z_with_torsion():
+    # the full complex to degree 4; no command reaches the cochain side
+    klein = product_monoid(Z2, Z2).monoid
+    cases = ((klein, jstar_finite_cyclic(klein, 4, LEFT),
+              [groups(0, 2, 2), groups(0, 2, 2), groups(0)]),
+             (truncated_add(2), jstar(regular_kc_module(truncated_add(2)),
+                                      LEFT),
+              [groups(1), groups(1, 2), groups(0)]),
+             (Z3, jstar(regular_kc_module(Z3), LEFT),
+              [groups(0), groups(0, 3, 3, 3), groups(0)]))
+    for monoid, coeff, want in cases:
+        cx = build_complex(monoid, coeff, 4, COHOMOLOGICAL)
+        assert harrison(cx) == want
+
+
+def test_every_lattice_group_comes_from_subquotient_group(monkeypatch,
+                                                          capsys):
+    calls = []
+    original = exact_linalg.subquotient_group
+
+    def counted(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    for module in (gamma_chain, hc_modules):
+        monkeypatch.setattr(module, "subquotient_group", counted)
+    # torsion HH in degrees 0..2; Harrison chains in degrees 1..3, of
+    # which degree 1 is HH_1; Der once
+    for target, degree, expected in (("hh", "2", 3), ("leech", "2", 3),
+                                     ("harrison", "3", 3), ("der", "0", 1)):
+        calls.clear()
+        assert cli.main(["compute", target, "--monoid",
+                         "builtin:cyclic_group(2)", "--coeff",
+                         "jstar:Zmod4:trivial", "--max-degree", degree]) == 0
+        assert len(calls) == expected, target
+    capsys.readouterr()
+    calls.clear()
+    cx = build_complex(Z2, trivial_module(Z2, LEFT), 4, COHOMOLOGICAL)
+    assert harrison(cx) == [groups(0), groups(0, 2), groups(0)]
+    assert len(calls) == 2

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from monhom import hc_modules
+from monhom import exact_linalg
 from monhom.errors import BadParams, NotAComplex
 from monhom.exact_linalg import FgAbGroup, IntMatrix
 from monhom.gamma_chain import leech_cohomology
@@ -166,7 +166,7 @@ def test_derivations_constant_targets():
 
 def test_derivations_failed_solve_is_typed(monkeypatch):
     mon = cyclic_group(2)
-    monkeypatch.setattr(hc_modules, "solve_int",
+    monkeypatch.setattr(exact_linalg, "solve_int",
                         lambda B, rows, C: None)
     with pytest.raises(NotAComplex):
         derivations(mon, jstar_finite_cyclic(mon, 4, LEFT))
