@@ -114,10 +114,6 @@ def _resolve_ring(flag_value, forced, target):
     return forced or flag_value or "Z"
 
 
-def _group_payload(group):
-    return group.to_json()
-
-
 def _in_ring(group, ring):
     """The group as the report's ring sees it: over Q its free part."""
     return FgAbGroup.free(group.free_rank) if ring == "Q" else group
@@ -135,7 +131,7 @@ def _compute(args):
     if args.target == "omega":
         tab = tabulate_presented(omega(monoid))
         report["results"] = [
-            {"element": a, "group": _group_payload(tab.value_group(a))}
+            {"element": a, "group": tab.value_group(a).to_json()}
             for a in monoid.elements]
         lines = [f"Omega({a}) = {tab.value_group(a)}"
                  for a in monoid.elements]
@@ -152,11 +148,11 @@ def _compute(args):
 
     if args.target == "der":
         group = _in_ring(derivations(monoid, coeff), ring)
-        report["results"] = [{"group": _group_payload(group)}]
+        report["results"] = [{"group": group.to_json()}]
         lines = [f"Der = {group}"]
     elif args.target == "tensor":
         group = _in_ring(tensor_over_hc(coeff, omega(monoid)), ring)
-        report["results"] = [{"group": _group_payload(group)}]
+        report["results"] = [{"group": group.to_json()}]
         lines = [f"N (x) Omega = {group}"]
     elif args.target == "grillet":
         rep = grillet_report(monoid, coeff, direction, deg,
@@ -173,7 +169,7 @@ def _compute(args):
         for n in range(deg + 1):
             group = hochschild(cx, n)
             report.setdefault("results", []).append(
-                {"degree": n, "group": _group_payload(group)})
+                {"degree": n, "group": group.to_json()})
             lines.append(f"HH{mark}{n} = {group}")
     elif args.target == "harrison":
         if deg < 1:
@@ -182,7 +178,7 @@ def _compute(args):
                            budget=args.budget, ring=ring)
         for n, group in enumerate(harrison(cx), start=1):
             report.setdefault("results", []).append(
-                {"degree": n, "group": _group_payload(group)})
+                {"degree": n, "group": group.to_json()})
             lines.append(f"Harr_{n} = {group}")
     else:
         if deg < 1:

@@ -33,10 +33,6 @@ class ParseError(ValidationError):
     """Malformed JSON payload; the message names the offending field."""
 
 
-class IndexOutOfRange(ValidationError):
-    """A face or degree index outside its legal range."""
-
-
 class DegreeMismatch(MonhomError):
     """Matrix or map shapes do not line up."""
 

@@ -183,54 +183,37 @@ def _xgcd(a, b):
     return a, x0, y0
 
 
-def _smith_core(D, m, n, U, V):
-    """Reduce D in place to Smith form; mirror the row/col ops on U, V."""
+def _smith_core(D, m, n):
+    """Reduce the leading m x n block of D in place to Smith form.  Row
+    operations run along whole rows and column operations down every row,
+    so transforms kept in D take them too: U in the columns past n of the
+    first m rows, V in the rows after them."""
 
     def row_addmul(i, k, q):
         Di, Dk = D[i], D[k]
-        for j in range(n):
-            if Dk[j]:
-                Di[j] += q * Dk[j]
-        if U is not None:
-            Ui, Uk = U[i], U[k]
-            for j in range(m):
-                if Uk[j]:
-                    Ui[j] += q * Uk[j]
+        for j, v in enumerate(Dk):
+            if v:
+                Di[j] += q * v
 
     def row_swap(i, k):
         D[i], D[k] = D[k], D[i]
-        if U is not None:
-            U[i], U[k] = U[k], U[i]
 
     def row_pair(k, i, a, b, c, d):
         # (row_k, row_i) <- (a*row_k + b*row_i, c*row_k + d*row_i)
         Dk, Di = D[k], D[i]
-        for j in range(n):
+        for j in range(len(Dk)):
             vk, vi = Dk[j], Di[j]
             Dk[j] = a * vk + b * vi
             Di[j] = c * vk + d * vi
-        if U is not None:
-            Uk, Ui = U[k], U[i]
-            for j in range(m):
-                vk, vi = Uk[j], Ui[j]
-                Uk[j] = a * vk + b * vi
-                Ui[j] = c * vk + d * vi
 
     def col_addmul(j, k, q):
         for row in D:
             if row[k]:
                 row[j] += q * row[k]
-        if V is not None:
-            for row in V:
-                if row[k]:
-                    row[j] += q * row[k]
 
     def col_swap(j, k):
         for row in D:
             row[j], row[k] = row[k], row[j]
-        if V is not None:
-            for row in V:
-                row[j], row[k] = row[k], row[j]
 
     def col_pair(k, j, a, b, c, d):
         # (col_k, col_j) <- (a*col_k + b*col_j, c*col_k + d*col_j)
@@ -238,11 +221,6 @@ def _smith_core(D, m, n, U, V):
             vk, vj = row[k], row[j]
             row[k] = a * vk + b * vj
             row[j] = c * vk + d * vj
-        if V is not None:
-            for row in V:
-                vk, vj = row[k], row[j]
-                row[k] = a * vk + b * vj
-                row[j] = c * vk + d * vj
 
     def clear_pivot(k):
         while True:
@@ -315,21 +293,26 @@ def _smith_core(D, m, n, U, V):
     return rank
 
 
+def _with_identity(rows, m):
+    """Copies of the m rows with the m x m identity appended to them."""
+    return [row + [1 if i == j else 0 for j in range(m)]
+            for i, row in enumerate(rows)]
+
+
 def smith_normal_form(A):
     """U, D, V with U*A*V = D in Smith normal form, U and V unimodular."""
     m, n = A.rows, A.cols
-    D = [row[:] for row in A.data]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    _smith_core(D, m, n, U, V)
-    return IntMatrix(U, m), IntMatrix(D, n), IntMatrix(V, n)
+    D = _with_identity(A.data, m) + _with_identity([[]] * n, n)
+    _smith_core(D, m, n)
+    return (IntMatrix([row[n:] for row in D[:m]], m),
+            IntMatrix([row[:n] for row in D[:m]], n), IntMatrix(D[m:], n))
 
 
 def snf_diagonal(A):
     """Just the diagonal of the Smith form (cheaper: no transforms kept)."""
     m, n = A.rows, A.cols
     D = [row[:] for row in A.data]
-    _smith_core(D, m, n, None, None)
+    _smith_core(D, m, n)
     return [D[i][i] for i in range(min(m, n))]
 
 
@@ -500,10 +483,10 @@ def lattice_basis(M, rows):
     live = [col for col in cols if col]
     if live:
         R, keys = _residual(live)
-        m = R.rows
-        U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        rank = _smith_core([row[:] for row in R.data], m, R.cols, U, None)
-        for row in IntMatrix(U, m).mul(R).data[:rank]:
+        m, n = R.rows, R.cols
+        D = _with_identity(R.data, m)
+        rank = _smith_core(D, m, n)
+        for row in IntMatrix([row[n:] for row in D], m).mul(R).data[:rank]:
             basis.append({keys[a]: v for a, v in enumerate(row) if v})
     return basis
 
@@ -652,10 +635,8 @@ def rank_and_torsion(cols, rows):
     live = [col for col in cols if col]
     if not live:
         return rank, ()
-    index = {r: i for i, r in enumerate(sorted(set().union(*live)))}
-    residual = IntMatrix.from_col_dicts(
-        [{index[r]: v for r, v in col.items()} for col in live], len(index))
-    diag = [abs(d) for d in snf_diagonal(residual) if d]
+    # the transpose of the residual, which has the same Smith diagonal
+    diag = [abs(d) for d in snf_diagonal(_residual(live)[0]) if d]
     return rank + len(diag), tuple(d for d in diag if d >= 2)
 
 

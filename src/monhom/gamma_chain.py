@@ -1,19 +1,18 @@
 """Chain complexes of functors on finite pointed sets.
 
 A tuple (a_1..a_n) over the monoid C indexes a summand carrying the
-coefficient value at the product a_1...a_n.  A pointed map f: [n] -> [m]
-pushes the tuple to b with b_j the product over the fibre of j, while the
-fibre of the basepoint acts through the coefficient structure map of b_0.
-Alternating sums of the interval faces assemble the boundary; permutations
-give the symmetric-group action used for shuffle operators, Harrison
-groups, and Young-invariant computations.
+coefficient value at the product a_1...a_n.  The face eps_i collapses the
+pointed set [n] onto [n-1]: face 0 drops a_1 into the coefficient, face n
+drops a_n, and face i in between merges a_i and a_{i+1}.  Alternating
+sums of the faces assemble the boundary; permutations give the
+symmetric-group action used for shuffle operators, Harrison groups, and
+Young-invariant computations.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-import os
 from dataclasses import dataclass
 
 from .errors import (
@@ -21,7 +20,6 @@ from .errors import (
     ComplexityBudget,
     CompositionNonzero,
     DegreeMismatch,
-    IndexOutOfRange,
     NotAComplex,
     OracleMismatch,
 )
@@ -45,79 +43,14 @@ DEFAULT_BUDGET = 10 ** 6
 
 
 def resolve_budget(budget=None):
-    if budget is not None:
-        return int(budget)
-    raw = os.environ.get("MONHOM_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadParams(f"MONHOM_BUDGET is not an integer: {raw!r}")
-
-
-@dataclass(frozen=True)
-class PointedMap:
-    """Basepoint-preserving map between the pointed sets [n] and [m]."""
-
-    source_size: int
-    target_size: int
-    map: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "map", tuple(self.map))
-        if self.source_size < 0 or self.target_size < 0:
-            raise BadParams("negative pointed-set size")
-        if len(self.map) != self.source_size + 1:
-            raise BadParams("pointed map table has the wrong length")
-        if self.map[0] != 0:
-            raise BadParams("pointed maps fix the basepoint")
-        for v in self.map:
-            if not 0 <= v <= self.target_size:
-                raise BadParams(f"value {v} outside the target set")
-
-    def __call__(self, j):
-        return self.map[j]
-
-    def then(self, other):
-        """Composite: first self, then other."""
-        if other.source_size != self.target_size:
-            raise DegreeMismatch("pointed maps do not compose")
-        return PointedMap(self.source_size, other.target_size,
-                          tuple(other.map[v] for v in self.map))
-
-
-def epsilon_map(i, n):
-    """The face [n+1] -> [n]: keep j <= i, shift j > i down by one, except
-    that the top point falls to the basepoint when i = n+1."""
-    if n < 0 or i < 0 or i > n + 1:
-        raise IndexOutOfRange(f"face index {i} out of range for target [{n}]")
-    table = []
-    for j in range(n + 2):
-        if j == i == n + 1:
-            table.append(0)
-        elif j <= i:
-            table.append(j)
-        else:
-            table.append(j - 1)
-    return PointedMap(n + 1, n, tuple(table))
-
-
-def push_tuple(f, t, monoid):
-    """Image tuple (b_1..b_m), b_j the product over the fibre of j, plus
-    the basepoint product b_0 (empty products are the identity)."""
-    if len(t) != f.source_size:
-        raise DegreeMismatch("tuple length does not match the map source")
-    fibres = [[] for _ in range(f.target_size + 1)]
-    for pos in range(1, f.source_size + 1):
-        fibres[f.map[pos]].append(t[pos - 1])
-    b0 = monoid.product(fibres[0])
-    return (tuple(monoid.product(fibres[j]) for j in range(1, f.target_size + 1)),
-            b0)
+    return DEFAULT_BUDGET if budget is None else int(budget)
 
 
 def _face_tuple(t, i, monoid):
-    """push_tuple along epsilon_map(i, len(t)-1), unrolled for speed."""
+    """The face eps_i of the tuple t: the tuple it lands on and the element
+    that acts on the coefficient.  Face 0 drops the first entry into the
+    coefficient, face len(t) drops the last one, and face i in between
+    merges entries i and i + 1 and acts by the identity."""
     k = len(t)
     if i == 0:
         return t[1:], t[0]
@@ -142,35 +75,6 @@ def _term_layout(monoid, coeff, n, normalized=False):
         offsets.append(dim)
         dim += coeff.ranks[p]
     return tuples, prods, offsets, dim
-
-
-def _push_cols(f, monoid, coeff):
-    """Sparse columns of the covariant action of f (right coefficients)."""
-    src_tuples, _, src_offs, src_dim = _term_layout(monoid, coeff, f.source_size)
-    tgt_tuples, tgt_prods, tgt_offs, tgt_dim = _term_layout(monoid, coeff,
-                                                            f.target_size)
-    tgt_index = {t: k for k, t in enumerate(tgt_tuples)}
-    cols = [dict() for _ in range(src_dim)]
-    for jt, t in enumerate(src_tuples):
-        b, b0 = push_tuple(f, t, monoid)
-        kb = tgt_index[b]
-        A = coeff.act[(b0, tgt_prods[kb])]  # N(pi t) -> N(pi b)
-        for j in range(A.cols):
-            col = cols[src_offs[jt] + j]
-            for i in range(A.rows):
-                v = A.data[i][j]
-                if v:
-                    r = tgt_offs[kb] + i
-                    col[r] = col.get(r, 0) + v
-    return cols, tgt_dim
-
-
-def push_matrix(f, monoid, coeff):
-    """Matrix of the covariant action of f on the tuple summands."""
-    if coeff.side != RIGHT:
-        raise BadParams("covariant pushes need a right module")
-    cols, tgt_dim = _push_cols(f, monoid, coeff)
-    return IntMatrix.from_col_dicts(cols, tgt_dim)
 
 
 def _compose_cols(first, second):
@@ -316,6 +220,37 @@ def _cols_to_triplets(cols, rows):
     return {"rows": rows, "cols": len(cols), "triplets": trips}
 
 
+def _face_cols(monoid, act, high, low, faces):
+    """Sparse columns of sum_{i in faces} (-1)^i eps_i from the tuple layout
+    high (degree k) to low (degree k - 1), for the translation matrices
+    act of a right module.  A face that lands outside the tuples of low is
+    dropped: the degenerate tuples are zero in a normalized complex."""
+    tuples_k, _, offs_k, dim_k = high
+    tuples_low, prods_low, offs_low, _ = low
+    idx_low = {t: k for k, t in enumerate(tuples_low)}
+    cols = [dict() for _ in range(dim_k)]
+    for jt, t in enumerate(tuples_k):
+        for i in faces:
+            s, b0 = _face_tuple(t, i, monoid)
+            sign = -1 if i % 2 else 1
+            ks = idx_low.get(s)
+            if ks is None:  # degenerate: zero in the normalized quotient
+                continue
+            A = act[(b0, prods_low[ks])]  # N(pi t) -> N(pi s)
+            for j in range(A.cols):
+                col = cols[offs_k[jt] + j]
+                for p in range(A.rows):
+                    v = A.data[p][j]
+                    if v:
+                        r = offs_low[ks] + p
+                        nv = col.get(r, 0) + sign * v
+                        if nv:
+                            col[r] = nv
+                        else:
+                            col.pop(r, None)
+    return cols
+
+
 def _expected_side(direction):
     return RIGHT if direction == HOMOLOGICAL else LEFT
 
@@ -332,8 +267,8 @@ def build_complex(monoid, coeff, n_max, direction, budget=None, ring="Z",
     tuple is zero there.
 
     Raises ComplexityBudget before materializing anything when the total
-    basis count would exceed the cap (parameter, MONHOM_BUDGET, or 10^6);
-    a normalized complex counts its own, smaller basis.
+    basis count would exceed the cap (budget, or 10^6 when it is None); a
+    normalized complex counts its own, smaller basis.
     """
     if direction not in (HOMOLOGICAL, COHOMOLOGICAL):
         raise BadParams(f"unknown direction {direction!r}")
@@ -369,38 +304,13 @@ def build_complex(monoid, coeff, n_max, direction, budget=None, ring="Z",
 
     layouts = [_term_layout(monoid, coeff, n, normalized)
                for n in range(n_max + 1)]
-    index = [{t: k for k, t in enumerate(lay[0])} for lay in layouts]
     # The transposed translations of a left module make a right module of
     # the same ranks; its boundaries are the coboundaries transposed.
     act = coeff.act if coeff.side == RIGHT else \
         {key: A.transpose() for key, A in coeff.act.items()}
-
-    faces = {}
-    for k in range(1, n_max + 1):
-        tuples_k, _, offs_k, dim_k = layouts[k]
-        _, prods_low, offs_low, _ = layouts[k - 1]
-        idx_low = index[k - 1]
-        cols = [dict() for _ in range(dim_k)]
-        for jt, t in enumerate(tuples_k):
-            for i in range(k + 1):
-                s, b0 = _face_tuple(t, i, monoid)
-                sign = -1 if i % 2 else 1
-                ks = idx_low.get(s)
-                if ks is None:  # degenerate: zero in the normalized quotient
-                    continue
-                A = act[(b0, prods_low[ks])]  # N(pi t) -> N(pi s)
-                for j in range(A.cols):
-                    col = cols[offs_k[jt] + j]
-                    for p in range(A.rows):
-                        v = A.data[p][j]
-                        if v:
-                            r = offs_low[ks] + p
-                            nv = col.get(r, 0) + sign * v
-                            if nv:
-                                col[r] = nv
-                            else:
-                                col.pop(r, None)
-        faces[k] = cols
+    faces = {k: _face_cols(monoid, act, layouts[k], layouts[k - 1],
+                           range(k + 1))
+             for k in range(1, n_max + 1)}
 
     cx = GammaChainComplex(monoid, coeff, direction, ring, n_max, layouts,
                            faces, normalized)

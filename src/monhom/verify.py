@@ -31,15 +31,14 @@ from .gamma_chain import (
     HOMOLOGICAL,
     _compose_cols,
     _distinct_up_to_sign,
+    _face_cols,
     _shuffle_int_cols,
     _sym_action_cols,
     _term_layout,
     build_complex,
-    epsilon_map,
     harrison_dim_q,
     hochschild,
     leech_cohomology,
-    push_matrix,
     shuffle_element,
     y_exactness_check,
 )
@@ -100,18 +99,11 @@ def suite_monoids():
     ]
 
 
-def _right_family(monoid):
-    return [("trivialZ", trivial_module(monoid, RIGHT)),
-            (f"projective:right:{monoid.elements[-1]}",
-             std_projective(monoid, monoid.elements[-1], RIGHT)),
-            ("jstar:Zmod4:trivial", jstar_finite_cyclic(monoid, 4, RIGHT))]
-
-
-def _left_family(monoid):
-    return [("trivialZ", trivial_module(monoid, LEFT)),
-            (f"projective:left:{monoid.elements[-1]}",
-             std_projective(monoid, monoid.elements[-1], LEFT)),
-            ("jstar:Zmod4:trivial", jstar_finite_cyclic(monoid, 4, LEFT))]
+def _family(monoid, side):
+    return [("trivialZ", trivial_module(monoid, side)),
+            (f"projective:{side}:{monoid.elements[-1]}",
+             std_projective(monoid, monoid.elements[-1], side)),
+            ("jstar:Zmod4:trivial", jstar_finite_cyclic(monoid, 4, side))]
 
 
 def _result(name, anchor, started, passed, detail):
@@ -136,10 +128,10 @@ def check_complex_soundness():
     for label, monoid in suite_monoids():
         def body(monoid=monoid):
             built = 0
-            for _, coeff in _right_family(monoid):
+            for _, coeff in _family(monoid, RIGHT):
                 build_complex(monoid, coeff, 5, HOMOLOGICAL)
                 built += 1
-            for _, coeff in _left_family(monoid):
+            for _, coeff in _family(monoid, LEFT):
                 build_complex(monoid, coeff, 5, COHOMOLOGICAL)
                 built += 1
             return f"{built} complexes built through degree 5"
@@ -153,7 +145,7 @@ def check_degree_bridge():
     for label, monoid in suite_monoids():
         def body(monoid=monoid):
             pairs = 0
-            for _, coeff in _right_family(monoid):
+            for _, coeff in _family(monoid, RIGHT):
                 cx = build_complex(monoid, coeff, 2, HOMOLOGICAL)
                 if not cx.boundary(1).is_zero():
                     raise MonhomError("d_1 is not the zero matrix")
@@ -173,7 +165,7 @@ def check_lemma_nuli():
     out = []
     for label, monoid in suite_monoids():
         def body(monoid=monoid):
-            for _, coeff in _right_family(monoid):
+            for _, coeff in _family(monoid, RIGHT):
                 d0_homology(monoid, coeff)
             return "tensor and complex paths agree"
         out.append(_guarded(f"lemma-nuli[{label}]", anchor, body))
@@ -211,7 +203,7 @@ def check_leech_der():
     out = []
     for label, monoid in suite_monoids():
         def body(monoid=monoid):
-            for _, coeff in _left_family(monoid):
+            for _, coeff in _family(monoid, LEFT):
                 if leech_cohomology(monoid, coeff, 0) != \
                         coeff.value_group(monoid.identity):
                     raise MonhomError("HH^0 differs from the identity value")
@@ -297,12 +289,12 @@ def _product_fixture(c1, c2):
     return pm, n1, n2
 
 
-def _face_bijection(pm, big, n1, n2, degree):
+def _face_bijection(pm, modules, layouts, degree):
     """Index map from the product-monoid term basis to the row-major
-    tensor basis of the two factor terms."""
-    tuples, prods, offs, _ = _term_layout(pm.monoid, big, degree)
-    t1_lay = _term_layout(pm.iota1.source, n1, degree)
-    t2_lay = _term_layout(pm.iota2.source, n2, degree)
+    tensor basis of the two factor terms; modules holds the product
+    module and the two factors, layouts their term layouts by degree."""
+    (tuples, _, offs, _), t1_lay, t2_lay = (lay[degree] for lay in layouts)
+    _, n1, n2 = modules
     idx1 = {t: k for k, t in enumerate(t1_lay[0])}
     idx2 = {t: k for k, t in enumerate(t2_lay[0])}
     d2 = t2_lay[3]
@@ -348,24 +340,31 @@ def check_products():
             (semilattice_chain(1), cyclic_group(2), "semilattice-x-Z2")]:
         def faces(c1=c1, c2=c2):
             pm, n1, n2 = _product_fixture(c1, c2)
-            big = boxtimes(n1, n2, pm)
+            monoids = (pm.monoid, pm.iota1.source, pm.iota2.source)
+            modules = (boxtimes(n1, n2, pm), n1, n2)
+            layouts = [[_term_layout(mon, mod, d) for d in range(4)]
+                       for mon, mod in zip(monoids, modules)]
             checked = 0
             for m in range(3):
-                phi_low = _face_bijection(pm, big, n1, n2, m)
-                phi_high = _face_bijection(pm, big, n1, n2, m + 1)
+                phi_low = _face_bijection(pm, modules, layouts, m)
+                phi_high = _face_bijection(pm, modules, layouts, m + 1)
+                d2_low, d2_high = layouts[2][m][3], layouts[2][m + 1][3]
                 for i in range(m + 2):
-                    eps = epsilon_map(i, m)
-                    P = push_matrix(eps, pm.monoid, big)
-                    k1 = push_matrix(eps, pm.iota1.source, n1)
-                    k2 = push_matrix(eps, pm.iota2.source, n2)
-                    for c in range(P.cols):
-                        for r in range(P.rows):
-                            a, b = divmod(phi_low[r], k2.rows)
-                            want = k1.data[a][phi_high[c] // k2.cols] * \
-                                k2.data[b][phi_high[c] % k2.cols]
-                            if P.data[r][c] != want:
-                                raise MonhomError(
-                                    f"face {i} at degree {m + 1} differs")
+                    # each face carries (-1)^i, so the factors' signs
+                    # cancel and the product's stays
+                    P, k1, k2 = (_face_cols(mon, mod.act, lay[m + 1],
+                                            lay[m], [i])
+                                 for mon, mod, lay in zip(monoids, modules,
+                                                          layouts))
+                    sign = -1 if i % 2 else 1
+                    for c, col in enumerate(P):
+                        a, b = divmod(phi_high[c], d2_high)
+                        want = {r1 * d2_low + r2: sign * v1 * v2
+                                for r1, v1 in k1[a].items()
+                                for r2, v2 in k2[b].items()}
+                        if {phi_low[r]: v for r, v in col.items()} != want:
+                            raise MonhomError(
+                                f"face {i} at degree {m + 1} differs")
                     checked += 1
             return f"{checked} face matrices factor through the tensor basis"
         out.append(_guarded(f"products[faces:{label}]", anchor, faces))
@@ -459,9 +458,9 @@ def check_normalization():
     for label, monoid in suite_monoids():
         def body(monoid=monoid):
             systems = 0
-            for direction, family in ((HOMOLOGICAL, _right_family),
-                                      (COHOMOLOGICAL, _left_family)):
-                for name, coeff in family(monoid):
+            for direction, side in ((HOMOLOGICAL, RIGHT),
+                                    (COHOMOLOGICAL, LEFT)):
+                for name, coeff in _family(monoid, side):
                     full, normal = _full_and_normalized(monoid, coeff,
                                                         direction)
                     for n in range(4):
@@ -646,10 +645,10 @@ def check_sparse_homology():
     for label, monoid in suite_monoids():
         def body(monoid=monoid):
             compared = 0
-            for direction, side, family in (
-                    (HOMOLOGICAL, RIGHT, _right_family),
-                    (COHOMOLOGICAL, LEFT, _left_family)):
-                systems = [(name, coeff) for name, coeff in family(monoid)
+            for direction, side in ((HOMOLOGICAL, RIGHT),
+                                    (COHOMOLOGICAL, LEFT)):
+                systems = [(name, coeff)
+                           for name, coeff in _family(monoid, side)
                            if not coeff.has_torsion]
                 systems.append(("jstar:regular",
                                 jstar(regular_kc_module(monoid), side)))

@@ -11,8 +11,6 @@ from monhom import cli, exact_linalg, gamma_chain, hc_modules
 from monhom.errors import (
     BadParams,
     ComplexityBudget,
-    DegreeMismatch,
-    IndexOutOfRange,
     NotAComplex,
     OracleMismatch,
 )
@@ -25,21 +23,21 @@ from monhom.exact_linalg import (
 )
 from monhom.gamma_chain import (
     COHOMOLOGICAL,
+    DEFAULT_BUDGET,
     HOMOLOGICAL,
-    PointedMap,
     SymGroupElement,
     _compose_cols,
+    _face_cols,
+    _face_tuple,
     _sym_action_cols,
+    _term_layout,
     build_complex,
-    epsilon_map,
     harrison,
     harrison_dim_q,
     hochschild,
     hochschild_dim_q,
     leech_cohomology,
     perm_sign,
-    push_matrix,
-    push_tuple,
     resolve_budget,
     shuffle_element,
     y_exactness_check,
@@ -49,6 +47,7 @@ from monhom.hc_modules import (
     RIGHT,
     HCModuleMap,
     TabulatedHCModule,
+    boxtimes,
     derivations,
     jstar,
     jstar_finite_cyclic,
@@ -76,91 +75,43 @@ def groups(*spec):
     return FgAbGroup(spec[0], tuple(spec[1:]))
 
 
-def test_epsilon_map_tables():
-    assert epsilon_map(0, 1).map == (0, 0, 1)
-    assert epsilon_map(1, 1).map == (0, 1, 1)
-    assert epsilon_map(2, 1).map == (0, 1, 0)
-    assert epsilon_map(0, 0).map == (0, 0)
-    assert epsilon_map(1, 0).map == (0, 0)
-    with pytest.raises(IndexOutOfRange):
-        epsilon_map(3, 1)
-    with pytest.raises(IndexOutOfRange):
-        epsilon_map(-1, 2)
-
-
-def test_pointed_map_validation():
-    with pytest.raises(BadParams):
-        PointedMap(2, 2, (1, 0, 2))       # moves the basepoint
-    with pytest.raises(BadParams):
-        PointedMap(2, 2, (0, 1))          # wrong table length
-    with pytest.raises(BadParams):
-        PointedMap(2, 1, (0, 2, 1))       # value outside target
-    f = PointedMap(2, 1, (0, 1, 0))
-    with pytest.raises(DegreeMismatch):
-        f.then(PointedMap(2, 2, (0, 1, 2)))
-    assert PointedMap(3, 3, (0, 1, 2, 3))(2) == 2
-
-
 def test_push_tuple_fibres():
-    f = epsilon_map(1, 1)                 # [2] -> [1], merge both entries
-    b, b0 = push_tuple(f, (1, 1), Z2)
-    assert b == (0,) and b0 == 0
-    g = epsilon_map(2, 1)                 # [2] -> [1], drop the top entry
-    b, b0 = push_tuple(g, (1, 1), Z2)
-    assert b == (1,) and b0 == 1
-    h = epsilon_map(0, 1)                 # [2] -> [1], drop the bottom entry
-    b, b0 = push_tuple(h, (1, 0), Z2)
-    assert b == (0,) and b0 == 1
+    # (1, 1) -> [1]: merge both entries, acting by the identity
+    assert _face_tuple((1, 1), 1, Z2) == ((0,), 0)
+    # drop the top entry into the coefficient
+    assert _face_tuple((1, 1), 2, Z2) == ((1,), 1)
+    # drop the bottom entry into the coefficient
+    assert _face_tuple((1, 0), 0, Z2) == ((0,), 1)
 
 
-def test_push_matrix_merges_products():
-    coeff = trivial_module(Z2, RIGHT)
-    A = push_matrix(epsilon_map(1, 1), Z2, coeff)
-    # column of (a, b) carries a single 1 in row a + b
-    assert A.rows == 2 and A.cols == 4
-    for a in range(2):
-        for b in range(2):
-            col = A.column(2 * a + b)
-            assert col == [1 if r == (a + b) % 2 else 0 for r in range(2)]
-
-
-def _random_pointed(rng, src, tgt):
-    return PointedMap(src, tgt,
-                      (0,) + tuple(rng.randrange(tgt + 1) for _ in range(src)))
+def test_single_faces_sum_to_the_boundary():
+    # each single face carries its sign (-1)^i, so their plain sum is d_out
+    pm = product_monoid(Z2, Z3)
+    n1, n2 = trivial_module(Z2, RIGHT), std_projective(Z3, 2, RIGHT)
+    for monoid, coeff in ((pm.monoid, boxtimes(n1, n2, pm)), (Z2, n1),
+                          (Z3, n2)):
+        cx = build_complex(monoid, coeff, 3, HOMOLOGICAL)
+        for k in range(1, 4):
+            high, low = (_term_layout(monoid, coeff, d) for d in (k, k - 1))
+            total = [dict() for _ in range(cx.dims[k])]
+            for i in range(k + 1):
+                face = _face_cols(monoid, coeff.act, high, low, [i])
+                assert any(face)
+                for col, part in zip(total, face):
+                    for r, v in part.items():
+                        col[r] = col.get(r, 0) + v
+            assert [{r: v for r, v in col.items() if v}
+                    for col in total] == cx.d_out(k)
 
 
 def _transposed(left):
     """The right module with the transposed translations of a left one;
-    its pushes are the transposed pulls of the left module."""
+    its chains are the transposed cochains of the left module."""
     act = {key: A.transpose() for key, A in left.act.items()}
     return TabulatedHCModule(RIGHT, left.monoid, left.ranks, act, left.rels)
 
 
-def test_push_functorial_pull_contravariant():
-    rng = random.Random(20260814)
-    mods = [
-        (Z3, std_projective(Z3, 1, RIGHT), std_projective(Z3, 1, LEFT)),
-        (Z2, jstar_finite_cyclic(Z2, 4, RIGHT), jstar_finite_cyclic(Z2, 4, LEFT)),
-        (truncated_add(2), std_projective(truncated_add(2), 2, RIGHT),
-         std_projective(truncated_add(2), 2, LEFT)),
-    ]
-    for _ in range(12):
-        monoid, right, left = mods[rng.randrange(len(mods))]
-        a, b, c = (rng.randrange(4) for _ in range(3))
-        f = _random_pointed(rng, a, b)
-        g = _random_pointed(rng, b, c)
-        lhs = push_matrix(f.then(g), monoid, right)
-        rhs = push_matrix(g, monoid, right).mul(push_matrix(f, monoid, right))
-        assert lhs.sub(rhs).is_zero()
-        flipped = _transposed(left)
-        fg, pf, pg = (push_matrix(h, monoid, flipped).transpose()
-                      for h in (f.then(g), f, g))
-        assert fg.sub(pf.mul(pg)).is_zero()
-
-
 def test_push_requires_right_pull_requires_left():
-    with pytest.raises(BadParams):
-        push_matrix(epsilon_map(0, 1), Z2, trivial_module(Z2, LEFT))
     # pulls live only inside cochain complexes, which take left modules
     with pytest.raises(BadParams):
         build_complex(Z2, trivial_module(Z2, RIGHT), 1, COHOMOLOGICAL)
@@ -231,14 +182,14 @@ def test_normalized_budget_counts_the_normalized_basis():
 
 
 def test_budget_environment(monkeypatch):
+    # the budget comes from the parameter alone; the environment is ignored
     monkeypatch.setenv("MONHOM_BUDGET", "10")
-    assert resolve_budget() == 10
-    with pytest.raises(ComplexityBudget):
-        build_complex(Z2, trivial_module(Z2, RIGHT), 4, HOMOLOGICAL)
+    assert resolve_budget() == DEFAULT_BUDGET
     assert resolve_budget(5000) == 5000
-    monkeypatch.setenv("MONHOM_BUDGET", "many")
-    with pytest.raises(BadParams):
-        resolve_budget()
+    build_complex(Z2, trivial_module(Z2, RIGHT), 4, HOMOLOGICAL)
+    with pytest.raises(ComplexityBudget):
+        build_complex(Z2, trivial_module(Z2, RIGHT), 4, HOMOLOGICAL,
+                      budget=10)
 
 
 def test_build_validation():

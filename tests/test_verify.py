@@ -2,7 +2,7 @@
 
 import pytest
 
-from monhom import verify
+from monhom import cli, gamma_chain, verify
 from monhom.errors import MonhomError
 from monhom.exact_linalg import FgAbGroup
 from monhom.verify import (CheckResult, render_json, render_text, run_suites)
@@ -82,3 +82,26 @@ def test_normalization_suite_catches_a_wrong_normalized_group(monkeypatch):
     assert "OracleMismatch" in results[0].detail
     assert render_text(results).splitlines()[0].startswith(
         "FAIL normalization[trivial]")
+
+
+def test_products_suite_checks_the_faces_of_build_complex(monkeypatch,
+                                                         capsys):
+    real = verify._face_cols
+
+    def doubled_on_products(monoid, act, high, low, faces):
+        cols = real(monoid, act, high, low, faces)
+        if monoid.size >= 4:  # the product monoids, not their factors
+            col = next(col for col in cols if col)
+            col[min(col)] *= 2
+        return cols
+
+    # the suite checks the very routine that build_complex sums
+    assert verify._face_cols is gamma_chain._face_cols
+    monkeypatch.setattr(verify, "_face_cols", doubled_on_products)
+    assert cli.main(["verify", "products"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    failed = sorted(line.split()[1] for line in lines
+                    if line.startswith("FAIL"))
+    assert failed == ["products[faces:Z2xZ2]:", "products[faces:Z2xZ3]:",
+                      "products[faces:semilattice-x-Z2]:"]
+    assert "face 0 at degree 1 differs" in "\n".join(lines)
