@@ -25,7 +25,6 @@ from .errors import (
 )
 from .exact_linalg import (
     FgAbGroup,
-    IntMatrix,
     _transpose_cols,
     int_rank,
     lattice_basis,
@@ -34,7 +33,7 @@ from .exact_linalg import (
     solve_int,
     subquotient_group,
 )
-from .hc_modules import LEFT, RIGHT
+from .hc_modules import LEFT, RIGHT, _block_diag
 
 HOMOLOGICAL = "homological"
 COHOMOLOGICAL = "cohomological"
@@ -43,7 +42,11 @@ DEFAULT_BUDGET = 10 ** 6
 
 
 def resolve_budget(budget=None):
-    return DEFAULT_BUDGET if budget is None else int(budget)
+    if budget is None:
+        return DEFAULT_BUDGET
+    if budget < 0:
+        raise BadParams(f"budget must be nonnegative, got {budget}")
+    return int(budget)
 
 
 def _face_tuple(t, i, monoid):
@@ -96,49 +99,49 @@ def _compose_cols(first, second):
 class GammaChainComplex:
     """Explicit (co)chain complex of a coefficient module over a monoid.
 
-    Degree n is the direct sum over n-tuples (lexicographic order) of the
-    coefficient value at the tuple product.  A normalized complex keeps
-    only the n-tuples with no entry equal to the identity: the quotient by
-    the degenerate tuples, which has the same (co)homology.  The maps go
-    from degree n to degree n + step: step is -1 for the boundaries of a
-    homological complex (right coefficients) and +1 for the coboundaries
-    of a cohomological one (left coefficients).  d_out(n) and d_in(n) are
-    the sparse columns of the map leaving and entering degree n; they are
-    the only place where the two directions differ.
+    Degree n of a complex from build_complex is the direct sum over
+    n-tuples (lexicographic order) of the coefficient value at the tuple
+    product.  A normalized complex keeps only the n-tuples with no entry
+    equal to the identity: the quotient by the degenerate tuples, which has
+    the same (co)homology.  The maps go from degree n to degree n + step:
+    step is -1 for the boundaries of a homological complex (right
+    coefficients) and +1 for the coboundaries of a cohomological one (left
+    coefficients).  d_out(n) and d_in(n) are the sparse columns of the map
+    leaving and entering degree n; they are the only place where the two
+    directions differ.
     """
 
-    def __init__(self, monoid, coeff, direction, ring, n_max, layouts, faces,
-                 normalized=False):
-        """faces[k] holds the columns of the face sum from degree k to
-        k - 1; a cohomological complex stores its transpose."""
+    def __init__(self, monoid, coeff, direction, ring, dims, maps, relations,
+                 layouts=None, normalized=False):
+        """dims[n] is the rank of degree n, maps[k] (k >= 1) the columns of
+        the map between degrees k - 1 and k, and relations[n] the columns
+        spanning the relations of degree n; degree n is Z^dims[n] modulo
+        them.  layouts[n] is the tuple layout of degree n, or None for a
+        complex derived from another."""
         self.monoid = monoid
         self.coeff = coeff
         self.direction = direction
         self.normalized = normalized
         self.step = -1 if direction == HOMOLOGICAL else 1
         self.ring = ring
-        self.n_max = n_max
-        self._tuples = [lay[0] for lay in layouts]
-        self._prods = [lay[1] for lay in layouts]
-        self._offsets = [lay[2] for lay in layouts]
-        self.dims = tuple(lay[3] for lay in layouts)
-        if self.step > 0:
-            faces = {k: _transpose_cols(cols, self.dims[k - 1])
-                     for k, cols in faces.items()}
-        self._mats = faces
+        self.n_max = len(dims) - 1
+        self.dims = tuple(dims)
+        self.layouts = layouts
+        self._relations = relations
+        self._mats = maps
         self._invariants = {}
 
     def tuples_at(self, n):
         self._check_degree(n)
-        return self._tuples[n]
+        return self.layouts[n][0]
 
     def prods_at(self, n):
         self._check_degree(n)
-        return self._prods[n]
+        return self.layouts[n][1]
 
     def tuple_offsets(self, n):
         self._check_degree(n)
-        return self._offsets[n]
+        return self.layouts[n][2]
 
     def _check_degree(self, n):
         if not 0 <= n <= self.n_max:
@@ -176,9 +179,6 @@ class GammaChainComplex:
             raise DegreeMismatch(f"boundary degree {n} outside 1..{self.n_max}")
         return self.d_out(n)
 
-    def boundary(self, n):
-        return IntMatrix.from_col_dicts(self.boundary_cols(n), self.dims[n - 1])
-
     def coboundary_cols(self, n):
         if self.direction != COHOMOLOGICAL:
             raise BadParams("coboundaries live on cohomological complexes")
@@ -187,37 +187,10 @@ class GammaChainComplex:
                 f"coboundary degree {n} outside 0..{self.n_max - 1}")
         return self.d_out(n)
 
-    def coboundary(self, n):
-        return IntMatrix.from_col_dicts(self.coboundary_cols(n),
-                                        self.dims[n + 1])
-
-    def relation_cols(self, n, copies=1):
-        """Sparse columns of the blockwise value relations in degree n,
-        repeated block-diagonally over `copies` stacked copies of it."""
+    def relation_cols(self, n):
+        """Sparse columns spanning the relations of degree n."""
         self._check_degree(n)
-        cols = []
-        for b in range(copies):
-            base = b * self.dims[n]
-            for kt, p in enumerate(self._prods[n]):
-                rel = self.coeff.rels[p]
-                off = base + self._offsets[n][kt]
-                for j in range(rel.cols):
-                    cols.append({off + i: rel.data[i][j]
-                                 for i in range(rel.rows) if rel.data[i][j]})
-        return cols
-
-    @property
-    def has_torsion(self):
-        return self.coeff.has_torsion
-
-
-def _cols_to_triplets(cols, rows):
-    trips = []
-    for j, col in enumerate(cols):
-        for i, v in sorted(col.items()):
-            trips.append([i, j, v])
-    trips.sort()
-    return {"rows": rows, "cols": len(cols), "triplets": trips}
+        return self._relations[n]
 
 
 def _face_cols(monoid, act, high, low, faces):
@@ -308,12 +281,17 @@ def build_complex(monoid, coeff, n_max, direction, budget=None, ring="Z",
     # the same ranks; its boundaries are the coboundaries transposed.
     act = coeff.act if coeff.side == RIGHT else \
         {key: A.transpose() for key, A in coeff.act.items()}
-    faces = {k: _face_cols(monoid, act, layouts[k], layouts[k - 1],
-                           range(k + 1))
-             for k in range(1, n_max + 1)}
-
-    cx = GammaChainComplex(monoid, coeff, direction, ring, n_max, layouts,
-                           faces, normalized)
+    dims = [lay[3] for lay in layouts]
+    maps = {}
+    for k in range(1, n_max + 1):
+        cols = _face_cols(monoid, act, layouts[k], layouts[k - 1],
+                          range(k + 1))
+        maps[k] = cols if direction == HOMOLOGICAL else \
+            _transpose_cols(cols, dims[k - 1])
+    relations = [_block_diag([coeff.rels[p] for p in lay[1]])
+                 for lay in layouts]
+    cx = GammaChainComplex(monoid, coeff, direction, ring, dims, maps,
+                           relations, layouts, normalized)
     _check_squares(cx)
     return cx
 
@@ -324,10 +302,10 @@ def _check_squares(cx):
         bad = [c for c in comp if c]
         if not bad:
             continue
-        if not cx.has_torsion:
+        target = k + cx.step
+        if not cx.relation_cols(target):
             raise CompositionNonzero(
                 f"double (co)boundary is nonzero around degree {k}")
-        target = k + cx.step
         if solve_int(cx.relation_cols(target), cx.dims[target], bad) is None:
             raise CompositionNonzero(
                 f"double (co)boundary escapes the relations around degree {k}")
@@ -511,29 +489,29 @@ def _sym_action_cols(cx, n, elem):
 def hochschild(cx, n):
     """The degree-n (co)homology group of the complex.
 
-    With free-valued coefficients over Z it is Z^(dim - rank d_out -
-    rank d_in) plus the torsion of d_in, from each map's rank and
-    invariant factors (rank_and_torsion); d o d = 0 was checked when the
-    complex was built.  Torsion coefficients take the lattice path: the
-    cycles modulo the value relations, against the boundaries and the
+    When neither degree n nor degree n + step has relations it is
+    Z^(dim - rank d_out - rank d_in) plus the torsion of d_in, from each
+    map's rank and invariant factors (rank_and_torsion); d o d = 0 holds
+    there, as build_complex checked.  Otherwise it takes the lattice path:
+    the cycles modulo the relations, against the image of d_in and the
     relations (subquotient_group)."""
     if not 0 <= n < cx.n_max:
         raise BadParams(f"need 0 <= n < n_max = {cx.n_max}")
     if cx.ring == "Q":
         return FgAbGroup.free(hochschild_dim_q(cx, n))
-    if not cx.has_torsion:
-        rank_out = cx.map_invariants(max(n, n + cx.step))[0]
+    low = n + cx.step
+    relations = cx.relation_cols(low) if low >= 0 else []
+    if not relations and not cx.relation_cols(n):
+        rank_out = cx.map_invariants(max(n, low))[0]
         rank_in, torsion = cx.map_invariants(max(n, n - cx.step))
         free = cx.dims[n] - rank_out - rank_in
         if free < 0:
             raise NotAComplex(f"boundary ranks {rank_out} + {rank_in} exceed"
                               f" the dimension {cx.dims[n]} of degree {n}")
         return FgAbGroup(free, torsion)
-    low = n + cx.step
-    low_rows = cx.dims[low] if low >= 0 else 0
-    relations = cx.relation_cols(low) if low_rows else []
     borders = _distinct_up_to_sign(cx.d_in(n) + cx.relation_cols(n))
-    return subquotient_group(cx.d_out(n), relations, low_rows, borders,
+    return subquotient_group(cx.d_out(n), relations,
+                             cx.dims[low] if low >= 0 else 0, borders,
                              cx.dims[n])
 
 
@@ -543,7 +521,7 @@ def hochschild_dim_q(cx, n):
     comes from map_invariants, once per complex."""
     if not 0 <= n < cx.n_max:
         raise BadParams(f"need 0 <= n < n_max = {cx.n_max}")
-    if cx.has_torsion:
+    if cx.coeff.has_torsion:
         raise BadParams("rational dimensions need free-valued coefficients")
     return (cx.dims[n] - cx.map_invariants(max(n, n + cx.step))[0]
             - cx.map_invariants(max(n, n - cx.step))[0])
@@ -609,70 +587,78 @@ def harrison(cx):
     """Harrison groups in degrees n = 1..n_max-1 (entry n-1 is degree n):
     homologically the quotient by the two-block shuffle images, which span
     every block-shuffle image, cohomologically their joint kernel.  Over Q
-    the answers are free groups of the computed dimensions; over Z the
-    shuffle span must be closed under the (co)boundary or NotAComplex is
-    raised."""
+    the answers are free groups of the computed dimensions; over Z they
+    are the hochschild groups of that subquotient complex, and the shuffle
+    span must be closed under the (co)boundary or NotAComplex is raised."""
     if cx.ring == "Q":
         return [FgAbGroup.free(d) for d in harrison_dim_q(cx)]
     if cx.n_max < 2:
         return []
-    if cx.direction == HOMOLOGICAL:
-        return _harrison_chains(cx)
-    return _harrison_cochains(cx)
+    sub = _shuffle_quotient(cx) if cx.direction == HOMOLOGICAL \
+        else _shuffle_kernel(cx)
+    return [hochschild(sub, n) for n in range(1, cx.n_max)]
 
 
-def _harrison_chains(cx):
-    """H_n of the quotient by the shuffle images, one degree at a time,
-    holding the image lattices of degrees n-1 and n.  Every generating set
-    is passed on with each column once up to sign."""
-    out = [hochschild(cx, 1)]
-    sh_n, lat_low = [], None
-    lat_n = lattice_basis(cx.relation_cols(1), cx.dims[1])
-    for n in range(1, cx.n_max):
-        sh_up = _distinct_up_to_sign(
-            c for cols in _shuffle_int_cols(cx, n + 1) for c in cols)
-        moved = _distinct_up_to_sign(_compose_cols(sh_up, cx.d_out(n + 1)))
-        if moved and solve_int(lat_n, cx.dims[n], moved) is None:
+def _derived(cx, dims, maps, relations):
+    return GammaChainComplex(cx.monoid, cx.coeff, cx.direction, cx.ring,
+                             dims, maps, relations, normalized=cx.normalized)
+
+
+def _shuffle_quotient(cx):
+    """The chain complex modulo the shuffle images: the same maps, and
+    below the top degree relations spanning the two-block shuffle images
+    and the value relations, each generating set passed on with each
+    column once up to sign.  Only the maps leave the top degree, so it
+    keeps its value relations."""
+    relations = []
+    for m in range(cx.n_max + 1):
+        sh = _distinct_up_to_sign(
+            c for cols in _shuffle_int_cols(cx, m) for c in cols)
+        moved = _distinct_up_to_sign(_compose_cols(sh, cx.d_out(m)))
+        if moved and solve_int(relations[m - 1], cx.dims[m - 1],
+                               moved) is None:
             raise NotAComplex("shuffle span is not boundary-closed at "
-                              f"degree {n + 1}")
-        if n >= 2:
-            borders = _distinct_up_to_sign(
-                cx.d_in(n) + sh_n + cx.relation_cols(n))
-            out.append(subquotient_group(cx.d_out(n), lat_low,
-                                         cx.dims[n - 1], borders, cx.dims[n]))
-        if n + 1 < cx.n_max:
-            lat_low, lat_n = lat_n, lattice_basis(_distinct_up_to_sign(
-                sh_up + cx.relation_cols(n + 1)), cx.dims[n + 1])
-        sh_n = sh_up
-    return out
+                              f"degree {m}")
+        relations.append(cx.relation_cols(m) if m == cx.n_max else
+                         lattice_basis(_distinct_up_to_sign(
+                             sh + cx.relation_cols(m)), cx.dims[m]))
+    return _derived(cx, cx.dims, cx._mats, relations)
 
 
-def _harrison_cochains(cx):
-    """H^n of the joint shuffle kernel V^n, one degree at a time, in the
-    coordinates of its basis K_n, holding the coboundaries of V^(n-1).
-    K_n holds the value relations, so the coboundaries and relations solve
-    into it exactly when V^(n-1) maps into V^n."""
-    out = [hochschild(cx, 1)]
-    image_low = cx.d_in(2)
+def _shuffle_kernel(cx):
+    """The cochain complex restricted to the joint shuffle kernels V^n,
+    in the coordinates of their bases K_n for 2 <= n < n_max; degrees 0
+    and 1 carry no shuffles and keep theirs.  K_n holds the value
+    relations, so the coboundaries of V^(n-1) and the relations solve into
+    it exactly when V^(n-1) maps into V^n.  The map into the top degree
+    stays in its coordinates, with its value relations: only its rank and
+    cycle condition are read."""
+    dims, maps = list(cx.dims[:2]), {1: cx.d_in(1), 2: cx.d_in(2)}
+    relations = [cx.relation_cols(0), cx.relation_cols(1)]
     for n in range(2, cx.n_max):
         kernel_n = _joint_kernel(cx, n, _shuffle_int_cols(cx, n))
-        borders = solve_int(kernel_n, cx.dims[n],
-                            image_low + cx.relation_cols(n))
-        if borders is None:
+        width = len(maps[n])
+        solved = solve_int(kernel_n, cx.dims[n],
+                           maps[n] + cx.relation_cols(n))
+        if solved is None:
             raise NotAComplex(f"shuffle kernel is not closed at degree {n}")
-        restricted = _compose_cols(kernel_n, cx.d_out(n))
-        out.append(subquotient_group(restricted, cx.relation_cols(n + 1),
-                                     cx.dims[n + 1], borders, len(kernel_n)))
-        image_low = restricted
-    return out
+        dims.append(len(kernel_n))
+        maps[n] = solved[:width]
+        relations.append(solved[width:])
+        maps[n + 1] = _compose_cols(kernel_n, cx.d_out(n))
+    dims.append(cx.dims[cx.n_max])
+    relations.append(cx.relation_cols(cx.n_max))
+    return _derived(cx, dims, maps, relations)
 
 
 def _joint_kernel(cx, m, blocks):
     """Basis of the joint kernel (modulo value relations) of the integer
     operators on degree m given as sparse column lists."""
-    return preimage_lattice(_stack_cols(blocks, cx.dims[m]),
-                            cx.relation_cols(m, len(blocks)),
-                            cx.dims[m] * len(blocks))
+    rels, rows = cx.relation_cols(m), cx.dims[m]
+    copies = [{b * rows + r: v for r, v in col.items()}
+              for b in range(len(blocks)) for col in rels]
+    return preimage_lattice(_stack_cols(blocks, rows), copies,
+                            rows * len(blocks))
 
 
 def harrison_dim_q(cx):
@@ -688,7 +674,7 @@ def harrison_dim_q(cx):
     operators are built once, and V^m is checked to map into V^(m+1) for
     m + 1 = 2..n_max before any rank is used.
     """
-    if cx.has_torsion:
+    if cx.coeff.has_torsion:
         raise BadParams("rational dimensions need free-valued coefficients")
     dual = cx.step < 0
     out = []
@@ -750,15 +736,7 @@ def y_exactness_check(hmap, n, lam, budget=None):
     K1, K2 = (_joint_kernel(cx, n, [_sym_action_cols(cx, n, g)
                                     for g in gens]) for cx in (cx1, cx2))
 
-    cols = [dict() for _ in range(cx1.dims[n])]
-    offs1, offs2 = cx1.tuple_offsets(n), cx2.tuple_offsets(n)
-    for kt, p in enumerate(cx1.prods_at(n)):
-        A = hmap.mats[p]
-        for j in range(A.cols):
-            col = cols[offs1[kt] + j]
-            for i in range(A.rows):
-                if A.data[i][j]:
-                    col[offs2[kt] + i] = A.data[i][j]
+    cols = _block_diag([hmap.mats[p] for p in cx1.prods_at(n)])
     rows = cx2.dims[n]
     reachable = _compose_cols(K1, cols) + cx2.relation_cols(n)
     if solve_int(reachable, rows, K2) is not None:

@@ -30,7 +30,6 @@ from .exact_linalg import (
 from .gamma_chain import (
     COHOMOLOGICAL,
     HOMOLOGICAL,
-    _cols_to_triplets,
     build_complex,
     harrison_dim_q,
     hochschild,
@@ -270,8 +269,7 @@ def bar_complex_compare(monoid, kc, n_max, budget=None):
     for n in range(1, n_max + 1):
         cols, rows = _classical_bar_cols(monoid, kc, n)
         classical[n] = IntMatrix.from_col_dicts(cols, rows)
-        matches.append(_cols_to_triplets(cols, rows)
-                       == _cols_to_triplets(cx.d_out(n), cx.dims[n - 1]))
+        matches.append(cols == cx.d_out(n) and rows == cx.dims[n - 1])
 
     groups = []
     all_match = all(matches)

@@ -393,7 +393,9 @@ def _block_diag(mats):
     """Sparse columns of the block-diagonal matrix of dense blocks."""
     cols, off = [], 0
     for m in mats:
-        cols += [{off + i: v for i, v in col.items()} for col in m.col_dicts()]
+        if m.cols:  # free values give many blocks with no columns
+            cols += [{off + i: v for i, v in col.items()}
+                     for col in m.col_dicts()]
         off += m.rows
     return cols
 

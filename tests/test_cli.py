@@ -197,6 +197,19 @@ def test_budget_exits_two(capsys):
     assert err["error"]["type"] == "ComplexityBudget"
 
 
+def test_negative_budget_exits_one(capsys):
+    # a negative cap is bad input, not an exceeded budget; a zero cap is
+    # a budget every complex exceeds
+    assert run("compute", "hh", "--monoid", "builtin:cyclic_group(2)",
+               "--budget", "-5") == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "BadParams"
+    assert "-5" in err["error"]["message"]
+    assert run("compute", "hh", "--monoid", "builtin:cyclic_group(2)",
+               "--budget", "0") == 2
+    capsys.readouterr()
+
+
 def test_budget_counts_the_normalized_basis(capsys):
     # 127 tuples without the identity through degree 6; 1093 in full
     assert run("compute", "hh", "--monoid", "builtin:cyclic_group(3)",

@@ -111,6 +111,11 @@ def _transposed(left):
     return TabulatedHCModule(RIGHT, left.monoid, left.ranks, act, left.rels)
 
 
+def _dense_out(cx, n):
+    """The map leaving degree n as a dense matrix."""
+    return IntMatrix.from_col_dicts(cx.d_out(n), cx.dims[n + cx.step])
+
+
 def test_push_requires_right_pull_requires_left():
     # pulls live only inside cochain complexes, which take left modules
     with pytest.raises(BadParams):
@@ -121,17 +126,17 @@ def test_boundary_degree_one_vanishes():
     for monoid in (Z2, Z3, semilattice_chain(1)):
         cx = build_complex(monoid, trivial_module(monoid, RIGHT), 2,
                            HOMOLOGICAL)
-        assert cx.boundary(1).is_zero()
+        assert _dense_out(cx, 1).is_zero()
         cy = build_complex(monoid, trivial_module(monoid, LEFT), 2,
                            COHOMOLOGICAL)
-        assert cy.coboundary(0).is_zero()
+        assert _dense_out(cy, 0).is_zero()
 
 
 def test_trivial_monoid_boundary_alternates():
     cx = build_complex(TRIV, trivial_module(TRIV, RIGHT), 5, HOMOLOGICAL)
     assert cx.dims == (1,) * 6
     for m in range(1, 6):
-        mat = cx.boundary(m)
+        mat = _dense_out(cx, m)
         if m % 2:
             assert mat.is_zero()
         else:
@@ -156,7 +161,7 @@ def test_normalized_complex_drops_identity_tuples():
     assert cx.dims == (1, 1, 1, 1, 1)
     assert cx.tuples_at(2) == [(1, 1)]
     # the middle face of (1, 1) lands on the degenerate tuple (0,) and drops
-    assert cx.boundary(2).data == [[2]]
+    assert _dense_out(cx, 2).data == [[2]]
     klein = product_monoid(Z2, Z2).monoid
     cx = build_complex(klein, trivial_module(klein, RIGHT), 3, HOMOLOGICAL,
                        normalized=True)
@@ -225,16 +230,16 @@ def test_cochains_are_transposed_chains_of_transposed_translations():
         cy = build_complex(monoid, left, 3, COHOMOLOGICAL)
         cx = build_complex(monoid, _transposed(left), 3, HOMOLOGICAL)
         for n in range(1, 4):
-            assert cy.coboundary(n - 1) == cx.boundary(n).transpose()
+            assert _dense_out(cy, n - 1) == _dense_out(cx, n).transpose()
 
 
 def test_double_boundary_is_literally_zero_for_free_values():
     cx = build_complex(Z2, std_projective(Z2, 1, RIGHT), 4, HOMOLOGICAL)
     for m in range(2, 5):
-        assert cx.boundary(m - 1).mul(cx.boundary(m)).is_zero()
+        assert _dense_out(cx, m - 1).mul(_dense_out(cx, m)).is_zero()
     cy = build_complex(Z3, trivial_module(Z3, LEFT), 3, COHOMOLOGICAL)
     for m in range(1, 3):
-        assert cy.coboundary(m).mul(cy.coboundary(m - 1)).is_zero()
+        assert _dense_out(cy, m).mul(_dense_out(cy, m - 1)).is_zero()
 
 
 def test_homology_of_cyclic_groups_trivial_coefficients():
@@ -743,8 +748,7 @@ def test_every_lattice_group_comes_from_subquotient_group(monkeypatch,
 
     for module in (gamma_chain, hc_modules):
         monkeypatch.setattr(module, "subquotient_group", counted)
-    # torsion HH in degrees 0..2; Harrison chains in degrees 1..3, of
-    # which degree 1 is HH_1; Der once
+    # torsion HH in degrees 0..2; Harrison chains in degrees 1..3; Der once
     for target, degree, expected in (("hh", "2", 3), ("leech", "2", 3),
                                      ("harrison", "3", 3), ("der", "0", 1)):
         calls.clear()
@@ -754,6 +758,7 @@ def test_every_lattice_group_comes_from_subquotient_group(monkeypatch,
         assert len(calls) == expected, target
     capsys.readouterr()
     calls.clear()
+    # Harrison cochains with free values have no relations: no lattice path
     cx = build_complex(Z2, trivial_module(Z2, LEFT), 4, COHOMOLOGICAL)
     assert harrison(cx) == [groups(0), groups(0, 2), groups(0)]
-    assert len(calls) == 2
+    assert len(calls) == 0

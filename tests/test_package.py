@@ -1,11 +1,14 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
-import importlib
-
 import monhom
+from monhom.gamma_chain import COHOMOLOGICAL, HOMOLOGICAL, build_complex
+from monhom.hc_modules import LEFT, RIGHT, trivial_module
+from monhom.monoids import cyclic_group
 
 PACKAGE = pathlib.Path(monhom.__file__).parent
 TRACER = pathlib.Path(__file__).parent.parent / "perfbench" / "tracer.py"
@@ -62,3 +65,16 @@ def test_traced_layers_resolve():
     sized = [ast.literal_eval(key)
              for key in _tracer_value(tree, "SIZES").keys]
     assert sized and set(sized) <= traced, sized
+
+
+def test_tracer_sizes_built_complexes():
+    # the benchmark's size metric for build_complex reads the complex's
+    # accessors; run it on both directions
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    monoid = cyclic_group(2)
+    for side, direction in ((RIGHT, HOMOLOGICAL), (LEFT, COHOMOLOGICAL)):
+        cx = build_complex(monoid, trivial_module(monoid, side), 3, direction)
+        sizes = tracer._complex_sizes((), {}, cx)
+        assert sizes == {"basis": 15, "nnz": 17, "degenerate": 11}, direction
