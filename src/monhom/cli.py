@@ -30,7 +30,7 @@ from .errors import (BadParams, ComplexityBudget, CompositionNonzero,
                      ValidationError, WeightNotPreserved)
 from .exact_linalg import FgAbGroup
 from .gamma_chain import (COHOMOLOGICAL, HOMOLOGICAL, build_complex, harrison,
-                          hochschild)
+                          hochschild, resolve_budget)
 from .grillet import GrilletReport, grillet_report, tensor_over_hc
 from .hc_modules import (LEFT, RIGHT, derivations, jstar, jstar_finite_cyclic,
                          omega, regular_kc_module, std_projective,
@@ -124,6 +124,7 @@ def _compute(args):
     deg = args.max_degree
     if deg < 0:
         raise ValidationError("--max-degree must be nonnegative")
+    budget = resolve_budget(args.budget)
     report = {"command": "compute", "target": args.target,
               "monoid": args.monoid, "max_degree": deg}
     lines = []
@@ -155,8 +156,7 @@ def _compute(args):
         report["results"] = [{"group": group.to_json()}]
         lines = [f"N (x) Omega = {group}"]
     elif args.target == "grillet":
-        rep = grillet_report(monoid, coeff, direction, deg,
-                             budget=args.budget)
+        rep = grillet_report(monoid, coeff, direction, deg, budget=budget)
         rep = GrilletReport(_in_ring(rep.degree_zero, ring), rep.char0_dims)
         report["results"] = rep.entries()
         for entry in rep.entries():
@@ -164,7 +164,7 @@ def _compute(args):
                          f"{FgAbGroup(**entry['group'])}")
     elif args.target in ("hh", "leech"):
         cx = build_complex(monoid, coeff, deg + 1, direction,
-                           budget=args.budget, ring=ring, normalized=True)
+                           budget=budget, ring=ring, normalized=True)
         mark = "_" if direction == HOMOLOGICAL else "^"
         for n in range(deg + 1):
             group = hochschild(cx, n)
@@ -175,7 +175,7 @@ def _compute(args):
         if deg < 1:
             raise ValidationError("--max-degree must be at least 1 here")
         cx = build_complex(monoid, coeff, deg + 1, HOMOLOGICAL,
-                           budget=args.budget, ring=ring)
+                           budget=budget, ring=ring)
         for n, group in enumerate(harrison(cx), start=1):
             report.setdefault("results", []).append(
                 {"degree": n, "group": group.to_json()})
@@ -189,7 +189,7 @@ def _compute(args):
                 f" above the projector cap {PROJECTOR_CAP} of the weight"
                 " decomposition")
         cx = build_complex(monoid, coeff, deg + 1, HOMOLOGICAL,
-                           budget=args.budget, ring="Q", normalized=True)
+                           budget=budget, ring="Q", normalized=True)
         for n, weights in enumerate(hodge_decomposition(cx), start=1):
             report.setdefault("results", []).append(
                 {"degree": n, "weights": list(weights),

@@ -5,9 +5,11 @@ lattice routines (solve_int, kernel_basis, lattice_basis,
 preimage_lattice, subquotient_group, cokernel_group, rank_and_torsion)
 take and return sparse matrices: a list of {row: value} columns and a row
 count.  They copy their input and drop explicit zero entries on the way
-in, so callers may pass any columns they hold.  A dense IntMatrix,
-row-major lists of lists, holds module data and the unit-free residual of
-an elimination, which goes to the whole-matrix Smith form.
+in, so callers may pass any columns they hold.  They and int_rank share
+one sparse elimination of unit pivots, _eliminate_units.  A dense
+IntMatrix, row-major lists of lists, holds module data and the unit-free
+residual of an elimination, which goes to the whole-matrix Smith form,
+_smith_core.
 """
 
 from __future__ import annotations
@@ -542,26 +544,35 @@ def homology_at(d_out, d_in):
 def _eliminate_units(vecs, size, carry=None, equations=False):
     """Greedy elimination of +-1 pivots on sparse integer vectors, in place.
 
-    vecs holds {key: value} maps with keys in range(size).  The shortest
-    vector comes first (a heap of lengths; stale entries are skipped), at
-    its unit entry whose key the fewest vectors hold (a where index, key
-    -> vectors), to limit fill-in (Dumas-Saunders-Villard, JSC 2001).  A
-    multiple of it is subtracted from every other vector holding that key,
-    which leaves the key in the pivot alone; the pivot's slot in vecs
-    becomes None.  When no unit entry is left, the nonempty vectors are
-    the residual.  carry, when given, holds one {key: value} map per
-    vector that takes the same vector operations.  With equations set,
-    each vector is an equation (vector . x = its carry) whose integer
+    This is the one sparse elimination of the module: rank_and_torsion,
+    int_rank and the lattice routines all run on it.  vecs holds
+    {key: value} maps with keys in range(size).  The shortest vector comes
+    first (a heap of lengths; stale entries are skipped), at its unit
+    entry whose key the fewest vectors hold (count, key -> number of live
+    vectors with an entry there), to limit fill-in (Dumas-Saunders-
+    Villard, JSC 2001).  A multiple of it is subtracted from every other
+    vector holding that key, which leaves the key in the pivot alone; the
+    pivot's slot in vecs becomes None.  The vectors holding a key are
+    found through where, one append-only list per key: a vector that
+    lost the key (or holds it again after losing it) leaves a stale or
+    duplicate entry there, which the walk skips by looking in the vector
+    itself, and a pivot's key list is dropped, since no vector gains that
+    key again.  When no unit entry is left, the nonempty vectors are the
+    residual.  carry, when given, holds one {key: value} map per vector
+    that takes the same vector operations.  With equations set, each
+    vector is an equation (vector . x = its carry) whose integer
     solutions are what counts, so one without a unit entry is divided by
     the gcd of its entries when that gcd divides its carry too, which
     may give it one.  Yields the pivots as (index, key, vector) in
     elimination order, so a caller that needs only their number keeps
     none of them.
     """
-    where = [set() for _ in range(size)]  # key -> vectors with an entry there
+    where = [[] for _ in range(size)]  # key -> vectors that held it
+    count = [0] * size  # key -> live vectors that hold it
     for j, vec in enumerate(vecs):
         for r in vec:
-            where[r].add(j)
+            where[r].append(j)
+            count[r] += 1
     heap = [(len(vec), j) for j, vec in enumerate(vecs) if vec]
     heapq.heapify(heap)
     while heap:
@@ -574,22 +585,24 @@ def _eliminate_units(vecs, size, carry=None, equations=False):
             units = _divide_out_content(vec, carry and carry[j])
         if not units:
             continue
-        r = min(units, key=lambda u: len(where[u]))
+        r = min(units, key=count.__getitem__)
         p = vec[r]
-        where[r].discard(j)
+        vecs[j] = None
         for k in where[r]:
             other = vecs[k]
+            if other is None or r not in other:  # stale or duplicate
+                continue
             f = other[r] * p
             for s, v in vec.items():
                 nv = other.get(s, 0) - f * v
                 if nv:
                     if s not in other:
-                        where[s].add(k)
+                        where[s].append(k)
+                        count[s] += 1
                     other[s] = nv
                 else:
                     del other[s]
-                    if s != r:
-                        where[s].discard(k)
+                    count[s] -= 1
             if carry is not None:
                 target = carry[k]
                 for s, v in carry[j].items():
@@ -599,10 +612,9 @@ def _eliminate_units(vecs, size, carry=None, equations=False):
                     else:
                         del target[s]
             heapq.heappush(heap, (len(other), k))
-        where[r] = set()
+        where[r] = []
         for s in vec:
-            where[s].discard(j)
-        vecs[j] = None
+            count[s] -= 1
         yield j, r, vec
 
 
@@ -620,6 +632,15 @@ def _divide_out_content(vec, rhs):
     return [r for r, v in vec.items() if v == 1 or v == -1]
 
 
+def _residual_diagonal(vecs):
+    """Absolute values of the nonzero Smith diagonal entries of the live
+    vectors an elimination left, none when it left none."""
+    live = [vec for vec in vecs if vec]
+    if not live:
+        return []
+    return [abs(d) for d in snf_diagonal(_residual(live)[0]) if d]
+
+
 def rank_and_torsion(cols, rows):
     """Rank and invariant factors >= 2 of a rows x len(cols) integer matrix
     given as sparse {row: value} columns.
@@ -628,52 +649,23 @@ def rank_and_torsion(cols, rows):
     operations; row operations that touch nothing else then clear its
     column, and neither changes the Smith form: the pivot adds a unit
     factor, one to the rank, and is dropped with its row and column.  The
-    residual on its live rows and columns goes to snf_diagonal.
+    residual on its live rows and columns goes to snf_diagonal (as its
+    transpose, which has the same Smith diagonal).
     """
     cols = _nonzero_copies(cols)
     rank = sum(1 for _ in _eliminate_units(cols, rows))
-    live = [col for col in cols if col]
-    if not live:
-        return rank, ()
-    # the transpose of the residual, which has the same Smith diagonal
-    diag = [abs(d) for d in snf_diagonal(_residual(live)[0]) if d]
+    diag = _residual_diagonal(cols)
     return rank + len(diag), tuple(d for d in diag if d >= 2)
 
 
 def int_rank(vecs):
     """Rank over Q of the integer matrix whose rows, or columns (the rank
-    is the same), are the sparse {key: value} vectors vecs, by exact
-    sparse elimination."""
-    rows = [r for r in _nonzero_copies(vecs) if r]
-    rank = 0
-    while rows:
-        bi = min(range(len(rows)), key=lambda i: len(rows[i]))
-        prow = rows.pop(bi)
-        pc, pv = min(prow.items(), key=lambda kv: (abs(kv[1]) != 1, abs(kv[1]), kv[0]))
-        rank += 1
-        nxt = []
-        for row in rows:
-            v = row.pop(pc, 0)
-            if not v:
-                nxt.append(row)
-                continue
-            out = {j: pv * w for j, w in row.items()}
-            for j, w in prow.items():
-                if j == pc:
-                    continue
-                nv = out.get(j, 0) - v * w
-                if nv:
-                    out[j] = nv
-                else:
-                    out.pop(j, None)
-            if out:
-                g = 0
-                for w in out.values():
-                    g = gcd(g, w)
-                    if g == 1:
-                        break
-                if g > 1:
-                    out = {j: w // g for j, w in out.items()}
-                nxt.append(out)
-        rows = nxt
-    return rank
+    is the same), are the sparse {key: value} vectors vecs.
+
+    The pivots of _eliminate_units with content division (equations set:
+    dividing a vector by the gcd of its entries keeps the rank over Q)
+    plus the nonzero Smith diagonal entries of the residual."""
+    vecs = _nonzero_copies(vecs)
+    size = 1 + max((k for vec in vecs for k in vec), default=-1)
+    rank = sum(1 for _ in _eliminate_units(vecs, size, equations=True))
+    return rank + len(_residual_diagonal(vecs))

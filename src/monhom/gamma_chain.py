@@ -527,11 +527,10 @@ def hochschild_dim_q(cx, n):
             - cx.map_invariants(max(n, n - cx.step))[0])
 
 
-def leech_cohomology(monoid, coeff, n, budget=None):
+def leech_cohomology(monoid, coeff, n):
     """Cohomology of the contravariant tuple complex with left coefficients,
     computed on the normalized complex."""
-    cx = build_complex(monoid, coeff, n + 1, COHOMOLOGICAL, budget=budget,
-                       normalized=True)
+    cx = build_complex(monoid, coeff, n + 1, COHOMOLOGICAL, normalized=True)
     return hochschild(cx, n)
 
 
@@ -718,7 +717,7 @@ class YExactnessReport:
     detail: str
 
 
-def y_exactness_check(hmap, n, lam, budget=None):
+def y_exactness_check(hmap, n, lam):
     """Surjectivity of a right-module map on Young-subgroup invariants of
     the degree-n term, checked exactly over the integers."""
     lam = tuple(int(p) for p in lam)
@@ -729,8 +728,8 @@ def y_exactness_check(hmap, n, lam, budget=None):
     if src.side != RIGHT or tgt.side != RIGHT:
         raise BadParams("invariant surjectivity is checked for right modules")
     monoid = src.monoid
-    cx1 = build_complex(monoid, src, n, HOMOLOGICAL, budget=budget)
-    cx2 = build_complex(monoid, tgt, n, HOMOLOGICAL, budget=budget)
+    cx1 = build_complex(monoid, src, n, HOMOLOGICAL)
+    cx2 = build_complex(monoid, tgt, n, HOMOLOGICAL)
     gens = [SymGroupElement.from_permutation(g) - SymGroupElement.identity(n)
             for g in _young_generators(lam, n)]
     K1, K2 = (_joint_kernel(cx, n, [_sym_action_cols(cx, n, g)

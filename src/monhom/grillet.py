@@ -45,7 +45,7 @@ from .hc_modules import (
 )
 
 
-def _degree_zero(monoid, coeff, direction, n_max, budget):
+def _degree_zero(monoid, coeff, direction, n_max, budget=None):
     """The exact degree-0 group and the normalized complex up to n_max.
 
     The group is N tensored with the universal derivation target
@@ -71,24 +71,24 @@ def _degree_zero(monoid, coeff, direction, n_max, budget):
     return direct, cx
 
 
-def d0_homology(monoid, coeff, budget=None):
+def d0_homology(monoid, coeff):
     """N tensored with the universal derivation target, degree-0 exactly,
     cross-checked against degree-1 homology."""
-    return _degree_zero(monoid, coeff, HOMOLOGICAL, 2, budget)[0]
+    return _degree_zero(monoid, coeff, HOMOLOGICAL, 2)[0]
 
 
-def d0_cohomology(monoid, coeff, budget=None):
+def d0_cohomology(monoid, coeff):
     """The derivation group, cross-checked against degree-1 cohomology."""
-    return _degree_zero(monoid, coeff, COHOMOLOGICAL, 2, budget)[0]
+    return _degree_zero(monoid, coeff, COHOMOLOGICAL, 2)[0]
 
 
-def grillet_char0(monoid, coeff, n, direction, budget=None):
+def grillet_char0(monoid, coeff, n, direction):
     """Rational dimension in degree n >= 0, one degree below the shuffle
     quotient (homological) or shuffle kernel (cohomological)."""
     if n < 0:
         raise BadParams("negative degree")
-    cx = build_complex(monoid, coeff, n + 2, direction, budget=budget,
-                       ring="Q", normalized=True)
+    cx = build_complex(monoid, coeff, n + 2, direction, ring="Q",
+                       normalized=True)
     return harrison_dim_q(cx)[n]
 
 
@@ -255,15 +255,14 @@ class BarCompareReport:
     detail: str
 
 
-def bar_complex_compare(monoid, kc, n_max, budget=None):
+def bar_complex_compare(monoid, kc, n_max):
     """Byte-compare the algebra bar boundaries with the functor complex and
     recompute homology from the classical side alone."""
     if n_max > 4:
         raise BadParams("bar comparison capped at degree 4")
     if n_max < 1:
         raise BadParams("need at least one boundary to compare")
-    cx = build_complex(monoid, jstar(kc, RIGHT), n_max, HOMOLOGICAL,
-                       budget=budget)
+    cx = build_complex(monoid, jstar(kc, RIGHT), n_max, HOMOLOGICAL)
     classical = {}
     matches = []
     for n in range(1, n_max + 1):

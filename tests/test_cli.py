@@ -210,6 +210,18 @@ def test_negative_budget_exits_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("target", ["omega", "der", "tensor"])
+def test_negative_budget_exits_one_without_a_complex(target, capsys):
+    # these targets build no complex, so the budget is checked up front
+    assert run("compute", target, "--monoid", "builtin:cyclic_group(2)",
+               "--budget", "-4") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]["type"] == "BadParams"
+    assert "-4" in err["error"]["message"]
+
+
 def test_budget_counts_the_normalized_basis(capsys):
     # 127 tuples without the identity through degree 6; 1093 in full
     assert run("compute", "hh", "--monoid", "builtin:cyclic_group(3)",

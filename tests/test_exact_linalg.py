@@ -174,16 +174,47 @@ def test_preimage_lattice():
     assert len(P) == 1 and abs(P[0][0]) == 2
 
 
+def sparse_matrix(rng, rows, cols, values, density=0.35):
+    return IntMatrix([[rng.choice(values) if rng.random() < density else 0
+                       for _ in range(cols)] for _ in range(rows)], cols)
+
+
 def test_int_rank_matches_snf():
     rng = random.Random(19)
-    for _ in range(40):
-        A = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+    matrices = [random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+                for _ in range(40)]
+    # sparse, so that most of the rank comes from unit pivots
+    matrices += [sparse_matrix(rng, 20, 30, range(-3, 4)) for _ in range(40)]
+    for A in matrices:
         rank = sum(1 for d in snf_diagonal(A) if d)
-        assert int_rank(A.col_dicts()) == rank
-        assert int_rank(A.transpose().col_dicts()) == rank
+        assert int_rank(A.col_dicts()) == rank, A.data
+        assert int_rank(A.transpose().col_dicts()) == rank, A.data
     # explicit zero entries count for nothing
     assert int_rank([{0: 1, 1: 2}, {0: 2, 1: 4}, {0: 0, 1: 0}]) == 1
     assert int_rank([{0: 0}, {}]) == 0
+
+
+def test_int_rank_divides_out_content_and_reduces_the_residual(monkeypatch):
+    # rank 1: no unit entry, but {0: 2, 1: 4} divided by 2 has one, which
+    # clears the other vector; rank 2: content 1 and no unit entry, so all
+    # of it is the residual
+    cases = [([{0: 2, 1: 4}, {0: 3, 1: 6}], 1, []),
+             ([{0: 2, 1: 3}, {0: 3, 1: 2}], 2, [[[2, 3], [3, 2]]])]
+    for vecs, rank, _ in cases:
+        assert sum(1 for d in snf_diagonal(dense(vecs, 2)) if d) == rank
+    residuals = []
+    real = exact_linalg.snf_diagonal
+
+    def recorded(A):
+        residuals.append(A.data)
+        return real(A)
+
+    monkeypatch.setattr(exact_linalg, "snf_diagonal", recorded)
+    for vecs, rank, seen in cases:
+        residuals.clear()
+        assert int_rank(vecs) == rank and residuals == seen
+    # the input vectors are left as they were
+    assert cases[1][0] == [{0: 2, 1: 3}, {0: 3, 1: 2}]
 
 
 def dense_rank_and_torsion(A):
@@ -238,9 +269,32 @@ def test_rank_and_torsion_matches_the_dense_snf():
             dense_rank_and_torsion(A), A.data
 
 
-def sparse_matrix(rng, rows, cols, values, density=0.35):
-    return IntMatrix([[rng.choice(values) if rng.random() < density else 0
-                       for _ in range(cols)] for _ in range(rows)], cols)
+def test_rank_and_torsion_skips_keys_lost_and_regained(monkeypatch):
+    # a vector that loses a key and later holds it again leaves a stale
+    # and a duplicate entry in the elimination's list for that key
+    regained = []
+    real = exact_linalg._eliminate_units
+
+    def watched(vecs, size, *args, **kwargs):
+        held = [set(vec) for vec in vecs]
+        lost = set()
+        for pivot in real(vecs, size, *args, **kwargs):
+            for k, vec in enumerate(vecs):
+                now = set(vec) if vec else set()
+                lost |= {(k, s) for s in held[k] - now}
+                regained.extend((k, s) for s in now - held[k]
+                                if (k, s) in lost)
+                held[k] = now
+            yield pivot
+
+    monkeypatch.setattr(exact_linalg, "_eliminate_units", watched)
+    rng = random.Random(31)
+    for _ in range(60):
+        rows, cols = rng.randint(6, 14), rng.randint(6, 14)
+        A = sparse_matrix(rng, rows, cols, range(-3, 4), density=0.5)
+        assert rank_and_torsion(A.col_dicts(), rows) == \
+            dense_rank_and_torsion(A), A.data
+    assert regained
 
 
 def same_lattice(K, D):
