@@ -526,8 +526,8 @@ def homology_at(d_out, d_in):
     This is the oracle, with no elimination in front: a saturated kernel
     basis and a solve for the image in it, both from the Smith form with
     transforms of the whole matrix (dense_kernel_basis, dense_solve_int),
-    and the Smith diagonal of the quotient.  Complexes with free-valued
-    coefficients compute their homology from rank_and_torsion instead, the
+    and the Smith diagonal of the quotient.  Complexes compute their
+    homology from rank_and_torsion on the maps of their cones instead, the
     lattice routines eliminate unit pivots first, and the sparse-homology
     suite checks both against this."""
     if d_out.cols != d_in.rows:

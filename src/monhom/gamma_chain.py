@@ -25,13 +25,13 @@ from .errors import (
 )
 from .exact_linalg import (
     FgAbGroup,
+    IntMatrix,
     _transpose_cols,
     int_rank,
     lattice_basis,
     preimage_lattice,
     rank_and_torsion,
     solve_int,
-    subquotient_group,
 )
 from .hc_modules import LEFT, RIGHT, _block_diag
 
@@ -109,6 +109,16 @@ class GammaChainComplex:
     coefficients).  d_out(n) and d_in(n) are the sparse columns of the map
     leaving and entering degree n; they are the only place where the two
     directions differ.
+
+    Homology is read off a free complex, the cone of the relation lattices
+    S: degree m of the cone is F_m + S_(m+step), with the map
+    D(f, s) = (d f + s, phi f - d_S s) into degree m + step.  d_S is d on S
+    written in the basis of S, and -phi is d o d written in that basis; phi
+    is 0 unless the coefficient translations compose only modulo their
+    relations.  (f, s) -> [f] maps the cone onto F/S, and its kernel
+    S + S is contractible through h(a, b) = (0, a), so the cone has the
+    homology of F/S.  A complex with no relations is its own cone; on
+    cochains the cone starts at degree -1, with S_0 alone.
     """
 
     def __init__(self, monoid, coeff, direction, ring, dims, maps, relations,
@@ -116,8 +126,11 @@ class GammaChainComplex:
         """dims[n] is the rank of degree n, maps[k] (k >= 1) the columns of
         the map between degrees k - 1 and k, and relations[n] the columns
         spanning the relations of degree n; degree n is Z^dims[n] modulo
-        them.  layouts[n] is the tuple layout of degree n, or None for a
-        complex derived from another."""
+        them, given as a basis.  layouts[n] is the tuple layout of degree n,
+        or None for a complex derived from another.  phi[k] holds the
+        columns of phi through degree k, from degree k - step into the
+        relation basis of degree k + step, where d o d is not zero;
+        _check_squares fills it."""
         self.monoid = monoid
         self.coeff = coeff
         self.direction = direction
@@ -129,6 +142,7 @@ class GammaChainComplex:
         self.layouts = layouts
         self._relations = relations
         self._mats = maps
+        self.phi = {}
         self._invariants = {}
 
     def tuples_at(self, n):
@@ -161,16 +175,60 @@ class GammaChainComplex:
             return []
         return self._mats[max(n, n - self.step)]
 
+    def _relations_at(self, m):
+        return self._relations[m] if 0 <= m <= self.n_max else []
+
+    def cone_dim(self, n):
+        """The rank of degree n of the cone."""
+        return self.dims[n] + len(self._relations_at(n + self.step))
+
     def map_invariants(self, k):
-        """Rank and invariant factors >= 2 of the map between degrees k - 1
-        and k, which leaves one of them and enters the other; k = 0 names
-        no map, of rank 0.  Each map is reduced once per complex."""
-        if k == 0:
-            return 0, ()
+        """Rank and invariant factors >= 2 of the cone's map between
+        degrees k - 1 and k; a map with no columns, such as k = 0 on chains,
+        has rank 0.  Each map is reduced once per complex.  Only the rank of
+        a map is read when it enters no degree below n_max (the cochain map
+        into n_max) or the ring is Q, and int_rank gives just that."""
         if k not in self._invariants:
-            rows = self.dims[k - 1] if self.step < 0 else self.dims[k]
-            self._invariants[k] = rank_and_torsion(self._mats[k], rows)
+            cols, rows = self._cone_cols(k)
+            entered = k - 1 if self.step < 0 else k
+            if not cols:
+                self._invariants[k] = 0, ()
+            elif self.ring == "Q" or entered >= self.n_max:
+                self._invariants[k] = int_rank(cols), ()
+            else:
+                self._invariants[k] = rank_and_torsion(cols, rows)
         return self._invariants[k]
+
+    def _cone_cols(self, k):
+        """Sparse columns and row count of the cone's map between degrees
+        k - 1 and k, from F_src + S_tgt to F_tgt + S_(tgt+step).  Without
+        phi and S_tgt these are the columns of d themselves.  One solve
+        writes d on S_tgt in the basis of S_(tgt+step); it fails, raising
+        NotAComplex, when d does not carry the relations into the
+        relations."""
+        src = k if self.step < 0 else k - 1
+        tgt = src + self.step
+        if not 0 <= tgt <= self.n_max:
+            return [], 0
+        d = self._mats[k] if src >= 0 else []
+        shifted = self._relations_at(tgt)
+        low = self._relations_at(tgt + self.step)
+        rows = self.dims[tgt]
+        low_rows = self.dims[tgt + self.step] \
+            if 0 <= tgt + self.step <= self.n_max else 0
+        phi = self.phi.get(tgt)
+        cols = d if phi is None else [
+            {**col, **{rows + r: v for r, v in p.items()}}
+            for col, p in zip(d, phi)]
+        if shifted:
+            moved = _compose_cols(shifted, self.d_out(tgt))
+            d_s = solve_int(low, low_rows, moved)
+            if d_s is None:
+                raise NotAComplex(f"the relations of degree {tgt} are not"
+                                  " closed under the (co)boundary")
+            cols = cols + [{**s, **{rows + r: -v for r, v in ds.items()}}
+                           for s, ds in zip(shifted, d_s)]
+        return cols, rows + len(low)
 
     def boundary_cols(self, n):
         if self.direction != HOMOLOGICAL:
@@ -288,7 +346,10 @@ def build_complex(monoid, coeff, n_max, direction, budget=None, ring="Z",
                           range(k + 1))
         maps[k] = cols if direction == HOMOLOGICAL else \
             _transpose_cols(cols, dims[k - 1])
-    relations = [_block_diag([coeff.rels[p] for p in lay[1]])
+    value_bases = [IntMatrix.from_col_dicts(
+        lattice_basis(rel.col_dicts(), rel.rows), rel.rows)
+        for rel in coeff.rels]
+    relations = [_block_diag([value_bases[p] for p in lay[1]])
                  for lay in layouts]
     cx = GammaChainComplex(monoid, coeff, direction, ring, dims, maps,
                            relations, layouts, normalized)
@@ -297,18 +358,22 @@ def build_complex(monoid, coeff, n_max, direction, budget=None, ring="Z",
 
 
 def _check_squares(cx):
+    """Check that d o d lands in the relations.  Where it is not zero,
+    phi[k] holds -(d o d) through degree k written in the relation basis
+    of degree k + step."""
     for k in range(1, cx.n_max):
         comp = _compose_cols(cx.d_in(k), cx.d_out(k))
-        bad = [c for c in comp if c]
-        if not bad:
+        if not any(comp):
             continue
         target = k + cx.step
         if not cx.relation_cols(target):
             raise CompositionNonzero(
                 f"double (co)boundary is nonzero around degree {k}")
-        if solve_int(cx.relation_cols(target), cx.dims[target], bad) is None:
+        solved = solve_int(cx.relation_cols(target), cx.dims[target], comp)
+        if solved is None:
             raise CompositionNonzero(
                 f"double (co)boundary escapes the relations around degree {k}")
+        cx.phi[k] = [{r: -v for r, v in col.items()} for col in solved]
 
 
 def _integer(coeff):
@@ -487,32 +552,20 @@ def _sym_action_cols(cx, n, elem):
 
 
 def hochschild(cx, n):
-    """The degree-n (co)homology group of the complex.
-
-    When neither degree n nor degree n + step has relations it is
-    Z^(dim - rank d_out - rank d_in) plus the torsion of d_in, from each
-    map's rank and invariant factors (rank_and_torsion); d o d = 0 holds
-    there, as build_complex checked.  Otherwise it takes the lattice path:
-    the cycles modulo the relations, against the image of d_in and the
-    relations (subquotient_group)."""
+    """The degree-n (co)homology group of the complex: on its cone, which is
+    free, Z^(dim - rank D_out - rank D_in) plus the torsion of D_in, from
+    each map's rank and invariant factors (map_invariants)."""
     if not 0 <= n < cx.n_max:
         raise BadParams(f"need 0 <= n < n_max = {cx.n_max}")
     if cx.ring == "Q":
         return FgAbGroup.free(hochschild_dim_q(cx, n))
-    low = n + cx.step
-    relations = cx.relation_cols(low) if low >= 0 else []
-    if not relations and not cx.relation_cols(n):
-        rank_out = cx.map_invariants(max(n, low))[0]
-        rank_in, torsion = cx.map_invariants(max(n, n - cx.step))
-        free = cx.dims[n] - rank_out - rank_in
-        if free < 0:
-            raise NotAComplex(f"boundary ranks {rank_out} + {rank_in} exceed"
-                              f" the dimension {cx.dims[n]} of degree {n}")
-        return FgAbGroup(free, torsion)
-    borders = _distinct_up_to_sign(cx.d_in(n) + cx.relation_cols(n))
-    return subquotient_group(cx.d_out(n), relations,
-                             cx.dims[low] if low >= 0 else 0, borders,
-                             cx.dims[n])
+    rank_out = cx.map_invariants(max(n, n + cx.step))[0]
+    rank_in, torsion = cx.map_invariants(max(n, n - cx.step))
+    free = cx.cone_dim(n) - rank_out - rank_in
+    if free < 0:
+        raise NotAComplex(f"boundary ranks {rank_out} + {rank_in} exceed"
+                          f" the dimension {cx.cone_dim(n)} of degree {n}")
+    return FgAbGroup(free, torsion)
 
 
 def hochschild_dim_q(cx, n):
@@ -523,7 +576,7 @@ def hochschild_dim_q(cx, n):
         raise BadParams(f"need 0 <= n < n_max = {cx.n_max}")
     if cx.coeff.has_torsion:
         raise BadParams("rational dimensions need free-valued coefficients")
-    return (cx.dims[n] - cx.map_invariants(max(n, n + cx.step))[0]
+    return (cx.cone_dim(n) - cx.map_invariants(max(n, n + cx.step))[0]
             - cx.map_invariants(max(n, n - cx.step))[0])
 
 
@@ -599,28 +652,26 @@ def harrison(cx):
 
 
 def _derived(cx, dims, maps, relations):
-    return GammaChainComplex(cx.monoid, cx.coeff, cx.direction, cx.ring,
-                             dims, maps, relations, normalized=cx.normalized)
+    """A complex on other maps or relations; phi is written again in its
+    relation bases where the parent's d o d is not zero."""
+    sub = GammaChainComplex(cx.monoid, cx.coeff, cx.direction, cx.ring,
+                            dims, maps, relations, normalized=cx.normalized)
+    if cx.phi:
+        _check_squares(sub)
+    return sub
 
 
 def _shuffle_quotient(cx):
     """The chain complex modulo the shuffle images: the same maps, and
-    below the top degree relations spanning the two-block shuffle images
-    and the value relations, each generating set passed on with each
-    column once up to sign.  Only the maps leave the top degree, so it
-    keeps its value relations."""
-    relations = []
-    for m in range(cx.n_max + 1):
-        sh = _distinct_up_to_sign(
-            c for cols in _shuffle_int_cols(cx, m) for c in cols)
-        moved = _distinct_up_to_sign(_compose_cols(sh, cx.d_out(m)))
-        if moved and solve_int(relations[m - 1], cx.dims[m - 1],
-                               moved) is None:
-            raise NotAComplex("shuffle span is not boundary-closed at "
-                              f"degree {m}")
-        relations.append(cx.relation_cols(m) if m == cx.n_max else
-                         lattice_basis(_distinct_up_to_sign(
-                             sh + cx.relation_cols(m)), cx.dims[m]))
+    below the top degree relations with a basis of the two-block shuffle
+    images and the value relations, their columns passed once up to sign.
+    The cone reads no relations of the top degree, which keeps its value
+    relations, and checks that the boundary carries each degree's
+    relations into the relations one degree down."""
+    relations = [lattice_basis(_distinct_up_to_sign(
+        [c for cols in _shuffle_int_cols(cx, m) for c in cols]
+        + cx.relation_cols(m)), cx.dims[m]) for m in range(cx.n_max)]
+    relations.append(cx.relation_cols(cx.n_max))
     return _derived(cx, cx.dims, cx._mats, relations)
 
 

@@ -25,6 +25,7 @@ from .exact_linalg import (
     lattice_basis,
     snf_diagonal,
     solve_int,
+    subquotient_group,
 )
 from .gamma_chain import (
     COHOMOLOGICAL,
@@ -33,9 +34,11 @@ from .gamma_chain import (
     _distinct_up_to_sign,
     _face_cols,
     _shuffle_int_cols,
+    _shuffle_quotient,
     _sym_action_cols,
     _term_layout,
     build_complex,
+    harrison,
     harrison_dim_q,
     hochschild,
     leech_cohomology,
@@ -598,10 +601,21 @@ def _compared_preimage(A, L, rows, what):
                               for col in K], len(A), what)
 
 
+def _subquotient_homology(cx, n):
+    """The degree-n group as subquotient_group gives it: the cycles modulo
+    the relations one degree over, against the image of d_in and the
+    relations, each column once up to sign."""
+    low = n + cx.step
+    relations = cx.relation_cols(low) if low >= 0 else []
+    return subquotient_group(
+        cx.d_out(n), relations, cx.dims[low] if low >= 0 else 0,
+        _distinct_up_to_sign(cx.d_in(n) + cx.relation_cols(n)), cx.dims[n])
+
+
 def _torsion_lattice_checks(cx):
-    """The cycles and borders of hochschild's torsion branch, degrees 0..3,
-    each step of preimage_lattice compared.  Returns the number of
-    problems."""
+    """The cycles and borders of the lattice groups of torsion
+    coefficients, degrees 0..3, each step of preimage_lattice compared.
+    Returns the number of problems."""
     count = 0
     for n in range(4):
         what = f"{cx.direction} degree {n}"
@@ -686,7 +700,45 @@ def check_sparse_homology():
                     " lattices of trivialZ in degrees 0..4")
         out.append(_guarded(f"sparse-homology[{label}: lattices]", anchor,
                             body))
+    anchor = ("H_n(F/S) = H_n(Cone_n = F_n + S_(n+step)),"
+              " D(f, s) = (d f + s, phi f - d_S s)")
+    for label, monoid in suite_monoids():
+        def body(monoid=monoid):
+            compared = 0
+            for direction, side in ((HOMOLOGICAL, RIGHT),
+                                    (COHOMOLOGICAL, LEFT)):
+                for cx in _full_and_normalized(
+                        monoid, jstar_finite_cyclic(monoid, 4, side),
+                        direction):
+                    kind = "normalized" if cx.normalized else "full"
+                    for n in range(4):
+                        _agree_with_lattice(
+                            f"{direction} jstar:Zmod4:trivial, {kind}"
+                            f" complex, degree {n}", hochschild(cx, n),
+                            _subquotient_homology(cx, n))
+                        compared += 1
+            for name, coeff in (("trivialZ", trivial_module(monoid, RIGHT)),
+                                ("jstar:Zmod4:trivial",
+                                 jstar_finite_cyclic(monoid, 4, RIGHT))):
+                cx = build_complex(monoid, coeff, 4, HOMOLOGICAL)
+                sub = _shuffle_quotient(cx)
+                for n, group in enumerate(harrison(cx), start=1):
+                    _agree_with_lattice(f"Harrison chains of {name}, degree"
+                                        f" {n}", group,
+                                        _subquotient_homology(sub, n))
+                    compared += 1
+            return (f"{compared} groups agree with subquotient_group:"
+                    " jstar:Zmod4:trivial in degrees 0..3, full and"
+                    " normalized, and Harrison chains of trivialZ and"
+                    " jstar:Zmod4:trivial in degrees 1..3")
+        out.append(_guarded(f"sparse-homology[{label}: cone]", anchor, body))
     return out
+
+
+def _agree_with_lattice(what, cone, lattice):
+    if cone != lattice:
+        raise OracleMismatch(f"{what}: the cone gives {cone},"
+                             f" subquotient_group {lattice}")
 
 
 SUITES = {

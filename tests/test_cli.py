@@ -314,6 +314,30 @@ def test_harrison_sends_few_cells_to_the_dense_smith_form(monkeypatch,
     assert 0 < sum(cells) <= 5000
 
 
+def test_torsion_leech_sends_few_cells_to_the_dense_smith_form(
+        monkeypatch, capsys, tmp_path):
+    # the cone of Z/4 coefficients is free, so each map goes to the sparse
+    # elimination once; the map into the top degree is only ranked
+    # (int_rank), and its invariant factors would take about 410 000
+    # cells alone
+    cells = []
+    original = exact_linalg._smith_core
+
+    def counted(D, m, n):
+        cells.append(m * n)
+        return original(D, m, n)
+
+    klein = tmp_path / "klein.json"
+    klein.write_text(dumps(monoid_to_payload(
+        product_monoid(cyclic_group(2), cyclic_group(2)).monoid)))
+    monkeypatch.setattr(exact_linalg, "_smith_core", counted)
+    assert run("compute", "leech", "--monoid", str(klein), "--coeff",
+               "jstar:Zmod4:trivial", "--max-degree", "5") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "HH^5 = " + " + ".join(["Z/2"] * 6)
+    assert 0 < sum(cells) <= 30000
+
+
 def test_lattice_paths_build_no_dense_copies(monkeypatch, capsys, tmp_path):
     # the lattice routines take sparse columns, so a dense matrix is built
     # only for module data and the residuals of elimination: about 3 200
@@ -353,8 +377,8 @@ def test_failed_solve_exits_three(monkeypatch, capsys):
     # a lattice solve that should always succeed is a falsified invariant:
     # a typed error with exit code 3, not an assert that -O removes; free
     # coefficients solve nothing, so this runs on torsion coefficients,
-    # whose quotient solve is subquotient_group's
-    monkeypatch.setattr(exact_linalg, "solve_int", lambda B, rows, C: None)
+    # whose cone writes d on the relations in their basis by a solve
+    monkeypatch.setattr(gamma_chain, "solve_int", lambda B, rows, C: None)
     assert run("compute", "hh", "--monoid", "builtin:cyclic_group(2)",
                "--coeff", "jstar:Zmod4:trivial", "--max-degree", "1") == 3
     err = json.loads(capsys.readouterr().err)
@@ -431,6 +455,18 @@ def test_sparse_homology_suite_catches_a_dropped_back_substitution(
     assert run("verify", "sparse-homology") == 3
     out = capsys.readouterr().out
     assert "FAIL sparse-homology[cyclic_group(2): lattices]" in out
+    assert "OracleMismatch" in out
+
+
+def test_sparse_homology_suite_catches_a_cone_without_d_s(monkeypatch,
+                                                         capsys):
+    # d on the relations taken as 0 in the relation basis one degree over
+    monkeypatch.setattr(gamma_chain, "solve_int",
+                        lambda B, rows, C: [{} for _ in C])
+    assert run("verify", "sparse-homology") == 3
+    out = capsys.readouterr().out
+    assert "FAIL sparse-homology[cyclic_group(2): cone]" in out
+    assert "PASS sparse-homology[cyclic_group(2): lattices]" in out
     assert "OracleMismatch" in out
 
 

@@ -51,9 +51,11 @@ from monhom.hc_modules import (
     derivations,
     jstar,
     jstar_finite_cyclic,
+    pullback,
     regular_kc_module,
     std_projective,
     trivial_module,
+    validate_module,
 )
 from monhom.monoids import (
     cyclic_group,
@@ -63,7 +65,12 @@ from monhom.monoids import (
     truncated_add,
     validate_monoid,
 )
-from monhom.verify import _direct_action_cols, _lattice_homology, suite_monoids
+from monhom.verify import (
+    _direct_action_cols,
+    _lattice_homology,
+    _subquotient_homology,
+    suite_monoids,
+)
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -466,39 +473,55 @@ def test_each_shuffle_span_is_built_once(monkeypatch):
             for compute in (harrison, harrison_dim_q):
                 calls.clear()
                 compute(cx)
-                # over Z the cochain side stops below the top degree
-                top = 4 if (ring, direction) == ("Z", COHOMOLOGICAL) else 5
+                # over Z no group reads the shuffles of the top degree
+                top = 4 if ring == "Z" else 5
                 assert len(calls) == len(set(calls))
                 assert set(range(2, top + 1)) <= set(calls)
 
 
-def test_harrison_chain_solves_get_distinct_columns(monkeypatch):
-    # repeated or negated generators span nothing new, so every right-hand
-    # side of the chain-side solves holds each column once up to sign: the
-    # closure solves in gamma_chain and the quotient solves of
-    # subquotient_group
-    sizes = {gamma_chain: [], exact_linalg: []}
-    original = exact_linalg.solve_int
+def _counted_solves(monkeypatch):
+    """Record the relation basis and the right-hand side of every solve
+    the cone makes."""
+    solves = []
+    original = gamma_chain.solve_int
 
-    def checked(module):
-        def solve(lattice, rows, cols):
-            pairs = {frozenset({tuple(sorted(c.items())),
-                                tuple(sorted((r, -v) for r, v in c.items()))})
-                     for c in cols}
-            assert len(pairs) == len(cols)
-            sizes[module].append(len(cols))
-            return original(lattice, rows, cols)
-        return solve
+    def recorded(lattice, rows, cols):
+        solves.append((lattice, cols))
+        return original(lattice, rows, cols)
 
-    for module in sizes:
-        monkeypatch.setattr(module, "solve_int", checked(module))
+    monkeypatch.setattr(gamma_chain, "solve_int", recorded)
+    return solves
+
+
+def _solved_once_per_relation_degree(sub, solves, degrees):
+    """One solve per degree m whose relations S_m the cone reads, of d on
+    the columns of S_m into the relation basis of degree m + step."""
+    expected = []
+    for m in degrees:
+        if sub.relation_cols(m):
+            low = m + sub.step
+            expected.append((
+                sub.relation_cols(low) if 0 <= low <= sub.n_max else [],
+                _compose_cols(sub.relation_cols(m), sub.d_out(m))))
+    assert sorted(map(repr, solves)) == sorted(map(repr, expected))
+
+
+def test_harrison_chain_solves_once_per_degree(monkeypatch):
+    # the shuffle quotient makes no solve of its own: the cone writes d on
+    # each degree's shuffle and value relations in the basis one degree
+    # down, which checks that the span is closed under the boundary; the
+    # top degree's relations are never read
+    solves = _counted_solves(monkeypatch)
     monoid = truncated_add(2)
     for coeff in (trivial_module(monoid, RIGHT),
                   std_projective(monoid, 2, RIGHT)):
-        for seen in sizes.values():
-            seen.clear()
-        harrison(build_complex(monoid, coeff, 4, HOMOLOGICAL))
-        assert all(sizes.values())
+        cx = build_complex(monoid, coeff, 4, HOMOLOGICAL)
+        solves.clear()
+        sub = gamma_chain._shuffle_quotient(cx)
+        assert not solves
+        harrison(cx)
+        assert len(solves) == 2
+        _solved_once_per_relation_degree(sub, solves, range(cx.n_max))
 
 
 def test_unclosed_shuffle_span_is_caught(monkeypatch):
@@ -605,29 +628,40 @@ def test_y_exactness_failure_carries_witness():
 
 
 def test_hochschild_failed_solve_is_typed(monkeypatch):
+    # the cone's solve of d on the relations
     cx = build_complex(Z2, jstar_finite_cyclic(Z2, 4, RIGHT), 2, HOMOLOGICAL)
-    monkeypatch.setattr(exact_linalg, "solve_int", lambda B, rows, C: None)
+    monkeypatch.setattr(gamma_chain, "solve_int", lambda B, rows, C: None)
     with pytest.raises(NotAComplex):
         hochschild(cx, 1)
 
 
 def test_free_homology_reduces_each_map_once(monkeypatch):
-    reduced = []
-    original = gamma_chain.rank_and_torsion
+    # a complex with no relations is its own cone, so the maps themselves
+    # are reduced; only the rank of the cochain map into the top degree is
+    # read, so it goes to int_rank
+    reduced = {"rank_and_torsion": [], "int_rank": []}
 
-    def counted(cols, rows):
-        reduced.append(id(cols))
-        return original(cols, rows)
+    def counted(name):
+        original = getattr(gamma_chain, name)
 
-    monkeypatch.setattr(gamma_chain, "rank_and_torsion", counted)
+        def wrapper(cols, *rows):
+            reduced[name].append(id(cols))
+            return original(cols, *rows)
+        return wrapper
+
+    for name in reduced:
+        monkeypatch.setattr(gamma_chain, name, counted(name))
     monoid = truncated_add(2)
     for side, direction in ((RIGHT, HOMOLOGICAL), (LEFT, COHOMOLOGICAL)):
         for normalized in (False, True):
             cx = build_complex(monoid, jstar(regular_kc_module(monoid), side),
                                4, direction, normalized=normalized)
-            reduced.clear()
+            for seen in reduced.values():
+                seen.clear()
             [hochschild(cx, n) for n in range(cx.n_max)]
-            assert sorted(reduced) == sorted(
+            top = [id(cx._mats[cx.n_max])] if cx.step > 0 else []
+            assert reduced["int_rank"] == top
+            assert sorted(reduced["rank_and_torsion"] + top) == sorted(
                 id(cx._mats[k]) for k in range(1, cx.n_max + 1))
 
 
@@ -676,29 +710,21 @@ def test_klein_group_in_degree_seven():
     assert hochschild(cx, 7) == groups(0, 2, 2, 2, 2, 2)
 
 
-def test_torsion_borders_hold_each_column_once(monkeypatch):
-    # d(a, b) = d(b, a) on a commutative monoid; repeated or negated
-    # columns span nothing new, so no right-hand side of the quotient
-    # solves (subquotient_group's) repeats a column up to sign
-    sizes = []
-    original = exact_linalg.solve_int
-
-    def checked(lattice, rows, rhs):
-        cols = [frozenset(c.items()) for c in rhs]
-        negated = [frozenset((r, -v) for r, v in c) for c in cols]
-        assert len(set(cols) | set(negated)) == 2 * len(cols)
-        sizes.append(len(cols))
-        return original(lattice, rows, rhs)
-
+def test_torsion_cone_solves_once_per_degree(monkeypatch):
+    # every degree of Z/4 coefficients has relations; the cone reads S_m
+    # for m = 0..n_max - 1 on chains and m = 0..n_max on cochains (its
+    # degree -1 is S_0), and solves d on each once, though each map is
+    # d_out at one degree and d_in at the next
+    solves = _counted_solves(monkeypatch)
     klein = product_monoid(Z2, Z2).monoid
     for side, direction in ((RIGHT, HOMOLOGICAL), (LEFT, COHOMOLOGICAL)):
         cx = build_complex(klein, jstar_finite_cyclic(klein, 4, side), 4,
                            direction)
-        monkeypatch.setattr(exact_linalg, "solve_int", checked)
-        sizes.clear()
+        solves.clear()
         [hochschild(cx, n) for n in range(cx.n_max)]
-        assert len(sizes) == cx.n_max
-        monkeypatch.setattr(exact_linalg, "solve_int", original)
+        degrees = range(cx.n_max + (cx.step > 0))
+        assert len(solves) == len(degrees)
+        _solved_once_per_relation_degree(cx, solves, degrees)
 
 
 def test_y_exactness_disagreeing_solves_are_typed(monkeypatch):
@@ -722,6 +748,41 @@ def test_homology_on_product_monoid_kuenneth_spot_check():
     assert hochschild(cx, 2) == groups(0, 2)
 
 
+def _z8_acted_on_by_3(side):
+    """Constant Z/8 on Z/2 whose non-identity element acts by 3: 3 * 3 = 9
+    is 1 only modulo 8, so the translations compose only modulo the
+    relations; and its pullback to the Klein group along a projection."""
+    act = {(c, a): IntMatrix([[3 if c else 1]])
+           for c in Z2.elements for a in Z2.elements}
+    z2 = TabulatedHCModule(side, Z2, [1, 1], act, [IntMatrix([[8]])] * 2)
+    pm = product_monoid(Z2, Z2)
+    return [(Z2, z2), (pm.monoid, pullback(pm.pi1, z2))]
+
+
+def test_cone_twists_by_phi_where_translations_compose_modulo_relations():
+    for side, direction in ((RIGHT, HOMOLOGICAL), (LEFT, COHOMOLOGICAL)):
+        for monoid, coeff in _z8_acted_on_by_3(side):
+            assert validate_module(coeff) == []
+            for normalized in (False, True):
+                cx = build_complex(monoid, coeff, 4, direction,
+                                   normalized=normalized)
+                # d o d is 8 times a nonzero map, except on the normalized
+                # complex of Z/2, whose degrees are one tuple each
+                assert bool(cx.phi) == (monoid is not Z2 or not normalized)
+                for k, phi in cx.phi.items():
+                    assert _compose_cols(phi, cx.relation_cols(k + cx.step)) \
+                        == [{r: -v for r, v in col.items()} for col in
+                            _compose_cols(cx.d_in(k), cx.d_out(k))]
+                assert [hochschild(cx, n) for n in range(4)] == \
+                    [_subquotient_homology(cx, n) for n in range(4)]
+            if direction == HOMOLOGICAL:
+                cx = build_complex(monoid, coeff, 4, HOMOLOGICAL)
+                sub = gamma_chain._shuffle_quotient(cx)
+                assert sub.phi
+                assert harrison(cx) == [_subquotient_homology(sub, n)
+                                        for n in range(1, 4)]
+
+
 def test_harrison_cochains_over_z_with_torsion():
     # the full complex to degree 4; no command reaches the cochain side
     klein = product_monoid(Z2, Z2).monoid
@@ -739,6 +800,8 @@ def test_harrison_cochains_over_z_with_torsion():
 
 def test_every_lattice_group_comes_from_subquotient_group(monkeypatch,
                                                           capsys):
+    # homology with relations is the homology of their cone, so Der is the
+    # one group left on subquotient_group
     calls = []
     original = exact_linalg.subquotient_group
 
@@ -746,19 +809,14 @@ def test_every_lattice_group_comes_from_subquotient_group(monkeypatch,
         calls.append(args[-1])
         return original(*args)
 
-    for module in (gamma_chain, hc_modules):
+    assert not hasattr(gamma_chain, "subquotient_group")
+    for module in (exact_linalg, hc_modules):
         monkeypatch.setattr(module, "subquotient_group", counted)
-    # torsion HH in degrees 0..2; Harrison chains in degrees 1..3; Der once
-    for target, degree, expected in (("hh", "2", 3), ("leech", "2", 3),
-                                     ("harrison", "3", 3), ("der", "0", 1)):
+    for target, degree, expected in (("hh", "2", 0), ("leech", "2", 0),
+                                     ("harrison", "3", 0), ("der", "0", 1)):
         calls.clear()
         assert cli.main(["compute", target, "--monoid",
                          "builtin:cyclic_group(2)", "--coeff",
                          "jstar:Zmod4:trivial", "--max-degree", degree]) == 0
         assert len(calls) == expected, target
     capsys.readouterr()
-    calls.clear()
-    # Harrison cochains with free values have no relations: no lattice path
-    cx = build_complex(Z2, trivial_module(Z2, LEFT), 4, COHOMOLOGICAL)
-    assert harrison(cx) == [groups(0), groups(0, 2), groups(0)]
-    assert len(calls) == 0

@@ -62,11 +62,14 @@ def test_normalization_suite_runs_green():
 def test_sparse_homology_suite_runs_green_and_last():
     assert list(verify.SUITES)[-2:] == ["normalization", "sparse-homology"]
     results = run_suites(["sparse-homology"])
-    assert len(results) == 12
+    assert len(results) == 18
     assert all(r.passed for r in results), [r.detail for r in results]
     assert all(r.detail.startswith("48 groups agree") for r in results[:6])
-    assert all(r.name.endswith(": lattices]") for r in results[6:])
-    assert all("lattice problems agree" in r.detail for r in results[6:])
+    assert all(r.name.endswith(": lattices]") for r in results[6:12])
+    assert all("lattice problems agree" in r.detail for r in results[6:12])
+    assert all(r.name.endswith(": cone]") for r in results[12:])
+    assert all(r.detail.startswith("22 groups agree with subquotient_group")
+               for r in results[12:])
 
 
 def test_normalization_suite_catches_a_wrong_normalized_group(monkeypatch):
