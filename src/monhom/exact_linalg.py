@@ -9,7 +9,8 @@ in, so callers may pass any columns they hold.  They and int_rank share
 one sparse elimination of unit pivots, _eliminate_units.  A dense
 IntMatrix, row-major lists of lists, holds module data and the unit-free
 residual of an elimination, which goes to the whole-matrix Smith form,
-_smith_core.
+_smith_core, through smith_normal_form (with transforms) or snf_diagonal
+(without).
 """
 
 from __future__ import annotations
@@ -292,8 +293,6 @@ def _smith_core(D, m, n):
         if D[k][k] < 0:
             row_addmul(k, k, -2)
 
-    return rank
-
 
 def _with_identity(rows, m):
     """Copies of the m rows with the m x m identity appended to them."""
@@ -477,19 +476,19 @@ def lattice_basis(M, rows):
     clears each unit pivot's row from every other column, so the pivot
     columns are independent of each other and of the rest, and stay in
     the basis.  The residual columns, on the rows no pivot took, add the
-    first rank rows of U*R for the Smith form U*R*V = D of R, the dense
-    matrix whose rows are those columns: they are D*V^-1's nonzero rows.
+    nonzero rows of U*R for the smith_normal_form U*R*V = D of R, the
+    dense matrix whose rows are those columns: they are D*V^-1's nonzero
+    rows.
     """
     cols = _nonzero_copies(M)
     basis = [vec for _, _, vec in _eliminate_units(cols, rows)]
     live = [col for col in cols if col]
     if live:
         R, keys = _residual(live)
-        m, n = R.rows, R.cols
-        D = _with_identity(R.data, m)
-        rank = _smith_core(D, m, n)
-        for row in IntMatrix([row[n:] for row in D], m).mul(R).data[:rank]:
-            basis.append({keys[a]: v for a, v in enumerate(row) if v})
+        U = smith_normal_form(R)[0]
+        for row in U.mul(R).data:
+            if any(row):
+                basis.append({keys[a]: v for a, v in enumerate(row) if v})
     return basis
 
 

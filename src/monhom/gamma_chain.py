@@ -176,11 +176,15 @@ class GammaChainComplex:
         return self._mats[max(n, n - self.step)]
 
     def _relations_at(self, m):
-        return self._relations[m] if 0 <= m <= self.n_max else []
+        """The relation columns of degree m and the rank of that degree:
+        none, on no rows, outside 0..n_max."""
+        if not 0 <= m <= self.n_max:
+            return [], 0
+        return self._relations[m], self.dims[m]
 
     def cone_dim(self, n):
         """The rank of degree n of the cone."""
-        return self.dims[n] + len(self._relations_at(n + self.step))
+        return self.dims[n] + len(self._relations_at(n + self.step)[0])
 
     def map_invariants(self, k):
         """Rank and invariant factors >= 2 of the cone's map between
@@ -190,10 +194,9 @@ class GammaChainComplex:
         into n_max) or the ring is Q, and int_rank gives just that."""
         if k not in self._invariants:
             cols, rows = self._cone_cols(k)
-            entered = k - 1 if self.step < 0 else k
             if not cols:
                 self._invariants[k] = 0, ()
-            elif self.ring == "Q" or entered >= self.n_max:
+            elif self.ring == "Q" or (self.step > 0 and k == self.n_max):
                 self._invariants[k] = int_rank(cols), ()
             else:
                 self._invariants[k] = rank_and_torsion(cols, rows)
@@ -211,11 +214,8 @@ class GammaChainComplex:
         if not 0 <= tgt <= self.n_max:
             return [], 0
         d = self._mats[k] if src >= 0 else []
-        shifted = self._relations_at(tgt)
-        low = self._relations_at(tgt + self.step)
-        rows = self.dims[tgt]
-        low_rows = self.dims[tgt + self.step] \
-            if 0 <= tgt + self.step <= self.n_max else 0
+        shifted, rows = self._relations_at(tgt)
+        low, low_rows = self._relations_at(tgt + self.step)
         phi = self.phi.get(tgt)
         cols = d if phi is None else [
             {**col, **{rows + r: v for r, v in p.items()}}

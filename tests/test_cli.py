@@ -340,8 +340,8 @@ def test_torsion_leech_sends_few_cells_to_the_dense_smith_form(
 
 def test_lattice_paths_build_no_dense_copies(monkeypatch, capsys, tmp_path):
     # the lattice routines take sparse columns, so a dense matrix is built
-    # only for module data and the residuals of elimination: about 3 200
-    # and 4 200 cells here; dense copies of the whole systems take about
+    # only for module data and the residuals of elimination: about 3 500
+    # and 4 500 cells here; dense copies of the whole systems take about
     # 91 000 and 1.27 M
     cells = []
     original = IntMatrix.__init__

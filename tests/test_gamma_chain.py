@@ -775,18 +775,24 @@ def test_cone_twists_by_phi_where_translations_compose_modulo_relations():
                             _compose_cols(cx.d_in(k), cx.d_out(k))]
                 assert [hochschild(cx, n) for n in range(4)] == \
                     [_subquotient_homology(cx, n) for n in range(4)]
-            if direction == HOMOLOGICAL:
-                cx = build_complex(monoid, coeff, 4, HOMOLOGICAL)
-                sub = gamma_chain._shuffle_quotient(cx)
-                assert sub.phi
-                assert harrison(cx) == [_subquotient_homology(sub, n)
-                                        for n in range(1, 4)]
+            # Harrison: the shuffle quotient on chains, the joint shuffle
+            # kernel on cochains, whose top map stays in the ambient
+            # coordinates
+            cx = build_complex(monoid, coeff, 4, direction)
+            sub = (gamma_chain._shuffle_quotient if direction == HOMOLOGICAL
+                   else gamma_chain._shuffle_kernel)(cx)
+            assert sub.phi
+            assert harrison(cx) == [_subquotient_homology(sub, n)
+                                    for n in range(1, 4)]
 
 
 def test_harrison_cochains_over_z_with_torsion():
-    # the full complex to degree 4; no command reaches the cochain side
+    # the full complex to degree 4; no command reaches the cochain side.
+    # Free values have no relations, so Z/2 is its own cone there
     klein = product_monoid(Z2, Z2).monoid
-    cases = ((klein, jstar_finite_cyclic(klein, 4, LEFT),
+    cases = ((Z2, trivial_module(Z2, LEFT),
+              [groups(0), groups(0, 2), groups(0)]),
+             (klein, jstar_finite_cyclic(klein, 4, LEFT),
               [groups(0, 2, 2), groups(0, 2, 2), groups(0)]),
              (truncated_add(2), jstar(regular_kc_module(truncated_add(2)),
                                       LEFT),
