@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     BadParams,
@@ -432,13 +433,26 @@ class SymGroupElement:
         return SymGroupElement(self.n, {p: c * v for p, v in self.terms.items()})
 
     def mul(self, other):
+        """The product in Z[S_n]: p*q is the permutation j -> p(q(j)).  Up
+        to TABLE_CAP letters it reads the composition table of S_n, built
+        once per n (_sym_index); above it each composition is formed."""
         self._require_same(other)
-        terms = {}
+        if self.n > TABLE_CAP:
+            terms = {}
+            for p, a in self.terms.items():
+                for q, b in other.terms.items():
+                    comp = tuple(map(p.__getitem__, q))
+                    terms[comp] = terms.get(comp, 0) + a * b
+            return SymGroupElement(self.n, terms)
+        perms, index, table = _sym_index(self.n)
+        theirs = [(index[q], b) for q, b in other.terms.items()]
+        acc = [0] * len(perms)
         for p, a in self.terms.items():
-            for q, b in other.terms.items():
-                comp = tuple(map(p.__getitem__, q))
-                terms[comp] = terms.get(comp, 0) + a * b
-        return SymGroupElement(self.n, terms)
+            row = table[index[p]]
+            for k, b in theirs:
+                acc[row[k]] += a * b
+        return SymGroupElement(self.n, {perms[k]: c
+                                        for k, c in enumerate(acc) if c})
 
     __add__ = add
     __sub__ = sub
@@ -468,6 +482,22 @@ class SymGroupElement:
 
 def _perm_inverse(perm):
     return tuple(sorted(range(len(perm)), key=perm.__getitem__))
+
+
+TABLE_CAP = 5
+
+
+@lru_cache(maxsize=None)
+def _sym_index(n):
+    """S_n indexed once: its permutations in lexicographic order, the
+    index of each, and the n! x n! composition table, whose row a holds
+    the index of perms[a] o perms[b] at b.  The table grows as n!^2:
+    14 400 entries at n = TABLE_CAP = 5, 518 400 at n = 6."""
+    perms = tuple(itertools.permutations(range(n)))
+    index = {p: k for k, p in enumerate(perms)}
+    table = tuple(tuple(index[tuple(map(p.__getitem__, q))] for q in perms)
+                  for p in perms)
+    return perms, index, table
 
 
 def perm_sign(perm):
@@ -512,43 +542,105 @@ def _pattern(t):
     return tuple(map(t.index, t))
 
 
-def _sym_action_cols(cx, n, elem):
-    """Sparse integer columns of the action of a group-algebra element on
-    degree n of the complex.
+class _Orbit:
+    """One first-occurrence pattern of a degree: the slot of each reading
+    permutation's image pattern, numbered by image, a permutation reading
+    each slot's image, the tuples with the pattern and a nonzero value, and
+    the slots whose images those tuples have relabelled."""
+
+    __slots__ = ("pattern", "slot", "by_image", "reader", "members",
+                 "filled")
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.slot, self.by_image, self.reader = {}, {}, []
+        self.members, self.filled = [], set()
+
+
+class _SymAction:
+    """The action of Z[S_n] on degree n of a complex, through one orbit
+    table shared by every element it acts with.
 
     A permutation moves positions, not letters, so its image of a tuple is
     its image of the tuple's first-occurrence pattern with the same letters
-    put back, and putting them back is injective.  So the element acts once
-    per pattern (at most Bell(n) of them), and each tuple costs one
-    relabelling and one lookup per nonzero image."""
-    if elem.n != n:
-        raise DegreeMismatch(f"element of S_{elem.n} on degree {n}")
-    cx._check_degree(n)
-    # a permutation moves tuple t to (t[perm^-1(j)])_j on chains;
-    # cochains act by the transpose, which reads t through perm itself
-    terms = [(_perm_inverse(p) if cx.direction == HOMOLOGICAL else p, c)
-             for p, c in elem.terms.items()]
-    tuples_n = cx.tuples_at(n)
-    prods_n = cx.prods_at(n)
-    offs = cx.tuple_offsets(n)
-    index = {t: k for k, t in enumerate(tuples_n)}
-    images = {}  # pattern -> [(image pattern, nonzero coefficient)]
-    cols = []
-    for kt, t in enumerate(tuples_n):
-        pat = _pattern(t)
-        moves = images.get(pat)
-        if moves is None:
-            acc = {}
-            for perm, c in terms:
-                img = tuple(map(pat.__getitem__, perm))
-                acc[img] = acc.get(img, 0) + c
-            moves = images[pat] = [(img, v) for img, v in acc.items() if v]
-        letter = dict(zip(pat, t))
-        hits = [(offs[index[tuple(map(letter.__getitem__, img))]], v)
-                for img, v in moves]
-        for i in range(cx.coeff.ranks[prods_n[kt]]):
-            cols.append({off + i: v for off, v in hits})
-    return cols
+    put back, and putting them back is injective.  So an element acts once
+    per pattern (at most Bell(n) of them).  The table keeps, per pattern,
+    the slot of each permutation's image pattern, and per tuple the row
+    offset of the image in each slot.  Both are filled as the elements
+    reach them, so a tuple relabels each of its images at most once for
+    all the elements, and never an image that no element reaches with a
+    nonzero coefficient."""
+
+    def __init__(self, cx, n):
+        cx._check_degree(n)
+        self.cx, self.n = cx, n
+        # a permutation moves tuple t to (t[perm^-1(j)])_j on chains;
+        # cochains act by the transpose, which reads t through perm itself
+        self._inverse = cx.direction == HOMOLOGICAL
+        self._tuples = cx.tuples_at(n)
+        self._offs = cx.tuple_offsets(n)
+        self._ranks = [cx.coeff.ranks[p] for p in cx.prods_at(n)]
+        self._index = {t: k for k, t in enumerate(self._tuples)}
+        numbers = {}
+        self._orbits, self._orbit_of = [], []
+        for k, t in enumerate(self._tuples):
+            pat = _pattern(t)
+            num = numbers.setdefault(pat, len(self._orbits))
+            if num == len(self._orbits):
+                self._orbits.append(_Orbit(pat))
+            if self._ranks[k]:
+                self._orbits[num].members.append(k)
+            self._orbit_of.append(num)
+        self._rows = [[] for _ in self._tuples]
+
+    def cols(self, elem):
+        """Sparse integer columns of the action of elem on the degree: one
+        coefficient merge per pattern and one dict per column."""
+        if elem.n != self.n:
+            raise DegreeMismatch(f"element of S_{elem.n} on degree {self.n}")
+        reads = [(_perm_inverse(p) if self._inverse else p, c)
+                 for p, c in elem.terms.items()]
+        moves = [self._merge(orbit, reads) for orbit in self._orbits]
+        cols = []
+        for k, num in enumerate(self._orbit_of):
+            row, move = self._rows[k], moves[num]
+            for i in range(self._ranks[k]):
+                cols.append({row[s] + i: v for s, v in move})
+        return cols
+
+    def _merge(self, orbit, reads):
+        """The nonzero coefficients of the element per slot of one pattern,
+        with the images in those slots relabelled for its tuples."""
+        acc = {}
+        for perm, c in reads:
+            s = orbit.slot.get(perm)
+            if s is None:
+                img = tuple(map(orbit.pattern.__getitem__, perm))
+                s = orbit.slot[perm] = orbit.by_image.setdefault(
+                    img, len(orbit.reader))
+                if s == len(orbit.reader):
+                    orbit.reader.append(perm)
+            acc[s] = acc.get(s, 0) + c
+        move = [(s, v) for s, v in acc.items() if v]
+        new = [s for s, _ in move if s not in orbit.filled]
+        if new:
+            # a tuple t read through perm is its pattern's image with the
+            # letters of t put back
+            orbit.filled.update(new)
+            size = len(orbit.reader)
+            for k in orbit.members:
+                row, t = self._rows[k], self._tuples[k]
+                row += [None] * (size - len(row))
+                for s in new:
+                    row[s] = self._offs[self._index[tuple(
+                        map(t.__getitem__, orbit.reader[s]))]]
+        return move
+
+
+def _sym_action_cols(cx, n, elem):
+    """Sparse integer columns of the action of a group-algebra element on
+    degree n of the complex, through an orbit table of its own."""
+    return _SymAction(cx, n).cols(elem)
 
 
 def hochschild(cx, n):
@@ -595,11 +687,12 @@ def _shuffle_int_cols(cx, m, dual=False):
     The shuffle product is associative: sh_{p,q,r} = sh_{p+q,r}(sh_{p,q} x 1)
     in Z[S_m].  So these m-1 operators span every block-shuffle image on
     chains and cut out the joint kernel of all block shuffles on cochains
-    (Barr 1968)."""
+    (Barr 1968).  The m-1 actions share one orbit table."""
+    action = _SymAction(cx, m)
     out = []
     for p in range(1, m):
         sh = shuffle_element(p, m - p)
-        out.append(_sym_action_cols(cx, m, sh.antipode() if dual else sh))
+        out.append(action.cols(sh.antipode() if dual else sh))
     return out
 
 
@@ -627,11 +720,15 @@ def _vstack_pair(top_cols, bottom_cols, top_rows):
 
 
 def _distinct_up_to_sign(cols):
-    """The nonzero columns, each once up to sign: the same lattice."""
+    """The nonzero columns, each once up to sign: the same lattice.  A
+    column is keyed on its items signed so that the entry at its smallest
+    row is positive, and the first column with each key is kept."""
     kept = {}
     for col in cols:
-        if col and frozenset((r, -v) for r, v in col.items()) not in kept:
-            kept.setdefault(frozenset(col.items()), col)
+        if col:
+            items = col.items() if col[min(col)] > 0 else \
+                ((r, -v) for r, v in col.items())
+            kept.setdefault(frozenset(items), col)
     return list(kept.values())
 
 

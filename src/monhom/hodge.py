@@ -19,9 +19,9 @@ from .errors import BadParams, NotAnnihilated, WeightNotPreserved
 from .exact_linalg import int_rank
 from .gamma_chain import (
     SymGroupElement,
+    _SymAction,
     _compose_cols,
     _distinct_up_to_sign,
-    _sym_action_cols,
     hochschild_dim_q,
     perm_sign,
     shuffle_element,
@@ -108,13 +108,12 @@ def eulerian_idempotents(n):
     return _eulerian(n)
 
 
-def _projector_cols(cx, m, i, scale):
-    """Sparse integer columns of scale * e^(i) acting on degree m, for scale
-    a multiple of m!; zero when the weight exceeds the degree."""
-    if i > m:
-        return [dict() for _ in range(cx.dims[m])]
-    return _sym_action_cols(
-        cx, m, eulerian_idempotents(m)[i].scale(scale // factorial(m)))
+def _projector_cols(action, i, scale):
+    """Sparse integer columns of scale * e^(i) acting on the degree m of the
+    action, for scale a multiple of m! and weight i <= m."""
+    m = action.n
+    return action.cols(
+        eulerian_idempotents(m)[i].scale(scale // factorial(m)))
 
 
 def hodge_decomposition(cx):
@@ -125,6 +124,8 @@ def hodge_decomposition(cx):
     D = n_max!, so every entry is an integer.  Exact projector/boundary commutation is verified
     before any rank is trusted, every trace must be divisible by D, and
     the weights of each degree must add up to its total rational dimension.
+    Each degree's projectors act through one orbit table, built when the
+    first of them is needed and released when the call returns.
     """
     if cx.ring != "Q":
         raise BadParams("weight decomposition needs a ring-Q complex")
@@ -134,11 +135,20 @@ def hodge_decomposition(cx):
     top = cx.n_max - 1
     scale = factorial(cx.n_max)
     dims = [[] for _ in range(top)]
+    actions = {}
+
+    def projector(m, i):
+        # zero when the weight exceeds the degree
+        if i > m:
+            return [dict() for _ in range(cx.dims[m])]
+        if m not in actions:
+            actions[m] = _SymAction(cx, m)
+        return _projector_cols(actions[m], i, scale)
+
     for i in range(1, top + 1):
         # Weight i lives in degrees i..n_max; only the projectors on n-1, n
         # and n+1 are held, and each map's restricted rank is taken once.
-        proj = {i - 1: _projector_cols(cx, i - 1, i, scale),
-                i: _projector_cols(cx, i, i, scale)}
+        proj = {i - 1: projector(i - 1, i), i: projector(i, i)}
         ranks = {}
 
         def rank_from(src):
@@ -149,7 +159,7 @@ def hodge_decomposition(cx):
 
         for n in range(i, top + 1):
             proj.pop(n - 2, None)
-            proj[n + 1] = _projector_cols(cx, n + 1, i, scale)
+            proj[n + 1] = projector(n + 1, i)
             trace = sum(col.get(j, 0) for j, col in enumerate(proj[n]))
             if trace % scale:
                 raise WeightNotPreserved(

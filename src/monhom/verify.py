@@ -30,12 +30,12 @@ from .exact_linalg import (
 from .gamma_chain import (
     COHOMOLOGICAL,
     HOMOLOGICAL,
+    _SymAction,
     _compose_cols,
     _distinct_up_to_sign,
     _face_cols,
     _shuffle_int_cols,
     _shuffle_quotient,
-    _sym_action_cols,
     _term_layout,
     build_complex,
     harrison,
@@ -228,21 +228,22 @@ def check_hodge():
         return "idempotent, orthogonality, and sum identities hold, n <= 5"
     out.append(_guarded("hodge[projector-identities]", anchor, identities))
 
+    def weight_one_matches(cx):
+        # hodge_decomposition compares each weight sum with the total itself
+        pairs = zip(hodge_decomposition(cx), harrison_dim_q(cx))
+        for n, (dims, harr) in enumerate(pairs, start=1):
+            if dims[0] != harr:
+                raise MonhomError(f"weight-1 piece differs from the shuffle"
+                                  f" computation in degree {n}")
+
     for label, monoid in suite_monoids():
         def body(monoid=monoid):
-            cq = build_complex(monoid, trivial_module(monoid, RIGHT), 5,
-                               HOMOLOGICAL, ring="Q")
-            dq = build_complex(monoid, trivial_module(monoid, LEFT), 5,
-                               COHOMOLOGICAL, ring="Q")
-            for cx in (cq, dq):
-                # hodge_decomposition compares each weight sum with the
-                # total itself
-                pairs = zip(hodge_decomposition(cx), harrison_dim_q(cx))
-                for n, (dims, harr) in enumerate(pairs, start=1):
-                    if dims[0] != harr:
-                        raise MonhomError(
-                            f"weight-1 piece differs from the shuffle"
-                            f" computation in degree {n}")
+            # one complex at a time, so only one is alive at the memory peak
+            for direction, side in ((HOMOLOGICAL, RIGHT),
+                                    (COHOMOLOGICAL, LEFT)):
+                weight_one_matches(build_complex(
+                    monoid, trivial_module(monoid, side), 5, direction,
+                    ring="Q"))
             return "weights split the totals; weight 1 matches, n <= 4"
         out.append(_guarded(f"hodge[{label}]", anchor, body))
     return out
@@ -533,8 +534,13 @@ def check_sym_action():
                          jstar(regular_kc_module(monoid), side))):
                     for cx in _full_and_normalized(monoid, coeff, direction):
                         kind = "normalized" if cx.normalized else "full"
+                        # one orbit table per degree serves every element,
+                        # as in hodge_decomposition
+                        actions = {}
                         for what, elem in elements:
-                            if _sym_action_cols(cx, elem.n, elem) != \
+                            if elem.n not in actions:
+                                actions[elem.n] = _SymAction(cx, elem.n)
+                            if actions[elem.n].cols(elem) != \
                                     _direct_action_cols(cx, elem.n, elem):
                                 raise OracleMismatch(
                                     f"{direction} {name}, {kind} complex:"

@@ -11,6 +11,7 @@ from monhom import cli, exact_linalg, gamma_chain, hc_modules
 from monhom.errors import (
     BadParams,
     ComplexityBudget,
+    DegreeMismatch,
     NotAComplex,
     OracleMismatch,
 )
@@ -322,6 +323,44 @@ def test_rational_ring_matches_free_ranks():
                 FgAbGroup.free(hochschild(cz, n).free_rank)
 
 
+def _direct_product(x, y):
+    """x * y in Z[S_n] by the double loop over compositions, zero terms
+    dropped."""
+    terms = {}
+    for p, a in x.terms.items():
+        for q, b in y.terms.items():
+            comp = tuple(map(p.__getitem__, q))
+            terms[comp] = terms.get(comp, 0) + a * b
+    return {p: c for p, c in terms.items() if c}
+
+
+def test_indexed_product_matches_the_double_loop():
+    # 50 products of random integer elements of Z[S_n], n = 1..5, on the
+    # composition table of S_n
+    rng = random.Random(5113)
+    for k in range(50):
+        n = k % 5 + 1
+        perms = list(itertools.permutations(range(n)))
+        x, y = (SymGroupElement(n, {
+            p: rng.randint(-3, 3)
+            for p in rng.sample(perms, rng.randint(1, len(perms)))})
+            for _ in range(2))
+        assert x.mul(y).terms == _direct_product(x, y)
+    # (1 + s)(1 - s + t) = t + st for a transposition s: the identity and
+    # s cancel and must be dropped
+    one = SymGroupElement.identity(3)
+    s = SymGroupElement.from_permutation((1, 0, 2))
+    t = SymGroupElement.from_permutation((1, 2, 0))
+    x, y = one + s, one - s + t
+    assert _direct_product(x, y) == {(1, 2, 0): 1, (0, 2, 1): 1}
+    assert x.mul(y).terms == {(1, 2, 0): 1, (0, 2, 1): 1}
+    assert x.mul(one - s).is_zero()
+    # above the table's cap the compositions are formed one by one
+    s6 = SymGroupElement.from_permutation((1, 0, 2, 3, 4, 5))
+    u6 = SymGroupElement.from_permutation((1, 2, 3, 4, 5, 0))
+    assert (s6 + u6).mul(s6 - u6).terms == _direct_product(s6 + u6, s6 - u6)
+
+
 def test_sym_action_group_law():
     rng = random.Random(8141)
     cx = build_complex(Z2, jstar_finite_cyclic(Z2, 4, RIGHT), 3, HOMOLOGICAL)
@@ -365,6 +404,32 @@ def test_pattern_action_matches_the_direct_action():
         cx = complexes[k % len(complexes)]
         assert _sym_action_cols(cx, n, elem) == \
             _direct_action_cols(cx, n, elem)
+
+
+def test_shared_orbit_table_matches_the_direct_action():
+    # one table per complex and degree serves a run of random elements, few
+    # terms and many mixed, so later elements reach images the earlier ones
+    # left unrelabelled; a table relabels no image that no element reaches
+    rng = random.Random(2207)
+    monoid = truncated_add(2)
+    for side, direction in ((RIGHT, HOMOLOGICAL), (LEFT, COHOMOLOGICAL)):
+        cx = build_complex(monoid, jstar(regular_kc_module(monoid), side), 4,
+                           direction)
+        for n in range(1, 5):
+            action = gamma_chain._SymAction(cx, n)
+            perms = list(itertools.permutations(range(n)))
+            swap = SymGroupElement.from_permutation(
+                (n - 1,) + tuple(range(1, n - 1)) + (0,)) if n > 1 else \
+                SymGroupElement.identity(1)
+            assert action.cols(swap) == _direct_action_cols(cx, n, swap)
+            assert all(len(row) <= 1 for row in action._rows)
+            for _ in range(6):
+                chosen = rng.sample(perms, rng.randint(1, len(perms)))
+                elem = SymGroupElement(n, {p: rng.randint(-2, 2)
+                                           for p in chosen})
+                assert action.cols(elem) == _direct_action_cols(cx, n, elem)
+            with pytest.raises(DegreeMismatch):
+                action.cols(SymGroupElement.identity(n + 1))
 
 
 def test_sym_action_suite_catches_a_wrong_pattern_key(monkeypatch, capsys):

@@ -1,6 +1,8 @@
 """Eulerian idempotents: algebra identities, eigenvector property, and
 weight decompositions cross-checked against rank arithmetic."""
 
+import weakref
+
 import pytest
 
 from monhom import cli, hodge
@@ -163,29 +165,41 @@ def test_sym_action_is_integral():
 
 
 def test_each_projector_action_is_built_once(monkeypatch):
-    # 14 = 5 + 4 + 3 + 2 pairs (degree m, weight i <= m) on degrees 1..5
-    calls = []
-    original = hodge._sym_action_cols
+    # 14 = 5 + 4 + 3 + 2 pairs (degree m, weight i <= m) on degrees 1..5,
+    # through one orbit table per degree, none of which outlives the call
+    calls, tables, alive = [], [], []
 
-    def counted(cx, n, elem):
-        calls.append(n)
-        return original(cx, n, elem)
+    class Counted(hodge._SymAction):
+        def __init__(self, cx, n):
+            super().__init__(cx, n)
+            tables.append(n)
+            alive.append(weakref.ref(self))
 
-    monkeypatch.setattr(hodge, "_sym_action_cols", counted)
+        def cols(self, elem):
+            calls.append(self.n)
+            return super().cols(elem)
+
+    monkeypatch.setattr(hodge, "_SymAction", Counted)
     assert cli.main(["compute", "hodge", "--monoid", "builtin:truncated_add(2)",
                      "--coeff", "jstar:regular", "--max-degree", "4"]) == 0
     assert len(calls) == 14
+    assert sorted(tables) == [1, 2, 3, 4, 5]
+    # the complex outlives the call, its tables do not
+    monoid = truncated_add(2)
+    cx = build_complex(monoid, trivial_module(monoid, RIGHT), 4, HOMOLOGICAL,
+                       ring="Q")
+    hodge_decomposition(cx)
+    assert len(alive) == 9 and not any(ref() for ref in alive)
 
 
 def test_non_commuting_projector_is_caught(monkeypatch):
     # the identity in place of e^(1) on degree 2 does not commute with d_3
     original = hodge._projector_cols
 
-    def broken(cx, m, i, scale):
-        if (m, i) == (2, 1):
-            return _sym_action_cols(
-                cx, m, SymGroupElement.identity(m).scale(scale))
-        return original(cx, m, i, scale)
+    def broken(action, i, scale):
+        if (action.n, i) == (2, 1):
+            return action.cols(SymGroupElement.identity(2).scale(scale))
+        return original(action, i, scale)
 
     monkeypatch.setattr(hodge, "_projector_cols", broken)
     monoid = truncated_add(2)
@@ -201,11 +215,12 @@ def test_corrupted_twin_column_is_caught_before_deduplication(monkeypatch):
     # must be checked on every column before that
     original = hodge._projector_cols
 
-    def broken(cx, m, i, scale):
-        cols = original(cx, m, i, scale)
-        if (m, i) == (2, 1):
-            twin = cx.tuples_at(2).index((2, 1))
-            assert cols[twin] == cols[cx.tuples_at(2).index((1, 2))]
+    def broken(action, i, scale):
+        cols = original(action, i, scale)
+        if (action.n, i) == (2, 1):
+            tuples = action.cx.tuples_at(2)
+            twin = tuples.index((2, 1))
+            assert cols[twin] == cols[tuples.index((1, 2))]
             cols[twin][twin] += 1
         return cols
 
