@@ -433,17 +433,9 @@ class SymGroupElement:
         return SymGroupElement(self.n, {p: c * v for p, v in self.terms.items()})
 
     def mul(self, other):
-        """The product in Z[S_n]: p*q is the permutation j -> p(q(j)).  Up
-        to TABLE_CAP letters it reads the composition table of S_n, built
-        once per n (_sym_index); above it each composition is formed."""
+        """The product in Z[S_n]: p*q is the permutation j -> p(q(j)), read
+        from the composition table of S_n, built once per n (_sym_index)."""
         self._require_same(other)
-        if self.n > TABLE_CAP:
-            terms = {}
-            for p, a in self.terms.items():
-                for q, b in other.terms.items():
-                    comp = tuple(map(p.__getitem__, q))
-                    terms[comp] = terms.get(comp, 0) + a * b
-            return SymGroupElement(self.n, terms)
         perms, index, table = _sym_index(self.n)
         theirs = [(index[q], b) for q, b in other.terms.items()]
         acc = [0] * len(perms)
@@ -484,15 +476,12 @@ def _perm_inverse(perm):
     return tuple(sorted(range(len(perm)), key=perm.__getitem__))
 
 
-TABLE_CAP = 5
-
-
 @lru_cache(maxsize=None)
 def _sym_index(n):
     """S_n indexed once: its permutations in lexicographic order, the
     index of each, and the n! x n! composition table, whose row a holds
     the index of perms[a] o perms[b] at b.  The table grows as n!^2:
-    14 400 entries at n = TABLE_CAP = 5, 518 400 at n = 6."""
+    14 400 entries at n = 5, 518 400 at n = 6."""
     perms = tuple(itertools.permutations(range(n)))
     index = {p: k for k, p in enumerate(perms)}
     table = tuple(tuple(index[tuple(map(p.__getitem__, q))] for q in perms)
