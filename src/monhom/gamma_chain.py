@@ -635,11 +635,10 @@ def _sym_action_cols(cx, n, elem):
 def hochschild(cx, n):
     """The degree-n (co)homology group of the complex: on its cone, which is
     free, Z^(dim - rank D_out - rank D_in) plus the torsion of D_in, from
-    each map's rank and invariant factors (map_invariants)."""
+    each map's rank and invariant factors (map_invariants).  Over Q no map
+    has invariant factors, so the group is free of the rational dimension."""
     if not 0 <= n < cx.n_max:
         raise BadParams(f"need 0 <= n < n_max = {cx.n_max}")
-    if cx.ring == "Q":
-        return FgAbGroup.free(hochschild_dim_q(cx, n))
     rank_out = cx.map_invariants(max(n, n + cx.step))[0]
     rank_in, torsion = cx.map_invariants(max(n, n - cx.step))
     free = cx.cone_dim(n) - rank_out - rank_in
@@ -650,15 +649,12 @@ def hochschild(cx, n):
 
 
 def hochschild_dim_q(cx, n):
-    """dim over Q of the degree-n (co)homology, by rank arithmetic.  The
-    rank over Q of an integer map is its rank over Z, so each map's rank
-    comes from map_invariants, once per complex."""
-    if not 0 <= n < cx.n_max:
-        raise BadParams(f"need 0 <= n < n_max = {cx.n_max}")
+    """dim over Q of the degree-n (co)homology: the free rank of the
+    hochschild group, since the rank over Q of an integer map is its rank
+    over Z."""
     if cx.coeff.has_torsion:
         raise BadParams("rational dimensions need free-valued coefficients")
-    return (cx.cone_dim(n) - cx.map_invariants(max(n, n + cx.step))[0]
-            - cx.map_invariants(max(n, n - cx.step))[0])
+    return hochschild(cx, n).free_rank
 
 
 def leech_cohomology(monoid, coeff, n):
@@ -698,14 +694,13 @@ def _stack_cols(col_lists, block_rows):
 
 
 def _vstack_pair(top_cols, bottom_cols, top_rows):
-    """Per-column concatenation of two sparse matrices with equal width."""
-    out = []
+    """Per-column concatenation of two sparse matrices with equal width,
+    yielded one column at a time."""
     for tc, bc in zip(top_cols, bottom_cols):
         col = dict(tc)
         for r, v in bc.items():
             col[top_rows + r] = v
-        out.append(col)
-    return out
+        yield col
 
 
 def _distinct_up_to_sign(cols):
@@ -725,26 +720,21 @@ def harrison(cx):
     """Harrison groups in degrees n = 1..n_max-1 (entry n-1 is degree n):
     homologically the quotient by the two-block shuffle images, which span
     every block-shuffle image, cohomologically their joint kernel.  Over Q
-    the answers are free groups of the computed dimensions; over Z they
-    are the hochschild groups of that subquotient complex, and the shuffle
-    span must be closed under the (co)boundary or NotAComplex is raised."""
+    the answers are free groups of the computed dimensions, in either
+    direction.  Over Z they are the hochschild groups of the shuffle
+    quotient of a chain complex, and the shuffle span must be closed under
+    the boundary or NotAComplex is raised; a cochain complex over Z raises
+    BadParams."""
     if cx.ring == "Q":
         return [FgAbGroup.free(d) for d in harrison_dim_q(cx)]
+    if cx.direction != HOMOLOGICAL:
+        raise BadParams("integral Harrison groups are computed on chains;"
+                        " harrison_dim_q on a ring-Q complex gives the"
+                        " cochain dimensions")
     if cx.n_max < 2:
         return []
-    sub = _shuffle_quotient(cx) if cx.direction == HOMOLOGICAL \
-        else _shuffle_kernel(cx)
+    sub = _shuffle_quotient(cx)
     return [hochschild(sub, n) for n in range(1, cx.n_max)]
-
-
-def _derived(cx, dims, maps, relations):
-    """A complex on other maps or relations; phi is written again in its
-    relation bases where the parent's d o d is not zero."""
-    sub = GammaChainComplex(cx.monoid, cx.coeff, cx.direction, cx.ring,
-                            dims, maps, relations, normalized=cx.normalized)
-    if cx.phi:
-        _check_squares(sub)
-    return sub
 
 
 def _shuffle_quotient(cx):
@@ -753,38 +743,18 @@ def _shuffle_quotient(cx):
     images and the value relations, their columns passed once up to sign.
     The cone reads no relations of the top degree, which keeps its value
     relations, and checks that the boundary carries each degree's
-    relations into the relations one degree down."""
+    relations into the relations one degree down.  phi is written again
+    in the new relation bases where the parent's d o d is not zero."""
     relations = [lattice_basis(_distinct_up_to_sign(
         [c for cols in _shuffle_int_cols(cx, m) for c in cols]
         + cx.relation_cols(m)), cx.dims[m]) for m in range(cx.n_max)]
     relations.append(cx.relation_cols(cx.n_max))
-    return _derived(cx, cx.dims, cx._mats, relations)
-
-
-def _shuffle_kernel(cx):
-    """The cochain complex restricted to the joint shuffle kernels V^n,
-    in the coordinates of their bases K_n for 2 <= n < n_max; degrees 0
-    and 1 carry no shuffles and keep theirs.  K_n holds the value
-    relations, so the coboundaries of V^(n-1) and the relations solve into
-    it exactly when V^(n-1) maps into V^n.  The map into the top degree
-    stays in its coordinates, with its value relations: only its rank and
-    cycle condition are read."""
-    dims, maps = list(cx.dims[:2]), {1: cx.d_in(1), 2: cx.d_in(2)}
-    relations = [cx.relation_cols(0), cx.relation_cols(1)]
-    for n in range(2, cx.n_max):
-        kernel_n = _joint_kernel(cx, n, _shuffle_int_cols(cx, n))
-        width = len(maps[n])
-        solved = solve_int(kernel_n, cx.dims[n],
-                           maps[n] + cx.relation_cols(n))
-        if solved is None:
-            raise NotAComplex(f"shuffle kernel is not closed at degree {n}")
-        dims.append(len(kernel_n))
-        maps[n] = solved[:width]
-        relations.append(solved[width:])
-        maps[n + 1] = _compose_cols(kernel_n, cx.d_out(n))
-    dims.append(cx.dims[cx.n_max])
-    relations.append(cx.relation_cols(cx.n_max))
-    return _derived(cx, dims, maps, relations)
+    sub = GammaChainComplex(cx.monoid, cx.coeff, cx.direction, cx.ring,
+                            cx.dims, cx._mats, relations,
+                            normalized=cx.normalized)
+    if cx.phi:
+        _check_squares(sub)
+    return sub
 
 
 def _joint_kernel(cx, m, blocks):

@@ -11,7 +11,9 @@ from monhom.hc_modules import LEFT, RIGHT, trivial_module
 from monhom.monoids import cyclic_group
 
 PACKAGE = pathlib.Path(monhom.__file__).parent
-TRACER = pathlib.Path(__file__).parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+GOLDEN = PERFBENCH / "golden.py"
 
 
 def test_no_bare_assert_in_the_package():
@@ -65,6 +67,19 @@ def test_traced_layers_resolve():
     sized = [ast.literal_eval(key)
              for key in _tracer_value(tree, "SIZES").keys]
     assert sized and set(sized) <= traced, sized
+
+
+def test_golden_imports_resolve():
+    # the benchmark's answer check imports these names from the program
+    tree = ast.parse(GOLDEN.read_text(encoding="utf-8"), str(GOLDEN))
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "monhom"
+                for alias in node.names]
+    assert imported, "no monhom imports found"
+    missing = [f"{module}.{name}" for module, name in imported
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, f"names the benchmark imports are missing: {missing}"
 
 
 def test_tracer_sizes_built_complexes():
