@@ -5,8 +5,9 @@ coefficient value at the product a_1...a_n.  The face eps_i collapses the
 pointed set [n] onto [n-1]: face 0 drops a_1 into the coefficient, face n
 drops a_n, and face i in between merges a_i and a_{i+1}.  Alternating
 sums of the faces assemble the boundary; permutations give the
-symmetric-group action used for shuffle operators, Harrison groups, and
-Young-invariant computations.
+symmetric-group action used for shuffle operators, Harrison groups and
+Hodge projectors, and the orbits of Young subgroups on the tuples give
+the invariants of y_exactness_check.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .exact_linalg import (
     _transpose_cols,
     int_rank,
     lattice_basis,
-    preimage_lattice,
     rank_and_torsion,
     solve_int,
 )
@@ -287,6 +287,30 @@ def _expected_side(direction):
     return RIGHT if direction == HOMOLOGICAL else LEFT
 
 
+def _check_budget(monoid, coeff, n_max, budget=None, normalized=False):
+    """Raise ComplexityBudget when degrees 0..n_max of the complex would
+    hold more basis elements than the cap (budget, or 10^6 when it is
+    None).  The count follows how many tuples reach each product, so no
+    tuple is laid out."""
+    cap = resolve_budget(budget)
+    letters = _letters(monoid, normalized)
+    counts = [0] * monoid.size
+    counts[monoid.identity] = 1
+    total = coeff.ranks[monoid.identity]
+    for _ in range(n_max):
+        nxt = [0] * monoid.size
+        for y in monoid.elements:
+            c = counts[y]
+            if c:
+                for a in letters:
+                    nxt[monoid.mul(y, a)] += c
+        counts = nxt
+        total += sum(c * coeff.ranks[x] for x, c in enumerate(counts))
+    if total > cap:
+        raise ComplexityBudget(
+            f"complex needs {total} basis elements, cap is {cap}")
+
+
 def build_complex(monoid, coeff, n_max, direction, budget=None, ring="Z",
                   normalized=False):
     """Assemble the complex up to degree n_max, checking d o d = 0.
@@ -316,24 +340,7 @@ def build_complex(monoid, coeff, n_max, direction, budget=None, ring="Z",
     if ring == "Q" and coeff.has_torsion:
         raise BadParams("rational complexes need free-valued coefficients")
 
-    cap = resolve_budget(budget)
-    letters = _letters(monoid, normalized)
-    counts = [0] * monoid.size
-    counts[monoid.identity] = 1
-    total = coeff.ranks[monoid.identity]
-    for _ in range(n_max):
-        nxt = [0] * monoid.size
-        for y in monoid.elements:
-            c = counts[y]
-            if c:
-                for a in letters:
-                    nxt[monoid.mul(y, a)] += c
-        counts = nxt
-        total += sum(c * coeff.ranks[x] for x, c in enumerate(counts))
-    if total > cap:
-        raise ComplexityBudget(
-            f"complex needs {total} basis elements, cap is {cap}")
-
+    _check_budget(monoid, coeff, n_max, budget, normalized)
     layouts = [_term_layout(monoid, coeff, n, normalized)
                for n in range(n_max + 1)]
     # The transposed translations of a left module make a right module of
@@ -410,10 +417,6 @@ class SymGroupElement:
     def zero(cls, n):
         return cls(n, {})
 
-    @classmethod
-    def from_permutation(cls, perm):
-        return cls(len(perm), {tuple(perm): 1})
-
     def _require_same(self, other):
         if not isinstance(other, SymGroupElement) or other.n != self.n:
             raise DegreeMismatch("mixed symmetric-group degrees")
@@ -424,9 +427,6 @@ class SymGroupElement:
         for p, c in other.terms.items():
             terms[p] = terms.get(p, 0) + c
         return SymGroupElement(self.n, terms)
-
-    def sub(self, other):
-        return self.add(other.scale(-1))
 
     def scale(self, scalar):
         c = _integer(scalar)
@@ -447,7 +447,6 @@ class SymGroupElement:
                                         for k, c in enumerate(acc) if c})
 
     __add__ = add
-    __sub__ = sub
 
     def antipode(self):
         """The image under sigma -> sigma^-1, which acts on a tuple complex
@@ -626,12 +625,6 @@ class _SymAction:
         return move
 
 
-def _sym_action_cols(cx, n, elem):
-    """Sparse integer columns of the action of a group-algebra element on
-    degree n of the complex, through an orbit table of its own."""
-    return _SymAction(cx, n).cols(elem)
-
-
 def hochschild(cx, n):
     """The degree-n (co)homology group of the complex: on its cone, which is
     free, Z^(dim - rank D_out - rank D_in) plus the torsion of D_in, from
@@ -757,16 +750,6 @@ def _shuffle_quotient(cx):
     return sub
 
 
-def _joint_kernel(cx, m, blocks):
-    """Basis of the joint kernel (modulo value relations) of the integer
-    operators on degree m given as sparse column lists."""
-    rels, rows = cx.relation_cols(m), cx.dims[m]
-    copies = [{b * rows + r: v for r, v in col.items()}
-              for b in range(len(blocks)) for col in rels]
-    return preimage_lattice(_stack_cols(blocks, rows), copies,
-                            rows * len(blocks))
-
-
 def harrison_dim_q(cx):
     """Rational Harrison dimensions in degrees n = 1..n_max-1 (entry n-1
     is degree n), by rank arithmetic on the cochain side.
@@ -803,16 +786,20 @@ def harrison_dim_q(cx):
     return out
 
 
-def _young_generators(lam, n):
-    gens = []
-    start = 0
-    for part in lam:
-        for p in range(start, start + part - 1):
-            perm = list(range(n))
-            perm[p], perm[p + 1] = perm[p + 1], perm[p]
-            gens.append(tuple(perm))
-        start += part
-    return gens
+def _orbit_sums(layout, ranks, lam):
+    """Sparse columns of the sum of each value basis vector over an orbit
+    of the Young subgroup S_lam, which permutes the positions inside each
+    block of lam, on the tuples of a term layout.  Orbits come in the order
+    of their first tuples."""
+    tuples, prods, offs, _ = layout
+    cuts = list(itertools.accumulate(lam, initial=0))
+    orbits = {}
+    for k, t in enumerate(tuples):
+        key = tuple(tuple(sorted(t[a:b])) for a, b in zip(cuts, cuts[1:]))
+        orbits.setdefault(key, []).append(k)
+    return [{offs[k] + i: 1 for k in members}
+            for members in orbits.values()
+            for i in range(ranks[prods[members[0]]])]
 
 
 @dataclass(frozen=True)
@@ -826,7 +813,15 @@ class YExactnessReport:
 
 def y_exactness_check(hmap, n, lam):
     """Surjectivity of a right-module map on Young-subgroup invariants of
-    the degree-n term, checked exactly over the integers."""
+    the degree-n term, checked exactly over the integers.
+
+    S_n permutes the tuples of the term and keeps their products, so it
+    acts on the values only by moving them between tuples.  A vector is
+    S_lam-invariant modulo the value relations exactly when it is constant
+    modulo them on each orbit: the orbit sums and the relations span the
+    invariants.  The source's relations enter the image through the map,
+    which need not carry them into the target's relations; the target's
+    relations are part of the image."""
     lam = tuple(int(p) for p in lam)
     if (not lam or any(p < 1 for p in lam) or sum(lam) != n
             or any(lam[i] < lam[i + 1] for i in range(len(lam) - 1))):
@@ -835,16 +830,17 @@ def y_exactness_check(hmap, n, lam):
     if src.side != RIGHT or tgt.side != RIGHT:
         raise BadParams("invariant surjectivity is checked for right modules")
     monoid = src.monoid
-    cx1 = build_complex(monoid, src, n, HOMOLOGICAL)
-    cx2 = build_complex(monoid, tgt, n, HOMOLOGICAL)
-    gens = [SymGroupElement.from_permutation(g) - SymGroupElement.identity(n)
-            for g in _young_generators(lam, n)]
-    K1, K2 = (_joint_kernel(cx, n, [_sym_action_cols(cx, n, g)
-                                    for g in gens]) for cx in (cx1, cx2))
+    for coeff in (src, tgt):
+        _check_budget(monoid, coeff, n)
+    lay1, lay2 = (_term_layout(monoid, coeff, n) for coeff in (src, tgt))
+    K1 = _orbit_sums(lay1, src.ranks, lam) + \
+        _block_diag([src.rels[p] for p in lay1[1]])
+    K2 = _orbit_sums(lay2, tgt.ranks, lam)
 
-    cols = _block_diag([hmap.mats[p] for p in cx1.prods_at(n)])
-    rows = cx2.dims[n]
-    reachable = _compose_cols(K1, cols) + cx2.relation_cols(n)
+    cols = _block_diag([hmap.mats[p] for p in lay1[1]])
+    rows = lay2[3]
+    reachable = _compose_cols(K1, cols) + \
+        _block_diag([tgt.rels[p] for p in lay2[1]])
     if solve_int(reachable, rows, K2) is not None:
         return YExactnessReport(True, n, lam, None,
                                 f"all {len(K2)} invariant generators hit")

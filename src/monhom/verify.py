@@ -177,15 +177,13 @@ def check_lemma_nuli():
 
 def check_group_oracle():
     anchor = "HH_n(C; Z) = H_n(C; Z) for C = Z/2, Z/3"
-    expected = {
-        2: [FgAbGroup.free(1), FgAbGroup(0, (2,)), FgAbGroup.trivial(),
-            FgAbGroup(0, (2,)), FgAbGroup.trivial()],
-        3: [FgAbGroup.free(1), FgAbGroup(0, (3,)), FgAbGroup.trivial(),
-            FgAbGroup(0, (3,)), FgAbGroup.trivial()],
-    }
     out = []
     for k in (2, 3):
         def body(k=k):
+            # H_*(Z/k; Z): Z, then Z/k in odd and 0 in positive even degrees
+            expected = [FgAbGroup.free(1)] + [
+                FgAbGroup(0, (k,)) if n % 2 else FgAbGroup.trivial()
+                for n in range(1, 5)]
             monoid = cyclic_group(k)
             rep = bar_complex_compare(monoid, trivial_kc_module(monoid), 4)
             if not rep.passed:
@@ -193,7 +191,7 @@ def check_group_oracle():
             cx = build_complex(monoid, trivial_module(monoid, RIGHT), 5,
                                HOMOLOGICAL)
             got = [hochschild(cx, n) for n in range(5)]
-            if got != expected[k]:
+            if got != expected:
                 raise MonhomError(f"homology {got} differs from the"
                                   " classical values")
             return "bar boundaries match; degrees 0..4 as classical"

@@ -20,6 +20,7 @@ from monhom.exact_linalg import (
     IntMatrix,
     kernel_basis,
     lattice_basis,
+    preimage_lattice,
     solve_int,
 )
 from monhom.gamma_chain import (
@@ -30,7 +31,6 @@ from monhom.gamma_chain import (
     _compose_cols,
     _face_cols,
     _face_tuple,
-    _sym_action_cols,
     _term_layout,
     build_complex,
     harrison,
@@ -69,6 +69,7 @@ from monhom.monoids import (
 from monhom.verify import (
     _direct_action_cols,
     _lattice_homology,
+    _partitions,
     _subquotient_homology,
     suite_monoids,
 )
@@ -349,12 +350,12 @@ def test_indexed_product_matches_the_double_loop():
     # (1 + s)(1 - s + t) = t + st for a transposition s: the identity and
     # s cancel and must be dropped
     one = SymGroupElement.identity(3)
-    s = SymGroupElement.from_permutation((1, 0, 2))
-    t = SymGroupElement.from_permutation((1, 2, 0))
-    x, y = one + s, one - s + t
+    s = SymGroupElement(3, {(1, 0, 2): 1})
+    t = SymGroupElement(3, {(1, 2, 0): 1})
+    x, y = one + s, one + s.scale(-1) + t
     assert _direct_product(x, y) == {(1, 2, 0): 1, (0, 2, 1): 1}
     assert x.mul(y).terms == {(1, 2, 0): 1, (0, 2, 1): 1}
-    assert x.mul(one - s).is_zero()
+    assert x.mul(one + s.scale(-1)).is_zero()
 
 
 def test_sym_action_group_law():
@@ -362,21 +363,20 @@ def test_sym_action_group_law():
     cx = build_complex(Z2, jstar_finite_cyclic(Z2, 4, RIGHT), 3, HOMOLOGICAL)
     cy = build_complex(Z2, trivial_module(Z2, LEFT), 3, COHOMOLOGICAL)
     n = 3
+    on_x, on_y = gamma_chain._SymAction(cx, n), gamma_chain._SymAction(cy, n)
     ident = SymGroupElement.identity(n)
-    assert _sym_action_cols(cx, n, ident) == [{i: 1} for i in range(cx.dims[n])]
+    assert on_x.cols(ident) == [{i: 1} for i in range(cx.dims[n])]
     for _ in range(8):
         p = tuple(rng.sample(range(n), n))
         q = tuple(rng.sample(range(n), n))
-        ep, eq = (SymGroupElement.from_permutation(x) for x in (p, q))
+        ep, eq = (SymGroupElement(n, {x: 1}) for x in (p, q))
         # _compose_cols(a, b) is the product b * a
-        lhs = _sym_action_cols(cx, n, ep.mul(eq))
-        rhs = _compose_cols(_sym_action_cols(cx, n, eq),
-                            _sym_action_cols(cx, n, ep))
+        lhs = on_x.cols(ep.mul(eq))
+        rhs = _compose_cols(on_x.cols(eq), on_x.cols(ep))
         assert lhs == rhs
         # contravariant degree: the action reverses products
-        lhs = _sym_action_cols(cy, n, ep.mul(eq))
-        rhs = _compose_cols(_sym_action_cols(cy, n, ep),
-                            _sym_action_cols(cy, n, eq))
+        lhs = on_y.cols(ep.mul(eq))
+        rhs = _compose_cols(on_y.cols(ep), on_y.cols(eq))
         assert lhs == rhs
 
 
@@ -404,9 +404,9 @@ def test_pattern_action_matches_the_direct_action():
             # a single term every tuple holds one image
             action = actions[k % len(complexes), n] = \
                 gamma_chain._SymAction(cx, n)
-            swap = SymGroupElement.from_permutation(
-                (n - 1,) + tuple(range(1, n - 1)) + (0,)) if n > 1 else \
-                SymGroupElement.identity(1)
+            swap = SymGroupElement(
+                n, {(n - 1,) + tuple(range(1, n - 1)) + (0,): 1}) if n > 1 \
+                else SymGroupElement.identity(1)
             assert action.cols(swap) == _direct_action_cols(cx, n, swap)
             assert all(len(row) <= 1 for row in action._rows)
             with pytest.raises(DegreeMismatch):
@@ -439,7 +439,7 @@ def test_shuffle_elements():
     # on the one-point monoid every permutation acts as the identity,
     # so the signs of sh_{1,1} cancel exactly
     cx = build_complex(TRIV, trivial_module(TRIV, RIGHT), 3, HOMOLOGICAL)
-    assert not any(_sym_action_cols(cx, 2, e))
+    assert not any(gamma_chain._SymAction(cx, 2).cols(e))
 
 
 def test_non_integral_coefficients_are_rejected():
@@ -481,8 +481,8 @@ def test_two_block_shuffles_span_every_block_shuffle():
                                direction)
             for n in range(2, 6):
                 two = gamma_chain._shuffle_int_cols(cx, n)
-                every = [_sym_action_cols(cx, n, e)
-                         for e in _every_block_shuffle(n)]
+                action = gamma_chain._SymAction(cx, n)
+                every = [action.cols(e) for e in _every_block_shuffle(n)]
                 assert len(two) == n - 1 and len(every) == 2 ** (n - 1) - 1
                 orbits = {}
                 for k, t in enumerate(cx.tuples_at(n)):
@@ -681,6 +681,88 @@ def test_y_exactness_failure_carries_witness():
         y_exactness_check(doubling, 2, (1, 2))
     with pytest.raises(BadParams):
         y_exactness_check(doubling, 2, (3,))
+
+
+def test_young_invariants_are_orbit_sums_and_relations():
+    # S_lam permutes the tuples and keeps their products, so the joint
+    # kernel modulo the value relations of g - 1, for the transpositions g
+    # that generate S_lam, is spanned by the orbit sums and the relations;
+    # 117 cases, every partition of n <= 4 (n <= 3 on the Klein group)
+    klein = product_monoid(Z2, Z2).monoid
+    cases = 0
+    for monoid, top in ((Z2, 4), (Z3, 4), (truncated_add(2), 4), (klein, 3)):
+        for coeff in (trivial_module(monoid, RIGHT),
+                      jstar_finite_cyclic(monoid, 2, RIGHT),
+                      jstar_finite_cyclic(monoid, 4, RIGHT)):
+            for n in range(1, top + 1):
+                cx = build_complex(monoid, coeff, n, HOMOLOGICAL)
+                rels, rows = cx.relation_cols(n), cx.dims[n]
+                one = tuple(range(n))
+                for lam in _partitions(n):
+                    gens, start = [], 0
+                    for part in lam:
+                        for p in range(start, start + part - 1):
+                            swap = list(one)
+                            swap[p], swap[p + 1] = swap[p + 1], swap[p]
+                            gens.append(SymGroupElement(
+                                n, {tuple(swap): 1, one: -1}))
+                        start += part
+                    blocks = [_direct_action_cols(cx, n, g) for g in gens]
+                    kernel = preimage_lattice(
+                        gamma_chain._stack_cols(blocks, rows),
+                        [{b * rows + r: v for r, v in col.items()}
+                         for b in range(len(blocks)) for col in rels],
+                        rows * len(blocks))
+                    sums = gamma_chain._orbit_sums(
+                        _term_layout(monoid, coeff, n), coeff.ranks, lam)
+                    # each spans the other
+                    assert solve_int(sums + rels, rows, kernel) is not None
+                    assert solve_int(kernel, rows, sums + rels) is not None
+                    cases += 1
+    assert cases == 117
+
+
+def test_y_exactness_builds_no_complex_and_no_action(monkeypatch):
+    # the invariants are read off the degree-n term alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("the check reached a complex, an S_n action"
+                             " or a kernel lattice")
+
+    assert not hasattr(gamma_chain, "preimage_lattice")
+    monkeypatch.setattr(gamma_chain, "build_complex", refuse)
+    monkeypatch.setattr(gamma_chain, "_SymAction", refuse)
+    monkeypatch.setattr(exact_linalg, "preimage_lattice", refuse)
+    hmap = HCModuleMap(trivial_module(Z3, RIGHT),
+                       jstar_finite_cyclic(Z3, 3, RIGHT),
+                       [IntMatrix.identity(1) for _ in Z3.elements])
+    for n in range(1, 5):
+        for lam in _partitions(n):
+            assert y_exactness_check(hmap, n, lam).passed
+    coeff = trivial_module(TRIV, RIGHT)
+    doubling = HCModuleMap(coeff, coeff, [IntMatrix([[2]])])
+    assert y_exactness_check(doubling, 2, (1, 1)).witness == (0, (1,))
+
+
+def test_y_exactness_budget_comes_before_any_layout(monkeypatch):
+    # degrees 0..n of each module count against the default cap, as in
+    # build_complex: 3^0 + .. + 3^12 = 797 161 basis elements fit, and
+    # 3^13 alone does not
+    class LaidOut(Exception):
+        pass
+
+    def laid_out(*args):
+        raise LaidOut
+
+    monkeypatch.setattr(gamma_chain, "_term_layout", laid_out)
+    coeff = trivial_module(Z3, RIGHT)
+    hmap = HCModuleMap(coeff, coeff,
+                       [IntMatrix.identity(1) for _ in Z3.elements])
+    with pytest.raises(ComplexityBudget, match="cap is 1000000"):
+        y_exactness_check(hmap, 13, (13,))
+    with pytest.raises(LaidOut):
+        y_exactness_check(hmap, 12, (12,))
+    with pytest.raises(ComplexityBudget):
+        build_complex(Z3, coeff, 13, HOMOLOGICAL)
 
 
 def test_hochschild_failed_solve_is_typed(monkeypatch):

@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import collections
 import importlib
 import importlib.util
 import pathlib
@@ -93,3 +94,46 @@ def test_tracer_sizes_built_complexes():
         cx = build_complex(monoid, trivial_module(monoid, side), 3, direction)
         sizes = tracer._complex_sizes((), {}, cx)
         assert sizes == {"basis": 15, "nnz": 17, "degenerate": 11}, direction
+
+
+def _names(tree):
+    """Every identifier the tree names outside a definition's own name:
+    variables, attributes, imported names and identifier strings, such as
+    the entries of __all__ and the tracer's tables."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value
+
+
+def test_every_definition_has_a_caller():
+    # a function or class that only its own tests name is dead weight;
+    # tabulated_to_payload writes the input files of the CLI tests
+    exempt = {"tabulated_to_payload"}
+    sources = sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sources}
+    named = collections.Counter(name for tree in trees.values()
+                                for name in _names(tree))
+    unused = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name in exempt or (name.startswith("__")
+                                  and name.endswith("__")):
+                continue
+            inside = sum(1 for n in _names(node) if n == name)
+            if named[name] == inside:
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    assert len(trees) > 1, "sources not found"
+    assert not unused, f"defined but named nowhere else: {unused}"
