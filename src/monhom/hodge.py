@@ -3,9 +3,10 @@
 The Eulerian idempotents e^(i) are the spectral projectors of the sum s_n
 of all two-block shuffles, at its eigenvalues 2^i - 2, i = 1..n.  Their
 integral multiples n!*e^(i) have a closed form in descents (Loday, Cyclic
-Homology 4.5).  They act on a tuple complex by integer matrices, split
-each degree into weight pieces preserved by the boundary, and give the
-per-weight homology dimensions from traces and ranks.
+Homology 4.5), checked here as elements of Z[S_n].  The weight pieces of
+the (co)homology of a tuple complex are the eigenspaces of s_n on it:
+s_n acts by an integer matrix that commutes with the boundary, and each
+weight's dimension is read from integer ranks on the cycles.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import BadParams, NotAnnihilated, WeightNotPreserved
-from .exact_linalg import int_rank
+from .exact_linalg import int_rank, kernel_basis, lattice_basis
 from .gamma_chain import (
     SymGroupElement,
     _SymAction,
     _compose_cols,
-    _distinct_up_to_sign,
     hochschild_dim_q,
     perm_sign,
     shuffle_element,
@@ -108,65 +108,44 @@ def eulerian_idempotents(n):
     return _eulerian(n)
 
 
-def _projector_cols(action, i, scale):
-    """Sparse integer columns of scale * e^(i) acting on the degree m of the
-    action, for scale a multiple of m! and weight i <= m."""
-    m = action.n
-    return action.cols(
-        eulerian_idempotents(m)[i].scale(scale // factorial(m)))
-
-
 def hodge_decomposition(cx):
     """Dimensions of the weight pieces of the (co)homology in every degree
     n = 1..n_max-1: entry n-1 lists the weights i = 1..n.
 
-    The complex must carry ring Q.  It is acted on by D*e^(i) with
-    D = n_max!, so every entry is an integer.  Exact projector/boundary commutation is verified
-    before any rank is trusted, every trace must be divisible by D, and
-    the weights of each degree must add up to its total rational dimension.
-    Each degree's projectors act through one orbit table, built when the
-    first of them is needed and released when the call returns.
+    The complex must carry ring Q.  Weight i of degree n is the
+    (2^i - 2)-eigenspace of the total shuffle operator s_n on H_n, which
+    s_n carries to itself because it commutes with the boundary.  s_n is
+    diagonalizable on the chains with eigenvalues 2^i - 2, i = 1..n, so on
+    homology too, and the eigenspace has dimension
+    dim Z_n - rank[(s_n - (2^i - 2))*K | B_n], for K a basis of the cycles
+    and B_n one of the boundaries into degree n: integer ranks only.
+    Each degree is acted on once, with s_n through one orbit table, and
+    d o s = s o d is verified exactly on every map before any rank is
+    trusted; degree 0 is weight 0, with s_0 = -1.  The weights of each
+    degree must add up to its total rational dimension, which holds
+    exactly when s_n acts diagonalizably on H_n.
     """
     if cx.ring != "Q":
         raise BadParams("weight decomposition needs a ring-Q complex")
     if cx.n_max > PROJECTOR_CAP:
         raise BadParams(f"degree {cx.n_max} above the projector cap"
                         f" {PROJECTOR_CAP}")
-    top = cx.n_max - 1
-    scale = factorial(cx.n_max)
-    dims = [[] for _ in range(top)]
-    actions = {}
-
-    def projector(m, i):
-        # zero when the weight exceeds the degree
-        if i > m:
-            return [dict() for _ in range(cx.dims[m])]
-        if m not in actions:
-            actions[m] = _SymAction(cx, m)
-        return _projector_cols(actions[m], i, scale)
-
-    for i in range(1, top + 1):
-        # Weight i lives in degrees i..n_max; only the projectors on n-1, n
-        # and n+1 are held, and each map's restricted rank is taken once.
-        proj = {i - 1: projector(i - 1, i), i: projector(i, i)}
-        ranks = {}
-
-        def rank_from(src):
-            if src not in ranks:
-                ranks[src] = _restricted_rank(
-                    cx.d_out(src), proj[src], proj[src + cx.step], src, i)
-            return ranks[src]
-
-        for n in range(i, top + 1):
-            proj.pop(n - 2, None)
-            proj[n + 1] = projector(n + 1, i)
-            trace = sum(col.get(j, 0) for j, col in enumerate(proj[n]))
-            if trace % scale:
-                raise WeightNotPreserved(
-                    f"weight-{i} projector trace in degree {n} is not an"
-                    " integer")
-            dims[n - 1].append(
-                trace // scale - rank_from(n) - rank_from(n - cx.step))
+    dims = []
+    s_low = [{r: -1} for r in range(cx.dims[0])]  # s_0 = 2^0 - 2
+    for m in range(1, cx.n_max + 1):
+        s_high = _SymAction(cx, m).cols(total_shuffle_operator(m))
+        if cx.step < 0:
+            src, s_src, s_tgt = m, s_high, s_low
+        else:
+            src, s_src, s_tgt = m - 1, s_low, s_high
+        d = cx.d_out(src)
+        if _compose_cols(s_src, d) != _compose_cols(d, s_tgt):
+            raise WeightNotPreserved(
+                f"boundary from degree {src} does not commute with the total"
+                " shuffle operator")
+        if m > 1:
+            dims.append(_eigenspace_dims(cx, m - 1, s_low))
+        s_low = s_high
 
     for n, weights in enumerate(dims, start=1):
         if sum(weights) != hochschild_dim_q(cx, n):
@@ -176,13 +155,14 @@ def hodge_decomposition(cx):
     return dims
 
 
-def _restricted_rank(d_cols, p_src, p_dst, src_deg, i):
-    """Rank of the map d_cols restricted to the weight-i piece of its source,
-    after an exact check that it carries p_src to p_dst; the rank is taken
-    on its columns each once up to sign, which span the same space."""
-    moved = _compose_cols(p_src, d_cols)          # d o P_i on the source
-    if moved != _compose_cols(d_cols, p_dst):     # P_i o d
-        raise WeightNotPreserved(
-            f"boundary from degree {src_deg} does not commute with the"
-            f" weight-{i} projector")
-    return int_rank(_distinct_up_to_sign(moved))
+def _eigenspace_dims(cx, n, s):
+    """dim Z_n - rank[(s - (2^i - 2))*K | B_n] for i = 1..n, with s the
+    columns of s_n on degree n; the cycles and boundaries are spanned once
+    for all the weights."""
+    K = kernel_basis(cx.d_out(n), cx.dims[n + cx.step])
+    B = lattice_basis(cx.d_in(n), cx.dims[n])
+    moved = _compose_cols(K, s)
+    return [len(K) - int_rank(
+        [{**sk, **{r: sk.get(r, 0) - lam * v for r, v in k.items()}}
+         for sk, k in zip(moved, K)] + B)
+        for lam in (2 ** i - 2 for i in range(1, n + 1))]

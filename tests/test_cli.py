@@ -252,7 +252,7 @@ def test_hodge_above_the_projector_cap_fails_before_building(monkeypatch,
 
 def test_hodge_needing_projectors_above_the_cap_fails_before_building(
         monkeypatch, capsys):
-    # degree 5 needs the projectors on degree 6
+    # degree 5 needs s on degree 6
     calls = []
 
     def counted(*args, **kwargs):

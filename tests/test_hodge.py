@@ -2,15 +2,18 @@
 weight decompositions cross-checked against rank arithmetic."""
 
 import weakref
+from math import factorial
 
 import pytest
 
 from monhom import cli, hodge
 from monhom.errors import BadParams, NotAnnihilated, WeightNotPreserved
+from monhom.exact_linalg import int_rank
 from monhom.gamma_chain import (
     COHOMOLOGICAL,
     HOMOLOGICAL,
     SymGroupElement,
+    _compose_cols,
     build_complex,
     harrison_dim_q,
     hochschild_dim_q,
@@ -35,6 +38,7 @@ from monhom.monoids import (
     trivial_monoid,
     truncated_add,
 )
+from monhom.verify import suite_monoids
 
 
 def test_total_shuffle_operator_small():
@@ -148,10 +152,15 @@ def test_weight_one_piece_equals_harrison():
 
 
 def test_weights_of_regular_coefficients():
-    monoid = truncated_add(2)
-    cx = build_complex(monoid, jstar(regular_kc_module(monoid), RIGHT), 5,
-                       HOMOLOGICAL, ring="Q", normalized=True)
-    assert hodge_decomposition(cx) == [[1], [1, 0], [0, 1, 0], [0, 1, 0, 0]]
+    # Z[C] is Z x Z[x]/(x^m), whose rational homology in degree n >= 1 is
+    # Q^(m-1), all of it in weight ceil(n/2)
+    for m in (2, 3):
+        monoid = truncated_add(m)
+        cx = build_complex(monoid, jstar(regular_kc_module(monoid), RIGHT), 5,
+                           HOMOLOGICAL, ring="Q", normalized=True)
+        assert hodge_decomposition(cx) == [
+            [m - 1 if i == (n + 1) // 2 else 0 for i in range(1, n + 1)]
+            for n in range(1, 5)]
 
 
 def test_sym_action_is_integral():
@@ -165,8 +174,8 @@ def test_sym_action_is_integral():
 
 
 def test_each_projector_action_is_built_once(monkeypatch):
-    # 14 = 5 + 4 + 3 + 2 pairs (degree m, weight i <= m) on degrees 1..5,
-    # through one orbit table per degree, none of which outlives the call
+    # one action with s_m on each degree 1..5, through one orbit table per
+    # degree, none of which outlives the call
     calls, tables, alive = [], [], []
 
     class Counted(hodge._SymAction):
@@ -182,7 +191,7 @@ def test_each_projector_action_is_built_once(monkeypatch):
     monkeypatch.setattr(hodge, "_SymAction", Counted)
     assert cli.main(["compute", "hodge", "--monoid", "builtin:truncated_add(2)",
                      "--coeff", "jstar:regular", "--max-degree", "4"]) == 0
-    assert len(calls) == 14
+    assert sorted(calls) == [1, 2, 3, 4, 5]
     assert sorted(tables) == [1, 2, 3, 4, 5]
     # the complex outlives the call, its tables do not
     monoid = truncated_add(2)
@@ -193,15 +202,15 @@ def test_each_projector_action_is_built_once(monkeypatch):
 
 
 def test_non_commuting_projector_is_caught(monkeypatch):
-    # the identity in place of e^(1) on degree 2 does not commute with d_3
-    original = hodge._projector_cols
+    # the identity in place of s_2 on degree 2 does not commute with d_3
+    original = hodge.total_shuffle_operator
 
-    def broken(action, i, scale):
-        if (action.n, i) == (2, 1):
-            return action.cols(SymGroupElement.identity(2).scale(scale))
-        return original(action, i, scale)
+    def broken(n):
+        if n == 2:
+            return SymGroupElement.identity(2)
+        return original(n)
 
-    monkeypatch.setattr(hodge, "_projector_cols", broken)
+    monkeypatch.setattr(hodge, "total_shuffle_operator", broken)
     monoid = truncated_add(2)
     cx = build_complex(monoid, trivial_module(monoid, RIGHT), 4, HOMOLOGICAL,
                        ring="Q")
@@ -209,24 +218,42 @@ def test_non_commuting_projector_is_caught(monkeypatch):
         hodge_decomposition(cx)
 
 
-def test_corrupted_twin_column_is_caught_before_deduplication(monkeypatch):
-    # e^(1) on degree 2 gives (1,2) and (2,1) the same column; the
-    # restricted rank keeps equal columns of d o P once, so commutation
-    # must be checked on every column before that
-    original = hodge._projector_cols
-
-    def broken(action, i, scale):
-        cols = original(action, i, scale)
-        if (action.n, i) == (2, 1):
-            tuples = action.cx.tuples_at(2)
-            twin = tuples.index((2, 1))
-            assert cols[twin] == cols[tuples.index((1, 2))]
-            cols[twin][twin] += 1
-        return cols
-
-    monkeypatch.setattr(hodge, "_projector_cols", broken)
-    monoid = truncated_add(2)
-    cx = build_complex(monoid, trivial_module(monoid, RIGHT), 4, HOMOLOGICAL,
+def test_weights_that_miss_the_total_are_caught(monkeypatch):
+    original = hodge.hochschild_dim_q
+    monkeypatch.setattr(hodge, "hochschild_dim_q",
+                        lambda cx, n: original(cx, n) + 1)
+    monoid = cyclic_group(2)
+    cx = build_complex(monoid, trivial_module(monoid, RIGHT), 3, HOMOLOGICAL,
                        ring="Q")
-    with pytest.raises(WeightNotPreserved, match="does not commute"):
+    with pytest.raises(WeightNotPreserved, match="do not add up"):
         hodge_decomposition(cx)
+
+
+def _projector_weights(cx):
+    """The weights through the Eulerian projectors: on degree n, weight i
+    is trace(E_i)/n! minus the ranks of d o E_i on the maps leaving degree
+    n and entering it, with E_i = n!*e^(i) and E_i = 0 above degree n."""
+    def on(m, i):
+        if not 1 <= i <= m:
+            return [dict() for _ in range(cx.dims[m])]
+        return hodge._SymAction(cx, m).cols(eulerian_idempotents(m)[i])
+
+    def restricted_rank(src, i):
+        return int_rank(_compose_cols(on(src, i), cx.d_out(src)))
+
+    return [[sum(col.get(j, 0) for j, col in enumerate(on(n, i)))
+             // factorial(n)
+             - restricted_rank(n, i) - restricted_rank(n - cx.step, i)
+             for i in range(1, n + 1)]
+            for n in range(1, cx.n_max)]
+
+
+def test_weights_match_the_projector_route():
+    for _, monoid in suite_monoids():
+        for direction, side in ((HOMOLOGICAL, RIGHT), (COHOMOLOGICAL, LEFT)):
+            for coeff in (trivial_module(monoid, side),
+                          jstar(regular_kc_module(monoid), side)):
+                for normalized in (False, True):
+                    cx = build_complex(monoid, coeff, 4, direction, ring="Q",
+                                       normalized=normalized)
+                    assert hodge_decomposition(cx) == _projector_weights(cx)
