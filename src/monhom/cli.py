@@ -35,7 +35,7 @@ from .grillet import GrilletReport, grillet_report, tensor_over_hc
 from .hc_modules import (LEFT, RIGHT, derivations, jstar, jstar_finite_cyclic,
                          omega, regular_kc_module, std_projective,
                          tabulate_presented, trivial_module)
-from .hodge import PROJECTOR_CAP, hodge_decomposition
+from .hodge import hodge_decomposition
 from .monoids import builder
 from .verify import render_json, render_text, run_suites
 
@@ -183,11 +183,6 @@ def _compute(args):
     else:
         if deg < 1:
             raise ValidationError("--max-degree must be at least 1 here")
-        if deg + 1 > PROJECTOR_CAP:
-            raise ValidationError(
-                f"--max-degree {deg} needs projectors on degree {deg + 1},"
-                f" above the projector cap {PROJECTOR_CAP} of the weight"
-                " decomposition")
         cx = build_complex(monoid, coeff, deg + 1, HOMOLOGICAL,
                            budget=budget, ring="Q", normalized=True)
         for n, weights in enumerate(hodge_decomposition(cx), start=1):

@@ -5,12 +5,13 @@ lattice routines (solve_int, kernel_basis, lattice_basis,
 preimage_lattice, subquotient_group, cokernel_group, rank_and_torsion)
 take and return sparse matrices: a list of {row: value} columns and a row
 count.  They copy their input and drop explicit zero entries on the way
-in, so callers may pass any columns they hold.  They and int_rank share
-one sparse elimination of unit pivots, _eliminate_units.  A dense
-IntMatrix, row-major lists of lists, holds module data and the unit-free
-residual of an elimination, which goes to the whole-matrix Smith form,
-_smith_core, through smith_normal_form (with transforms) or snf_diagonal
-(without).
+in, so callers may pass any columns they hold.  They, int_rank and
+PivotReduction, which keeps the pivots of a span to reduce other vectors
+modulo it, share one sparse elimination of unit pivots, _eliminate_units.
+A dense IntMatrix, row-major lists of lists, holds module data and the
+unit-free residual of an elimination, which goes to the whole-matrix
+Smith form, _smith_core, through smith_normal_form (with transforms) or
+snf_diagonal (without).
 """
 
 from __future__ import annotations
@@ -544,9 +545,9 @@ def _eliminate_units(vecs, size, carry=None, equations=False):
     """Greedy elimination of +-1 pivots on sparse integer vectors, in place.
 
     This is the one sparse elimination of the module: rank_and_torsion,
-    int_rank and the lattice routines all run on it.  vecs holds
-    {key: value} maps with keys in range(size).  The shortest vector comes
-    first (a heap of lengths; stale entries are skipped), at its unit
+    int_rank, PivotReduction and the lattice routines all run on it.  vecs
+    holds {key: value} maps with keys in range(size).  The shortest vector
+    comes first (a heap of lengths; stale entries are skipped), at its unit
     entry whose key the fewest vectors hold (count, key -> number of live
     vectors with an entry there), to limit fill-in (Dumas-Saunders-
     Villard, JSC 2001).  A multiple of it is subtracted from every other
@@ -668,3 +669,62 @@ def int_rank(vecs):
     size = 1 + max((k for vec in vecs for k in vec), default=-1)
     rank = sum(1 for _ in _eliminate_units(vecs, size, equations=True))
     return rank + len(_residual_diagonal(vecs))
+
+
+class PivotReduction:
+    """The span over Q of sparse integer vectors, as unit pivots and a
+    residual, and the reduction of other vectors modulo the pivots.
+
+    The vectors, with keys in range(size), go through _eliminate_units
+    with content division, as in int_rank.  pivots maps each pivot key to
+    its place in elimination order and its vector, which holds that key
+    with entry +-1 and no key of an earlier pivot: the earlier pivot
+    cleared its key from every vector still live.  residual lists the
+    nonzero vectors left, which hold no pivot key.  Pivots and residual
+    span what the vectors span over Q, and rank is the rank of the
+    residual.  reduce is linear and its value holds no pivot key, so it
+    lies in the span of the residual exactly when its argument lies in the
+    span of the vectors: the pivot vectors, triangular on their keys, are
+    independent of each other and of the residual.
+    """
+
+    def __init__(self, vecs, size):
+        vecs = _nonzero_copies(vecs)
+        self.pivots = {key: (i, vec) for i, (_, key, vec) in enumerate(
+            _eliminate_units(vecs, size, equations=True))}
+        self.residual = [vec for vec in vecs if vec]
+        self.rank = int_rank(self.residual) if self.residual else 0
+
+    def reduce(self, vec):
+        """A copy of vec minus the combination of pivot vectors that clears
+        every pivot key.  The keys are cleared in elimination order, from a
+        heap of the pivot keys vec holds: a pivot vector brings in only
+        later pivots' keys, so a cleared key never comes back."""
+        pivots = self.pivots
+        out = {k: v for k, v in vec.items() if v}
+        heap = [(pivots[k][0], k) for k in out if k in pivots]
+        heapq.heapify(heap)
+        while heap:
+            key = heapq.heappop(heap)[1]
+            f = out.get(key)
+            if not f:  # cancelled since it was pushed, or pushed twice
+                continue
+            pvec = pivots[key][1]
+            f *= pvec[key]  # the pivot entry is +-1, its own inverse
+            for s, v in pvec.items():
+                nv = out.get(s, 0) - f * v
+                if nv:
+                    if s not in out and s in pivots:
+                        heapq.heappush(heap, (pivots[s][0], s))
+                    out[s] = nv
+                else:
+                    del out[s]
+        return out
+
+    def rank_modulo(self, reduced):
+        """Rank over Q of the span of a list of reduced vectors (values of
+        reduce) modulo the span of the vectors: the rank they add to the
+        residual's."""
+        if not any(reduced):
+            return 0
+        return int_rank(reduced + self.residual) - self.rank

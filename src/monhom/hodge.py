@@ -3,10 +3,13 @@
 The Eulerian idempotents e^(i) are the spectral projectors of the sum s_n
 of all two-block shuffles, at its eigenvalues 2^i - 2, i = 1..n.  Their
 integral multiples n!*e^(i) have a closed form in descents (Loday, Cyclic
-Homology 4.5), checked here as elements of Z[S_n].  The weight pieces of
-the (co)homology of a tuple complex are the eigenspaces of s_n on it:
-s_n acts by an integer matrix that commutes with the boundary, and each
-weight's dimension is read from integer ranks on the cycles.
+Homology 4.5), checked here as elements of Z[S_n]; PROJECTOR_CAP bounds
+the degree they are built in.  The weight pieces of the (co)homology of a
+tuple complex are the eigenspaces of s_n on it: s_n acts by an integer
+matrix that commutes with the boundary, and each weight's dimension is
+read from integer ranks on cycles that represent the homology, modulo the
+boundaries.  That path builds no projector and has no cap of its own:
+the basis budget of the complex bounds it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import BadParams, NotAnnihilated, WeightNotPreserved
-from .exact_linalg import int_rank, kernel_basis, lattice_basis
+from .exact_linalg import PivotReduction, kernel_basis
 from .gamma_chain import (
     SymGroupElement,
     _SymAction,
@@ -116,20 +119,18 @@ def hodge_decomposition(cx):
     (2^i - 2)-eigenspace of the total shuffle operator s_n on H_n, which
     s_n carries to itself because it commutes with the boundary.  s_n is
     diagonalizable on the chains with eigenvalues 2^i - 2, i = 1..n, so on
-    homology too, and the eigenspace has dimension
-    dim Z_n - rank[(s_n - (2^i - 2))*K | B_n], for K a basis of the cycles
-    and B_n one of the boundaries into degree n: integer ranks only.
-    Each degree is acted on once, with s_n through one orbit table, and
-    d o s = s o d is verified exactly on every map before any rank is
-    trusted; degree 0 is weight 0, with s_0 = -1.  The weights of each
-    degree must add up to its total rational dimension, which holds
-    exactly when s_n acts diagonalizably on H_n.
+    homology too.  Each degree is acted on once, with s_n through one
+    orbit table, and d o s = s o d is verified exactly on every map before
+    any rank is trusted; degree 0 is weight 0, with s_0 = -1.  The weights
+    of degree n come from h = dim H_n cycles that represent its homology
+    (see _eigenspace_dims), and two checks guard them: the cycles of a
+    kernel basis independent modulo the boundaries must number h, and
+    the weights must add up to h, which holds exactly when s_n acts
+    diagonalizably on H_n.  No projector is built, so no degree cap
+    applies; the budget of the complex bounds the work.
     """
     if cx.ring != "Q":
         raise BadParams("weight decomposition needs a ring-Q complex")
-    if cx.n_max > PROJECTOR_CAP:
-        raise BadParams(f"degree {cx.n_max} above the projector cap"
-                        f" {PROJECTOR_CAP}")
     dims = []
     s_low = [{r: -1} for r in range(cx.dims[0])]  # s_0 = 2^0 - 2
     for m in range(1, cx.n_max + 1):
@@ -144,25 +145,46 @@ def hodge_decomposition(cx):
                 f"boundary from degree {src} does not commute with the total"
                 " shuffle operator")
         if m > 1:
-            dims.append(_eigenspace_dims(cx, m - 1, s_low))
+            h = hochschild_dim_q(cx, m - 1)
+            weights = _eigenspace_dims(cx, m - 1, s_low, h)
+            if sum(weights) != h:
+                raise WeightNotPreserved(
+                    f"weight dimensions {weights} do not add up to the total"
+                    f" in degree {m - 1}")
+            dims.append(weights)
         s_low = s_high
-
-    for n, weights in enumerate(dims, start=1):
-        if sum(weights) != hochschild_dim_q(cx, n):
-            raise WeightNotPreserved(
-                f"weight dimensions {weights} do not add up to the total in"
-                f" degree {n}")
     return dims
 
 
-def _eigenspace_dims(cx, n, s):
-    """dim Z_n - rank[(s - (2^i - 2))*K | B_n] for i = 1..n, with s the
-    columns of s_n on degree n; the cycles and boundaries are spanned once
-    for all the weights."""
+def _eigenspace_dims(cx, n, s, h):
+    """The dimensions h - rank(s - (2^i - 2)) on H_n for i = 1..n, with s
+    the columns of s_n on degree n and h = dim H_n.
+
+    The boundaries into degree n are eliminated once (PivotReduction).  A
+    cycle is a boundary exactly when its reduction lies in the span of the
+    residual R, so the first h cycles of a kernel basis whose reductions
+    are independent modulo R represent a basis of H_n; there must be
+    exactly h independent ones, or WeightNotPreserved is raised.  s_n acts
+    on those h cycles only, and reduction is linear, so the rank of
+    s - (2^i - 2) on H_n is that of red(s z) - (2^i - 2) red(z) modulo R.
+    """
     K = kernel_basis(cx.d_out(n), cx.dims[n + cx.step])
-    B = lattice_basis(cx.d_in(n), cx.dims[n])
-    moved = _compose_cols(K, s)
-    return [len(K) - int_rank(
-        [{**sk, **{r: sk.get(r, 0) - lam * v for r, v in k.items()}}
-         for sk, k in zip(moved, K)] + B)
+    boundaries = PivotReduction(cx.d_in(n), cx.dims[n])
+    classes = [boundaries.reduce(z) for z in K]
+    found = boundaries.rank_modulo(classes)
+    if found != h:
+        raise WeightNotPreserved(
+            f"{found} cycles independent modulo the boundaries in degree {n},"
+            f" where the total is {h}")
+    reps, rep_classes = [], []
+    for z, c in zip(K, classes):
+        if len(reps) == h:
+            break
+        if c and boundaries.rank_modulo(rep_classes + [c]) > len(reps):
+            reps.append(z)
+            rep_classes.append(c)
+    moved = [boundaries.reduce(sz) for sz in _compose_cols(reps, s)]
+    return [h - boundaries.rank_modulo(
+        [{**sc, **{r: sc.get(r, 0) - lam * v for r, v in c.items()}}
+         for sc, c in zip(moved, rep_classes)])
         for lam in (2 ** i - 2 for i in range(1, n + 1))]

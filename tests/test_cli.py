@@ -231,8 +231,7 @@ def test_budget_counts_the_normalized_basis(capsys):
                    "HH_4 = 0", "HH_5 = Z/3"]
 
 
-def test_hodge_above_the_projector_cap_fails_before_building(monkeypatch,
-                                                             capsys):
+def _count_layouts_and_weights(monkeypatch):
     calls = []
 
     def counted(name, fn):
@@ -241,30 +240,53 @@ def test_hodge_above_the_projector_cap_fails_before_building(monkeypatch,
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("build_complex", "hodge_decomposition"):
-        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
-    assert run("compute", "hodge", "--monoid", "builtin:cyclic_group(2)",
-               "--coeff", "trivialQ", "--max-degree", "6") == 1
+    monkeypatch.setattr(gamma_chain, "_term_layout",
+                        counted("_term_layout", gamma_chain._term_layout))
+    monkeypatch.setattr(cli, "hodge_decomposition",
+                        counted("hodge_decomposition",
+                                cli.hodge_decomposition))
+    return calls
+
+
+def test_hodge_above_the_projector_cap_is_bounded_by_the_budget(monkeypatch,
+                                                                capsys):
+    # no projector is built, so the basis budget alone bounds the degree
+    calls = _count_layouts_and_weights(monkeypatch)
+    assert run("compute", "hodge", "--monoid", "builtin:cyclic_group(3)",
+               "--coeff", "trivialQ", "--max-degree", "6",
+               "--budget", "200") == 2
     err = json.loads(capsys.readouterr().err)
-    assert "projector cap 5" in err["error"]["message"]
+    assert err["error"]["type"] == "ComplexityBudget"
+    assert calls == []
+    assert run("compute", "hodge", "--monoid", "builtin:cyclic_group(3)",
+               "--coeff", "trivialQ", "--max-degree", "6") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "degree 6: 0 + 0 + 0 + 0 + 0 + 0 = 0"
+    assert calls.count("hodge_decomposition") == 1
+
+
+def test_hodge_action_on_degree_six_is_bounded_by_the_budget(monkeypatch,
+                                                             capsys):
+    # degree 5 needs s on degree 6: 127 normalized tuples through degree 6
+    # on cyclic_group(3), over a budget of 126
+    calls = _count_layouts_and_weights(monkeypatch)
+    assert run("compute", "hodge", "--monoid", "builtin:cyclic_group(3)",
+               "--coeff", "trivialQ", "--max-degree", "5",
+               "--budget", "126") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ComplexityBudget"
+    assert "127" in err["error"]["message"]
     assert calls == []
 
 
-def test_hodge_needing_projectors_above_the_cap_fails_before_building(
-        monkeypatch, capsys):
-    # degree 5 needs s on degree 6
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-
-    monkeypatch.setattr(cli, "build_complex", counted)
-    assert run("compute", "hodge", "--monoid", "builtin:cyclic_group(2)",
-               "--coeff", "trivialQ", "--max-degree", "5") == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"]["type"] == "ValidationError"
-    assert "projector cap 5" in err["error"]["message"]
-    assert calls == []
+def test_hodge_in_degree_five_on_regular_coefficients(capsys):
+    # Z[C] for C = truncated_add(3) is Z x Z[x]/(x^3), whose rational
+    # homology in degree n >= 1 is Q^2, all of it in weight ceil(n/2)
+    assert run("compute", "hodge", "--monoid", "builtin:truncated_add(3)",
+               "--coeff", "jstar:regular", "--max-degree", "5") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "degree 1: 2 = 2", "degree 2: 2 + 0 = 2", "degree 3: 0 + 2 + 0 = 2",
+        "degree 4: 0 + 2 + 0 + 0 = 2", "degree 5: 0 + 0 + 2 + 0 + 0 = 2"]
 
 
 def test_validation_exits_one(capsys):

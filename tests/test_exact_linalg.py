@@ -7,6 +7,7 @@ from monhom.errors import BadParams, CompositionNonzero, NotAComplex
 from monhom.exact_linalg import (
     FgAbGroup,
     IntMatrix,
+    PivotReduction,
     cokernel_group,
     dense_kernel_basis,
     dense_solve_int,
@@ -461,6 +462,43 @@ def test_elimination_that_clears_everything_needs_no_dense_form(
     assert K.cols == 1 and B.mul(K).is_zero() and is_saturated(K)
     C = IntMatrix([[1, 0], [4, -2], [0, 7]])
     assert B.mul(dense(solve_int(B.col_dicts(), 3, C.col_dicts()), 4)) == C
+
+
+def test_pivot_reduction_decides_membership_in_the_span():
+    # sparse, with entries 2 and 3 beside the units, so that most spans
+    # leave a residual
+    rng = random.Random(23)
+    values = [-3, -2, -1, 1, 2, 3]
+    with_residual = 0
+    for _ in range(60):
+        rows, cols = rng.randint(1, 14), rng.randint(0, 12)
+        span = sparse_matrix(rng, rows, cols, values, 0.3).col_dicts()
+        before = [dict(vec) for vec in span]
+        red = PivotReduction(span, rows)
+        assert span == before
+        assert len(red.pivots) + red.rank == int_rank(span)
+        with_residual += bool(red.residual)
+        base = int_rank(span)
+        probes = sparse_matrix(rng, rows, 6, values, 0.3).col_dicts()
+        # integer combinations of the span, and of the span and a probe
+        for extra in ([], [], [probes[0]]):
+            coeffs = [(rng.randint(-2, 2) or 1, col) for col in span + extra]
+            probes.append({r: sum(c * col.get(r, 0) for c, col in coeffs)
+                           for r in range(rows)})
+        for vec in probes:
+            out = red.reduce(vec)
+            assert not set(out) & set(red.pivots)
+            assert all(out.values())
+            assert (red.rank_modulo([out]) == 0) == \
+                (int_rank(span + [vec]) == base)
+        # reduction is linear: it commutes with integer combinations
+        u, v = probes[0], probes[1]
+        both = {r: 3 * u.get(r, 0) - 2 * v.get(r, 0) for r in range(rows)}
+        ru, rv = red.reduce(u), red.reduce(v)
+        combined = {r: 3 * ru.get(r, 0) - 2 * rv.get(r, 0)
+                    for r in set(ru) | set(rv)}
+        assert red.reduce(both) == {r: x for r, x in combined.items() if x}
+    assert 10 < with_residual < 60
 
 
 def test_fgabgroup_normal_form():

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from monhom import cli, hodge
+from monhom import cli, exact_linalg, gamma_chain, hodge
 from monhom.errors import BadParams, NotAnnihilated, WeightNotPreserved
 from monhom.exact_linalg import int_rank
 from monhom.gamma_chain import (
@@ -109,16 +109,25 @@ def test_corrupted_closed_form_is_caught_at_construction(monkeypatch):
         hodge._eulerian.cache_clear()
 
 
-def test_hodge_validation():
+def test_hodge_validation(monkeypatch, capsys):
     cz = build_complex(cyclic_group(2), trivial_module(cyclic_group(2), RIGHT),
                        3, HOMOLOGICAL)
     with pytest.raises(BadParams):
         hodge_decomposition(cz)
+    # no projector cap: s_6 acts on degree 6, and the budget bounds the
+    # complex before any tuple is laid out
     above_cap = build_complex(cyclic_group(2),
                               trivial_module(cyclic_group(2), RIGHT), 6,
                               HOMOLOGICAL, ring="Q", normalized=True)
-    with pytest.raises(BadParams, match="projector cap 5"):
-        hodge_decomposition(above_cap)
+    assert hodge_decomposition(above_cap) == [[0] * n for n in range(1, 6)]
+    laid_out = []
+    monkeypatch.setattr(gamma_chain, "_term_layout",
+                        lambda *args: laid_out.append(args))
+    assert cli.main(["compute", "hodge", "--monoid", "builtin:cyclic_group(2)",
+                     "--coeff", "trivialQ", "--max-degree", "6",
+                     "--budget", "7"]) == 2
+    assert "ComplexityBudget" in capsys.readouterr().err
+    assert laid_out == []
 
 
 def test_weights_sum_and_match_totals():
@@ -156,11 +165,11 @@ def test_weights_of_regular_coefficients():
     # Q^(m-1), all of it in weight ceil(n/2)
     for m in (2, 3):
         monoid = truncated_add(m)
-        cx = build_complex(monoid, jstar(regular_kc_module(monoid), RIGHT), 5,
+        cx = build_complex(monoid, jstar(regular_kc_module(monoid), RIGHT), 6,
                            HOMOLOGICAL, ring="Q", normalized=True)
         assert hodge_decomposition(cx) == [
             [m - 1 if i == (n + 1) // 2 else 0 for i in range(1, n + 1)]
-            for n in range(1, 5)]
+            for n in range(1, 6)]
 
 
 def test_sym_action_is_integral():
@@ -225,8 +234,60 @@ def test_weights_that_miss_the_total_are_caught(monkeypatch):
     monoid = cyclic_group(2)
     cx = build_complex(monoid, trivial_module(monoid, RIGHT), 3, HOMOLOGICAL,
                        ring="Q")
+    with pytest.raises(WeightNotPreserved,
+                       match="independent modulo the boundaries"):
+        hodge_decomposition(cx)
+
+
+def test_weights_that_do_not_add_up_are_caught(monkeypatch):
+    # one eigenvalue's rank one short: weight 1 gains a dimension, which
+    # the cycle count does not see and the weight sum does
+    original = hodge._eigenspace_dims
+
+    def corrupted(cx, n, s, h):
+        weights = original(cx, n, s, h)
+        return [weights[0] + 1] + weights[1:]
+
+    monkeypatch.setattr(hodge, "_eigenspace_dims", corrupted)
+    monoid = truncated_add(2)
+    cx = build_complex(monoid, jstar(regular_kc_module(monoid), RIGHT), 4,
+                       HOMOLOGICAL, ring="Q", normalized=True)
     with pytest.raises(WeightNotPreserved, match="do not add up"):
         hodge_decomposition(cx)
+
+
+def test_weights_act_on_homology_representatives_only(monkeypatch):
+    # per degree: one elimination of the boundaries, and s_n composed with
+    # h cycles beyond the two compositions of the commutation check
+    reductions, composed = [], []
+    original_reduction, original_compose = (hodge.PivotReduction,
+                                            hodge._compose_cols)
+
+    def reduction(vecs, size):
+        reductions.append(size)
+        return original_reduction(vecs, size)
+
+    def compose(first, second):
+        composed.append(len(first))
+        return original_compose(first, second)
+
+    monoid = truncated_add(3)
+    cx = build_complex(monoid, jstar(regular_kc_module(monoid), RIGHT), 5,
+                       HOMOLOGICAL, ring="Q", normalized=True)
+    monkeypatch.setattr(hodge, "PivotReduction", reduction)
+    monkeypatch.setattr(hodge, "_compose_cols", compose)
+    monkeypatch.setattr(hodge, "eulerian_idempotents", None)
+    for module in (exact_linalg, gamma_chain):
+        monkeypatch.setattr(module, "lattice_basis", None)
+    assert hodge_decomposition(cx) == [
+        [2 if i == (n + 1) // 2 else 0 for i in range(1, n + 1)]
+        for n in range(1, 5)]
+    assert reductions == list(cx.dims[1:5])
+    # commutation on the maps out of degrees 1..5, then the weights of
+    # degrees 1..4 after the maps around them are checked
+    checks = [[cx.dims[m]] * 2 for m in range(1, 6)]
+    assert composed == checks[0] + [x for m in range(1, 5)
+                                    for x in checks[m] + [2]]
 
 
 def _projector_weights(cx):
