@@ -174,9 +174,13 @@ def _compute(args):
     elif args.target == "harrison":
         if deg < 1:
             raise ValidationError("--max-degree must be at least 1 here")
+        # over Z the normalized complex gives other groups; over Q the
+        # dimensions are weight 1, which normalizing does not change
         cx = build_complex(monoid, coeff, deg + 1, HOMOLOGICAL,
-                           budget=budget, ring=ring)
-        for n, group in enumerate(harrison(cx), start=1):
+                           budget=budget, ring=ring, normalized=ring == "Q")
+        groups = harrison(cx) if ring == "Z" else \
+            [FgAbGroup.free(w[0]) for w in hodge_decomposition(cx)]
+        for n, group in enumerate(groups, start=1):
             report.setdefault("results", []).append(
                 {"degree": n, "group": group.to_json()})
             lines.append(f"Harr_{n} = {group}")
@@ -237,8 +241,9 @@ def _build_parser():
     comp.add_argument("--ring", choices=("Z", "Q"), default=None)
     comp.add_argument("--budget", type=int, default=None,
                       help="cap on the total basis size of the complex; "
-                           "hh, leech, hodge and grillet count the "
-                           "normalized basis (tuples without the identity)")
+                           "hh, leech, hodge, grillet and harrison --ring Q "
+                           "count the normalized basis (tuples without the "
+                           "identity)")
     comp.add_argument("--format", choices=("text", "json"), default="text")
     comp.add_argument("--out", default=None, help="write the report here")
 

@@ -710,20 +710,17 @@ def _distinct_up_to_sign(cols):
 
 
 def harrison(cx):
-    """Harrison groups in degrees n = 1..n_max-1 (entry n-1 is degree n):
-    homologically the quotient by the two-block shuffle images, which span
-    every block-shuffle image, cohomologically their joint kernel.  Over Q
-    the answers are free groups of the computed dimensions, in either
-    direction.  Over Z they are the hochschild groups of the shuffle
-    quotient of a chain complex, and the shuffle span must be closed under
-    the boundary or NotAComplex is raised; a cochain complex over Z raises
-    BadParams."""
-    if cx.ring == "Q":
-        return [FgAbGroup.free(d) for d in harrison_dim_q(cx)]
-    if cx.direction != HOMOLOGICAL:
-        raise BadParams("integral Harrison groups are computed on chains;"
-                        " harrison_dim_q on a ring-Q complex gives the"
-                        " cochain dimensions")
+    """Integral Harrison groups in degrees n = 1..n_max-1 (entry n-1 is
+    degree n): the hochschild groups of the quotient of a chain complex
+    over Z by the two-block shuffle images, which span every block-shuffle
+    image.  The shuffle span must be closed under the boundary or
+    NotAComplex is raised.  A cochain complex or a ring-Q complex raises
+    BadParams: the rational Harrison dimensions, in either direction, are
+    weight 1 of hodge.hodge_decomposition."""
+    if cx.ring == "Q" or cx.direction != HOMOLOGICAL:
+        raise BadParams("integral Harrison groups are computed on chains"
+                        " over Z; weight 1 of hodge_decomposition gives the"
+                        " rational dimensions")
     if cx.n_max < 2:
         return []
     sub = _shuffle_quotient(cx)
@@ -752,7 +749,9 @@ def _shuffle_quotient(cx):
 
 def harrison_dim_q(cx):
     """Rational Harrison dimensions in degrees n = 1..n_max-1 (entry n-1
-    is degree n), by rank arithmetic on the cochain side.
+    is degree n), by rank arithmetic on the cochain side: Barr's joint
+    shuffle kernel, kept as the reference for weight 1 of
+    hodge_decomposition, which computes every rational Harrison answer.
 
     V^m is the joint kernel of the stacked shuffle operators S_m, and
     dim H^n(V) = dim V^n - rank(delta on V^n) - rank(delta on V^(n-1)),

@@ -5,8 +5,8 @@ tensor of the coefficients with the universal derivation target, and
 cohomologically as the derivation group.  Both values are cross-checked
 against the degree-1 tuple-complex groups, which must agree; a mismatch
 falsifies the implementation rather than the input.  Higher degrees are
-exposed over the rationals only, where they coincide with the shuffle
-quotient or kernel one degree up.
+exposed over the rationals only, where they coincide with Harrison
+(co)homology one degree up: weight 1 of the Hodge decomposition.
 
 Two comparison oracles tie the monoid-level constructions to classical
 algebra: the Kaehler presentation of the monoid algebra, and the bar
@@ -31,7 +31,6 @@ from .gamma_chain import (
     COHOMOLOGICAL,
     HOMOLOGICAL,
     build_complex,
-    harrison_dim_q,
     hochschild,
 )
 from .hc_modules import (
@@ -43,6 +42,7 @@ from .hc_modules import (
     tabulate_presented,
     tensor_over_hc,
 )
+from .hodge import hodge_decomposition
 
 
 def _degree_zero(monoid, coeff, direction, n_max, budget=None):
@@ -83,13 +83,13 @@ def d0_cohomology(monoid, coeff):
 
 
 def grillet_char0(monoid, coeff, n, direction):
-    """Rational dimension in degree n >= 0, one degree below the shuffle
-    quotient (homological) or shuffle kernel (cohomological)."""
+    """Rational dimension in degree n >= 0: the rational Harrison
+    dimension in degree n + 1, weight 1 of the Hodge decomposition."""
     if n < 0:
         raise BadParams("negative degree")
     cx = build_complex(monoid, coeff, n + 2, direction, ring="Q",
                        normalized=True)
-    return harrison_dim_q(cx)[n]
+    return hodge_decomposition(cx)[n][0]
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,11 @@ def grillet_report(monoid, coeff, direction, max_degree, budget=None):
         raise BadParams(f"unknown direction {direction!r}")
     if max_degree < 0:
         raise BadParams("negative degree cap")
-    # one complex serves degree 0 and every char-0 degree
+    # one complex serves degree 0 and every char-0 degree; its ring Z
+    # does not change the weights
     zero, cx = _degree_zero(monoid, coeff, direction, max_degree + 2, budget)
-    dims = tuple(harrison_dim_q(cx)[1:]) if max_degree else ()
-    return GrilletReport(zero, dims)
+    weights = hodge_decomposition(cx) if max_degree else []
+    return GrilletReport(zero, tuple(w[0] for w in weights[1:]))
 
 
 def _pair_index(monoid, a, c):

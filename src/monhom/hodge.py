@@ -9,7 +9,8 @@ tuple complex are the eigenspaces of s_n on it: s_n acts by an integer
 matrix that commutes with the boundary, and each weight's dimension is
 read from integer ranks on cycles that represent the homology, modulo the
 boundaries.  That path builds no projector and has no cap of its own:
-the basis budget of the complex bounds it.
+the basis budget of the complex bounds it.  Weight 1 is rational Harrison
+(co)homology, so every rational Harrison dimension is read from it.
 """
 
 from __future__ import annotations
@@ -115,7 +116,11 @@ def hodge_decomposition(cx):
     """Dimensions of the weight pieces of the (co)homology in every degree
     n = 1..n_max-1: entry n-1 lists the weights i = 1..n.
 
-    The complex must carry ring Q.  Weight i of degree n is the
+    The coefficients must be free-valued.  The ring of the complex only
+    decides whether its totals also read torsion, so the weights do not
+    depend on it.  Weight 1 is the rational Harrison dimension (Loday,
+    Cyclic Homology 4.5).  s_n keeps the degenerate tuples, so normalizing
+    the complex changes no weight.  Weight i of degree n is the
     (2^i - 2)-eigenspace of the total shuffle operator s_n on H_n, which
     s_n carries to itself because it commutes with the boundary.  s_n is
     diagonalizable on the chains with eigenvalues 2^i - 2, i = 1..n, so on
@@ -123,14 +128,14 @@ def hodge_decomposition(cx):
     orbit table, and d o s = s o d is verified exactly on every map before
     any rank is trusted; degree 0 is weight 0, with s_0 = -1.  The weights
     of degree n come from h = dim H_n cycles that represent its homology
-    (see _eigenspace_dims), and two checks guard them: the cycles of a
-    kernel basis independent modulo the boundaries must number h, and
-    the weights must add up to h, which holds exactly when s_n acts
-    diagonalizably on H_n.  No projector is built, so no degree cap
-    applies; the budget of the complex bounds the work.
+    (see _eigenspace_dims), and two checks guard them: the cycles
+    independent modulo the boundaries must number h, and the weights must
+    add up to h, which holds exactly when s_n acts diagonalizably on H_n.
+    No projector is built, so no degree cap applies; the budget of the
+    complex bounds the work.
     """
-    if cx.ring != "Q":
-        raise BadParams("weight decomposition needs a ring-Q complex")
+    if cx.coeff.has_torsion:
+        raise BadParams("rational dimensions need free-valued coefficients")
     dims = []
     s_low = [{r: -1} for r in range(cx.dims[0])]  # s_0 = 2^0 - 2
     for m in range(1, cx.n_max + 1):
@@ -163,26 +168,30 @@ def _eigenspace_dims(cx, n, s, h):
     The boundaries into degree n are eliminated once (PivotReduction).  A
     cycle is a boundary exactly when its reduction lies in the span of the
     residual R, so the first h cycles of a kernel basis whose reductions
-    are independent modulo R represent a basis of H_n; there must be
-    exactly h independent ones, or WeightNotPreserved is raised.  s_n acts
+    are independent modulo R represent a basis of H_n.  dim Z_n minus the
+    rank of the boundaries (pivots plus rank R) must equal h, and the
+    kernel basis must yield h such cycles, or WeightNotPreserved is
+    raised; no cycle past the h-th representative is reduced.  s_n acts
     on those h cycles only, and reduction is linear, so the rank of
     s - (2^i - 2) on H_n is that of red(s z) - (2^i - 2) red(z) modulo R.
     """
     K = kernel_basis(cx.d_out(n), cx.dims[n + cx.step])
     boundaries = PivotReduction(cx.d_in(n), cx.dims[n])
-    classes = [boundaries.reduce(z) for z in K]
-    found = boundaries.rank_modulo(classes)
+    found = len(K) - len(boundaries.pivots) - boundaries.rank
+    reps, rep_classes = [], []
+    if found == h:
+        for z in K:
+            if len(reps) == h:
+                break
+            c = boundaries.reduce(z)
+            if c and boundaries.rank_modulo(rep_classes + [c]) > len(reps):
+                reps.append(z)
+                rep_classes.append(c)
+        found = len(reps)
     if found != h:
         raise WeightNotPreserved(
             f"{found} cycles independent modulo the boundaries in degree {n},"
             f" where the total is {h}")
-    reps, rep_classes = [], []
-    for z, c in zip(K, classes):
-        if len(reps) == h:
-            break
-        if c and boundaries.rank_modulo(rep_classes + [c]) > len(reps):
-            reps.append(z)
-            rep_classes.append(c)
     moved = [boundaries.reduce(sz) for sz in _compose_cols(reps, s)]
     return [h - boundaries.rank_modulo(
         [{**sc, **{r: sc.get(r, 0) - lam * v for r, v in c.items()}}

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line through ``main(argv)``."""
 
 import json
+import sys
 
 import pytest
 
@@ -9,7 +10,7 @@ from monhom.codecs import (dumps, matrix_from_payload, matrix_to_payload,
                            monoid_from_payload, monoid_to_payload,
                            tabulated_from_payload, tabulated_to_payload)
 from monhom.errors import ComplexityBudget, OracleMismatch, ParseError
-from monhom.exact_linalg import IntMatrix
+from monhom.exact_linalg import FgAbGroup, IntMatrix
 from monhom.hc_modules import (RIGHT, jstar, jstar_finite_cyclic,
                                regular_kc_module, std_projective)
 from monhom.monoids import cyclic_group, product_monoid, truncated_add
@@ -315,6 +316,64 @@ def test_harrison_builds_the_full_complex(monkeypatch, capsys):
                "--coeff", "trivialZ", "--max-degree", "4") == 0
     assert capsys.readouterr().out.splitlines()[-1] == "Harr_4 = Z/2 + Z/2"
     assert flags == [False]
+
+
+def test_rational_harrison_builds_the_normalized_complex(monkeypatch,
+                                                        capsys):
+    # over Q the dimensions are weight 1, which normalizing does not change
+    flags = []
+    original = cli.build_complex
+
+    def recorded(*args, **kwargs):
+        flags.append(kwargs.get("normalized", False))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_complex", recorded)
+    assert run("compute", "harrison", "--monoid", "builtin:cyclic_group(2)",
+               "--coeff", "trivialQ", "--max-degree", "4") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "Harr_4 = 0"
+    assert flags == [True]
+
+
+def test_rational_harrison_reports(tmp_path, capsys):
+    # Z[C] for C = truncated_add(3) is Z x Z[x]/(x^3): its rational
+    # homology is Q^2 in every degree, in weight ceil(n/2); finite groups
+    # and the trivial monoid are rationally acyclic
+    klein = tmp_path / "klein.json"
+    klein.write_text(dumps(monoid_to_payload(
+        product_monoid(cyclic_group(2), cyclic_group(2)).monoid)))
+    for monoid, coeff, dims in (
+            ("builtin:truncated_add(3)", "jstar:regular", (2, 2, 0, 0, 0)),
+            (str(klein), "trivialQ", (0,) * 5),
+            ("builtin:trivial", "trivialQ", (0,) * 5)):
+        assert run("compute", "harrison", "--monoid", monoid, "--coeff",
+                   coeff, "--ring", "Q", "--max-degree", "5") == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"Harr_{n} = {FgAbGroup.free(d)}"
+            for n, d in enumerate(dims, start=1)]
+
+
+def test_no_compute_target_calls_the_harrison_oracle(monkeypatch, capsys):
+    # harrison_dim_q is the reference of verify; every rational Harrison
+    # answer is weight 1 of hodge_decomposition
+    def oracle(cx):
+        raise AssertionError("harrison_dim_q on a compute path")
+
+    for module in list(sys.modules.values()):
+        if module and module.__name__.split(".")[0] == "monhom" and \
+                getattr(module, "harrison_dim_q", None) is \
+                gamma_chain.harrison_dim_q:
+            monkeypatch.setattr(module, "harrison_dim_q", oracle)
+    assert gamma_chain.harrison_dim_q is oracle
+    for target, coeff in (("harrison", "trivialQ"),
+                          ("harrison", "jstar:regular"),
+                          ("grillet", "trivialZ"),
+                          ("grillet", "jstar:regular"),
+                          ("hodge", "jstar:regular")):
+        assert run("compute", target, "--monoid", "builtin:truncated_add(2)",
+                   "--coeff", coeff, "--max-degree", "3",
+                   *(["--ring", "Q"] if coeff == "jstar:regular" else [])) == 0
+    capsys.readouterr()
 
 
 def test_harrison_sends_few_cells_to_the_dense_smith_form(monkeypatch,

@@ -521,13 +521,13 @@ def test_each_shuffle_span_is_built_once(monkeypatch):
             cx = build_complex(monoid, trivial_module(monoid, side), 5,
                                direction, ring=ring)
             for compute in (harrison, harrison_dim_q):
-                if compute is harrison and direction == COHOMOLOGICAL \
-                        and ring == "Z":
+                if compute is harrison and (direction == COHOMOLOGICAL
+                                            or ring == "Q"):
                     continue  # integral Harrison groups live on chains
                 calls.clear()
                 compute(cx)
-                # over Z no group reads the shuffles of the top degree
-                top = 4 if ring == "Z" else 5
+                # no integral group reads the shuffles of the top degree
+                top = 4 if compute is harrison else 5
                 assert len(calls) == len(set(calls))
                 assert set(range(2, top + 1)) <= set(calls)
 
@@ -594,7 +594,7 @@ def test_unclosed_shuffle_span_is_caught(monkeypatch):
         cx = build_complex(Z2, trivial_module(Z2, side), 3, direction,
                            ring=ring)
         with pytest.raises(NotAComplex, match="degree 2"):
-            harrison(cx)
+            (harrison if ring == "Z" else harrison_dim_q)(cx)
 
 
 def test_harrison_matches_low_degrees_and_trivial_monoid():
@@ -607,7 +607,15 @@ def test_harrison_matches_low_degrees_and_trivial_monoid():
 def test_harrison_rational_vanishing_for_group():
     cq = build_complex(Z2, trivial_module(Z2, RIGHT), 5, HOMOLOGICAL,
                        ring="Q")
-    assert harrison(cq) == [groups(0)] * 4
+    assert harrison_dim_q(cq) == [0] * 4
+
+
+def test_harrison_refuses_ring_q_complexes():
+    for side, direction in ((RIGHT, HOMOLOGICAL), (LEFT, COHOMOLOGICAL)):
+        cq = build_complex(Z2, trivial_module(Z2, side), 3, direction,
+                           ring="Q")
+        with pytest.raises(BadParams, match="weight 1 of hodge_decomposition"):
+            harrison(cq)
 
 
 def test_harrison_integer_vs_rational_free_rank():
@@ -640,11 +648,11 @@ def test_harrison_over_z_differs_on_the_normalized_complex():
 
 def test_integral_harrison_refuses_cochains():
     # integral Harrison groups are computed on chains; over Q the cochain
-    # dimensions come from harrison_dim_q
+    # dimensions are weight 1 of hodge_decomposition
     for coeff in (trivial_module(Z2, LEFT), jstar_finite_cyclic(Z2, 4, LEFT)):
         for top in (1, 3):
             cx = build_complex(Z2, coeff, top, COHOMOLOGICAL)
-            with pytest.raises(BadParams, match="harrison_dim_q"):
+            with pytest.raises(BadParams, match="computed on chains"):
                 harrison(cx)
 
 

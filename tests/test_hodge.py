@@ -1,6 +1,7 @@
 """Eulerian idempotents: algebra identities, eigenvector property, and
 weight decompositions cross-checked against rank arithmetic."""
 
+import random
 import weakref
 from math import factorial
 
@@ -22,7 +23,9 @@ from monhom.hc_modules import (
     LEFT,
     RIGHT,
     jstar,
+    jstar_finite_cyclic,
     regular_kc_module,
+    std_projective,
     trivial_module,
 )
 from monhom.hodge import (
@@ -110,10 +113,20 @@ def test_corrupted_closed_form_is_caught_at_construction(monkeypatch):
 
 
 def test_hodge_validation(monkeypatch, capsys):
-    cz = build_complex(cyclic_group(2), trivial_module(cyclic_group(2), RIGHT),
-                       3, HOMOLOGICAL)
-    with pytest.raises(BadParams):
-        hodge_decomposition(cz)
+    # torsion-valued coefficients are refused before any action is built;
+    # free ones give the same weights on a complex of either ring
+    monoid = cyclic_group(2)
+    torsion = build_complex(monoid, jstar_finite_cyclic(monoid, 4, RIGHT), 3,
+                            HOMOLOGICAL)
+    acted = []
+    with monkeypatch.context() as patched:
+        patched.setattr(hodge, "_SymAction", lambda *args: acted.append(args))
+        with pytest.raises(BadParams, match="free-valued coefficients"):
+            hodge_decomposition(torsion)
+    assert acted == []
+    cz, cq = (build_complex(monoid, trivial_module(monoid, RIGHT), 3,
+                            HOMOLOGICAL, ring=ring) for ring in ("Z", "Q"))
+    assert hodge_decomposition(cz) == hodge_decomposition(cq) == [[0], [0, 0]]
     # no projector cap: s_6 acts on degree 6, and the budget bounds the
     # complex before any tuple is laid out
     above_cap = build_complex(cyclic_group(2),
@@ -149,15 +162,23 @@ def test_weights_sum_and_match_totals():
 
 
 def test_weight_one_piece_equals_harrison():
-    mons = [cyclic_group(2), semilattice_chain(1), truncated_add(2),
-            product_monoid(cyclic_group(2), cyclic_group(2)).monoid]
+    # weight 1 on the normalized complex, as every rational Harrison answer
+    # is computed, against Barr's shuffle kernel on the full complex
+    rng = random.Random(22)
+    mons = [monoid for _, monoid in suite_monoids()] + [
+        truncated_add(3),
+        product_monoid(cyclic_group(2), semilattice_chain(1)).monoid]
     for monoid in mons:
-        cq = build_complex(monoid, trivial_module(monoid, RIGHT), 4,
-                           HOMOLOGICAL, ring="Q")
-        assert [w[0] for w in hodge_decomposition(cq)] == harrison_dim_q(cq)
-        dq = build_complex(monoid, trivial_module(monoid, LEFT), 4,
-                           COHOMOLOGICAL, ring="Q")
-        assert [w[0] for w in hodge_decomposition(dq)] == harrison_dim_q(dq)
+        a = rng.choice(monoid.elements)
+        for direction, side in ((HOMOLOGICAL, RIGHT), (COHOMOLOGICAL, LEFT)):
+            for coeff in (trivial_module(monoid, side),
+                          jstar(regular_kc_module(monoid), side),
+                          std_projective(monoid, a, side)):
+                full, normal = (build_complex(monoid, coeff, 4, direction,
+                                              ring="Q", normalized=flag)
+                                for flag in (False, True))
+                assert [w[0] for w in hodge_decomposition(normal)] == \
+                    harrison_dim_q(full)
 
 
 def test_weights_of_regular_coefficients():
@@ -237,6 +258,25 @@ def test_weights_that_miss_the_total_are_caught(monkeypatch):
     with pytest.raises(WeightNotPreserved,
                        match="independent modulo the boundaries"):
         hodge_decomposition(cx)
+
+
+def test_cycle_counts_that_miss_the_total_are_caught(monkeypatch):
+    # a total one short fails the count dim Z_n - rank B_n; a kernel basis
+    # of the right size that holds no cycle class runs out of
+    # representatives before the h-th
+    monoid = truncated_add(2)
+    cx = build_complex(monoid, jstar(regular_kc_module(monoid), RIGHT), 3,
+                       HOMOLOGICAL, ring="Q", normalized=True)
+    total, kernel = hodge.hochschild_dim_q, hodge.kernel_basis
+    for name, patched in (
+            ("hochschild_dim_q", lambda cx, n: total(cx, n) - 1),
+            ("kernel_basis", lambda cols, rows: [
+                {} for _ in kernel(cols, rows)])):
+        with monkeypatch.context() as patch:
+            patch.setattr(hodge, name, patched)
+            with pytest.raises(WeightNotPreserved,
+                               match="independent modulo the boundaries"):
+                hodge_decomposition(cx)
 
 
 def test_weights_that_do_not_add_up_are_caught(monkeypatch):
