@@ -10,7 +10,8 @@ from .errors import MonhomError
 from .exact_linalg import FgAbGroup, IntMatrix
 from .gamma_chain import (COHOMOLOGICAL, HOMOLOGICAL, build_complex, harrison,
                           harrison_dim_q, hochschild, hochschild_dim_q,
-                          leech_cohomology, y_exactness_check)
+                          leech_cohomology, morse_complex,
+                          y_exactness_check)
 from .grillet import (bar_complex_compare, d0_cohomology, d0_homology,
                       grillet_char0, grillet_report, kaehler_compare)
 from .hc_modules import (LEFT, RIGHT, derivations, jstar, jstar_finite_cyclic,
@@ -31,7 +32,8 @@ __all__ = [
     "d0_cohomology", "d0_homology", "derivations", "eulerian_idempotents",
     "grillet_char0", "grillet_report", "harrison", "harrison_dim_q",
     "hochschild", "hochschild_dim_q", "hodge_decomposition", "jstar",
-    "jstar_finite_cyclic", "kaehler_compare", "leech_cohomology", "omega",
+    "jstar_finite_cyclic", "kaehler_compare", "leech_cohomology",
+    "morse_complex", "omega",
     "product_monoid", "regular_kc_module", "run_suites",
     "semilattice_chain", "std_projective", "tabulate_presented",
     "tensor_over_hc", "total_shuffle_operator", "trivial_module",

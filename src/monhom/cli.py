@@ -30,7 +30,7 @@ from .errors import (BadParams, ComplexityBudget, CompositionNonzero,
                      ValidationError, WeightNotPreserved)
 from .exact_linalg import FgAbGroup
 from .gamma_chain import (COHOMOLOGICAL, HOMOLOGICAL, build_complex, harrison,
-                          hochschild, resolve_budget)
+                          hochschild, morse_complex, resolve_budget)
 from .grillet import GrilletReport, grillet_report, tensor_over_hc
 from .hc_modules import (LEFT, RIGHT, derivations, jstar, jstar_finite_cyclic,
                          omega, regular_kc_module, std_projective,
@@ -163,8 +163,8 @@ def _compute(args):
             lines.append(f"degree {entry['degree']} ({entry['path']}): "
                          f"{FgAbGroup(**entry['group'])}")
     elif args.target in ("hh", "leech"):
-        cx = build_complex(monoid, coeff, deg + 1, direction,
-                           budget=budget, ring=ring, normalized=True)
+        cx = morse_complex(monoid, coeff, deg + 1, direction,
+                           budget=budget, ring=ring)
         mark = "_" if direction == HOMOLOGICAL else "^"
         for n in range(deg + 1):
             group = hochschild(cx, n)

@@ -35,6 +35,7 @@ from .exact_linalg import (
     solve_int,
 )
 from .hc_modules import LEFT, RIGHT, _block_diag
+from .rewriting import rewriting
 
 HOMOLOGICAL = "homological"
 COHOMOLOGICAL = "cohomological"
@@ -70,8 +71,9 @@ def _letters(monoid, normalized):
     return [a for a in monoid.elements if a != monoid.identity]
 
 
-def _term_layout(monoid, coeff, n, normalized=False):
-    tuples = list(itertools.product(_letters(monoid, normalized), repeat=n))
+def _layout(monoid, coeff, tuples):
+    """The layout of a degree with the given tuples: the tuples, their
+    products, the offset of each tuple's value basis and the rank."""
     prods = [monoid.product(t) for t in tuples]
     offsets = []
     dim = 0
@@ -79,6 +81,11 @@ def _term_layout(monoid, coeff, n, normalized=False):
         offsets.append(dim)
         dim += coeff.ranks[p]
     return tuples, prods, offsets, dim
+
+
+def _term_layout(monoid, coeff, n, normalized=False):
+    return _layout(monoid, coeff, list(itertools.product(
+        _letters(monoid, normalized), repeat=n)))
 
 
 def _compose_cols(first, second):
@@ -326,6 +333,18 @@ def build_complex(monoid, coeff, n_max, direction, budget=None, ring="Z",
     basis count would exceed the cap (budget, or 10^6 when it is None); a
     normalized complex counts its own, smaller basis.
     """
+    _check_request(monoid, coeff, n_max, direction, ring)
+    _check_budget(monoid, coeff, n_max, budget, normalized)
+    layouts = [_term_layout(monoid, coeff, n, normalized)
+               for n in range(n_max + 1)]
+    act = _right_act(coeff)
+    maps = {k: _face_cols(monoid, act, layouts[k], layouts[k - 1],
+                          range(k + 1)) for k in range(1, n_max + 1)}
+    return _assemble(monoid, coeff, direction, ring, layouts, maps,
+                     layouts, normalized)
+
+
+def _check_request(monoid, coeff, n_max, direction, ring):
     if direction not in (HOMOLOGICAL, COHOMOLOGICAL):
         raise BadParams(f"unknown direction {direction!r}")
     if ring not in ("Z", "Q"):
@@ -340,29 +359,175 @@ def build_complex(monoid, coeff, n_max, direction, budget=None, ring="Z",
     if ring == "Q" and coeff.has_torsion:
         raise BadParams("rational complexes need free-valued coefficients")
 
-    _check_budget(monoid, coeff, n_max, budget, normalized)
-    layouts = [_term_layout(monoid, coeff, n, normalized)
-               for n in range(n_max + 1)]
-    # The transposed translations of a left module make a right module of
-    # the same ranks; its boundaries are the coboundaries transposed.
-    act = coeff.act if coeff.side == RIGHT else \
+
+def _right_act(coeff):
+    """The translation matrices of coeff as a right module.  The transposed
+    translations of a left module make a right module of the same ranks;
+    its boundaries are the coboundaries transposed."""
+    return coeff.act if coeff.side == RIGHT else \
         {key: A.transpose() for key, A in coeff.act.items()}
+
+
+def _assemble(monoid, coeff, direction, ring, layouts, maps, kept,
+              normalized):
+    """The complex on the given layouts whose boundaries, on chains, are
+    maps, and whose coboundaries are their transposes; the relations of a
+    degree are the value relations of its tuples.  kept is the layouts
+    the complex keeps, or None.  d o d is checked (_check_squares)."""
     dims = [lay[3] for lay in layouts]
-    maps = {}
-    for k in range(1, n_max + 1):
-        cols = _face_cols(monoid, act, layouts[k], layouts[k - 1],
-                          range(k + 1))
-        maps[k] = cols if direction == HOMOLOGICAL else \
-            _transpose_cols(cols, dims[k - 1])
+    if direction != HOMOLOGICAL:
+        maps = {k: _transpose_cols(cols, dims[k - 1])
+                for k, cols in maps.items()}
     value_bases = [IntMatrix.from_col_dicts(
         lattice_basis(rel.col_dicts(), rel.rows), rel.rows)
         for rel in coeff.rels]
     relations = [_block_diag([value_bases[p] for p in lay[1]])
                  for lay in layouts]
     cx = GammaChainComplex(monoid, coeff, direction, ring, dims, maps,
-                           relations, layouts, normalized)
+                           relations, kept, normalized)
     _check_squares(cx)
     return cx
+
+
+def morse_complex(monoid, coeff, n_max, direction, budget=None, ring="Z"):
+    """The Morse complex of the normalized complex under Brown's collapsing
+    scheme on shortlex normal forms (rewriting.py).  It has the
+    (co)homology of build_complex(..., normalized=True), torsion included,
+    on far fewer basis elements: degree n is the sum over the critical
+    n-cells of the coefficient value at the cell's product, and the
+    layouts are None.
+
+    The map out of a critical cell c is phi(d c).  For a cell b one degree
+    below, phi(b) is b when b is critical, 0 when b is degenerate or
+    matched down, and -eps phi(d b+ - eps b) when b is matched up with b+
+    through face k, eps = (-1)^k (_morse_cols).  Face k is interior, so it
+    acts by the identity on every coefficient system and phi works on
+    each value basis vector alike.  Cochains transpose the maps built
+    from the transposed translations, as build_complex does.  When no
+    cell is matched, as for semilattices, whose every element is a
+    letter, this is the normalized complex itself.
+
+    Raises ComplexityBudget as build_complex(..., normalized=True) does,
+    before any cell is classified, and NotAComplex when a matched face is
+    not the only face of its cell on its partner, or the flows form a
+    cycle."""
+    _check_request(monoid, coeff, n_max, direction, ring)
+    _check_budget(monoid, coeff, n_max, budget, normalized=True)
+    rw = rewriting(monoid)
+    if not rw.collapses:
+        return build_complex(monoid, coeff, n_max, direction, budget, ring,
+                             normalized=True)
+    layouts = [_layout(monoid, coeff, cells)
+               for cells in _critical_cells(rw, n_max)]
+    act = _right_act(coeff)
+    maps = {}
+    for k in range(1, n_max + 1):
+        maps[k] = _morse_cols(rw, coeff, act, layouts[k], layouts[k - 1], k)
+    return _assemble(monoid, coeff, direction, ring, layouts, maps, None,
+                     True)
+
+
+def _critical_cells(rw, n_max):
+    """The critical cells of degrees 0..n_max: those of degree n are the
+    critical extensions by one entry of those of degree n - 1.  The pair
+    of each cell where an extension stops is checked (_other_faces)."""
+    monoid = rw.monoid
+    entries = _letters(monoid, True)
+    cells = [[()]]
+    for _ in range(n_max):
+        nxt = []
+        for c in cells[-1]:
+            for a in entries:
+                t = c + (a,)
+                pair = rw.match(t)
+                if pair is None:
+                    nxt.append(t)
+                else:
+                    low, high = sorted((t, pair[0]), key=len)
+                    _other_faces(monoid, high, pair[1], low)
+        cells.append(nxt)
+    return cells
+
+
+def _other_faces(monoid, t, k, low=None):
+    """The faces of t other than face k, leaving out the degenerate ones.
+    With low given, raises NotAComplex unless face k is the only face of
+    t on low, so that the two meet with incidence (-1)^k times an identity
+    block."""
+    faces = []
+    for i in range(len(t) + 1):
+        s, _ = _face_tuple(t, i, monoid)
+        if low is not None and (s == low) != (i == k):
+            raise NotAComplex(
+                f"Morse matching: face {k} of {t} is not the only face on"
+                f" {low} (face {i} is {s})")
+        if i != k and not (0 < i < len(t) and s[i - 1] == monoid.identity):
+            faces.append(s)
+    return faces
+
+
+def _morse_cols(rw, coeff, act, high, low, k):
+    """Columns of the Morse differential from the critical cells of layout
+    high (degree k) to those of layout low.
+
+    The flows reach, from the faces of the critical cells, cells matched
+    up; each is reached after every cell its own flow reaches (a
+    depth-first search without recursion, which raises NotAComplex on a
+    cycle).  One _face_cols gives d on the critical cells and on the
+    partners of the reached cells, onto the critical and reached cells;
+    faces elsewhere are degenerate or matched down, where phi is 0.  phi
+    is then a row per basis element of the reached degree, filled in the
+    order reached, and the map is d followed by phi.  Nothing of phi
+    outlives the degree."""
+    monoid = rw.monoid
+    partners, order = {}, []
+    seen, active = set(low[0]), set()
+    for t in high[0]:
+        stack = [(None, iter(_other_faces(monoid, t, None)))]
+        while stack:
+            cell, faces = stack[-1]
+            for s in faces:
+                if s in active:
+                    raise NotAComplex(f"Morse flows form a cycle through {s}")
+                if s in seen:
+                    continue
+                seen.add(s)
+                pair = rw.match(s)
+                if pair is None:  # critical, yet not in low
+                    raise NotAComplex(f"Morse matching: the critical cell"
+                                      f" {s} extends no critical cell")
+                if len(pair[0]) > len(s):  # matched up
+                    partners[s] = pair
+                    active.add(s)
+                    stack.append((s, iter(_other_faces(monoid, *pair, s))))
+                    break
+            else:
+                stack.pop()
+                if cell is not None:
+                    active.discard(cell)
+                    order.append(cell)
+    reached = _layout(monoid, coeff, low[0] + order)
+    pluses = _layout(monoid, coeff,
+                     high[0] + [partners[b][0] for b in order])
+    d = _face_cols(monoid, act, pluses, reached, range(k + 1))
+    rows = [{r: 1} for r in range(low[3])]
+    for at, b in enumerate(order):
+        face = partners[b][1]
+        eps = -1 if face % 2 else 1
+        off = reached[2][len(low[0]) + at]
+        rank = coeff.ranks[reached[1][len(low[0]) + at]]
+        plus_off = pluses[2][len(high[0]) + at]
+        for j in range(rank):
+            col = d[plus_off + j]
+            if {r: v for r, v in col.items()
+                    if off <= r < off + rank} != {off + j: eps}:
+                raise NotAComplex(f"Morse matching: face {face} of"
+                                  f" {partners[b][0]} on {b} is not"
+                                  f" {eps} times the identity")
+            rest = {r: -eps * v for r, v in col.items()
+                    if not off <= r < off + rank}
+            rows += _compose_cols([rest], rows)
+    return _compose_cols(d[:high[3]], rows)
 
 
 def _check_squares(cx):
@@ -652,8 +817,8 @@ def hochschild_dim_q(cx, n):
 
 def leech_cohomology(monoid, coeff, n):
     """Cohomology of the contravariant tuple complex with left coefficients,
-    computed on the normalized complex."""
-    cx = build_complex(monoid, coeff, n + 1, COHOMOLOGICAL, normalized=True)
+    computed on the Morse complex of the normalized complex."""
+    cx = morse_complex(monoid, coeff, n + 1, COHOMOLOGICAL)
     return hochschild(cx, n)
 
 

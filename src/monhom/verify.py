@@ -42,6 +42,7 @@ from .gamma_chain import (
     harrison_dim_q,
     hochschild,
     leech_cohomology,
+    morse_complex,
     shuffle_element,
     y_exactness_check,
 )
@@ -442,6 +443,38 @@ def check_grillet():
     return out
 
 
+def check_morse():
+    anchor = ("G_*(C,N) / degenerate tuples ~ its Morse complex on the"
+              " critical cells of Brown's collapsing scheme (shortlex normal"
+              " forms)")
+    out = []
+    for label, monoid in suite_monoids():
+        def body(monoid=monoid):
+            systems, cells = 0, None
+            for direction, side in ((HOMOLOGICAL, RIGHT),
+                                    (COHOMOLOGICAL, LEFT)):
+                for name, coeff in _family(monoid, side):
+                    normal = build_complex(monoid, coeff, 5, direction,
+                                           normalized=True)
+                    morse = morse_complex(monoid, coeff, 5, direction)
+                    if cells is None:  # trivialZ: one basis vector a cell
+                        cells = sum(morse.dims), sum(normal.dims)
+                    for n in range(5):
+                        got, want = hochschild(morse, n), \
+                            hochschild(normal, n)
+                        if got != want:
+                            raise OracleMismatch(
+                                f"{direction} {name} in degree {n}: the"
+                                f" Morse complex gives {got}, the normalized"
+                                f" one {want}")
+                    systems += 1
+            return (f"{systems} coefficient systems agree in degrees 0..4;"
+                    f" the Morse complex keeps {cells[0]} of {cells[1]}"
+                    " cells through degree 5")
+        out.append(_guarded(f"morse[{label}]", anchor, body))
+    return out
+
+
 def _full_and_normalized(monoid, coeff, direction, ring="Z"):
     return tuple(build_complex(monoid, coeff, 4, direction, ring=ring,
                                normalized=flag) for flag in (False, True))
@@ -757,6 +790,7 @@ SUITES = {
     "kaehler": check_kaehler,
     "grillet": check_grillet,
     "sym-action": check_sym_action,
+    "morse": check_morse,
     "normalization": check_normalization,
     "sparse-homology": check_sparse_homology,
 }
