@@ -135,7 +135,8 @@ class GammaChainComplex:
         the map between degrees k - 1 and k, and relations[n] the columns
         spanning the relations of degree n; degree n is Z^dims[n] modulo
         them, given as a basis.  layouts[n] is the tuple layout of degree n,
-        or None for a complex derived from another.  phi[k] holds the
+        or None for a complex derived from another and a Morse complex;
+        tuples_at and its kin raise BadParams then.  phi[k] holds the
         columns of phi through degree k, from degree k - step into the
         relation basis of degree k + step, where d o d is not zero;
         _check_squares fills it."""
@@ -154,16 +155,20 @@ class GammaChainComplex:
         self._invariants = {}
 
     def tuples_at(self, n):
-        self._check_degree(n)
-        return self.layouts[n][0]
+        return self._layout(n)[0]
 
     def prods_at(self, n):
-        self._check_degree(n)
-        return self.layouts[n][1]
+        return self._layout(n)[1]
 
     def tuple_offsets(self, n):
+        return self._layout(n)[2]
+
+    def _layout(self, n):
         self._check_degree(n)
-        return self.layouts[n][2]
+        if self.layouts is None:
+            raise BadParams("this complex has no tuple layouts; build it"
+                            " with build_complex")
+        return self.layouts[n]
 
     def _check_degree(self, n):
         if not 0 <= n <= self.n_max:
@@ -335,13 +340,19 @@ def build_complex(monoid, coeff, n_max, direction, budget=None, ring="Z",
     """
     _check_request(monoid, coeff, n_max, direction, ring)
     _check_budget(monoid, coeff, n_max, budget, normalized)
+    layouts, maps = _tuple_maps(monoid, coeff, n_max, normalized)
+    return _assemble(monoid, coeff, direction, ring, layouts, maps,
+                     layouts, normalized)
+
+
+def _tuple_maps(monoid, coeff, n_max, normalized):
+    """The tuple layouts of degrees 0..n_max and the boundaries between
+    them on chains, with coefficients as a right module."""
     layouts = [_term_layout(monoid, coeff, n, normalized)
                for n in range(n_max + 1)]
     act = _right_act(coeff)
-    maps = {k: _face_cols(monoid, act, layouts[k], layouts[k - 1],
-                          range(k + 1)) for k in range(1, n_max + 1)}
-    return _assemble(monoid, coeff, direction, ring, layouts, maps,
-                     layouts, normalized)
+    return layouts, {k: _face_cols(monoid, act, layouts[k], layouts[k - 1],
+                                   range(k + 1)) for k in range(1, n_max + 1)}
 
 
 def _check_request(monoid, coeff, n_max, direction, ring):
@@ -405,7 +416,8 @@ def morse_complex(monoid, coeff, n_max, direction, budget=None, ring="Z"):
     each value basis vector alike.  Cochains transpose the maps built
     from the transposed translations, as build_complex does.  When no
     cell is matched, as for semilattices, whose every element is a
-    letter, this is the normalized complex itself.
+    letter, the maps are those of the normalized complex, built as
+    build_complex builds them.
 
     Raises ComplexityBudget as build_complex(..., normalized=True) does,
     before any cell is classified, and NotAComplex when a matched face is
@@ -415,14 +427,13 @@ def morse_complex(monoid, coeff, n_max, direction, budget=None, ring="Z"):
     _check_budget(monoid, coeff, n_max, budget, normalized=True)
     rw = rewriting(monoid)
     if not rw.collapses:
-        return build_complex(monoid, coeff, n_max, direction, budget, ring,
-                             normalized=True)
-    layouts = [_layout(monoid, coeff, cells)
-               for cells in _critical_cells(rw, n_max)]
-    act = _right_act(coeff)
-    maps = {}
-    for k in range(1, n_max + 1):
-        maps[k] = _morse_cols(rw, coeff, act, layouts[k], layouts[k - 1], k)
+        layouts, maps = _tuple_maps(monoid, coeff, n_max, True)
+    else:
+        layouts = [_layout(monoid, coeff, cells)
+                   for cells in _critical_cells(rw, n_max)]
+        act = _right_act(coeff)
+        maps = {k: _morse_cols(rw, coeff, act, layouts[k], layouts[k - 1], k)
+                for k in range(1, n_max + 1)}
     return _assemble(monoid, coeff, direction, ring, layouts, maps, None,
                      True)
 

@@ -35,81 +35,108 @@ from __future__ import annotations
 
 from .errors import BadParams
 
-# Degrees whose critical cells are counted to compare generating sets.
-_COMPARED_DEGREES = 6
-
 _MERGE = "merge"
+
+
+def _indecomposable(monoid):
+    """The elements other than the identity that are no product b c with
+    b and c outside {a, e}: those every generating set contains.  A
+    shortest product of three or more such factors for a splits off its
+    first factor as b, so two factors suffice, and |C|^2 products decide."""
+    e = monoid.identity
+    made = set()
+    for b in monoid.elements:
+        for c in monoid.elements:
+            if e not in (b, c):
+                p = monoid.mul(b, c)
+                if p not in (b, c):
+                    made.add(p)
+    return [a for a in monoid.elements if a != e and a not in made]
+
+
+def _extend(monoid, reach, a):
+    """The submonoid generated by the submonoid reach and a: the union of
+    reach a^i, found as everything reach reaches by repeated steps by a,
+    one multiplication per element."""
+    if a in reach:
+        return reach
+    out = set(reach)
+    frontier = list(reach)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            y = monoid.mul(x, a)
+            if y not in out:
+                out.add(y)
+                nxt.append(y)
+        frontier = nxt
+    return out
 
 
 def _closure(monoid, gens):
     """The submonoid generated by gens."""
     reach = {monoid.identity}
-    frontier = [monoid.identity]
-    while frontier:
-        a = frontier.pop()
-        for g in gens:
-            b = monoid.mul(a, g)
-            if b not in reach:
-                reach.add(b)
-                frontier.append(b)
+    for g in gens:
+        reach = _extend(monoid, reach, g)
     return reach
 
 
-def _greedy_generators(monoid, first):
-    """A generating set that starts from first and adds, while some element
-    is not reached, the one whose addition reaches the most (the least
-    element among ties).  A generator that the others make redundant is
-    then dropped, the latest added first."""
-    gens = [first]
-    reach = _closure(monoid, gens)
-    while len(reach) < monoid.size:
-        best, best_reach = None, ()
-        for a in monoid.elements:
-            if a not in reach:
-                got = _closure(monoid, gens + [a])
-                if len(got) > len(best_reach):
-                    best, best_reach = a, got
-        gens.append(best)
-        reach = best_reach
-    for g in reversed(gens[:]):
-        rest = [h for h in gens if h != g]
-        if len(_closure(monoid, rest)) == monoid.size:
-            gens = rest
+def _generators(monoid, cyclic):
+    """A generating set: the indecomposable elements, then each element
+    not yet reached, the largest cyclic submonoids first.  The added
+    generators are then read back, the last added first: one that the
+    generators kept so far reach is dropped, and any other g is replaced
+    by the first power a of g, in the order of cyclic[a], that reaches g
+    together with them (at worst g itself).  The cost is |C|^2
+    multiplications for the indecomposable elements, and at most
+    |C| (2 + cyclic[g]) for each added generator g."""
+    gens = _indecomposable(monoid)
+    kept = _closure(monoid, gens)
+    reach = kept
+    added = []
+    for a in sorted(monoid.elements, key=lambda a: (-cyclic[a], a)):
+        if a not in reach:
+            added.append(a)
+            reach = _extend(monoid, reach, a)
+    for g in reversed(added):
+        if g not in kept:
+            powers = _extend(monoid, {monoid.identity}, g) - {monoid.identity}
+            a = next(a for a in sorted(powers, key=lambda a: (cyclic[a], a))
+                     if g in _extend(monoid, kept, a))
+            gens.append(a)
+            kept = _extend(monoid, kept, a)
     return gens
 
 
 class Rewriting:
     """Normal forms over the ordered letters, and the matching they give.
 
-    words[a] is the normal form of a as a tuple of letters; head[a] is
-    (x, rest) where words[a] = x words[rest] has length >= 2, else None;
-    step[p][q], for p and q other than the identity, is _MERGE when
-    words[p] words[q] is irreducible, (u, v) when the cell splits q = u v
-    at position k >= 2 after p, and None when the position passes."""
+    words[a] is the normal form of a as a tuple of letters; last[a] is
+    (b, x) where words[a] = words[b] x, or None for the identity; head[a]
+    is (x, rest) where words[a] = x words[rest] has length >= 2, else
+    None.  step(p, q), for p and q other than the identity, is _MERGE
+    when words[p] words[q] is irreducible, (u, v) when the cell splits
+    q = u v at position k >= 2 after p, and None when the position
+    passes; it is read once per pair that a matching asks for."""
 
-    __slots__ = ("monoid", "letters", "words", "head", "step")
+    __slots__ = ("monoid", "letters", "words", "last", "head", "_steps")
 
     def __init__(self, monoid, letters):
         self.monoid = monoid
         self.letters = tuple(letters)
-        self.words = self._normal_forms()
+        self._normal_forms()
         if None in self.words:
             raise BadParams(f"{self.letters} does not generate the monoid")
-        by_word = {w: a for a, w in enumerate(self.words)}
-        self.head = [(w[0], by_word[w[1:]]) if len(w) >= 2 else None
+        self.head = [(w[0], monoid.product(w[1:])) if len(w) >= 2 else None
                      for w in self.words]
-        e = monoid.identity
-        self.step = [[None] * monoid.size for _ in monoid.elements]
-        for p in monoid.elements:
-            for q in monoid.elements:
-                if e not in (p, q):
-                    self.step[p][q] = self._read(p, q, by_word)
+        self._steps = {}
 
     def _normal_forms(self):
         """Breadth-first over normal forms, each extended by every letter
         in order: the first word to reach an element is its shortlex-least
         one, since a prefix of a normal form is a normal form."""
         words = [None] * self.monoid.size
+        last = [None] * self.monoid.size
         words[self.monoid.identity] = ()
         layer = [self.monoid.identity]
         while layer:
@@ -119,22 +146,34 @@ class Rewriting:
                     b = self.monoid.mul(a, x)
                     if words[b] is None:
                         words[b] = words[a] + (x,)
+                        last[b] = (a, x)
                         nxt.append(b)
             layer = nxt
-        return words
+        self.words, self.last = words, last
 
-    def _read(self, p, q, by_word):
-        """step[p][q]: the shortest proper prefix u of words[q] with
-        words[p] u reducible, as the split (u, v); else _MERGE or None by
-        whether words[p] words[q] is irreducible."""
-        wp, wq = self.words[p], self.words[q]
+    def step(self, p, q):
+        try:
+            return self._steps[p, q]
+        except KeyError:
+            s = self._steps[p, q] = self._read(p, q)
+            return s
+
+    def _read(self, p, q):
+        """The shortest proper prefix u of words[q] with words[p] u
+        reducible, as the split (u, v); else _MERGE or None by whether
+        words[p] words[q] is irreducible.  A word extending a normal form
+        by x is one when last of its value is (that form's value, x)."""
+        wq = self.words[q]
         value = p
-        for i in range(1, len(wq)):
-            value = self.monoid.mul(value, wq[i - 1])
-            if self.words[value] != wp + wq[:i]:
-                return by_word[wq[:i]], by_word[wq[i:]]
-        value = self.monoid.mul(p, q)
-        return _MERGE if self.words[value] == wp + wq else None
+        for i, x in enumerate(wq, 1):
+            nxt = self.monoid.mul(value, x)
+            if self.last[nxt] != (value, x):
+                if i == len(wq):
+                    return None
+                return (self.monoid.product(wq[:i]),
+                        self.monoid.product(wq[i:]))
+            value = nxt
+        return _MERGE
 
     @property
     def collapses(self):
@@ -149,9 +188,8 @@ class Rewriting:
         head = self.head[t[0]]
         if head is not None:
             return head + t[1:], 1
-        step = self.step
         for k in range(1, len(t)):
-            s = step[t[k - 1]][t[k]]
+            s = self.step(t[k - 1], t[k])
             if s is _MERGE:
                 merged = self.monoid.mul(t[k - 1], t[k])
                 return t[:k - 1] + (merged,) + t[k + 1:], k
@@ -159,47 +197,20 @@ class Rewriting:
                 return t[:k] + s + t[k + 1:], k + 1
         return None
 
-    def critical_counts(self, n_max):
-        """The number of critical cells in degrees 1..n_max: walks that
-        start at a letter and pass from p to q where step[p][q] is None."""
-        e = self.monoid.identity
-        counts = [0] * self.monoid.size
-        for x in self.letters:
-            counts[x] = 1
-        out = [len(self.letters)]
-        for _ in range(1, n_max):
-            nxt = [0] * self.monoid.size
-            for p, c in enumerate(counts):
-                if c:
-                    for q, s in enumerate(self.step[p]):
-                        if s is None and q != e:
-                            nxt[q] += c
-            counts = nxt
-            out.append(sum(counts))
-        return out
-
 
 def rewriting(monoid):
-    """The Rewriting with the fewest critical cells through degree
-    _COMPARED_DEGREES among a polynomial family: the greedy generating set
-    from each element, its letters ordered as picked and by the size of
-    the cyclic submonoid each generates.  The second order matters: on
-    Z/2 x semilattice_chain(1), {g, gf} gives n + 1 critical cells in
-    degree n with g first and 2^n with gf first.  The trivial monoid has
-    no letters and no cells past degree 0."""
-    cyclic = {a: len(_closure(monoid, [a])) for a in monoid.elements}
-    seen, best, best_key = set(), None, None
-    for first in monoid.elements:
-        if first == monoid.identity:
-            continue
-        gens = _greedy_generators(monoid, first)
-        for letters in (tuple(gens),
-                        tuple(sorted(gens, key=lambda a: (cyclic[a], a)))):
-            if letters in seen:
-                continue
-            seen.add(letters)
-            rw = Rewriting(monoid, letters)
-            key = sum(rw.critical_counts(_COMPARED_DEGREES))
-            if best_key is None or key < best_key:
-                best, best_key = rw, key
-    return best if best is not None else Rewriting(monoid, ())
+    """The Rewriting on the generating set of _generators, its letters
+    ordered by the size of the cyclic submonoid each generates, then by
+    element.  Both the set and the order matter: on Z/3 x
+    semilattice_chain(1), the letters {g^2, gf} give 2, 5, 11, 26, ..
+    critical cells in degrees 1, 2, 3, 4, .., where {g^2, f}, which
+    replacing gf by its power f gives, has n + 1 in degree n; on Z/2 x
+    semilattice_chain(1), {g, gf} gives n + 1 with g first and 2^n with gf
+    first.  When every element is indecomposable, as in a semilattice,
+    every element is a letter, nothing collapses, and the choice costs a
+    small multiple of |C|^2 multiplications.  The trivial monoid has no
+    letters and no cells past degree 0."""
+    cyclic = [len(_extend(monoid, {monoid.identity}, a))
+              for a in monoid.elements]
+    return Rewriting(monoid, sorted(_generators(monoid, cyclic),
+                                    key=lambda a: (cyclic[a], a)))

@@ -9,7 +9,7 @@ from math import comb
 import pytest
 
 from monhom import cli, gamma_chain
-from monhom.errors import NotAComplex
+from monhom.errors import BadParams, NotAComplex
 from monhom.exact_linalg import FgAbGroup
 from monhom.gamma_chain import (COHOMOLOGICAL, HOMOLOGICAL, _critical_cells,
                                 _face_tuple, build_complex, hochschild,
@@ -17,8 +17,8 @@ from monhom.gamma_chain import (COHOMOLOGICAL, HOMOLOGICAL, _critical_cells,
 from monhom.hc_modules import (LEFT, RIGHT, jstar, jstar_finite_cyclic,
                                regular_kc_module, std_projective,
                                trivial_module)
-from monhom.monoids import (cyclic_group, product_monoid, semilattice_chain,
-                            truncated_add)
+from monhom.monoids import (FiniteCommMonoid, cyclic_group, product_monoid,
+                            semilattice_chain, truncated_add, validate_monoid)
 from monhom.rewriting import Rewriting, rewriting
 from monhom.verify import suite_monoids
 
@@ -62,6 +62,26 @@ def _cells(monoid, n):
     return itertools.product(letters, repeat=n)
 
 
+def _critical_counts(rw, n_max):
+    """The number of critical cells in degrees 1..n_max: walks that start
+    at a letter and pass from p to q where rw.step(p, q) is None."""
+    e = rw.monoid.identity
+    counts = [0] * rw.monoid.size
+    for x in rw.letters:
+        counts[x] = 1
+    out = [len(rw.letters)]
+    for _ in range(1, n_max):
+        nxt = [0] * rw.monoid.size
+        for p, c in enumerate(counts):
+            if c:
+                for q in rw.monoid.elements:
+                    if q != e and rw.step(p, q) is None:
+                        nxt[q] += c
+        counts = nxt
+        out.append(sum(counts))
+    return out
+
+
 @pytest.mark.parametrize("label,monoid", MONOIDS, ids=[m[0] for m in MONOIDS])
 def test_the_matching_is_an_involution_through_an_interior_face(label,
                                                                 monoid):
@@ -81,25 +101,91 @@ def test_the_matching_is_an_involution_through_an_interior_face(label,
             assert 0 < k < len(high)
             assert _face_tuple(high, k, monoid)[0] == low
         counts.append(critical)
-    assert counts == rw.critical_counts(5)
+    assert counts == _critical_counts(rw, 5)
     assert counts == [len(c) for c in _critical_cells(rw, 5)[1:]]
+
+
+def _relabelled(monoid, swap):
+    """monoid with the labels of the two elements in swap exchanged."""
+    a, b = swap
+    perm = [b if x == a else a if x == b else x for x in monoid.elements]
+    table = [[0] * monoid.size for _ in monoid.elements]
+    for x in monoid.elements:
+        for y in monoid.elements:
+            table[perm[x]][perm[y]] = perm[monoid.mul(x, y)]
+    return validate_monoid(monoid.size, perm[monoid.identity], table)
 
 
 def test_critical_counts_in_closed_form():
     degrees = range(1, 9)
-    assert rewriting(KLEIN).critical_counts(8) == [n + 1 for n in degrees]
-    assert rewriting(Z2_CUBED).critical_counts(8) == \
+    assert _critical_counts(rewriting(KLEIN), 8) == [n + 1 for n in degrees]
+    assert _critical_counts(rewriting(Z2_CUBED), 8) == \
         [comb(n + 2, 2) for n in degrees]
     for monoid in (cyclic_group(6), truncated_add(3)):
-        assert rewriting(monoid).critical_counts(8) == [1] * 8
+        assert _critical_counts(rewriting(monoid), 8) == [1] * 8
     for k in (1, 2, 3):
         # every element of a semilattice is a letter: nothing collapses
         rw = rewriting(semilattice_chain(k))
         assert not rw.collapses
-        assert rw.critical_counts(8) == [k ** n for n in degrees]
+        assert _critical_counts(rw, 8) == [k ** n for n in degrees]
     # with gf before g, {g, gf} would give 2^n cells
-    assert rewriting(product_monoid(Z2, semilattice_chain(1)).monoid) \
-        .critical_counts(5) == [2, 3, 4, 5, 6]
+    z2_f = product_monoid(Z2, semilattice_chain(1)).monoid
+    assert _critical_counts(rewriting(z2_f), 5) == [2, 3, 4, 5, 6]
+    assert _critical_counts(Rewriting(z2_f, (3, 2)), 5) == [2, 4, 8, 16, 32]
+    # Z/3 x semilattice_chain(1) with g^2 labelled 2 and g labelled 4: gf
+    # (3) and then g^2 reach everything, and {g^2, gf} gives more cells
+    # than {f, g^2}, which replacing gf by its power f (1) gives
+    z3_f = _relabelled(product_monoid(cyclic_group(3),
+                                      semilattice_chain(1)).monoid, (2, 4))
+    assert _critical_counts(Rewriting(z3_f, (2, 3)), 5) == [2, 5, 11, 26, 59]
+    rw = rewriting(z3_f)
+    assert rw.letters == (1, 2)
+    assert _critical_counts(rw, 5) == [2, 3, 4, 5, 6]
+
+
+class _Counted(FiniteCommMonoid):
+    """A monoid that counts its multiplications."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, monoid):
+        super().__init__(monoid.size, monoid.identity, monoid.table)
+        self.calls = 0
+
+    def mul(self, a, b):
+        self.calls += 1
+        return self.table[a][b]
+
+
+def _chain(m):
+    """semilattice_chain(m), whose table is not checked again."""
+    return FiniteCommMonoid(m + 1, 0, [[max(a, b) for b in range(m + 1)]
+                                       for a in range(m + 1)])
+
+
+def test_choosing_the_letters_costs_a_few_squares_of_the_order():
+    # a large semilattice: every element indecomposable, nothing collapses
+    assert _chain(3) == semilattice_chain(3)
+    chain = _Counted(_chain(200))
+    assert not rewriting(chain).collapses
+    assert chain.calls <= 3 * chain.size ** 2
+    # (Z/2)^6 and a product with a semilattice: many elements, few letters
+    big = Z2_CUBED
+    for _ in range(3):
+        big = product_monoid(big, Z2).monoid
+    for monoid in (big, product_monoid(big, semilattice_chain(1)).monoid):
+        counted = _Counted(monoid)
+        assert len(rewriting(counted).letters) == 6 + (monoid != big)
+        assert counted.calls <= 3 * counted.size ** 2
+
+
+def test_hh_on_a_large_semilattice_is_the_normalized_complex():
+    monoid = _chain(200)
+    cx = morse_complex(monoid, trivial_module(monoid, RIGHT), 1, HOMOLOGICAL)
+    assert cx.dims == (1, 200)
+    assert hochschild(cx, 0) == FgAbGroup.free(1)
+    with pytest.raises(BadParams, match="no tuple layouts"):
+        cx.tuples_at(1)
 
 
 def _groups(cx, top):
