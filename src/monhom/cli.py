@@ -23,6 +23,7 @@ object to stderr.
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .codecs import MONOID_FORMAT, TABULATED_FORMAT, dumps, read_file
 from .errors import (BadParams, ComplexityBudget, CompositionNonzero,
@@ -224,7 +225,10 @@ def _verify(args):
     return 0 if all(r.passed for r in results) else 3
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so every call to main reuses it."""
     parser = argparse.ArgumentParser(
         prog="monhom",
         description="Homology of finite commutative monoids with functor "

@@ -706,99 +706,57 @@ def _pattern(t):
     return tuple(map(t.index, t))
 
 
-class _Orbit:
-    """One first-occurrence pattern of a degree: the slot of each reading
-    permutation's image pattern, numbered by image, a permutation reading
-    each slot's image, the tuples with the pattern and a nonzero value, and
-    the slots whose images those tuples have relabelled."""
-
-    __slots__ = ("pattern", "slot", "by_image", "reader", "members",
-                 "filled")
-
-    def __init__(self, pattern):
-        self.pattern = pattern
-        self.slot, self.by_image, self.reader = {}, {}, []
-        self.members, self.filled = [], set()
-
-
-class _SymAction:
-    """The action of Z[S_n] on degree n of a complex, through one orbit
-    table shared by every element it acts with.
+def _sym_cols(cx, n, elems):
+    """The actions of the elements of Z[S_n] in elems on degree n of a
+    complex, as sparse integer columns: one list of columns per element.
 
     A permutation moves positions, not letters, so its image of a tuple is
     its image of the tuple's first-occurrence pattern with the same letters
-    put back, and putting them back is injective.  So an element acts once
-    per pattern (at most Bell(n) of them).  The table keeps, per pattern,
-    the slot of each permutation's image pattern, and per tuple the row
-    offset of the image in each slot.  Both are filled as the elements
-    reach them, so a tuple relabels each of its images at most once for
-    all the elements, and never an image that no element reaches with a
-    nonzero coefficient."""
-
-    def __init__(self, cx, n):
-        cx._check_degree(n)
-        self.cx, self.n = cx, n
-        # a permutation moves tuple t to (t[perm^-1(j)])_j on chains;
-        # cochains act by the transpose, which reads t through perm itself
-        self._inverse = cx.direction == HOMOLOGICAL
-        self._tuples = cx.tuples_at(n)
-        self._offs = cx.tuple_offsets(n)
-        self._ranks = [cx.coeff.ranks[p] for p in cx.prods_at(n)]
-        self._index = {t: k for k, t in enumerate(self._tuples)}
-        numbers = {}
-        self._orbits, self._orbit_of = [], []
-        for k, t in enumerate(self._tuples):
-            pat = _pattern(t)
-            num = numbers.setdefault(pat, len(self._orbits))
-            if num == len(self._orbits):
-                self._orbits.append(_Orbit(pat))
-            if self._ranks[k]:
-                self._orbits[num].members.append(k)
-            self._orbit_of.append(num)
-        self._rows = [[] for _ in self._tuples]
-
-    def cols(self, elem):
-        """Sparse integer columns of the action of elem on the degree: one
-        coefficient merge per pattern and one dict per column."""
-        if elem.n != self.n:
-            raise DegreeMismatch(f"element of S_{elem.n} on degree {self.n}")
-        reads = [(_perm_inverse(p) if self._inverse else p, c)
-                 for p, c in elem.terms.items()]
-        moves = [self._merge(orbit, reads) for orbit in self._orbits]
-        cols = []
-        for k, num in enumerate(self._orbit_of):
-            row, move = self._rows[k], moves[num]
-            for i in range(self._ranks[k]):
+    put back, and putting them back is injective.  So each element's
+    coefficients are merged once per pattern (at most Bell(n) of them),
+    into slots keyed by image pattern, and each tuple with a nonzero value
+    relabels its image once per slot that some element reaches with a
+    nonzero coefficient, and never an image that every element cancels."""
+    cx._check_degree(n)
+    for elem in elems:
+        if elem.n != n:
+            raise DegreeMismatch(f"element of S_{elem.n} on degree {n}")
+    # a permutation moves tuple t to (t[perm^-1(j)])_j on chains;
+    # cochains act by the transpose, which reads t through perm itself
+    inverse = cx.direction == HOMOLOGICAL
+    reads = [[(_perm_inverse(p) if inverse else p, c)
+              for p, c in elem.terms.items()] for elem in elems]
+    tuples = cx.tuples_at(n)
+    offset = dict(zip(tuples, cx.tuple_offsets(n)))
+    by_pattern = {}
+    out = [[] for _ in elems]
+    for t, p in zip(tuples, cx.prods_at(n)):
+        rank = cx.coeff.ranks[p]
+        if not rank:
+            continue
+        pattern = _pattern(t)
+        merged = by_pattern.get(pattern)
+        if merged is None:
+            reader, accs = {}, []
+            for terms in reads:
+                acc = {}
+                for perm, c in terms:
+                    img = tuple(map(pattern.__getitem__, perm))
+                    reader.setdefault(img, perm)
+                    acc[img] = acc.get(img, 0) + c
+                accs.append(acc)
+            slot = {}
+            moves = [[(slot.setdefault(img, len(slot)), v)
+                      for img, v in acc.items() if v] for acc in accs]
+            merged = by_pattern[pattern] = [reader[img] for img in slot], moves
+        readers, moves = merged
+        # t read through perm is its pattern's image with the letters of t
+        # put back
+        row = [offset[tuple(map(t.__getitem__, perm))] for perm in readers]
+        for cols, move in zip(out, moves):
+            for i in range(rank):
                 cols.append({row[s] + i: v for s, v in move})
-        return cols
-
-    def _merge(self, orbit, reads):
-        """The nonzero coefficients of the element per slot of one pattern,
-        with the images in those slots relabelled for its tuples."""
-        acc = {}
-        for perm, c in reads:
-            s = orbit.slot.get(perm)
-            if s is None:
-                img = tuple(map(orbit.pattern.__getitem__, perm))
-                s = orbit.slot[perm] = orbit.by_image.setdefault(
-                    img, len(orbit.reader))
-                if s == len(orbit.reader):
-                    orbit.reader.append(perm)
-            acc[s] = acc.get(s, 0) + c
-        move = [(s, v) for s, v in acc.items() if v]
-        new = [s for s, _ in move if s not in orbit.filled]
-        if new:
-            # a tuple t read through perm is its pattern's image with the
-            # letters of t put back
-            orbit.filled.update(new)
-            size = len(orbit.reader)
-            for k in orbit.members:
-                row, t = self._rows[k], self._tuples[k]
-                row += [None] * (size - len(row))
-                for s in new:
-                    row[s] = self._offs[self._index[tuple(
-                        map(t.__getitem__, orbit.reader[s]))]]
-        return move
+    return out
 
 
 def hochschild(cx, n):
@@ -841,13 +799,10 @@ def _shuffle_int_cols(cx, m, dual=False):
     The shuffle product is associative: sh_{p,q,r} = sh_{p+q,r}(sh_{p,q} x 1)
     in Z[S_m].  So these m-1 operators span every block-shuffle image on
     chains and cut out the joint kernel of all block shuffles on cochains
-    (Barr 1968).  The m-1 actions share one orbit table."""
-    action = _SymAction(cx, m)
-    out = []
-    for p in range(1, m):
-        sh = shuffle_element(p, m - p)
-        out.append(action.cols(sh.antipode() if dual else sh))
-    return out
+    (Barr 1968).  The m-1 elements act in one batch."""
+    shuffles = (shuffle_element(p, m - p) for p in range(1, m))
+    return _sym_cols(cx, m, [sh.antipode() if dual else sh
+                             for sh in shuffles])
 
 
 def _stack_cols(col_lists, block_rows):

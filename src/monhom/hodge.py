@@ -24,8 +24,8 @@ from .errors import BadParams, NotAnnihilated, WeightNotPreserved
 from .exact_linalg import PivotReduction, kernel_basis
 from .gamma_chain import (
     SymGroupElement,
-    _SymAction,
     _compose_cols,
+    _sym_cols,
     hochschild_dim_q,
     perm_sign,
     shuffle_element,
@@ -124,9 +124,9 @@ def hodge_decomposition(cx):
     (2^i - 2)-eigenspace of the total shuffle operator s_n on H_n, which
     s_n carries to itself because it commutes with the boundary.  s_n is
     diagonalizable on the chains with eigenvalues 2^i - 2, i = 1..n, so on
-    homology too.  Each degree is acted on once, with s_n through one
-    orbit table, and d o s = s o d is verified exactly on every map before
-    any rank is trusted; degree 0 is weight 0, with s_0 = -1.  The weights
+    homology too.  Each degree is acted on once, with s_n alone, and
+    d o s = s o d is verified exactly on every map before any rank is
+    trusted; degree 0 is weight 0, with s_0 = -1.  The weights
     of degree n come from h = dim H_n cycles that represent its homology
     (see _eigenspace_dims), and two checks guard them: the cycles
     independent modulo the boundaries must number h, and the weights must
@@ -139,7 +139,7 @@ def hodge_decomposition(cx):
     dims = []
     s_low = [{r: -1} for r in range(cx.dims[0])]  # s_0 = 2^0 - 2
     for m in range(1, cx.n_max + 1):
-        s_high = _SymAction(cx, m).cols(total_shuffle_operator(m))
+        s_high, = _sym_cols(cx, m, [total_shuffle_operator(m)])
         if cx.step < 0:
             src, s_src, s_tgt = m, s_high, s_low
         else:

@@ -6,6 +6,7 @@ index 0.  Tables are validated once at construction and never mutated.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -78,17 +79,15 @@ def validate_monoid(size, identity, table):
                 break
         if done:
             break
-    done = False
-    for a in range(size):
-        for b in range(size):
-            for c in range(size):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    violations.append(("NotAssociative", (a, b, c)))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
+    # one row at a time: (ab)c against a(bc) for every c at once, still
+    # |C|^3 lookups, and the first bad c is the witness
+    rows = [list(row) for row in table]
+    for a, b in itertools.product(range(size), repeat=2):
+        lhs, row_a = rows[rows[a][b]], rows[a]
+        rhs = [row_a[x] for x in rows[b]]
+        if lhs != rhs:
+            c = next(c for c in range(size) if lhs[c] != rhs[c])
+            violations.append(("NotAssociative", (a, b, c)))
             break
     if violations:
         raise MonoidLawError(violations)

@@ -30,12 +30,12 @@ from .exact_linalg import (
 from .gamma_chain import (
     COHOMOLOGICAL,
     HOMOLOGICAL,
-    _SymAction,
     _compose_cols,
     _distinct_up_to_sign,
     _face_cols,
     _shuffle_int_cols,
     _shuffle_quotient,
+    _sym_cols,
     _term_layout,
     build_complex,
     harrison,
@@ -553,6 +553,9 @@ def check_sym_action():
                 for i, e in enumerate(eulerian_idempotents(m), start=1)]
     elements += [(f"sh_({p},{m - p})", shuffle_element(p, m - p))
                  for m in range(2, 5) for p in range(1, m)]
+    by_degree = {}
+    for _, elem in elements:
+        by_degree.setdefault(elem.n, []).append(elem)
     out = []
     for label, monoid in suite_monoids():
         def body(monoid=monoid):
@@ -565,13 +568,12 @@ def check_sym_action():
                          jstar(regular_kc_module(monoid), side))):
                     for cx in _full_and_normalized(monoid, coeff, direction):
                         kind = "normalized" if cx.normalized else "full"
-                        # one orbit table per degree serves every element,
-                        # as in hodge_decomposition
-                        actions = {}
+                        # the elements of each degree act in one batch,
+                        # as in _shuffle_int_cols
+                        acted = {n: iter(_sym_cols(cx, n, batch))
+                                 for n, batch in by_degree.items()}
                         for what, elem in elements:
-                            if elem.n not in actions:
-                                actions[elem.n] = _SymAction(cx, elem.n)
-                            if actions[elem.n].cols(elem) != \
+                            if next(acted[elem.n]) != \
                                     _direct_action_cols(cx, elem.n, elem):
                                 raise OracleMismatch(
                                     f"{direction} {name}, {kind} complex:"

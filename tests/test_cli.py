@@ -27,6 +27,28 @@ def test_compute_hh_matches_group_homology(capsys):
     assert out == ["HH_0 = Z", "HH_1 = Z/2", "HH_2 = 0", "HH_3 = Z/2"]
 
 
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; neither a usage error nor the
+    # options of an earlier call change what a later call reads
+    argv = ("compute", "hh", "--monoid", "builtin:cyclic_group(2)",
+            "--max-degree", "3")
+    assert run(*argv) == 0
+    alone = capsys.readouterr().out
+    for bad in (("compute", "hh"), ("verify",),
+                argv + ("--format", "yaml"), argv + ("--max-degree", "x")):
+        with pytest.raises(SystemExit) as info:
+            run(*bad)
+        assert info.value.code == 2
+        capsys.readouterr()
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == alone
+    assert run(*argv, "--format", "json") == 0
+    assert capsys.readouterr().out != alone
+    assert run(*argv) == 0
+    assert capsys.readouterr().out == alone
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_compute_omega_on_the_trivial_monoid(capsys):
     assert run("compute", "omega", "--monoid", "builtin:trivial") == 0
     assert capsys.readouterr().out == "Omega(0) = 0\n"

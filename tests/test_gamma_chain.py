@@ -363,28 +363,26 @@ def test_sym_action_group_law():
     cx = build_complex(Z2, jstar_finite_cyclic(Z2, 4, RIGHT), 3, HOMOLOGICAL)
     cy = build_complex(Z2, trivial_module(Z2, LEFT), 3, COHOMOLOGICAL)
     n = 3
-    on_x, on_y = gamma_chain._SymAction(cx, n), gamma_chain._SymAction(cy, n)
     ident = SymGroupElement.identity(n)
-    assert on_x.cols(ident) == [{i: 1} for i in range(cx.dims[n])]
+    assert gamma_chain._sym_cols(cx, n, [ident]) == \
+        [[{i: 1} for i in range(cx.dims[n])]]
     for _ in range(8):
         p = tuple(rng.sample(range(n), n))
         q = tuple(rng.sample(range(n), n))
         ep, eq = (SymGroupElement(n, {x: 1}) for x in (p, q))
         # _compose_cols(a, b) is the product b * a
-        lhs = on_x.cols(ep.mul(eq))
-        rhs = _compose_cols(on_x.cols(eq), on_x.cols(ep))
-        assert lhs == rhs
+        on_pq, on_p, on_q = gamma_chain._sym_cols(cx, n, [ep.mul(eq), ep, eq])
+        assert on_pq == _compose_cols(on_q, on_p)
         # contravariant degree: the action reverses products
-        lhs = on_y.cols(ep.mul(eq))
-        rhs = _compose_cols(on_y.cols(ep), on_y.cols(eq))
-        assert lhs == rhs
+        on_pq, on_p, on_q = gamma_chain._sym_cols(cy, n, [ep.mul(eq), ep, eq])
+        assert on_pq == _compose_cols(on_p, on_q)
 
 
 def test_pattern_action_matches_the_direct_action():
     # 100 random integer elements of Z[S_n], n <= 5, on chains and
-    # cochains, with values of rank 3 and on the normalized complex, each
-    # through one orbit table per complex and degree, so later elements
-    # reach images the earlier ones left unrelabelled
+    # cochains, with values of rank 3 and on the normalized complex, acted
+    # in one batch per complex and degree, so each tuple relabels the
+    # images that any element of its batch reaches
     rng = random.Random(7321)
     monoid = truncated_add(2)
     complexes = [
@@ -394,27 +392,53 @@ def test_pattern_action_matches_the_direct_action():
         for normalized in (False, True)]
     assert {cx.coeff.ranks[p] for cx in complexes for p in cx.prods_at(5)} \
         == {3}
-    actions = {}
+    batches = {}
     for k in range(100):
         n = rng.randint(1, 5)
-        cx = complexes[k % len(complexes)]
-        action = actions.get((k % len(complexes), n))
-        if action is None:
-            # a fresh table relabels no image that no element reaches: after
-            # a single term every tuple holds one image
-            action = actions[k % len(complexes), n] = \
-                gamma_chain._SymAction(cx, n)
+        batch = batches.get((k % len(complexes), n))
+        if batch is None:
             swap = SymGroupElement(
                 n, {(n - 1,) + tuple(range(1, n - 1)) + (0,): 1}) if n > 1 \
                 else SymGroupElement.identity(1)
-            assert action.cols(swap) == _direct_action_cols(cx, n, swap)
-            assert all(len(row) <= 1 for row in action._rows)
-            with pytest.raises(DegreeMismatch):
-                action.cols(SymGroupElement.identity(n + 1))
+            batch = batches[k % len(complexes), n] = [swap]
         perms = list(itertools.permutations(range(n)))
         chosen = rng.sample(perms, rng.randint(1, len(perms)))
-        elem = SymGroupElement(n, {p: rng.randint(-4, 4) for p in chosen})
-        assert action.cols(elem) == _direct_action_cols(cx, n, elem)
+        batch.append(SymGroupElement(n, {p: rng.randint(-4, 4)
+                                         for p in chosen}))
+    for (c, n), batch in batches.items():
+        cx = complexes[c]
+        assert gamma_chain._sym_cols(cx, n, batch) == \
+            [_direct_action_cols(cx, n, elem) for elem in batch]
+        with pytest.raises(DegreeMismatch):
+            gamma_chain._sym_cols(cx, n,
+                                  batch + [SymGroupElement.identity(n + 1)])
+
+
+def test_a_batch_acts_as_one_call_per_element():
+    # 1 - (0 1) cancels on the tuples whose first two letters agree, where
+    # the other elements still reach the image; x - x has no terms at all
+    rng = random.Random(4417)
+    monoid = truncated_add(2)
+    n = 4
+    x = SymGroupElement(n, {
+        p: rng.randint(-3, 3)
+        for p in rng.sample(list(itertools.permutations(range(n))), 10)})
+    swap = SymGroupElement(n, {(1, 0, 2, 3): 1})
+    cancels = SymGroupElement.identity(n) + swap.scale(-1)
+    batch = [x, cancels, x + x.scale(-1), swap, shuffle_element(2, 2)]
+    for side, direction in ((RIGHT, HOMOLOGICAL), (LEFT, COHOMOLOGICAL)):
+        for normalized in (False, True):
+            cx = build_complex(monoid, jstar(regular_kc_module(monoid), side),
+                               n, direction, normalized=normalized)
+            cols = gamma_chain._sym_cols(cx, n, batch)
+            assert cols == [gamma_chain._sym_cols(cx, n, [e])[0]
+                            for e in batch]
+            assert cols[1] == _direct_action_cols(cx, n, cancels)
+            assert [not col for col in cols[1]] == [
+                t[0] == t[1] for t, p in zip(cx.tuples_at(n), cx.prods_at(n))
+                for _ in range(cx.coeff.ranks[p])]
+            assert len(cols[2]) == cx.dims[n] and not any(cols[2])
+            assert gamma_chain._sym_cols(cx, n, []) == []
 
 
 def test_sym_action_suite_catches_a_wrong_pattern_key(monkeypatch, capsys):
@@ -439,7 +463,7 @@ def test_shuffle_elements():
     # on the one-point monoid every permutation acts as the identity,
     # so the signs of sh_{1,1} cancel exactly
     cx = build_complex(TRIV, trivial_module(TRIV, RIGHT), 3, HOMOLOGICAL)
-    assert not any(gamma_chain._SymAction(cx, 2).cols(e))
+    assert not any(gamma_chain._sym_cols(cx, 2, [e])[0])
 
 
 def test_non_integral_coefficients_are_rejected():
@@ -481,8 +505,7 @@ def test_two_block_shuffles_span_every_block_shuffle():
                                direction)
             for n in range(2, 6):
                 two = gamma_chain._shuffle_int_cols(cx, n)
-                action = gamma_chain._SymAction(cx, n)
-                every = [action.cols(e) for e in _every_block_shuffle(n)]
+                every = gamma_chain._sym_cols(cx, n, _every_block_shuffle(n))
                 assert len(two) == n - 1 and len(every) == 2 ** (n - 1) - 1
                 orbits = {}
                 for k, t in enumerate(cx.tuples_at(n)):
@@ -738,7 +761,7 @@ def test_y_exactness_builds_no_complex_and_no_action(monkeypatch):
 
     assert not hasattr(gamma_chain, "preimage_lattice")
     monkeypatch.setattr(gamma_chain, "build_complex", refuse)
-    monkeypatch.setattr(gamma_chain, "_SymAction", refuse)
+    monkeypatch.setattr(gamma_chain, "_sym_cols", refuse)
     monkeypatch.setattr(exact_linalg, "preimage_lattice", refuse)
     hmap = HCModuleMap(trivial_module(Z3, RIGHT),
                        jstar_finite_cyclic(Z3, 3, RIGHT),

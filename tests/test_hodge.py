@@ -2,7 +2,6 @@
 weight decompositions cross-checked against rank arithmetic."""
 
 import random
-import weakref
 from math import factorial
 
 import pytest
@@ -120,7 +119,7 @@ def test_hodge_validation(monkeypatch, capsys):
                             HOMOLOGICAL)
     acted = []
     with monkeypatch.context() as patched:
-        patched.setattr(hodge, "_SymAction", lambda *args: acted.append(args))
+        patched.setattr(hodge, "_sym_cols", lambda *args: acted.append(args))
         with pytest.raises(BadParams, match="free-valued coefficients"):
             hodge_decomposition(torsion)
     assert acted == []
@@ -197,38 +196,28 @@ def test_sym_action_is_integral():
     cx = build_complex(cyclic_group(3), trivial_module(cyclic_group(3), RIGHT),
                        3, HOMOLOGICAL, ring="Q")
     for n in range(1, 4):
-        action = hodge._SymAction(cx, n)
-        for e in eulerian_idempotents(n):
-            cols = action.cols(e)
+        for cols in hodge._sym_cols(cx, n, list(eulerian_idempotents(n))):
             assert all(type(v) is int for col in cols for v in col.values())
 
 
 def test_each_projector_action_is_built_once(monkeypatch):
-    # one action with s_m on each degree 1..5, through one orbit table per
-    # degree, none of which outlives the call
-    calls, tables, alive = [], [], []
+    # one action, with s_m alone, on each degree 1..5
+    calls = []
 
-    class Counted(hodge._SymAction):
-        def __init__(self, cx, n):
-            super().__init__(cx, n)
-            tables.append(n)
-            alive.append(weakref.ref(self))
+    def counted(cx, n, elems):
+        calls.append((n, len(elems)))
+        return gamma_chain._sym_cols(cx, n, elems)
 
-        def cols(self, elem):
-            calls.append(self.n)
-            return super().cols(elem)
-
-    monkeypatch.setattr(hodge, "_SymAction", Counted)
+    monkeypatch.setattr(hodge, "_sym_cols", counted)
     assert cli.main(["compute", "hodge", "--monoid", "builtin:truncated_add(2)",
                      "--coeff", "jstar:regular", "--max-degree", "4"]) == 0
-    assert sorted(calls) == [1, 2, 3, 4, 5]
-    assert sorted(tables) == [1, 2, 3, 4, 5]
-    # the complex outlives the call, its tables do not
+    assert sorted(calls) == [(m, 1) for m in range(1, 6)]
+    calls.clear()
     monoid = truncated_add(2)
     cx = build_complex(monoid, trivial_module(monoid, RIGHT), 4, HOMOLOGICAL,
                        ring="Q")
     hodge_decomposition(cx)
-    assert len(alive) == 9 and not any(ref() for ref in alive)
+    assert sorted(calls) == [(m, 1) for m in range(1, 5)]
 
 
 def test_non_commuting_projector_is_caught(monkeypatch):
@@ -337,7 +326,7 @@ def _projector_weights(cx):
     def on(m, i):
         if not 1 <= i <= m:
             return [dict() for _ in range(cx.dims[m])]
-        return hodge._SymAction(cx, m).cols(eulerian_idempotents(m)[i])
+        return hodge._sym_cols(cx, m, [eulerian_idempotents(m)[i]])[0]
 
     def restricted_rank(src, i):
         return int_rank(_compose_cols(on(src, i), cx.d_out(src)))

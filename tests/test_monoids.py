@@ -63,8 +63,12 @@ def test_validate_monoid_witnesses():
     # commutative but not associative
     with pytest.raises(MonoidLawError) as info:
         validate_monoid(3, 0, [[0, 1, 2], [1, 0, 0], [2, 0, 1]])
-    laws = [law for law, _ in info.value.violations]
-    assert "NotAssociative" in laws
+    # (1*1)*2 = 2 but 1*(1*2) = 1
+    assert info.value.violations == [("NotAssociative", (1, 1, 2))]
+    # the same first witness from a table of tuples
+    with pytest.raises(MonoidLawError) as info:
+        validate_monoid(3, 0, ((0, 1, 2), (1, 0, 0), (2, 0, 1)))
+    assert info.value.violations == [("NotAssociative", (1, 1, 2))]
 
 
 def test_validate_monoid_bad_params():
