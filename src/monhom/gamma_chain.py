@@ -30,6 +30,7 @@ from .exact_linalg import (
     IntMatrix,
     _transpose_cols,
     int_rank,
+    kernel_basis,
     lattice_basis,
     rank_and_torsion,
     solve_int,
@@ -624,12 +625,6 @@ class SymGroupElement:
 
     __add__ = add
 
-    def antipode(self):
-        """The image under sigma -> sigma^-1, which acts on a tuple complex
-        by the transpose of this element's action."""
-        return SymGroupElement(self.n, {_perm_inverse(p): c
-                                        for p, c in self.terms.items()})
-
     def is_zero(self):
         return not self.terms
 
@@ -791,40 +786,15 @@ def leech_cohomology(monoid, coeff, n):
     return hochschild(cx, n)
 
 
-def _shuffle_int_cols(cx, m, dual=False):
+def _shuffle_int_cols(cx, m):
     """Integer columns of the two-block shuffle actions sh_{p,m-p},
-    0 < p < m, on degree m, one list per p; with dual set, the columns of
-    their transposes, which are the actions of their antipodes.
+    0 < p < m, on degree m, one list per p.
 
     The shuffle product is associative: sh_{p,q,r} = sh_{p+q,r}(sh_{p,q} x 1)
     in Z[S_m].  So these m-1 operators span every block-shuffle image on
     chains and cut out the joint kernel of all block shuffles on cochains
     (Barr 1968).  The m-1 elements act in one batch."""
-    shuffles = (shuffle_element(p, m - p) for p in range(1, m))
-    return _sym_cols(cx, m, [sh.antipode() if dual else sh
-                             for sh in shuffles])
-
-
-def _stack_cols(col_lists, block_rows):
-    """Stack square operators on one degree vertically, sparsely; no
-    operators give no rows."""
-    stacked = [dict() for _ in range(block_rows)]
-    for b, cols in enumerate(col_lists):
-        off = b * block_rows
-        for j, col in enumerate(cols):
-            for r, v in col.items():
-                stacked[j][off + r] = v
-    return stacked
-
-
-def _vstack_pair(top_cols, bottom_cols, top_rows):
-    """Per-column concatenation of two sparse matrices with equal width,
-    yielded one column at a time."""
-    for tc, bc in zip(top_cols, bottom_cols):
-        col = dict(tc)
-        for r, v in bc.items():
-            col[top_rows + r] = v
-        yield col
+    return _sym_cols(cx, m, [shuffle_element(p, m - p) for p in range(1, m)])
 
 
 def _distinct_up_to_sign(cols):
@@ -884,36 +854,135 @@ def harrison_dim_q(cx):
     shuffle kernel, kept as the reference for weight 1 of
     hodge_decomposition, which computes every rational Harrison answer.
 
-    V^m is the joint kernel of the stacked shuffle operators S_m, and
-    dim H^n(V) = dim V^n - rank(delta on V^n) - rank(delta on V^(n-1)),
-    where rank(delta on V^m) = rank [S_m; delta_m] - rank S_m.  A chain
-    complex enters through its dual, whose Harrison dimensions are the
-    same over Q: the transposed boundaries, and the antipodes of the
-    shuffles, which act by the transposed matrices.  Every degree's
-    operators are built once, and V^m is checked to map into V^(m+1) for
-    m + 1 = 2..n_max before any rank is used.
+    V^m is the joint kernel of the two-block shuffles sh_{p,m-p} on
+    degree m, and dim H^n(V) = dim V^n - rank(delta on V^n) -
+    rank(delta on V^(n-1)).  A chain complex enters through its dual,
+    whose Harrison dimensions are the same over Q: the transposed
+    boundaries, and the antipodes of the shuffles, which act by the
+    transposed matrices.
+
+    A shuffle moves positions and keeps the coefficient, so the shuffles
+    are block-diagonal by content (the multiset of letters) and value
+    index, and relabelling the letters carries every block of one
+    multiplicity pattern onto the block of the pattern's own words
+    (_shuffle_pattern_block).  So each pattern's block is built once,
+    its kernel is taken once and checked against it, and relabelled into
+    every content and value index it gives a basis K_m of V^m.  Then
+    rank(delta on V^m) is the rank of delta o K_m, and V^m maps into
+    V^(m+1) exactly when every shuffle of degree m + 1 kills delta o K_m,
+    which is checked content by content through the pattern blocks, for
+    m + 1 = 2..n_max, before the rank is used.  The blocks live for one
+    call.
     """
     if cx.coeff.has_torsion:
         raise BadParams("rational dimensions need free-valued coefficients")
     dual = cx.step < 0
-    out = []
-    st, rows, rank_low = [dict() for _ in range(cx.dims[0])], 0, 0
+    blocks, kernels = {}, {}
+    out, rank_low = [], 0
     for m in range(cx.n_max):
         # the map from degree m to m + 1 on the cochain side
         delta = _transpose_cols(cx.d_in(m), cx.dims[m]) if dual \
             else cx.d_out(m)
-        st_up = _stack_cols(_shuffle_int_cols(cx, m + 1, dual),
-                            cx.dims[m + 1])
-        rank_st = int_rank(st)
-        moved = _compose_cols(delta, st_up)
-        if any(moved) and int_rank(_vstack_pair(st, moved, rows)) != rank_st:
-            raise NotAComplex("shuffle span is not closed under the"
-                              f" differential at degree {m + 1}")
-        rank_up = int_rank(_vstack_pair(st, delta, rows)) - rank_st
+        if m < 2:  # no shuffles: V^m is all of degree m
+            dim_v, moved = cx.dims[m], delta
+        else:
+            basis = []
+            for pattern, rows, rank in _content_blocks(cx, m, blocks):
+                if pattern not in kernels:
+                    words, cols = blocks[pattern]
+                    kernel = kernel_basis(cols, (m - 1) * len(words))
+                    if any(_compose_cols(kernel, cols)):
+                        raise CompositionNonzero(
+                            "a kernel vector of the shuffles on the words of"
+                            f" pattern {pattern} is not killed by them")
+                    kernels[pattern] = kernel
+                basis += [{rows[k] + i: v for k, v in vec.items()}
+                          for vec in kernels[pattern] for i in range(rank)]
+            dim_v, moved = len(basis), _compose_cols(basis, delta)
         if m:
-            out.append(cx.dims[m] - rank_st - rank_up - rank_low)
-        st, rows, rank_low = st_up, m * cx.dims[m + 1], rank_up
+            _check_shuffles_kill(cx, m + 1, moved, blocks)
+        rank_up = int_rank(moved)
+        if m:
+            out.append(dim_v - rank_up - rank_low)
+        rank_low = rank_up
     return out
+
+
+def _shuffle_pattern_block(pattern):
+    """The two-block shuffles sh_{p,m-p}, 0 < p < m, stacked, on the words
+    that hold pattern[j] letters j: the words, in lexicographic order, and
+    one sparse column per word on (m - 1) * len(words) rows, with
+    sh_{p,m-p} on the rows from (p - 1) * len(words).  This is the action
+    on cochains, which reads a word through each permutation.  The
+    antipodes act on chains by the same matrices, so the block serves the
+    dual of a chain complex in harrison_dim_q too."""
+    letters = [j for j, k in enumerate(pattern) for _ in range(k)]
+    words = sorted(set(itertools.permutations(letters)))
+    index = {w: k for k, w in enumerate(words)}
+    m = len(letters)
+    cols = [dict() for _ in words]
+    for p in range(1, m):
+        off = (p - 1) * len(words)
+        terms = shuffle_element(p, m - p).terms.items()
+        for w, col in zip(words, cols):
+            for perm, c in terms:
+                r = off + index[tuple(map(w.__getitem__, perm))]
+                nv = col.get(r, 0) + c
+                if nv:
+                    col[r] = nv
+                else:
+                    del col[r]
+    return words, cols
+
+
+def _content_blocks(cx, m, blocks):
+    """One (pattern, rows, rank) per content of degree m with a nonzero
+    value.  The pattern is the multiplicities of the content's letters,
+    largest first; its letter j stands for the content's j-th letter in
+    that order, ties by letter.  rows[k] is the offset of the pattern's
+    word k with the content's letters put back, and rank the rank of the
+    value.  blocks maps each pattern to its _shuffle_pattern_block and
+    gains the patterns first met here."""
+    tuples = cx.tuples_at(m)
+    offset = dict(zip(tuples, cx.tuple_offsets(m)))
+    seen = set()
+    for t, p in zip(tuples, cx.prods_at(m)):
+        content = tuple(sorted(t))
+        rank = cx.coeff.ranks[p]
+        if not rank or content in seen:
+            continue
+        seen.add(content)
+        order = sorted(set(t), key=lambda a: (-t.count(a), a))
+        pattern = tuple(map(t.count, order))
+        if pattern not in blocks:
+            blocks[pattern] = _shuffle_pattern_block(pattern)
+        yield pattern, [offset[tuple(map(order.__getitem__, w))]
+                        for w in blocks[pattern][0]], rank
+
+
+def _check_shuffles_kill(cx, n, vecs, blocks):
+    """Raise NotAComplex unless every two-block shuffle of degree n on
+    the cochain side kills each vector of vecs, applied block by block:
+    each row of degree n belongs to the block of its content and value
+    index, keyed by the block's first row, where it is one word of the
+    content's pattern.  Row s of a block's stacked shuffles is summed at
+    key + s * dims[n], which no other block reaches, as key < dims[n]."""
+    where, size = {}, cx.dims[n]
+    for pattern, rows, rank in _content_blocks(cx, n, blocks):
+        cols = blocks[pattern][1]
+        for i in range(rank):
+            for r, col in zip(rows, cols):
+                where[r + i] = rows[0] + i, col
+    for vec in vecs:
+        acc = {}
+        for r, x in vec.items():
+            key, col = where[r]
+            for s, c in col.items():
+                s = key + s * size
+                acc[s] = acc.get(s, 0) + x * c
+        if any(acc.values()):
+            raise NotAComplex("shuffle span is not closed under the"
+                              f" differential at degree {n}")
 
 
 def _orbit_sums(layout, ranks, lam):

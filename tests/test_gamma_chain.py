@@ -11,6 +11,7 @@ from monhom import cli, exact_linalg, gamma_chain, hc_modules
 from monhom.errors import (
     BadParams,
     ComplexityBudget,
+    CompositionNonzero,
     DegreeMismatch,
     NotAComplex,
     OracleMismatch,
@@ -18,6 +19,8 @@ from monhom.errors import (
 from monhom.exact_linalg import (
     FgAbGroup,
     IntMatrix,
+    _transpose_cols,
+    int_rank,
     kernel_basis,
     lattice_basis,
     preimage_lattice,
@@ -493,6 +496,18 @@ def _every_block_shuffle(n):
     return out
 
 
+def _stack_cols(col_lists, block_rows):
+    """Stack square operators on one degree vertically, sparsely; no
+    operators give no rows."""
+    stacked = [dict() for _ in range(block_rows)]
+    for b, cols in enumerate(col_lists):
+        off = b * block_rows
+        for j, col in enumerate(cols):
+            for r, v in col.items():
+                stacked[j][off + r] = v
+    return stacked
+
+
 def test_two_block_shuffles_span_every_block_shuffle():
     # With trivial coefficients each degree is a permutation module, which
     # splits over the S_n-orbits of tuples, so the lattices are compared
@@ -523,21 +538,27 @@ def test_two_block_shuffles_span_every_block_shuffle():
                     images = [c for op in every_o for c in op]
                     assert solve_int(span, len(idx), images) is not None
                     kernel = kernel_basis(
-                        gamma_chain._stack_cols(two_o, len(idx)),
+                        _stack_cols(two_o, len(idx)),
                         len(idx) * len(two_o))
                     for op in every_o:
                         assert not any(_compose_cols(kernel, op))
 
 
 def test_each_shuffle_span_is_built_once(monkeypatch):
-    calls = []
+    calls, blocks = [], []
     original = gamma_chain._shuffle_int_cols
+    block = gamma_chain._shuffle_pattern_block
 
-    def counted(cx, m, dual=False):
+    def counted(cx, m):
         calls.append(m)
-        return original(cx, m, dual)
+        return original(cx, m)
+
+    def counted_block(pattern):
+        blocks.append(pattern)
+        return block(pattern)
 
     monkeypatch.setattr(gamma_chain, "_shuffle_int_cols", counted)
+    monkeypatch.setattr(gamma_chain, "_shuffle_pattern_block", counted_block)
     monoid = truncated_add(2)
     for side, direction in ((RIGHT, HOMOLOGICAL), (LEFT, COHOMOLOGICAL)):
         for ring in ("Z", "Q"):
@@ -548,11 +569,18 @@ def test_each_shuffle_span_is_built_once(monkeypatch):
                                             or ring == "Q"):
                     continue  # integral Harrison groups live on chains
                 calls.clear()
+                blocks.clear()
                 compute(cx)
-                # no integral group reads the shuffles of the top degree
-                top = 4 if compute is harrison else 5
-                assert len(calls) == len(set(calls))
-                assert set(range(2, top + 1)) <= set(calls)
+                if compute is harrison:
+                    # no integral group reads the shuffles of the top degree
+                    assert len(calls) == len(set(calls))
+                    assert set(range(2, 5)) <= set(calls)
+                else:
+                    # one block per multiplicity pattern of degrees 2..5,
+                    # and no shuffle operator on a whole degree
+                    assert not calls
+                    assert len(blocks) == len(set(blocks))
+                    assert {sum(p) for p in blocks} == set(range(2, 6))
 
 
 def _counted_solves(monkeypatch):
@@ -618,6 +646,123 @@ def test_unclosed_shuffle_span_is_caught(monkeypatch):
                            ring=ring)
         with pytest.raises(NotAComplex, match="degree 2"):
             (harrison if ring == "Z" else harrison_dim_q)(cx)
+
+
+def _vstack_pair(top_cols, bottom_cols, top_rows):
+    """Per-column concatenation of two sparse matrices with equal width,
+    yielded one column at a time."""
+    for tc, bc in zip(top_cols, bottom_cols):
+        col = dict(tc)
+        for r, v in bc.items():
+            col[top_rows + r] = v
+        yield col
+
+
+def _stacked_rank_harrison_dim_q(cx):
+    """Barr's rank formula on whole degrees, the reference of
+    harrison_dim_q: rank(delta on V^m) = rank [S_m; delta_m] - rank S_m
+    for the stacked two-block shuffles S_m of degree m, and V^m maps into
+    V^(m+1) when rank [S_m; S_(m+1) delta_m] = rank S_m."""
+    dual = cx.step < 0
+    out = []
+    st, rows, rank_low = [dict() for _ in range(cx.dims[0])], 0, 0
+    for m in range(cx.n_max):
+        delta = _transpose_cols(cx.d_in(m), cx.dims[m]) if dual \
+            else cx.d_out(m)
+        # on chains the antipodes (sigma -> sigma^-1) of the shuffles act
+        # by the transposes
+        shuffles = [shuffle_element(p, m + 1 - p).terms
+                    for p in range(1, m + 1)]
+        st_up = _stack_cols(gamma_chain._sym_cols(cx, m + 1, [
+            SymGroupElement(m + 1, {gamma_chain._perm_inverse(p) if dual
+                                    else p: c for p, c in sh.items()})
+            for sh in shuffles]), cx.dims[m + 1])
+        rank_st = int_rank(st)
+        moved = _compose_cols(delta, st_up)
+        if any(moved) and int_rank(_vstack_pair(st, moved, rows)) != rank_st:
+            raise NotAComplex("shuffle span is not closed under the"
+                              f" differential at degree {m + 1}")
+        rank_up = int_rank(_vstack_pair(st, delta, rows)) - rank_st
+        if m:
+            out.append(cx.dims[m] - rank_st - rank_up - rank_low)
+        st, rows, rank_low = st_up, m * cx.dims[m + 1], rank_up
+    return out
+
+
+def test_pattern_kernels_match_the_stacked_ranks():
+    # the six suite monoids, truncated_add(3) and semilattice_chain(2), both
+    # directions, full and normalized, to degree 5: trivial and projective
+    # coefficients on every monoid, jstar:regular on the two monoids the
+    # benchmark runs it on
+    cases = 0
+    monoids = [monoid for _, monoid in suite_monoids()] + [
+        truncated_add(3), semilattice_chain(2)]
+    for monoid in monoids:
+        for side, direction in ((RIGHT, HOMOLOGICAL), (LEFT, COHOMOLOGICAL)):
+            coeffs = [trivial_module(monoid, side),
+                      std_projective(monoid, monoid.elements[-1], side)]
+            if monoid in (Z2, truncated_add(2)):
+                coeffs.append(jstar(regular_kc_module(monoid), side))
+            for coeff in coeffs:
+                for normalized in (False, True):
+                    cx = build_complex(monoid, coeff, 5, direction,
+                                       ring="Q", normalized=normalized)
+                    assert harrison_dim_q(cx) == \
+                        _stacked_rank_harrison_dim_q(cx)
+                    cases += 1
+    assert cases == 72
+
+
+def test_one_kernel_per_pattern_and_ranks_of_one_degree(monkeypatch):
+    # Klein to degree 5: kernel_basis once per multiplicity pattern of
+    # degrees 2..4 (V^5 is not needed), and each rank is of delta o K_m,
+    # on the rows of degree m + 1
+    monoid = product_monoid(Z2, Z2).monoid
+    blocks, kernels, ranks = {}, [], []
+    block, kernel, rank = (gamma_chain._shuffle_pattern_block,
+                           gamma_chain.kernel_basis, gamma_chain.int_rank)
+
+    def counted_block(pattern):
+        out = blocks[pattern] = block(pattern)
+        return out
+
+    def counted_kernel(cols, rows):
+        kernels.append(next(p for p, b in blocks.items() if b[1] is cols))
+        return kernel(cols, rows)
+
+    def counted_rank(vecs):
+        vecs = list(vecs)
+        ranks.append(1 + max((r for v in vecs for r in v), default=-1))
+        return rank(vecs)
+
+    monkeypatch.setattr(gamma_chain, "_shuffle_pattern_block", counted_block)
+    monkeypatch.setattr(gamma_chain, "kernel_basis", counted_kernel)
+    monkeypatch.setattr(gamma_chain, "int_rank", counted_rank)
+    for side, direction in ((RIGHT, HOMOLOGICAL), (LEFT, COHOMOLOGICAL)):
+        cx = build_complex(monoid, trivial_module(monoid, side), 5,
+                           direction, ring="Q")
+        blocks.clear()
+        kernels.clear()
+        ranks.clear()
+        harrison_dim_q(cx)
+        present = {tuple(sorted((t.count(a) for a in set(t)), reverse=True))
+                   for m in range(2, 5) for t in cx.tuples_at(m)}
+        assert sorted(kernels) == sorted(present)
+        assert len(ranks) == 5
+        assert all(rows <= cx.dims[m + 1] for m, rows in enumerate(ranks))
+
+
+def test_a_wrong_pattern_kernel_is_caught(monkeypatch):
+    # a unit vector in place of the first kernel vector is not killed by
+    # sh_{1,1} = 1 - (0 1) on the words of pattern (1, 1)
+    kernel = gamma_chain.kernel_basis
+    monkeypatch.setattr(gamma_chain, "kernel_basis",
+                        lambda cols, rows: [{0: 1}] + kernel(cols, rows)[1:])
+    cx = build_complex(Z3, trivial_module(Z3, LEFT), 3, COHOMOLOGICAL,
+                       ring="Q")
+    with pytest.raises(CompositionNonzero, match="pattern") as caught:
+        harrison_dim_q(cx)
+    assert cli._exit_code(caught.value) == 3
 
 
 def test_harrison_matches_low_degrees_and_trivial_monoid():
@@ -740,7 +885,7 @@ def test_young_invariants_are_orbit_sums_and_relations():
                         start += part
                     blocks = [_direct_action_cols(cx, n, g) for g in gens]
                     kernel = preimage_lattice(
-                        gamma_chain._stack_cols(blocks, rows),
+                        _stack_cols(blocks, rows),
                         [{b * rows + r: v for r, v in col.items()}
                          for b in range(len(blocks)) for col in rels],
                         rows * len(blocks))

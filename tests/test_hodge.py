@@ -180,6 +180,27 @@ def test_weight_one_piece_equals_harrison():
                     harrison_dim_q(full)
 
 
+def test_harrison_reference_shares_no_weight_engine(monkeypatch):
+    # the reference of weight 1 runs with the weight engine and the pivot
+    # reduction it rests on refusing every call
+    monoid = product_monoid(cyclic_group(2), cyclic_group(2)).monoid
+    cxs = [build_complex(monoid, trivial_module(monoid, side), 5, direction,
+                         ring="Q")
+           for direction, side in ((HOMOLOGICAL, RIGHT),
+                                   (COHOMOLOGICAL, LEFT))]
+    expected = [harrison_dim_q(cx) for cx in cxs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Harrison reference reached the weights")
+
+    for module, name in ((hodge, "hodge_decomposition"),
+                         (hodge, "total_shuffle_operator"),
+                         (hodge, "_eigenspace_dims"),
+                         (exact_linalg, "PivotReduction")):
+        monkeypatch.setattr(module, name, refuse)
+    assert [harrison_dim_q(cx) for cx in cxs] == expected
+
+
 def test_weights_of_regular_coefficients():
     # Z[C] is Z x Z[x]/(x^m), whose rational homology in degree n >= 1 is
     # Q^(m-1), all of it in weight ceil(n/2)
