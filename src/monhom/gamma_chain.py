@@ -265,35 +265,87 @@ class GammaChainComplex:
         return self._relations[n]
 
 
-def _face_cols(monoid, act, high, low, faces):
-    """Sparse columns of sum_{i in faces} (-1)^i eps_i from the tuple layout
-    high (degree k) to low (degree k - 1), for the translation matrices
-    act of a right module.  A face that lands outside the tuples of low is
-    dropped: the degenerate tuples are zero in a normalized complex."""
-    tuples_k, _, offs_k, dim_k = high
-    tuples_low, prods_low, offs_low, _ = low
-    idx_low = {t: k for k, t in enumerate(tuples_low)}
+def _face_cols(act, high, low, faces):
+    """Sparse columns of sum (-1)^i eps_i from the layout high (degree k)
+    to the layout low (degree k - 1), for the translation matrices act of
+    a right module.  faces holds one (i, targets, acting) per face, and
+    the faces are added in the order given: targets[j] is the index in
+    low of face i of the j-th cell of high, or None where that face is
+    zero (a degenerate tuple of a normalized complex, or a cell where the
+    Morse phi is 0), and acting[j] the element that acts on its
+    coefficient.  _lex_faces gives the faces of the lexicographic tuple
+    layouts, _face_targets those of tuples in any order and _flow_search
+    those of a Morse complex.  The nonzero entries of each translation
+    matrix are listed once per call."""
+    offs_k, dim_k = high[2], high[3]
+    prods_low, offs_low = low[1], low[2]
     cols = [dict() for _ in range(dim_k)]
-    for jt, t in enumerate(tuples_k):
-        for i in faces:
-            s, b0 = _face_tuple(t, i, monoid)
-            sign = -1 if i % 2 else 1
-            ks = idx_low.get(s)
-            if ks is None:  # degenerate: zero in the normalized quotient
+    entries = {}
+    for i, targets, acting in faces:
+        sign = -1 if i % 2 else 1
+        for off, ks, b0 in zip(offs_k, targets, acting):
+            if ks is None:
                 continue
-            A = act[(b0, prods_low[ks])]  # N(pi t) -> N(pi s)
-            for j in range(A.cols):
-                col = cols[offs_k[jt] + j]
-                for p in range(A.rows):
-                    v = A.data[p][j]
-                    if v:
-                        r = offs_low[ks] + p
-                        nv = col.get(r, 0) + sign * v
-                        if nv:
-                            col[r] = nv
-                        else:
-                            col.pop(r, None)
+            key = b0, prods_low[ks]  # N(pi t) -> N(pi s)
+            nonzero = entries.get(key)
+            if nonzero is None:
+                A = act[key]
+                nonzero = entries[key] = [
+                    (j, p, A.data[p][j]) for j in range(A.cols)
+                    for p in range(A.rows) if A.data[p][j]]
+            r0 = offs_low[ks]
+            for j, p, v in nonzero:
+                col = cols[off + j]
+                r = r0 + p
+                nv = col.get(r, 0) + sign * v
+                if nv:
+                    col[r] = nv
+                else:
+                    col.pop(r, None)
     return cols
+
+
+def _face_targets(monoid, tuples, lower, faces):
+    """One (i, targets, acting) for each face i in faces, from tuples onto
+    the tuples lower, one degree down, as _face_cols takes them: each
+    face tuple (_face_tuple) is looked up among lower, and one that is
+    not there, a degenerate tuple of a normalized complex, has target
+    None.  This serves tuples in any order, and is the oracle of
+    _lex_faces."""
+    index = {t: k for k, t in enumerate(lower)}
+    out = []
+    for i in faces:
+        pairs = [_face_tuple(t, i, monoid) for t in tuples]
+        out.append((i, [index.get(s) for s, _ in pairs],
+                    [b for _, b in pairs]))
+    return out
+
+
+def _lex_faces(monoid, letters, k):
+    """The faces 0..k of the degree-k tuples over letters in lexicographic
+    order, one (i, targets, acting) at a time as _face_cols takes them,
+    with integer arithmetic only.
+
+    With L = len(letters), the tuple t has index sum_j pos(t[j]) *
+    L^(k-1-j).  Face 0 drops t[0]: the index modulo L^(k-1), acting by
+    t[0].  Face i, 0 < i < k, keeps the first i - 1 entries, with index
+    base, and the last k - 1 - i, with index r < S = L^(k-1-i), and puts
+    the product of t[i-1] and t[i] between them: (base * L + pos(t[i-1]
+    t[i])) * S + r, acting by the identity, or None where the product is
+    the identity and no letter.  Face k drops t[k-1]: the index divided
+    by L, acting by t[k-1]."""
+    L = len(letters)
+    n = L ** (k - 1)
+    yield 0, list(range(n)) * L, [a for a in letters for _ in range(n)]
+    pos = {a: p for p, a in enumerate(letters)}
+    merged = [pos.get(monoid.mul(a, x)) for a in letters for x in letters]
+    ident = [monoid.identity] * (n * L)
+    for i in range(1, k):
+        S = L ** (k - 1 - i)
+        yield i, [None if m is None else (base * L + m) * S + r
+                  for base in range(L ** (i - 1)) for m in merged
+                  for r in range(S)], ident
+    yield k, [js for js in range(n) for _ in range(L)], list(letters) * n
 
 
 def _expected_side(direction):
@@ -348,12 +400,16 @@ def build_complex(monoid, coeff, n_max, direction, budget=None, ring="Z",
 
 def _tuple_maps(monoid, coeff, n_max, normalized):
     """The tuple layouts of degrees 0..n_max and the boundaries between
-    them on chains, with coefficients as a right module."""
+    them on chains, with coefficients as a right module.  The tuples are
+    in lexicographic order over the letters, so the faces are computed
+    from the indices (_lex_faces), one face at a time."""
+    letters = _letters(monoid, normalized)
     layouts = [_term_layout(monoid, coeff, n, normalized)
                for n in range(n_max + 1)]
     act = _right_act(coeff)
-    return layouts, {k: _face_cols(monoid, act, layouts[k], layouts[k - 1],
-                                   range(k + 1)) for k in range(1, n_max + 1)}
+    return layouts, {k: _face_cols(act, layouts[k], layouts[k - 1],
+                                   _lex_faces(monoid, letters, k))
+                     for k in range(1, n_max + 1)}
 
 
 def _check_request(monoid, coeff, n_max, direction, ring):
@@ -442,7 +498,7 @@ def morse_complex(monoid, coeff, n_max, direction, budget=None, ring="Z"):
 def _critical_cells(rw, n_max):
     """The critical cells of degrees 0..n_max: those of degree n are the
     critical extensions by one entry of those of degree n - 1.  The pair
-    of each cell where an extension stops is checked (_other_faces)."""
+    of each cell where an extension stops is checked (_cell_faces)."""
     monoid = rw.monoid
     entries = _letters(monoid, True)
     cells = [[()]]
@@ -456,16 +512,15 @@ def _critical_cells(rw, n_max):
                     nxt.append(t)
                 else:
                     low, high = sorted((t, pair[0]), key=len)
-                    _other_faces(monoid, high, pair[1], low)
+                    _cell_faces(monoid, high, pair[1], low)
         cells.append(nxt)
     return cells
 
 
-def _other_faces(monoid, t, k, low=None):
-    """The faces of t other than face k, leaving out the degenerate ones.
-    With low given, raises NotAComplex unless face k is the only face of
-    t on low, so that the two meet with incidence (-1)^k times an identity
-    block."""
+def _cell_faces(monoid, t, k=None, low=None):
+    """Every face tuple of t, face i at index i.  With low given, raises
+    NotAComplex unless face k is the only face of t on low, so that the
+    two meet with incidence (-1)^k times an identity block."""
     faces = []
     for i in range(len(t) + 1):
         s, _ = _face_tuple(t, i, monoid)
@@ -473,32 +528,43 @@ def _other_faces(monoid, t, k, low=None):
             raise NotAComplex(
                 f"Morse matching: face {k} of {t} is not the only face on"
                 f" {low} (face {i} is {s})")
-        if i != k and not (0 < i < len(t) and s[i - 1] == monoid.identity):
-            faces.append(s)
+        faces.append(s)
     return faces
 
 
-def _morse_cols(rw, coeff, act, high, low, k):
-    """Columns of the Morse differential from the critical cells of layout
-    high (degree k) to those of layout low.
+def _flow(monoid, faces, k):
+    """The faces a flow follows from a cell with the given _cell_faces:
+    all but face k, leaving out the degenerate ones."""
+    top = len(faces) - 1
+    return (s for i, s in enumerate(faces)
+            if i != k and not (0 < i < top and s[i - 1] == monoid.identity))
 
-    The flows reach, from the faces of the critical cells, cells matched
-    up; each is reached after every cell its own flow reaches (a
+
+def _flow_search(rw, high, low, k):
+    """The cells that the flows from the critical cells of layout high
+    (degree k) reach, matched up, in the order reached, their partners,
+    and the targets of faces 0..k of the critical cells followed by those
+    of the reached cells' partners, in the layout of low's cells followed
+    by the reached ones (None where phi is 0).
+
+    Each cell is reached after every cell its own flow reaches (a
     depth-first search without recursion, which raises NotAComplex on a
-    cycle).  One _face_cols gives d on the critical cells and on the
-    partners of the reached cells, onto the critical and reached cells;
-    faces elsewhere are degenerate or matched down, where phi is 0.  phi
-    is then a row per basis element of the reached degree, filled in the
-    order reached, and the map is d followed by phi.  Nothing of phi
-    outlives the degree."""
+    cycle).  So when the search leaves a critical cell, or a reached
+    cell, every face of that cell, or of its partner, is a critical
+    cell, an already reached cell, or a cell where phi is 0 (degenerate
+    or matched down), and its target is written down then: face tuples
+    live only while their cell is on the stack."""
     monoid = rw.monoid
     partners, order = {}, []
+    index = {c: j for j, c in enumerate(low[0])}  # the reached cells
     seen, active = set(low[0]), set()
+    crit, plus = [[] for _ in range(k + 1)], [[] for _ in range(k + 1)]
     for t in high[0]:
-        stack = [(None, iter(_other_faces(monoid, t, None)))]
+        faces = _cell_faces(monoid, t)
+        stack = [(None, faces, _flow(monoid, faces, None))]
         while stack:
-            cell, faces = stack[-1]
-            for s in faces:
+            cell, faces, flow = stack[-1]
+            for s in flow:
                 if s in active:
                     raise NotAComplex(f"Morse flows form a cycle through {s}")
                 if s in seen:
@@ -511,17 +577,42 @@ def _morse_cols(rw, coeff, act, high, low, k):
                 if len(pair[0]) > len(s):  # matched up
                     partners[s] = pair
                     active.add(s)
-                    stack.append((s, iter(_other_faces(monoid, *pair, s))))
+                    faces = _cell_faces(monoid, *pair, s)
+                    stack.append((s, faces, _flow(monoid, faces, pair[1])))
                     break
             else:
                 stack.pop()
+                targets = crit
                 if cell is not None:
                     active.discard(cell)
+                    index[cell] = len(index)
                     order.append(cell)
+                    targets = plus
+                for i, s in enumerate(faces):
+                    targets[i].append(index.get(s))
+    return order, partners, [c + p for c, p in zip(crit, plus)]
+
+
+def _morse_cols(rw, coeff, act, high, low, k):
+    """Columns of the Morse differential from the critical cells of layout
+    high (degree k) to those of layout low.
+
+    One _face_cols on the targets that _flow_search writes down gives d
+    on the critical cells and on the partners of the reached cells, onto
+    the critical and reached cells; faces elsewhere are degenerate or
+    matched down, where phi is 0.  phi is then a row per basis element
+    of the reached degree, filled in the order reached, and the map is d
+    followed by phi.  Nothing of phi outlives the degree."""
+    monoid = rw.monoid
+    order, partners, targets = _flow_search(rw, high, low, k)
     reached = _layout(monoid, coeff, low[0] + order)
-    pluses = _layout(monoid, coeff,
-                     high[0] + [partners[b][0] for b in order])
-    d = _face_cols(monoid, act, pluses, reached, range(k + 1))
+    cells = high[0] + [partners[b][0] for b in order]
+    pluses = _layout(monoid, coeff, cells)
+    ident = [monoid.identity] * len(cells)
+    d = _face_cols(act, pluses, reached, (
+        (i, targets[i], [c[0] for c in cells] if i == 0
+         else [c[-1] for c in cells] if i == k else ident)
+        for i in range(k + 1)))
     rows = [{r: 1} for r in range(low[3])]
     for at, b in enumerate(order):
         face = partners[b][1]

@@ -33,6 +33,9 @@ from .gamma_chain import (
     _compose_cols,
     _distinct_up_to_sign,
     _face_cols,
+    _face_targets,
+    _lex_faces,
+    _letters,
     _shuffle_int_cols,
     _shuffle_quotient,
     _sym_cols,
@@ -355,8 +358,9 @@ def check_products():
                 for i in range(m + 2):
                     # each face carries (-1)^i, so the factors' signs
                     # cancel and the product's stays
-                    P, k1, k2 = (_face_cols(mon, mod.act, lay[m + 1],
-                                            lay[m], [i])
+                    P, k1, k2 = (_face_cols(mod.act, lay[m + 1], lay[m],
+                                            _face_targets(mon, lay[m + 1][0],
+                                                          lay[m][0], [i]))
                                  for mon, mod, lay in zip(monoids, modules,
                                                           layouts))
                     sign = -1 if i % 2 else 1
@@ -486,12 +490,31 @@ def _agree(what, full, normalized):
                              f" normalized one {normalized}")
 
 
+def _check_face_tables(monoid):
+    """Raise OracleMismatch unless the lexicographic face tables that
+    build_complex assembles from (_lex_faces) equal the faces looked up
+    tuple by tuple (_face_targets), full and normalized, degrees 1..5."""
+    trivial = trivial_module(monoid, RIGHT)
+    for normalized in (False, True):
+        letters = _letters(monoid, normalized)
+        tuples = [_term_layout(monoid, trivial, n, normalized)[0]
+                  for n in range(6)]
+        for k in range(1, 6):
+            if list(_lex_faces(monoid, letters, k)) != _face_targets(
+                    monoid, tuples[k], tuples[k - 1], range(k + 1)):
+                raise OracleMismatch(
+                    f"the face tables of degree {k}"
+                    f"{' (normalized)' if normalized else ''} differ from"
+                    " the faces looked up tuple by tuple")
+
+
 def check_normalization():
     anchor = ("G_*(C,N) ~ G_*(C,N) / (tuples containing the identity)"
               " (normalization theorem)")
     out = []
     for label, monoid in suite_monoids():
         def body(monoid=monoid):
+            _check_face_tables(monoid)
             systems = 0
             for direction, side in ((HOMOLOGICAL, RIGHT),
                                     (COHOMOLOGICAL, LEFT)):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from monhom import cli, exact_linalg, gamma_chain, hc_modules
+from monhom import cli, exact_linalg, gamma_chain, hc_modules, verify
 from monhom.errors import (
     BadParams,
     ComplexityBudget,
@@ -33,6 +33,7 @@ from monhom.gamma_chain import (
     SymGroupElement,
     _compose_cols,
     _face_cols,
+    _face_targets,
     _face_tuple,
     _term_layout,
     build_complex,
@@ -71,6 +72,7 @@ from monhom.monoids import (
 )
 from monhom.verify import (
     _direct_action_cols,
+    _family,
     _lattice_homology,
     _partitions,
     _subquotient_homology,
@@ -107,13 +109,80 @@ def test_single_faces_sum_to_the_boundary():
             high, low = (_term_layout(monoid, coeff, d) for d in (k, k - 1))
             total = [dict() for _ in range(cx.dims[k])]
             for i in range(k + 1):
-                face = _face_cols(monoid, coeff.act, high, low, [i])
+                face = _face_cols(coeff.act, high, low, _face_targets(
+                    monoid, high[0], low[0], [i]))
                 assert any(face)
                 for col, part in zip(total, face):
                     for r, v in part.items():
                         col[r] = col.get(r, 0) + v
             assert [{r: v for r, v in col.items() if v}
                     for col in total] == cx.d_out(k)
+
+
+def _tuple_major_cols(monoid, act, high, low):
+    """The reference boundary: tuple by tuple, every face of a tuple in
+    turn, each face tuple looked up among the tuples of low."""
+    tuples_k, _, offs_k, dim_k = high
+    tuples_low, prods_low, offs_low, _ = low
+    idx_low = {t: k for k, t in enumerate(tuples_low)}
+    cols = [dict() for _ in range(dim_k)]
+    for jt, t in enumerate(tuples_k):
+        for i in range(len(t) + 1):
+            s, b0 = _face_tuple(t, i, monoid)
+            ks = idx_low.get(s)
+            if ks is None:
+                continue
+            A = act[(b0, prods_low[ks])]
+            sign = -1 if i % 2 else 1
+            for j in range(A.cols):
+                col = cols[offs_k[jt] + j]
+                for p in range(A.rows):
+                    if A.data[p][j]:
+                        r = offs_low[ks] + p
+                        nv = col.get(r, 0) + sign * A.data[p][j]
+                        if nv:
+                            col[r] = nv
+                        else:
+                            col.pop(r, None)
+    return cols
+
+
+def test_face_tables_assemble_the_tuple_major_boundary():
+    # entries and their order in every column, which later sums inherit
+    for _, monoid in suite_monoids():
+        for direction, side in ((HOMOLOGICAL, RIGHT), (COHOMOLOGICAL, LEFT)):
+            for _, coeff in _family(monoid, side):
+                act = (coeff if side == RIGHT else _transposed(coeff)).act
+                for normalized in (False, True):
+                    cx = build_complex(monoid, coeff, 5, direction,
+                                       normalized=normalized)
+                    for k in range(1, 6):
+                        want = _tuple_major_cols(monoid, act, cx.layouts[k],
+                                                 cx.layouts[k - 1])
+                        if direction == COHOMOLOGICAL:
+                            want = _transpose_cols(want, cx.dims[k - 1])
+                        assert [list(col.items()) for col in cx._mats[k]] \
+                            == [list(col.items()) for col in want]
+
+
+def test_normalization_suite_checks_the_face_tables(monkeypatch, capsys):
+    real = verify._lex_faces
+
+    def one_wrong_target(monoid, letters, k):
+        faces = list(real(monoid, letters, k))
+        if k == 3 and monoid.size == 4:
+            faces[1][1][0] += 1
+        return faces
+
+    # the suite reads the tables that build_complex assembles from
+    assert verify._lex_faces is gamma_chain._lex_faces
+    monkeypatch.setattr(verify, "_lex_faces", one_wrong_target)
+    assert cli.main(["verify", "normalization"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines if line.startswith("FAIL")] \
+        == ["normalization[cyclic_group(2)xcyclic_group(2)]:"]
+    assert "OracleMismatch: the face tables of degree 3 differ" \
+        in "\n".join(lines)
 
 
 def _transposed(left):

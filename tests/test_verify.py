@@ -1,7 +1,12 @@
 """The self-check runner: ordering, stability, and error handling."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import monhom
 from monhom import cli, gamma_chain, verify
 from monhom.errors import MonhomError
 from monhom.exact_linalg import FgAbGroup
@@ -91,9 +96,11 @@ def test_products_suite_checks_the_faces_of_build_complex(monkeypatch,
                                                          capsys):
     real = verify._face_cols
 
-    def doubled_on_products(monoid, act, high, low, faces):
-        cols = real(monoid, act, high, low, faces)
-        if monoid.size >= 4:  # the product monoids, not their factors
+    def doubled_on_products(act, high, low, faces):
+        cols = real(act, high, low, faces)
+        # the last tuple of a layout repeats the last element, and only
+        # the product monoids, not their factors, have four elements
+        if high[0][-1][0] >= 3:
             col = next(col for col in cols if col)
             col[min(col)] *= 2
         return cols
@@ -108,3 +115,18 @@ def test_products_suite_checks_the_faces_of_build_complex(monkeypatch,
     assert failed == ["products[faces:Z2xZ2]:", "products[faces:Z2xZ3]:",
                       "products[faces:semilattice-x-Z2]:"]
     assert "face 0 at degree 1 differs" in "\n".join(lines)
+
+
+def test_suites_report_the_same_under_python_dash_o(capsys):
+    # -O strips assert statements: a check that rested on one would pass
+    # or fail differently there
+    argv = ["verify", "complex-soundness", "products", "normalization"]
+    assert cli.main(argv) == 0
+    normal = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(os.path.abspath(monhom.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    optimized = subprocess.run([sys.executable, "-O", "-m", "monhom.cli",
+                                *argv], capture_output=True, env=env,
+                               timeout=300, check=False)
+    assert optimized.returncode == 0, optimized.stderr.decode()
+    assert optimized.stdout == normal.encode()
