@@ -30,13 +30,14 @@ from .errors import (BadParams, ComplexityBudget, CompositionNonzero,
                      MonhomError, NotAComplex, NotAnnihilated, OracleMismatch,
                      ValidationError, WeightNotPreserved)
 from .exact_linalg import FgAbGroup
-from .gamma_chain import (COHOMOLOGICAL, HOMOLOGICAL, build_complex, harrison,
-                          hochschild, morse_complex, resolve_budget)
+from .gamma_chain import (COHOMOLOGICAL, HOMOLOGICAL, MorseReduction,
+                          build_complex, harrison, hochschild, morse_complex,
+                          resolve_budget)
 from .grillet import GrilletReport, grillet_report, tensor_over_hc
 from .hc_modules import (LEFT, RIGHT, derivations, jstar, jstar_finite_cyclic,
                          omega, regular_kc_module, std_projective,
                          tabulate_presented, trivial_module)
-from .hodge import hodge_decomposition
+from .hodge import morse_hodge
 from .monoids import builder
 from .verify import render_json, render_text, run_suites
 
@@ -176,11 +177,14 @@ def _compute(args):
         if deg < 1:
             raise ValidationError("--max-degree must be at least 1 here")
         # over Z the normalized complex gives other groups; over Q the
-        # dimensions are weight 1, which normalizing does not change
-        cx = build_complex(monoid, coeff, deg + 1, HOMOLOGICAL,
-                           budget=budget, ring=ring, normalized=ring == "Q")
-        groups = harrison(cx) if ring == "Z" else \
-            [FgAbGroup.free(w[0]) for w in hodge_decomposition(cx)]
+        # dimensions are weight 1, which the Morse complex keeps
+        if ring == "Z":
+            groups = harrison(build_complex(monoid, coeff, deg + 1,
+                                            HOMOLOGICAL, budget=budget))
+        else:
+            groups = [FgAbGroup.free(w[0]) for w in morse_hodge(
+                MorseReduction(monoid, coeff, deg + 1, HOMOLOGICAL,
+                               budget=budget, ring="Q", transfer=True))]
         for n, group in enumerate(groups, start=1):
             report.setdefault("results", []).append(
                 {"degree": n, "group": group.to_json()})
@@ -188,9 +192,9 @@ def _compute(args):
     else:
         if deg < 1:
             raise ValidationError("--max-degree must be at least 1 here")
-        cx = build_complex(monoid, coeff, deg + 1, HOMOLOGICAL,
-                           budget=budget, ring="Q", normalized=True)
-        for n, weights in enumerate(hodge_decomposition(cx), start=1):
+        red = MorseReduction(monoid, coeff, deg + 1, HOMOLOGICAL,
+                             budget=budget, ring="Q", transfer=True)
+        for n, weights in enumerate(morse_hodge(red), start=1):
             report.setdefault("results", []).append(
                 {"degree": n, "weights": list(weights),
                  "total": sum(weights)})

@@ -24,6 +24,7 @@ from .errors import (
     DegreeMismatch,
     NotAComplex,
     OracleMismatch,
+    WeightNotPreserved,
 )
 from .exact_linalg import (
     FgAbGroup,
@@ -463,36 +464,272 @@ def morse_complex(monoid, coeff, n_max, direction, budget=None, ring="Z"):
     (co)homology of build_complex(..., normalized=True), torsion included,
     on far fewer basis elements: degree n is the sum over the critical
     n-cells of the coefficient value at the cell's product, and the
-    layouts are None.
+    layouts are None.  MorseReduction builds it; see there."""
+    return MorseReduction(monoid, coeff, n_max, direction, budget,
+                          ring).complex
+
+
+class MorseReduction:
+    """The Morse complex of the normalized complex, and on request the
+    chain maps between the two (algebraic Morse theory, Skoldberg, Trans.
+    AMS 358, 2006): pi from the normalized chains onto the Morse chains
+    (project) and iota back (lift), with pi o iota = 1 and iota o pi
+    homotopic to 1, so that an operator s that commutes with d acts on
+    the homology of the Morse complex as pi s iota (transfer).
 
     The map out of a critical cell c is phi(d c).  For a cell b one degree
     below, phi(b) is b when b is critical, 0 when b is degenerate or
     matched down, and -eps phi(d b+ - eps b) when b is matched up with b+
-    through face k, eps = (-1)^k (_morse_cols).  Face k is interior, so it
+    through face k, eps = (-1)^k; pi is phi.  Face k is interior, so it
     acts by the identity on every coefficient system and phi works on
-    each value basis vector alike.  Cochains transpose the maps built
-    from the transposed translations, as build_complex does.  When no
-    cell is matched, as for semilattices, whose every element is a
-    letter, the maps are those of the normalized complex, built as
-    build_complex builds them.
+    each value basis vector alike.  The flows from the critical cells of
+    each degree are followed once (_Flow), and phi of every cell they
+    reach is filled in as they are; projecting a chain first follows the
+    flows from the cells of its support not met yet.  With transfer set,
+    the flows of every degree are kept, so phi is computed once per cell
+    and degree, and lift reads them back; otherwise nothing of a degree's
+    flows outlives its map.
+
+    Maps are built on chains from the translations as a right module
+    (_right_act); cochains transpose them, as build_complex does, and
+    maps keeps the chain maps.  When no cell is matched, as for
+    semilattices, whose every element is a letter, the maps are those of
+    the normalized complex, built as build_complex builds them, and pi
+    and iota are the identity.
 
     Raises ComplexityBudget as build_complex(..., normalized=True) does,
     before any cell is classified, and NotAComplex when a matched face is
     not the only face of its cell on its partner, or the flows form a
     cycle."""
-    _check_request(monoid, coeff, n_max, direction, ring)
-    _check_budget(monoid, coeff, n_max, budget, normalized=True)
-    rw = rewriting(monoid)
-    if not rw.collapses:
-        layouts, maps = _tuple_maps(monoid, coeff, n_max, True)
-    else:
-        layouts = [_layout(monoid, coeff, cells)
-                   for cells in _critical_cells(rw, n_max)]
-        act = _right_act(coeff)
-        maps = {k: _morse_cols(rw, coeff, act, layouts[k], layouts[k - 1], k)
-                for k in range(1, n_max + 1)}
-    return _assemble(monoid, coeff, direction, ring, layouts, maps, None,
-                     True)
+
+    def __init__(self, monoid, coeff, n_max, direction, budget=None,
+                 ring="Z", transfer=False):
+        _check_request(monoid, coeff, n_max, direction, ring)
+        _check_budget(monoid, coeff, n_max, budget, normalized=True)
+        self.monoid, self.coeff = monoid, coeff
+        self.rw = rw = rewriting(monoid)
+        self.act = _right_act(coeff)
+        self._flows = {} if transfer else None
+        if not rw.collapses:
+            self.layouts, self.maps = _tuple_maps(monoid, coeff, n_max, True)
+        else:
+            self.layouts = [_layout(monoid, coeff, cells)
+                            for cells in _critical_cells(rw, n_max)]
+            self.maps = {k: self._morse_cols(k) for k in range(1, n_max + 1)}
+        self.complex = _assemble(monoid, coeff, direction, ring,
+                                 self.layouts, self.maps, None, True)
+
+    def _morse_cols(self, k):
+        """Columns of the Morse differential from the critical cells of
+        degree k to those of degree k - 1: d on the critical cells, which
+        the flows of degree k - 1 give (_Flow.grow), followed by phi.  The
+        map out of degree 1 is 0, as faces 0 and 1 of (a) both drop a onto
+        (), acting by a; no flow leaves degree 0, where () is critical."""
+        if k == 1:
+            return [dict() for _ in range(self.layouts[1][3])]
+        flow = _Flow(self, k - 1)
+        cols = flow.high_cols = flow.grow(self.layouts[k][0])
+        if self._flows is not None:
+            self._flows[k - 1] = flow
+        return _compose_cols(cols, flow.rows)
+
+    def _flow(self, m):
+        """The flows of degree m: those kept from the map out of degree
+        m + 1, or none followed yet, for degree n_max and where nothing
+        collapses.  Raises BadParams unless the flows are kept."""
+        if self._flows is None:
+            raise BadParams("project and lift need a MorseReduction built"
+                            " with transfer set")
+        flow = self._flows.get(m)
+        if flow is None:
+            flow = self._flows[m] = _Flow(self, m)
+        return flow
+
+    def project(self, m, chain):
+        """pi of a normalized m-chain, given as a dict from (cell, value
+        index) to coefficient, as a sparse column over the Morse basis of
+        degree m.  The flows from its cells not met yet are followed
+        first; a cell met but not kept is matched down, where phi is 0."""
+        flow = self._flow(m)
+        new = [t for t, _ in chain if t not in flow.seen]
+        if new:
+            flow.grow((), list(dict.fromkeys(new)))
+        out = {}
+        for (t, j), v in chain.items():
+            p = flow.index.get(t)
+            if p is not None:
+                _add_into(out, flow.rows[flow.offs[p] + j], v)
+        return out
+
+    def lift(self, m, z):
+        """iota of a Morse m-chain z, a sparse column over the Morse basis
+        of degree m, as a normalized m-chain (a dict from (cell, value
+        index) to coefficient): z on its critical cells plus the partners
+        b+ of the cells b of degree m - 1 that the flows of degree m - 1
+        reached.  Those are read in the reverse of the order reached, so
+        every cell whose partner's faces reach b comes before b, and
+        where d of the chain so far has a component a on b, -eps a b+ is
+        added, which clears it.  So d of the lift has no component on a
+        matched-up cell, which makes it iota(z)."""
+        basis = self._basis(m)
+        chain = {basis[r]: v for r, v in z.items()}
+        if m < 2 or not self.rw.collapses:  # only () lies below degree 1
+            return chain
+        flow, ranks = self._flow(m - 1), self.coeff.ranks
+        dz = {}
+        for r, v in z.items():
+            _add_into(dz, flow.high_cols[r], v)
+        for p in range(len(flow.cells) - 1, flow.critical - 1, -1):
+            off = flow.offs[p]
+            plus, face = flow.partners[flow.cells[p]]
+            for j in range(ranks[flow.prods[p]]):
+                a = dz.get(off + j)
+                if a:
+                    c = a if face % 2 else -a  # -eps a
+                    chain[plus, j] = c
+                    _add_into(dz, flow.plus_cols[off - flow.base + j], c)
+        return chain
+
+    def _basis(self, m):
+        """The (cell, value index) of each basis element of degree m."""
+        cells, prods = self.layouts[m][:2]
+        return [(c, j) for c, p in zip(cells, prods)
+                for j in range(self.coeff.ranks[p])]
+
+    def chains(self):
+        """The Morse complex on chains, over Q: the complex itself when it
+        is one, else the transposes of its coboundaries, the chain complex
+        of the translations as a right module (_right_act)."""
+        if self.complex.step < 0:
+            return self.complex
+        return _assemble(self.monoid, self.coeff, HOMOLOGICAL, "Q",
+                         self.layouts, self.maps, None, True)
+
+    def transfer(self, m, elem, cycles):
+        """pi o elem o iota on the Morse m-cycles cycles (sparse columns),
+        for elem in Z[S_m] acting on the normalized chains as _sym_cols
+        acts.  Each lift is checked exactly first: it must be a cycle of
+        the normalized complex, computed face by face (_chain_boundary),
+        and pi must carry it back to its cycle.  Raises
+        WeightNotPreserved otherwise."""
+        lifts = [self.lift(m, z) for z in cycles]
+        for z, x in zip(cycles, lifts):
+            if _chain_boundary(self.monoid, self.act, x):
+                raise WeightNotPreserved(
+                    f"the lift of a Morse cycle of degree {m} is no cycle")
+            if self.project(m, x) != {r: v for r, v in z.items() if v}:
+                raise WeightNotPreserved(
+                    f"pi o iota moves a Morse cycle of degree {m}")
+        return [self.project(m, y) for y in _permuted(elem, lifts)]
+
+
+class _Flow:
+    """Degree m of a MorseReduction as far as its flows have reached: the
+    critical m-cells and then the cells reached matched up, in the order
+    reached, laid out as cells, prods, offs and dim, with index the
+    position of each cell and seen every cell met, including those met
+    matched down, where phi is 0.  rows[r] is phi of basis element r, a
+    sparse row over the critical basis, whose rank is base.  The
+    partner and matched face of each reached cell (partners) and the
+    columns of d on the partners (plus_cols, one block of the reached
+    cell's rank each, in the same order, so that the block of the cell
+    at offset off starts at off - base) are kept, with d on the critical
+    (m+1)-cells (high_cols) when the flows started there: what lift
+    reads."""
+
+    def __init__(self, red, m):
+        cells, prods, offs, dim = red.layouts[m]
+        self.rw, self.coeff, self.act, self.m = red.rw, red.coeff, red.act, m
+        self.cells, self.prods, self.offs = list(cells), list(prods), \
+            list(offs)
+        self.dim = self.base = dim
+        self.critical = len(cells)
+        self.index = {c: j for j, c in enumerate(cells)}
+        self.seen = set(cells)
+        self.rows = [{r: 1} for r in range(dim)]
+        self.partners, self.plus_cols, self.high_cols = {}, [], []
+
+    def grow(self, high, starts=()):
+        """Follow the flows from the faces of the (m+1)-cells high and from
+        the m-cells starts (_flow_search), lay out the cells newly reached,
+        check that each one's matched face is eps times the identity, and
+        fill in phi on them, in the order reached, so that phi of every
+        cell a flow reaches is there before it is read.  Returns the
+        columns of d on high, onto this degree's cells."""
+        m, coeff, rows = self.m, self.coeff, self.rows
+        monoid, ranks = self.rw.monoid, coeff.ranks
+        first, shift = len(self.cells), self.dim
+        order, partners, targets = _flow_search(self.rw, self.index,
+                                                self.seen, m + 1, high,
+                                                starts)
+        self.cells += order
+        low = self.cells, self.prods, self.offs
+        for b in order:
+            p = monoid.product(b)
+            self.prods.append(p)
+            self.offs.append(self.dim)
+            self.dim += ranks[p]
+        cells = list(high) + [partners[b][0] for b in order]
+        pluses = _layout(monoid, coeff, cells)
+        ident = [monoid.identity] * len(cells)
+        d = _face_cols(self.act, pluses, low + (self.dim,), (
+            (i, targets[i], [c[0] for c in cells] if i == 0
+             else [c[-1] for c in cells] if i == m + 1 else ident)
+            for i in range(m + 2)))
+        split = pluses[2][len(high)] if order else pluses[3]
+        for at, b in enumerate(order, first):
+            plus, face = partners[b]
+            eps = -1 if face % 2 else 1
+            off = self.offs[at]
+            rank = ranks[self.prods[at]]
+            plus_off = off - shift + split
+            for j in range(rank):
+                col = d[plus_off + j]
+                if {r: v for r, v in col.items()
+                        if off <= r < off + rank} != {off + j: eps}:
+                    raise NotAComplex(f"Morse matching: face {face} of"
+                                      f" {plus} on {b} is not {eps} times"
+                                      " the identity")
+                rest = {r: -eps * v for r, v in col.items()
+                        if not off <= r < off + rank}
+                rows += _compose_cols([rest], rows)
+        self.partners.update(partners)
+        self.plus_cols += d[split:]
+        return d[:split]
+
+
+def _add_into(acc, col, c):
+    """acc += c * col, for sparse vectors, dropping the entries that
+    cancel."""
+    for r, v in col.items():
+        nv = acc.get(r, 0) + c * v
+        if nv:
+            acc[r] = nv
+        else:
+            del acc[r]
+
+
+def _chain_boundary(monoid, act, chain):
+    """d of a normalized chain given as a dict from (cell, value index) to
+    coefficient, face by face, with the translation matrices act of a
+    right module: faces on degenerate tuples are 0."""
+    out = {}
+    e = monoid.identity
+    for (t, j), v in chain.items():
+        k = len(t)
+        for i in range(k + 1):
+            s, a = _face_tuple(t, i, monoid)
+            if 0 < i < k and s[i - 1] == e:
+                continue
+            A = act[a, monoid.product(s)]
+            sign = -v if i % 2 else v
+            for p in range(A.rows):
+                nv = out.get((s, p), 0) + sign * A.data[p][j]
+                if nv:
+                    out[s, p] = nv
+                else:
+                    out.pop((s, p), None)
+    return out
 
 
 def _critical_cells(rw, n_max):
@@ -540,28 +777,35 @@ def _flow(monoid, faces, k):
             if i != k and not (0 < i < top and s[i - 1] == monoid.identity))
 
 
-def _flow_search(rw, high, low, k):
-    """The cells that the flows from the critical cells of layout high
-    (degree k) reach, matched up, in the order reached, their partners,
-    and the targets of faces 0..k of the critical cells followed by those
-    of the reached cells' partners, in the layout of low's cells followed
-    by the reached ones (None where phi is 0).
+def _flow_search(rw, index, seen, k, high, starts=()):
+    """The cells of degree k - 1 that the flows from the faces of the
+    cells high (degree k) and from the cells starts (degree k - 1) reach
+    matched up, and had not met before, in the order reached, their
+    partners, and the targets of faces 0..k of the cells high followed by
+    those of the reached cells' partners (None where phi is 0).
 
-    Each cell is reached after every cell its own flow reaches (a
+    index maps the cells of degree k - 1 that phi keeps and that were met
+    before, the critical ones first, to their positions, and gains each
+    reached cell; seen holds every cell met before and gains the new
+    ones.  Each cell is reached after every cell its own flow reaches (a
     depth-first search without recursion, which raises NotAComplex on a
-    cycle).  So when the search leaves a critical cell, or a reached
-    cell, every face of that cell, or of its partner, is a critical
-    cell, an already reached cell, or a cell where phi is 0 (degenerate
-    or matched down), and its target is written down then: face tuples
-    live only while their cell is on the stack."""
+    cycle).  So when the search leaves a cell of high, or a reached cell,
+    every face of that cell, or of its partner, is a cell of index or one
+    where phi is 0 (degenerate or matched down), and its target is
+    written down then: face tuples live only while their cell is on the
+    stack.  No flow from a cell that an earlier search reached reaches a
+    cell reached now, or that search would have reached it too, so index
+    stays in an order where each cell comes after every cell its flow
+    reaches."""
     monoid = rw.monoid
-    partners, order = {}, []
-    index = {c: j for j, c in enumerate(low[0])}  # the reached cells
-    seen, active = set(low[0]), set()
+    partners, order, active = {}, [], set()
     crit, plus = [[] for _ in range(k + 1)], [[] for _ in range(k + 1)]
-    for t in high[0]:
-        faces = _cell_faces(monoid, t)
-        stack = [(None, faces, _flow(monoid, faces, None))]
+    roots = itertools.chain(
+        ((faces, _flow(monoid, faces, None))
+         for faces in (_cell_faces(monoid, t) for t in high)),
+        [((), iter(starts))])
+    for faces, flow in roots:
+        stack = [(None, faces, flow)]
         while stack:
             cell, faces, flow = stack[-1]
             for s in flow:
@@ -571,7 +815,7 @@ def _flow_search(rw, high, low, k):
                     continue
                 seen.add(s)
                 pair = rw.match(s)
-                if pair is None:  # critical, yet not in low
+                if pair is None:  # critical, yet not in index
                     raise NotAComplex(f"Morse matching: the critical cell"
                                       f" {s} extends no critical cell")
                 if len(pair[0]) > len(s):  # matched up
@@ -591,46 +835,6 @@ def _flow_search(rw, high, low, k):
                 for i, s in enumerate(faces):
                     targets[i].append(index.get(s))
     return order, partners, [c + p for c, p in zip(crit, plus)]
-
-
-def _morse_cols(rw, coeff, act, high, low, k):
-    """Columns of the Morse differential from the critical cells of layout
-    high (degree k) to those of layout low.
-
-    One _face_cols on the targets that _flow_search writes down gives d
-    on the critical cells and on the partners of the reached cells, onto
-    the critical and reached cells; faces elsewhere are degenerate or
-    matched down, where phi is 0.  phi is then a row per basis element
-    of the reached degree, filled in the order reached, and the map is d
-    followed by phi.  Nothing of phi outlives the degree."""
-    monoid = rw.monoid
-    order, partners, targets = _flow_search(rw, high, low, k)
-    reached = _layout(monoid, coeff, low[0] + order)
-    cells = high[0] + [partners[b][0] for b in order]
-    pluses = _layout(monoid, coeff, cells)
-    ident = [monoid.identity] * len(cells)
-    d = _face_cols(act, pluses, reached, (
-        (i, targets[i], [c[0] for c in cells] if i == 0
-         else [c[-1] for c in cells] if i == k else ident)
-        for i in range(k + 1)))
-    rows = [{r: 1} for r in range(low[3])]
-    for at, b in enumerate(order):
-        face = partners[b][1]
-        eps = -1 if face % 2 else 1
-        off = reached[2][len(low[0]) + at]
-        rank = coeff.ranks[reached[1][len(low[0]) + at]]
-        plus_off = pluses[2][len(high[0]) + at]
-        for j in range(rank):
-            col = d[plus_off + j]
-            if {r: v for r, v in col.items()
-                    if off <= r < off + rank} != {off + j: eps}:
-                raise NotAComplex(f"Morse matching: face {face} of"
-                                  f" {partners[b][0]} on {b} is not"
-                                  f" {eps} times the identity")
-            rest = {r: -eps * v for r, v in col.items()
-                    if not off <= r < off + rank}
-            rows += _compose_cols([rest], rows)
-    return _compose_cols(d[:high[3]], rows)
 
 
 def _check_squares(cx):
@@ -823,18 +1027,7 @@ def _sym_cols(cx, n, elems):
         pattern = _pattern(t)
         merged = by_pattern.get(pattern)
         if merged is None:
-            reader, accs = {}, []
-            for terms in reads:
-                acc = {}
-                for perm, c in terms:
-                    img = tuple(map(pattern.__getitem__, perm))
-                    reader.setdefault(img, perm)
-                    acc[img] = acc.get(img, 0) + c
-                accs.append(acc)
-            slot = {}
-            moves = [[(slot.setdefault(img, len(slot)), v)
-                      for img, v in acc.items() if v] for acc in accs]
-            merged = by_pattern[pattern] = [reader[img] for img in slot], moves
+            merged = by_pattern[pattern] = _merged_reads(reads, pattern)
         readers, moves = merged
         # t read through perm is its pattern's image with the letters of t
         # put back
@@ -842,6 +1035,52 @@ def _sym_cols(cx, n, elems):
         for cols, move in zip(out, moves):
             for i in range(rank):
                 cols.append({row[s] + i: v for s, v in move})
+    return out
+
+
+def _merged_reads(reads, pattern):
+    """The coefficients of each element's reads (a list of (permutation,
+    coefficient) per element) merged on the first-occurrence pattern of a
+    tuple, into slots keyed by image pattern: one permutation per slot
+    that reads the slot's image, and per element its (slot, coefficient)
+    pairs, leaving out the images whose coefficients cancel."""
+    reader, accs = {}, []
+    for terms in reads:
+        acc = {}
+        for perm, c in terms:
+            img = tuple(map(pattern.__getitem__, perm))
+            reader.setdefault(img, perm)
+            acc[img] = acc.get(img, 0) + c
+        accs.append(acc)
+    slot = {}
+    moves = [[(slot.setdefault(img, len(slot)), v)
+              for img, v in acc.items() if v] for acc in accs]
+    return [reader[img] for img in slot], moves
+
+
+def _permuted(elem, chains):
+    """elem in Z[S_m] on normalized m-chains, each a dict from (tuple,
+    value index) to coefficient, as _sym_cols acts on chains: a
+    permutation keeps a tuple's product and so its value, and the
+    coefficients are merged once per first-occurrence pattern."""
+    reads = [[(_perm_inverse(p), c) for p, c in elem.terms.items()]]
+    by_pattern, out = {}, []
+    for chain in chains:
+        moved = {}
+        for (t, j), v in chain.items():
+            pattern = _pattern(t)
+            merged = by_pattern.get(pattern)
+            if merged is None:
+                merged = by_pattern[pattern] = _merged_reads(reads, pattern)
+            readers, (move,) = merged
+            for s, c in move:
+                key = tuple(map(t.__getitem__, readers[s])), j
+                nv = moved.get(key, 0) + v * c
+                if nv:
+                    moved[key] = nv
+                else:
+                    del moved[key]
+        out.append(moved)
     return out
 
 

@@ -3,10 +3,13 @@
 Degree 0 is computed exactly over the integers: homologically as the
 tensor of the coefficients with the universal derivation target, and
 cohomologically as the derivation group.  Both values are cross-checked
-against the degree-1 tuple-complex groups, which must agree; a mismatch
-falsifies the implementation rather than the input.  Higher degrees are
-exposed over the rationals only, where they coincide with Harrison
-(co)homology one degree up: weight 1 of the Hodge decomposition.
+against the degree-1 groups of the Morse complex of the normalized
+complex, which must agree; a mismatch falsifies the implementation
+rather than the input.  Higher degrees are exposed over the rationals
+only, where they coincide with Harrison (co)homology one degree up:
+weight 1 of the Hodge decomposition, read on the same Morse complex
+(hodge.morse_hodge), so that grillet_report builds one MorseReduction
+for degree 0 and every higher degree.
 
 Two comparison oracles tie the monoid-level constructions to classical
 algebra: the Kaehler presentation of the monoid algebra, and the bar
@@ -30,6 +33,7 @@ from .exact_linalg import (
 from .gamma_chain import (
     COHOMOLOGICAL,
     HOMOLOGICAL,
+    MorseReduction,
     build_complex,
     hochschild,
 )
@@ -42,16 +46,18 @@ from .hc_modules import (
     tabulate_presented,
     tensor_over_hc,
 )
-from .hodge import hodge_decomposition
+from .hodge import morse_hodge
 
 
-def _degree_zero(monoid, coeff, direction, n_max, budget=None):
-    """The exact degree-0 group and the normalized complex up to n_max.
+def _degree_zero(monoid, coeff, direction, n_max, budget=None,
+                 transfer=False):
+    """The exact degree-0 group and the Morse reduction up to n_max.
 
     The group is N tensored with the universal derivation target
     (homological) or the derivation group (cohomological).  The same group
-    must appear as the degree-1 group of the complex; the two computations
-    share no code path.
+    must appear as the degree-1 group of the Morse complex; the two
+    computations share no code path.  With transfer set the reduction
+    keeps its flows for morse_hodge.
     """
     if direction == HOMOLOGICAL:
         if coeff.side != RIGHT:
@@ -61,14 +67,14 @@ def _degree_zero(monoid, coeff, direction, n_max, budget=None):
         if coeff.side != LEFT:
             raise BadParams("degree-0 cohomology takes left coefficients")
         path, direct = "derivation solve", derivations(monoid, coeff)
-    cx = build_complex(monoid, coeff, n_max, direction, budget=budget,
-                       normalized=True)
-    from_complex = hochschild(cx, 1)
+    red = MorseReduction(monoid, coeff, n_max, direction, budget=budget,
+                         transfer=transfer)
+    from_complex = hochschild(red.complex, 1)
     if direct != from_complex:
         raise OracleMismatch(
-            f"{path} gives {direct} but the tuple complex gives"
+            f"{path} gives {direct} but the Morse complex gives"
             f" {from_complex} in degree 1")
-    return direct, cx
+    return direct, red
 
 
 def d0_homology(monoid, coeff):
@@ -84,12 +90,13 @@ def d0_cohomology(monoid, coeff):
 
 def grillet_char0(monoid, coeff, n, direction):
     """Rational dimension in degree n >= 0: the rational Harrison
-    dimension in degree n + 1, weight 1 of the Hodge decomposition."""
+    dimension in degree n + 1, weight 1 of the Hodge decomposition, read
+    on the Morse complex (morse_hodge)."""
     if n < 0:
         raise BadParams("negative degree")
-    cx = build_complex(monoid, coeff, n + 2, direction, ring="Q",
-                       normalized=True)
-    return hodge_decomposition(cx)[n][0]
+    red = MorseReduction(monoid, coeff, n + 2, direction, ring="Q",
+                         transfer=True)
+    return morse_hodge(red)[n][0]
 
 
 @dataclass(frozen=True)
@@ -114,10 +121,11 @@ def grillet_report(monoid, coeff, direction, max_degree, budget=None):
         raise BadParams(f"unknown direction {direction!r}")
     if max_degree < 0:
         raise BadParams("negative degree cap")
-    # one complex serves degree 0 and every char-0 degree; its ring Z
-    # does not change the weights
-    zero, cx = _degree_zero(monoid, coeff, direction, max_degree + 2, budget)
-    weights = hodge_decomposition(cx) if max_degree else []
+    # one Morse complex serves degree 0 and every char-0 degree; its ring
+    # Z does not change the weights
+    zero, red = _degree_zero(monoid, coeff, direction, max_degree + 2, budget,
+                             transfer=True)
+    weights = morse_hodge(red) if max_degree else []
     return GrilletReport(zero, tuple(w[0] for w in weights[1:]))
 
 

@@ -4,13 +4,17 @@ The Eulerian idempotents e^(i) are the spectral projectors of the sum s_n
 of all two-block shuffles, at its eigenvalues 2^i - 2, i = 1..n.  Their
 integral multiples n!*e^(i) have a closed form in descents (Loday, Cyclic
 Homology 4.5), checked here as elements of Z[S_n]; PROJECTOR_CAP bounds
-the degree they are built in.  The weight pieces of the (co)homology of a
-tuple complex are the eigenspaces of s_n on it: s_n acts by an integer
-matrix that commutes with the boundary, and each weight's dimension is
-read from integer ranks on cycles that represent the homology, modulo the
-boundaries.  That path builds no projector and has no cap of its own:
-the basis budget of the complex bounds it.  Weight 1 is rational Harrison
-(co)homology, so every rational Harrison dimension is read from it.
+the degree they are built in.  The weight pieces of the (co)homology are
+the eigenspaces of s_n on it: s_n acts by an integer matrix that commutes
+with the boundary, and each weight's dimension is read from integer
+ranks on cycles that represent the homology, modulo the boundaries.
+That path builds no projector and has no cap of its own: the basis
+budget of the complex bounds it.  hodge_decomposition acts with s_n on
+the tuples of a complex from build_complex and is the reference;
+morse_hodge reads the same weights on the Morse complex, through the
+chain maps pi and iota of a MorseReduction, and every compute target
+takes that path.  Weight 1 is rational Harrison (co)homology, so every
+rational Harrison dimension is read from it.
 """
 
 from __future__ import annotations
@@ -114,7 +118,10 @@ def eulerian_idempotents(n):
 
 def hodge_decomposition(cx):
     """Dimensions of the weight pieces of the (co)homology in every degree
-    n = 1..n_max-1: entry n-1 lists the weights i = 1..n.
+    n = 1..n_max-1: entry n-1 lists the weights i = 1..n.  This is the
+    reference on the tuples of a complex from build_complex, full or
+    normalized; the compute targets read the same weights on the Morse
+    complex (morse_hodge), and the morse suite compares the two.
 
     The coefficients must be free-valued.  The ring of the complex only
     decides whether its totals also read torsion, so the weights do not
@@ -124,9 +131,9 @@ def hodge_decomposition(cx):
     (2^i - 2)-eigenspace of the total shuffle operator s_n on H_n, which
     s_n carries to itself because it commutes with the boundary.  s_n is
     diagonalizable on the chains with eigenvalues 2^i - 2, i = 1..n, so on
-    homology too.  Each degree is acted on once, with s_n alone, and
-    d o s = s o d is verified exactly on every map before any rank is
-    trusted; degree 0 is weight 0, with s_0 = -1.  The weights
+    homology too.  Each degree's tuples are acted on once, with s_n alone
+    (_sym_cols), and d o s = s o d is verified exactly on every map before
+    any rank is trusted; degree 0 is weight 0, with s_0 = -1.  The weights
     of degree n come from h = dim H_n cycles that represent its homology
     (see _eigenspace_dims), and two checks guard them: the cycles
     independent modulo the boundaries must number h, and the weights must
@@ -161,20 +168,73 @@ def hodge_decomposition(cx):
     return dims
 
 
+def morse_hodge(red):
+    """The weights of hodge_decomposition, read on the Morse complex of a
+    MorseReduction built with transfer set.
+
+    pi and iota are chain maps with pi o iota = 1 and iota o pi
+    homotopic to 1, so S_n = pi s_n iota acts on H_n of the Morse
+    complex as s_n acts on H_n of the normalized complex, and weight i of
+    degree n is h - rank(S_n - (2^i - 2)) on H_n, h = dim H_n.  As in
+    _eigenspace_dims, h Morse cycles independent modulo the boundaries
+    represent H_n, and S_n acts on them alone (red.transfer, which checks
+    each lift: a cycle, which pi carries back); a degree with h = 0 is
+    all zero, and nothing is lifted there.  Each image must be a cycle
+    again, d o S = S o d on the cycles, and the weights must add up to
+    h, or WeightNotPreserved is raised.
+
+    Cochains need no transposed maps of their own.  The coboundaries are
+    the transposed boundaries of the translations as a right module
+    (_right_act), and s_n acts on cochains by the transposed matrices, so
+    over Q the weights of the cochains are those of these chains
+    (red.chains).  The ring of the complex does not change the
+    weights."""
+    if red.complex.coeff.has_torsion:
+        raise BadParams("rational dimensions need free-valued coefficients")
+    cx = red.chains()
+    dims = []
+    for n in range(1, cx.n_max):
+        h = hochschild_dim_q(cx, n)
+        weights = [0] * n
+        if h:
+            reps, classes, boundaries = _representatives(cx, n, h)
+            moved = red.transfer(n, total_shuffle_operator(n), reps)
+            if any(_compose_cols(moved, cx.d_out(n))):
+                raise WeightNotPreserved(
+                    f"pi s_{n} iota carries a cycle of degree {n} off the"
+                    " cycles")
+            weights = _eigen_ranks(boundaries, classes, [
+                boundaries.reduce(sz) for sz in moved], n, h)
+            if sum(weights) != h:
+                raise WeightNotPreserved(
+                    f"weight dimensions {weights} do not add up to the total"
+                    f" in degree {n}")
+        dims.append(weights)
+    return dims
+
+
 def _eigenspace_dims(cx, n, s, h):
     """The dimensions h - rank(s - (2^i - 2)) on H_n for i = 1..n, with s
-    the columns of s_n on degree n and h = dim H_n.
+    the columns of s_n on degree n and h = dim H_n: s_n acts on the h
+    cycles of _representatives only, and reduction is linear, so the
+    rank of s - (2^i - 2) on H_n is that of red(s z) - (2^i - 2) red(z)
+    modulo R (_eigen_ranks)."""
+    reps, rep_classes, boundaries = _representatives(cx, n, h)
+    moved = [boundaries.reduce(sz) for sz in _compose_cols(reps, s)]
+    return _eigen_ranks(boundaries, rep_classes, moved, n, h)
 
-    The boundaries into degree n are eliminated once (PivotReduction).  A
-    cycle is a boundary exactly when its reduction lies in the span of the
-    residual R, so the first h cycles of a kernel basis whose reductions
-    are independent modulo R represent a basis of H_n.  dim Z_n minus the
+
+def _representatives(cx, n, h):
+    """h cycles of degree n that represent a basis of H_n, their
+    reductions and the reduction by the boundaries into degree n.
+
+    The boundaries are eliminated once (PivotReduction).  A cycle is a
+    boundary exactly when its reduction lies in the span of the residual
+    R, so the first h cycles of a kernel basis whose reductions are
+    independent modulo R represent a basis of H_n.  dim Z_n minus the
     rank of the boundaries (pivots plus rank R) must equal h, and the
     kernel basis must yield h such cycles, or WeightNotPreserved is
-    raised; no cycle past the h-th representative is reduced.  s_n acts
-    on those h cycles only, and reduction is linear, so the rank of
-    s - (2^i - 2) on H_n is that of red(s z) - (2^i - 2) red(z) modulo R.
-    """
+    raised; no cycle past the h-th representative is reduced."""
     K = kernel_basis(cx.d_out(n), cx.dims[n + cx.step])
     boundaries = PivotReduction(cx.d_in(n), cx.dims[n])
     found = len(K) - len(boundaries.pivots) - boundaries.rank
@@ -192,7 +252,13 @@ def _eigenspace_dims(cx, n, s, h):
         raise WeightNotPreserved(
             f"{found} cycles independent modulo the boundaries in degree {n},"
             f" where the total is {h}")
-    moved = [boundaries.reduce(sz) for sz in _compose_cols(reps, s)]
+    return reps, rep_classes, boundaries
+
+
+def _eigen_ranks(boundaries, rep_classes, moved, n, h):
+    """h - rank(moved - (2^i - 2) rep_classes) modulo the residual of
+    boundaries, for i = 1..n: moved holds the reductions of the images of
+    the representatives whose reductions are rep_classes."""
     return [h - boundaries.rank_modulo(
         [{**sc, **{r: sc.get(r, 0) - lam * v for r, v in c.items()}}
          for sc, c in zip(moved, rep_classes)])

@@ -30,6 +30,7 @@ from .exact_linalg import (
 from .gamma_chain import (
     COHOMOLOGICAL,
     HOMOLOGICAL,
+    MorseReduction,
     _compose_cols,
     _distinct_up_to_sign,
     _face_cols,
@@ -71,7 +72,7 @@ from .hc_modules import (
     trivial_kc_module,
     trivial_module,
 )
-from .hodge import eulerian_idempotents, hodge_decomposition
+from .hodge import eulerian_idempotents, hodge_decomposition, morse_hodge
 from .monoids import (
     cyclic_group,
     product_monoid,
@@ -476,6 +477,35 @@ def check_morse():
                     f" the Morse complex keeps {cells[0]} of {cells[1]}"
                     " cells through degree 5")
         out.append(_guarded(f"morse[{label}]", anchor, body))
+    anchor = ("weights of pi s_n iota on the Morse complex = weights of s_n"
+              " on the normalized complex")
+    for label, monoid in suite_monoids():
+        def weights(monoid=monoid):
+            systems = 0
+            for direction, side in ((HOMOLOGICAL, RIGHT),
+                                    (COHOMOLOGICAL, LEFT)):
+                coeffs = [(name, coeff)
+                          for name, coeff in _family(monoid, side)
+                          if not coeff.has_torsion]
+                if monoid.size <= 3:
+                    coeffs.append(("jstar:regular",
+                                   jstar(regular_kc_module(monoid), side)))
+                for name, coeff in coeffs:
+                    # the transfer checks its lifts and d o S = S o d
+                    got = morse_hodge(MorseReduction(
+                        monoid, coeff, 5, direction, ring="Q",
+                        transfer=True))
+                    want = hodge_decomposition(build_complex(
+                        monoid, coeff, 5, direction, ring="Q",
+                        normalized=True))
+                    if got != want:
+                        raise OracleMismatch(
+                            f"{direction} {name}: the Morse complex gives"
+                            f" the weights {got}, the normalized one {want}")
+                    systems += 1
+            return (f"{systems} coefficient systems give the same weights in"
+                    " degrees 1..4")
+        out.append(_guarded(f"morse[weights:{label}]", anchor, weights))
     return out
 
 

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 
 import pytest
 
@@ -145,14 +146,18 @@ def test_grillet_report_lines(capsys):
 
 
 def test_grillet_report_builds_one_complex(monkeypatch, capsys):
+    # one Morse reduction serves degree 0 and every char-0 degree, and no
+    # tuple complex is built
     calls = []
-    original = grillet.build_complex
+    original = grillet.MorseReduction
 
     def counted(*args, **kwargs):
         calls.append(args[2])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(grillet, "build_complex", counted)
+    monkeypatch.setattr(grillet, "MorseReduction", counted)
+    monkeypatch.setattr(grillet, "build_complex",
+                        lambda *args, **kwargs: calls.append("tuples"))
     argv = ("compute", "grillet", "--monoid", "builtin:truncated_add(2)",
             "--coeff", "trivialZ", "--max-degree", "3")
     assert run(*argv) == 0
@@ -254,7 +259,7 @@ def test_budget_counts_the_normalized_basis(capsys):
                    "HH_4 = 0", "HH_5 = Z/3"]
 
 
-def _count_layouts_and_weights(monkeypatch):
+def _count_cells_and_weights(monkeypatch):
     calls = []
 
     def counted(name, fn):
@@ -263,18 +268,18 @@ def _count_layouts_and_weights(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(gamma_chain, "_term_layout",
-                        counted("_term_layout", gamma_chain._term_layout))
-    monkeypatch.setattr(cli, "hodge_decomposition",
-                        counted("hodge_decomposition",
-                                cli.hodge_decomposition))
+    monkeypatch.setattr(gamma_chain, "rewriting",
+                        counted("rewriting", gamma_chain.rewriting))
+    monkeypatch.setattr(cli, "morse_hodge",
+                        counted("morse_hodge", cli.morse_hodge))
     return calls
 
 
 def test_hodge_above_the_projector_cap_is_bounded_by_the_budget(monkeypatch,
                                                                 capsys):
-    # no projector is built, so the basis budget alone bounds the degree
-    calls = _count_layouts_and_weights(monkeypatch)
+    # no projector is built, so the budget alone bounds the degree; it
+    # counts the normalized basis before any cell is classified
+    calls = _count_cells_and_weights(monkeypatch)
     assert run("compute", "hodge", "--monoid", "builtin:cyclic_group(3)",
                "--coeff", "trivialQ", "--max-degree", "6",
                "--budget", "200") == 2
@@ -285,14 +290,14 @@ def test_hodge_above_the_projector_cap_is_bounded_by_the_budget(monkeypatch,
                "--coeff", "trivialQ", "--max-degree", "6") == 0
     assert capsys.readouterr().out.splitlines()[-1] == \
         "degree 6: 0 + 0 + 0 + 0 + 0 + 0 = 0"
-    assert calls.count("hodge_decomposition") == 1
+    assert calls == ["rewriting", "morse_hodge"]
 
 
 def test_hodge_action_on_degree_six_is_bounded_by_the_budget(monkeypatch,
                                                              capsys):
-    # degree 5 needs s on degree 6: 127 normalized tuples through degree 6
-    # on cyclic_group(3), over a budget of 126
-    calls = _count_layouts_and_weights(monkeypatch)
+    # degree 5 reads the map out of degree 6: 127 normalized tuples
+    # through degree 6 on cyclic_group(3), over a budget of 126
+    calls = _count_cells_and_weights(monkeypatch)
     assert run("compute", "hodge", "--monoid", "builtin:cyclic_group(3)",
                "--coeff", "trivialQ", "--max-degree", "5",
                "--budget", "126") == 2
@@ -310,6 +315,19 @@ def test_hodge_in_degree_five_on_regular_coefficients(capsys):
     assert capsys.readouterr().out.splitlines() == [
         "degree 1: 2 = 2", "degree 2: 2 + 0 = 2", "degree 3: 0 + 2 + 0 = 2",
         "degree 4: 0 + 2 + 0 + 0 = 2", "degree 5: 0 + 0 + 2 + 0 + 0 = 2"]
+
+
+def test_hodge_in_degree_eight_on_regular_coefficients(capsys):
+    # the Morse complex has one critical cell a degree here, so degree 8
+    # runs under the default budget in well under two seconds
+    started = time.process_time()
+    assert run("compute", "hodge", "--monoid", "builtin:truncated_add(3)",
+               "--coeff", "jstar:regular", "--max-degree", "8") == 0
+    assert time.process_time() - started < 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"degree {n}: " + " + ".join(
+            "2" if i == (n + 1) // 2 else "0" for i in range(1, n + 1))
+        + " = 2" for n in range(1, 9)]
 
 
 def test_validation_exits_one(capsys):
@@ -340,21 +358,24 @@ def test_harrison_builds_the_full_complex(monkeypatch, capsys):
     assert flags == [False]
 
 
-def test_rational_harrison_builds_the_normalized_complex(monkeypatch,
-                                                        capsys):
-    # over Q the dimensions are weight 1, which normalizing does not change
-    flags = []
-    original = cli.build_complex
+def test_rational_harrison_reads_weight_one_on_the_morse_complex(
+        monkeypatch, capsys):
+    # over Q the dimensions are weight 1, which the Morse complex keeps
+    built, reduced = [], []
+    original = cli.MorseReduction
 
     def recorded(*args, **kwargs):
-        flags.append(kwargs.get("normalized", False))
+        reduced.append((args[2], kwargs.get("transfer")))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "build_complex", recorded)
+    monkeypatch.setattr(cli, "build_complex",
+                        lambda *args, **kwargs: built.append(args))
+    monkeypatch.setattr(cli, "MorseReduction", recorded)
     assert run("compute", "harrison", "--monoid", "builtin:cyclic_group(2)",
                "--coeff", "trivialQ", "--max-degree", "4") == 0
     assert capsys.readouterr().out.splitlines()[-1] == "Harr_4 = 0"
-    assert flags == [True]
+    assert built == []
+    assert reduced == [(5, True)]
 
 
 def test_rational_harrison_reports(tmp_path, capsys):
@@ -396,6 +417,34 @@ def test_no_compute_target_calls_the_harrison_oracle(monkeypatch, capsys):
                    "--coeff", coeff, "--max-degree", "3",
                    *(["--ring", "Q"] if coeff == "jstar:regular" else [])) == 0
     capsys.readouterr()
+
+
+def test_rational_targets_lay_out_no_tuple_complex(tmp_path, monkeypatch,
+                                                   capsys):
+    # hodge, harrison --ring Q and grillet read the Morse complex of the
+    # Klein group and of Z/3, where the matching collapses, and never lay
+    # out the tuples of a degree
+    def refuse(*args):
+        raise AssertionError("tuple maps on a rational target")
+
+    monkeypatch.setattr(gamma_chain, "_tuple_maps", refuse)
+    klein = tmp_path / "klein.json"
+    klein.write_text(dumps(monoid_to_payload(
+        product_monoid(cyclic_group(2), cyclic_group(2)).monoid)))
+    for monoid in (str(klein), "builtin:cyclic_group(3)"):
+        for target, coeff, extra, last in (
+                ("hodge", "jstar:regular", (), "degree 4: 0 + 0 + 0 + 0 = 0"),
+                ("harrison", "trivialQ", (), "Harr_4 = 0"),
+                ("harrison", "projective:right:1", ("--ring", "Q"),
+                 "Harr_4 = 0"),
+                ("grillet", "trivialZ", (), "degree 4 (char0): 0")):
+            assert run("compute", target, "--monoid", monoid, "--coeff",
+                       coeff, "--max-degree", "4", *extra) == 0
+            assert capsys.readouterr().out.splitlines()[-1] == last
+    assert run("compute", "grillet", "--monoid", str(klein), "--coeff",
+               "trivialZ", "--max-degree", "1", "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out)["results"][0]["group"] == \
+        {"free_rank": 0, "torsion": [2, 2]}
 
 
 def test_harrison_sends_few_cells_to_the_dense_smith_form(monkeypatch,

@@ -222,23 +222,33 @@ def test_sym_action_is_integral():
 
 
 def test_each_projector_action_is_built_once(monkeypatch):
-    # one action, with s_m alone, on each degree 1..5
-    calls = []
+    # compute hodge transfers s_m alone, once per degree 1..4, to the h
+    # Morse cycles of that degree, and never acts on a tuple layout; the
+    # tuple reference acts once, with s_m alone, on each degree 1..4
+    transfers, acted = [], []
+    transfer = gamma_chain.MorseReduction.transfer
+
+    def counted_transfer(red, m, elem, cycles):
+        transfers.append((m, elem, len(cycles)))
+        return transfer(red, m, elem, cycles)
 
     def counted(cx, n, elems):
-        calls.append((n, len(elems)))
+        acted.append((n, len(elems)))
         return gamma_chain._sym_cols(cx, n, elems)
 
+    monkeypatch.setattr(gamma_chain.MorseReduction, "transfer",
+                        counted_transfer)
     monkeypatch.setattr(hodge, "_sym_cols", counted)
     assert cli.main(["compute", "hodge", "--monoid", "builtin:truncated_add(2)",
                      "--coeff", "jstar:regular", "--max-degree", "4"]) == 0
-    assert sorted(calls) == [(m, 1) for m in range(1, 6)]
-    calls.clear()
+    assert transfers == [(m, total_shuffle_operator(m), 1)
+                         for m in range(1, 5)]
+    assert acted == []
     monoid = truncated_add(2)
     cx = build_complex(monoid, trivial_module(monoid, RIGHT), 4, HOMOLOGICAL,
                        ring="Q")
     hodge_decomposition(cx)
-    assert sorted(calls) == [(m, 1) for m in range(1, 5)]
+    assert sorted(acted) == [(m, 1) for m in range(1, 5)]
 
 
 def test_non_commuting_projector_is_caught(monkeypatch):

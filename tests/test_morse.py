@@ -4,6 +4,7 @@ against closed forms at high degree."""
 
 import itertools
 import json
+import random
 from math import comb
 
 import pytest
@@ -11,12 +12,13 @@ import pytest
 from monhom import cli, gamma_chain
 from monhom.errors import BadParams, NotAComplex
 from monhom.exact_linalg import FgAbGroup
-from monhom.gamma_chain import (COHOMOLOGICAL, HOMOLOGICAL, _critical_cells,
-                                _face_tuple, build_complex, hochschild,
-                                morse_complex)
+from monhom.gamma_chain import (COHOMOLOGICAL, HOMOLOGICAL, MorseReduction,
+                                _critical_cells, _face_tuple, build_complex,
+                                hochschild, morse_complex)
 from monhom.hc_modules import (LEFT, RIGHT, jstar, jstar_finite_cyclic,
                                regular_kc_module, std_projective,
                                trivial_module)
+from monhom.hodge import hodge_decomposition, morse_hodge
 from monhom.monoids import (FiniteCommMonoid, cyclic_group, product_monoid,
                             semilattice_chain, truncated_add, validate_monoid)
 from monhom.rewriting import Rewriting, rewriting
@@ -105,10 +107,8 @@ def test_the_matching_is_an_involution_through_an_interior_face(label,
     assert counts == [len(c) for c in _critical_cells(rw, 5)[1:]]
 
 
-def _relabelled(monoid, swap):
-    """monoid with the labels of the two elements in swap exchanged."""
-    a, b = swap
-    perm = [b if x == a else a if x == b else x for x in monoid.elements]
+def _relabelled(monoid, perm):
+    """monoid with each element x called perm[x]."""
     table = [[0] * monoid.size for _ in monoid.elements]
     for x in monoid.elements:
         for y in monoid.elements:
@@ -136,7 +136,8 @@ def test_critical_counts_in_closed_form():
     # (3) and then g^2 reach everything, and {g^2, gf} gives more cells
     # than {f, g^2}, which replacing gf by its power f (1) gives
     z3_f = _relabelled(product_monoid(cyclic_group(3),
-                                      semilattice_chain(1)).monoid, (2, 4))
+                                      semilattice_chain(1)).monoid,
+                       (0, 1, 4, 3, 2, 5))
     assert _critical_counts(Rewriting(z3_f, (2, 3)), 5) == [2, 5, 11, 26, 59]
     rw = rewriting(z3_f)
     assert rw.letters == (1, 2)
@@ -279,3 +280,123 @@ def test_the_budget_counts_the_normalized_basis_before_any_cell(monkeypatch,
                      "builtin:cyclic_group(3)", "--max-degree", "5"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "HH^5 = 0"
     assert len(classified) == 1
+
+
+WEIGHED = [
+    ("cyclic_group(6)", cyclic_group(6), 5),
+    # the normalized complex of (Z/2)^3 has 16807 tuples in degree 5
+    ("(Z/2)^3", Z2_CUBED, 4),
+    ("truncated_add(3)", truncated_add(3), 5),
+    ("Z/2 x semilattice_chain(1)",
+     product_monoid(Z2, semilattice_chain(1)).monoid, 5),
+    ("truncated_add(2) x truncated_add(1)",
+     product_monoid(truncated_add(2), truncated_add(1)).monoid, 5),
+]
+
+
+@pytest.mark.parametrize("label,monoid,top", WEIGHED,
+                         ids=[m[0] for m in WEIGHED])
+def test_morse_weights_match_the_tuple_weights_after_relabelling(label,
+                                                                 monoid,
+                                                                 top):
+    # pi s_n iota on the Morse complex against s_n on the normalized
+    # complex, with the letters and the identity at other labels
+    rng = random.Random(27)
+    perm = list(monoid.elements)
+    rng.shuffle(perm)
+    monoid = _relabelled(monoid, perm)
+    for direction, side in ((HOMOLOGICAL, RIGHT), (COHOMOLOGICAL, LEFT)):
+        a = rng.choice([x for x in monoid.elements if x != monoid.identity])
+        coeffs = [trivial_module(monoid, side),
+                  std_projective(monoid, a, side)]
+        if monoid.size <= 4:
+            coeffs.append(jstar(regular_kc_module(monoid), side))
+        for coeff in coeffs:
+            red = MorseReduction(monoid, coeff, top, direction, ring="Q",
+                                 transfer=True)
+            normal = build_complex(monoid, coeff, top, direction, ring="Q",
+                                   normalized=True)
+            assert morse_hodge(red) == hodge_decomposition(normal), \
+                (label, direction, a)
+
+
+HODGE = ["compute", "hodge", "--monoid", "builtin:truncated_add(3)",
+         "--coeff", "jstar:regular", "--max-degree", "4"]
+
+
+def test_a_corrupted_phi_memo_exits_three(monkeypatch, capsys):
+    # phi of every cell that the flows reach, negated while the Morse
+    # differential reads it, breaks d o d; phi of the first critical cell
+    # doubled in the memo kept for the transfer breaks pi o iota = 1
+    grow, init = gamma_chain._Flow.grow, gamma_chain.MorseReduction.__init__
+
+    def negated(flow, high, starts=()):
+        known = len(flow.rows)
+        cols = grow(flow, high, starts)
+        for row in flow.rows[known:]:
+            for r in row:
+                row[r] = -row[r]
+        return cols
+
+    def doubled(red, *args, **kwargs):
+        init(red, *args, **kwargs)
+        for flow in red._flows.values():
+            flow.rows[0] = {0: 2}
+
+    assert cli.main(HODGE) == 0
+    capsys.readouterr()
+    for name, patched, error, message in (
+            ("grow", negated, "CompositionNonzero",
+             "double (co)boundary is nonzero around degree 2"),
+            ("__init__", doubled, "WeightNotPreserved",
+             "pi o iota moves a Morse cycle of degree 1")):
+        with monkeypatch.context() as patch:
+            owner = gamma_chain._Flow if name == "grow" else \
+                gamma_chain.MorseReduction
+            patch.setattr(owner, name, patched)
+            assert cli.main(HODGE) == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": error, "message": message}
+
+
+def test_a_corrupted_lift_exits_three(monkeypatch, capsys):
+    # the lift loses the last partner it adds: no longer a cycle
+    lift = gamma_chain.MorseReduction.lift
+
+    def corrupted(red, m, z):
+        chain = lift(red, m, z)
+        if len(chain) > len(z):
+            del chain[list(chain)[-1]]
+        return chain
+
+    monkeypatch.setattr(gamma_chain.MorseReduction, "lift", corrupted)
+    assert cli.main(HODGE) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "WeightNotPreserved", "message": "the lift of a"
+                   " Morse cycle of degree 2 is no cycle"}
+
+
+PROJECTED = [("Klein", KLEIN), ("truncated_add(3)", truncated_add(3)),
+             ("cyclic_group(6)", cyclic_group(6))]
+
+
+@pytest.mark.parametrize("label,monoid", PROJECTED,
+                         ids=[m[0] for m in PROJECTED])
+def test_pi_is_a_chain_map_on_every_normalized_cell(label, monoid):
+    # pi(d t) = d_M pi(t) for every normalized cell t of degrees 1..4:
+    # most cells are met by no flow of the differential, so project
+    # follows the flows from them first
+    for coeff in (trivial_module(monoid, RIGHT),
+                  jstar(regular_kc_module(monoid), RIGHT)):
+        red = MorseReduction(monoid, coeff, 4, HOMOLOGICAL, transfer=True)
+        d_m = red.complex
+        for n in range(1, 5):
+            for t in _cells(monoid, n):
+                for j in range(coeff.ranks[monoid.product(t)]):
+                    down = red.project(n - 1, gamma_chain._chain_boundary(
+                        monoid, red.act, {(t, j): 1}))
+                    image = red.project(n, {(t, j): 1})
+                    want = {}
+                    for r, v in image.items():
+                        gamma_chain._add_into(want, d_m.d_out(n)[r], v)
+                    assert down == want, (label, t, j)

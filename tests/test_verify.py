@@ -120,7 +120,8 @@ def test_products_suite_checks_the_faces_of_build_complex(monkeypatch,
 def test_suites_report_the_same_under_python_dash_o(capsys):
     # -O strips assert statements: a check that rested on one would pass
     # or fail differently there
-    argv = ["verify", "complex-soundness", "products", "normalization"]
+    argv = ["verify", "complex-soundness", "products", "morse",
+            "normalization", "grillet"]
     assert cli.main(argv) == 0
     normal = capsys.readouterr().out
     src = os.path.dirname(os.path.dirname(os.path.abspath(monhom.__file__)))
