@@ -528,8 +528,9 @@ class MorseReduction:
         if k == 1:
             return [dict() for _ in range(self.layouts[1][3])]
         flow = _Flow(self, k - 1)
-        cols = flow.high_cols = flow.grow(self.layouts[k][0])
-        if self._flows is not None:
+        cols = flow.grow(self.layouts[k][0])
+        if flow.keep:
+            flow.high_cols = cols
             self._flows[k - 1] = flow
         return _compose_cols(cols, flow.rows)
 
@@ -633,9 +634,9 @@ class _Flow:
     partner and matched face of each reached cell (partners) and the
     columns of d on the partners (plus_cols, one block of the reached
     cell's rank each, in the same order, so that the block of the cell
-    at offset off starts at off - base) are kept, with d on the critical
-    (m+1)-cells (high_cols) when the flows started there: what lift
-    reads."""
+    at offset off starts at off - base) are kept when the reduction keeps
+    its flows, with d on the critical (m+1)-cells (high_cols) when the
+    flows started there: what lift reads."""
 
     def __init__(self, red, m):
         cells, prods, offs, dim = red.layouts[m]
@@ -647,6 +648,7 @@ class _Flow:
         self.index = {c: j for j, c in enumerate(cells)}
         self.seen = set(cells)
         self.rows = [{r: 1} for r in range(dim)]
+        self.keep = red._flows is not None
         self.partners, self.plus_cols, self.high_cols = {}, [], []
 
     def grow(self, high, starts=()):
@@ -693,8 +695,9 @@ class _Flow:
                 rest = {r: -eps * v for r, v in col.items()
                         if not off <= r < off + rank}
                 rows += _compose_cols([rest], rows)
-        self.partners.update(partners)
-        self.plus_cols += d[split:]
+        if self.keep:
+            self.partners.update(partners)
+            self.plus_cols += d[split:]
         return d[:split]
 
 

@@ -49,15 +49,14 @@ from .hc_modules import (
 from .hodge import morse_hodge
 
 
-def _degree_zero(monoid, coeff, direction, n_max, budget=None,
-                 transfer=False):
-    """The exact degree-0 group and the Morse reduction up to n_max.
+def _degree_zero(monoid, coeff, direction, n_max, budget=None):
+    """The exact degree-0 group and the Morse reduction up to n_max, with
+    its flows kept for morse_hodge.
 
     The group is N tensored with the universal derivation target
     (homological) or the derivation group (cohomological).  The same group
     must appear as the degree-1 group of the Morse complex; the two
-    computations share no code path.  With transfer set the reduction
-    keeps its flows for morse_hodge.
+    computations share no code path.
     """
     if direction == HOMOLOGICAL:
         if coeff.side != RIGHT:
@@ -68,7 +67,7 @@ def _degree_zero(monoid, coeff, direction, n_max, budget=None,
             raise BadParams("degree-0 cohomology takes left coefficients")
         path, direct = "derivation solve", derivations(monoid, coeff)
     red = MorseReduction(monoid, coeff, n_max, direction, budget=budget,
-                         transfer=transfer)
+                         transfer=True)
     from_complex = hochschild(red.complex, 1)
     if direct != from_complex:
         raise OracleMismatch(
@@ -123,8 +122,7 @@ def grillet_report(monoid, coeff, direction, max_degree, budget=None):
         raise BadParams("negative degree cap")
     # one Morse complex serves degree 0 and every char-0 degree; its ring
     # Z does not change the weights
-    zero, red = _degree_zero(monoid, coeff, direction, max_degree + 2, budget,
-                             transfer=True)
+    zero, red = _degree_zero(monoid, coeff, direction, max_degree + 2, budget)
     weights = morse_hodge(red) if max_degree else []
     return GrilletReport(zero, tuple(w[0] for w in weights[1:]))
 

@@ -12,7 +12,7 @@ import json
 import time
 from dataclasses import dataclass
 
-from .errors import MonhomError, OracleMismatch
+from .errors import MonhomError, OracleMismatch, WeightNotPreserved
 from .exact_linalg import (
     FgAbGroup,
     IntMatrix,
@@ -37,6 +37,7 @@ from .gamma_chain import (
     _face_targets,
     _lex_faces,
     _letters,
+    _permuted,
     _shuffle_int_cols,
     _shuffle_quotient,
     _sym_cols,
@@ -72,7 +73,12 @@ from .hc_modules import (
     trivial_kc_module,
     trivial_module,
 )
-from .hodge import eulerian_idempotents, hodge_decomposition, morse_hodge
+from .hodge import (
+    eulerian_idempotents,
+    hodge_decomposition,
+    morse_hodge,
+    total_shuffle_operator,
+)
 from .monoids import (
     cyclic_group,
     product_monoid,
@@ -491,10 +497,10 @@ def check_morse():
                     coeffs.append(("jstar:regular",
                                    jstar(regular_kc_module(monoid), side)))
                 for name, coeff in coeffs:
-                    # the transfer checks its lifts and d o S = S o d
-                    got = morse_hodge(MorseReduction(
-                        monoid, coeff, 5, direction, ring="Q",
-                        transfer=True))
+                    red = MorseReduction(monoid, coeff, 5, direction,
+                                         ring="Q", transfer=True)
+                    got = morse_hodge(red)
+                    _check_transfer_maps(red)
                     want = hodge_decomposition(build_complex(
                         monoid, coeff, 5, direction, ring="Q",
                         normalized=True))
@@ -507,6 +513,29 @@ def check_morse():
                     " degrees 1..4")
         out.append(_guarded(f"morse[weights:{label}]", anchor, weights))
     return out
+
+
+def _check_transfer_maps(red):
+    """The maps morse_hodge reads, on every Morse chain of degrees
+    1..n_max - 1 and not only on the cycles it lifts: pi o iota = 1 on
+    each critical cell, and S_n = pi s_n iota commutes with the Morse
+    differential, with s_0 = -1 as in hodge_decomposition."""
+    cx = red.chains()
+    s_low = [{r: -1} for r in range(cx.dims[0])]
+    for n in range(1, cx.n_max):
+        units = [{r: 1} for r in range(cx.dims[n])]
+        lifts = [red.lift(n, e) for e in units]
+        if [red.project(n, x) for x in lifts] != units:
+            raise WeightNotPreserved(
+                f"pi o iota is not 1 on the critical cells of degree {n}")
+        s_high = [red.project(n, y) for y in
+                  _permuted(total_shuffle_operator(n), lifts)]
+        d = cx.d_out(n)
+        if _compose_cols(s_high, d) != _compose_cols(d, s_low):
+            raise WeightNotPreserved(
+                f"pi s_{n} iota does not commute with the Morse differential"
+                f" out of degree {n}")
+        s_low = s_high
 
 
 def _full_and_normalized(monoid, coeff, direction, ring="Z"):

@@ -9,12 +9,12 @@ from math import comb
 
 import pytest
 
-from monhom import cli, gamma_chain
-from monhom.errors import BadParams, NotAComplex
+from monhom import cli, gamma_chain, verify
+from monhom.errors import BadParams, NotAComplex, WeightNotPreserved
 from monhom.exact_linalg import FgAbGroup
 from monhom.gamma_chain import (COHOMOLOGICAL, HOMOLOGICAL, MorseReduction,
-                                _critical_cells, _face_tuple, build_complex,
-                                hochschild, morse_complex)
+                                SymGroupElement, _critical_cells, _face_tuple,
+                                build_complex, hochschild, morse_complex)
 from monhom.hc_modules import (LEFT, RIGHT, jstar, jstar_finite_cyclic,
                                regular_kc_module, std_projective,
                                trivial_module)
@@ -374,6 +374,28 @@ def test_a_corrupted_lift_exits_three(monkeypatch, capsys):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err == {"type": "WeightNotPreserved", "message": "the lift of a"
                    " Morse cycle of degree 2 is no cycle"}
+
+
+def test_the_morse_suite_checks_the_transfer_on_every_critical_cell(
+        monkeypatch):
+    red = MorseReduction(KLEIN, trivial_module(KLEIN, RIGHT), 5, HOMOLOGICAL,
+                         ring="Q", transfer=True)
+    verify._check_transfer_maps(red)
+    lift = MorseReduction.lift
+    with monkeypatch.context() as patch:
+        # iota doubled: pi o iota = 2, on the critical cells of degree 1
+        patch.setattr(MorseReduction, "lift", lambda red, m, z: {
+            key: 2 * v for key, v in lift(red, m, z).items()})
+        with pytest.raises(WeightNotPreserved, match="pi o iota is not 1 on"
+                           " the critical cells of degree 1"):
+            verify._check_transfer_maps(red)
+    # one transposition in place of s_n is no chain map on the Klein group
+    monkeypatch.setattr(verify, "total_shuffle_operator", lambda n: (
+        SymGroupElement(n, {(1, 0) + tuple(range(2, n)): 1}) if n > 1
+        else SymGroupElement.identity(1)))
+    with pytest.raises(WeightNotPreserved, match="pi s_3 iota does not"
+                       " commute with the Morse differential out of degree 3"):
+        verify._check_transfer_maps(red)
 
 
 PROJECTED = [("Klein", KLEIN), ("truncated_add(3)", truncated_add(3)),
