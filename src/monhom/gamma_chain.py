@@ -29,6 +29,7 @@ from .errors import (
 from .exact_linalg import (
     FgAbGroup,
     IntMatrix,
+    PivotReduction,
     _transpose_cols,
     int_rank,
     kernel_basis,
@@ -206,7 +207,8 @@ class GammaChainComplex:
         degrees k - 1 and k; a map with no columns, such as k = 0 on chains,
         has rank 0.  Each map is reduced once per complex.  Only the rank of
         a map is read when it enters no degree below n_max (the cochain map
-        into n_max) or the ring is Q, and int_rank gives just that."""
+        into n_max) or the ring is Q, and int_rank gives just that, unless
+        reduction_in has eliminated the map already."""
         if k not in self._invariants:
             cols, rows = self._cone_cols(k)
             if not cols:
@@ -216,6 +218,19 @@ class GammaChainComplex:
             else:
                 self._invariants[k] = rank_and_torsion(cols, rows)
         return self._invariants[k]
+
+    def reduction_in(self, n):
+        """The map entering degree n eliminated by columns over Q, as a
+        PivotReduction that the caller keeps.  A ring-Q complex has free
+        coefficients and so no relations, and that map is the cone's: its
+        rank (the pivots and the rank of the residual) is kept for
+        map_invariants, and hochschild reads it without eliminating the
+        map again."""
+        red = PivotReduction(self.d_in(n), self.dims[n])
+        if self.ring == "Q":
+            self._invariants.setdefault(max(n, n - self.step), (
+                len(red.pivots) + red.rank, ()))
+        return red
 
     def _cone_cols(self, k):
         """Sparse columns and row count of the cone's map between degrees
@@ -599,9 +614,10 @@ class MorseReduction:
 
     def chains(self):
         """The Morse complex on chains, over Q: the complex itself when it
-        is one, else the transposes of its coboundaries, the chain complex
-        of the translations as a right module (_right_act)."""
-        if self.complex.step < 0:
+        is one, else the chain complex of the translations as a right
+        module (_right_act) over Q, whose maps are the transposes of the
+        coboundaries, or those of a ring-Z chain complex."""
+        if self.complex.step < 0 and self.complex.ring == "Q":
             return self.complex
         return _assemble(self.monoid, self.coeff, HOMOLOGICAL, "Q",
                          self.layouts, self.maps, None, True)
@@ -968,12 +984,18 @@ def perm_sign(perm):
 
 def shuffle_element(*parts):
     """Signed sum over the permutations increasing on each consecutive
-    block of the given sizes."""
+    block of the given sizes, built once per process for each tuple of
+    sizes (_block_shuffle): callers share it and must not change it."""
     if len(parts) == 1 and not isinstance(parts[0], int):
         parts = tuple(parts[0])
     parts = tuple(int(p) for p in parts)
     if not parts or any(p < 1 for p in parts):
         raise BadParams("block sizes must be positive")
+    return _block_shuffle(parts)
+
+
+@lru_cache(maxsize=None)
+def _block_shuffle(parts):
     n = sum(parts)
     starts = [sum(parts[:b]) for b in range(len(parts))]
     terms = {}
@@ -1009,16 +1031,15 @@ def _sym_cols(cx, n, elems):
     coefficients are merged once per pattern (at most Bell(n) of them),
     into slots keyed by image pattern, and each tuple with a nonzero value
     relabels its image once per slot that some element reaches with a
-    nonzero coefficient, and never an image that every element cancels."""
+    nonzero coefficient, and never an image that every element cancels.
+    The merged coefficients are kept for the process (_merged_reads)."""
     cx._check_degree(n)
     for elem in elems:
         if elem.n != n:
             raise DegreeMismatch(f"element of S_{elem.n} on degree {n}")
     # a permutation moves tuple t to (t[perm^-1(j)])_j on chains;
     # cochains act by the transpose, which reads t through perm itself
-    inverse = cx.direction == HOMOLOGICAL
-    reads = [[(_perm_inverse(p) if inverse else p, c)
-              for p, c in elem.terms.items()] for elem in elems]
+    elems, inverse = tuple(elems), cx.direction == HOMOLOGICAL
     tuples = cx.tuples_at(n)
     offset = dict(zip(tuples, cx.tuple_offsets(n)))
     by_pattern = {}
@@ -1030,7 +1051,8 @@ def _sym_cols(cx, n, elems):
         pattern = _pattern(t)
         merged = by_pattern.get(pattern)
         if merged is None:
-            merged = by_pattern[pattern] = _merged_reads(reads, pattern)
+            merged = by_pattern[pattern] = _merged_reads(elems, inverse,
+                                                         pattern)
         readers, moves = merged
         # t read through perm is its pattern's image with the letters of t
         # put back
@@ -1041,16 +1063,22 @@ def _sym_cols(cx, n, elems):
     return out
 
 
-def _merged_reads(reads, pattern):
-    """The coefficients of each element's reads (a list of (permutation,
-    coefficient) per element) merged on the first-occurrence pattern of a
-    tuple, into slots keyed by image pattern: one permutation per slot
-    that reads the slot's image, and per element its (slot, coefficient)
-    pairs, leaving out the images whose coefficients cancel."""
+@lru_cache(maxsize=None)
+def _merged_reads(elems, inverse, pattern):
+    """The coefficients of each element of the tuple elems merged on the
+    first-occurrence pattern of a tuple, into slots keyed by image
+    pattern: one permutation per slot that reads the slot's image, and
+    per element its (slot, coefficient) pairs, leaving out the images
+    whose coefficients cancel.  A permutation reads a tuple through its
+    inverse when inverse is set, through itself otherwise.  Kept for the
+    process, one entry per elements, direction and pattern; callers share
+    the lists and must not change them."""
     reader, accs = {}, []
-    for terms in reads:
+    for elem in elems:
         acc = {}
-        for perm, c in terms:
+        for perm, c in elem.terms.items():
+            if inverse:
+                perm = _perm_inverse(perm)
             img = tuple(map(pattern.__getitem__, perm))
             reader.setdefault(img, perm)
             acc[img] = acc.get(img, 0) + c
@@ -1066,7 +1094,7 @@ def _permuted(elem, chains):
     value index) to coefficient, as _sym_cols acts on chains: a
     permutation keeps a tuple's product and so its value, and the
     coefficients are merged once per first-occurrence pattern."""
-    reads = [[(_perm_inverse(p), c) for p, c in elem.terms.items()]]
+    elems = (elem,)
     by_pattern, out = {}, []
     for chain in chains:
         moved = {}
@@ -1074,7 +1102,8 @@ def _permuted(elem, chains):
             pattern = _pattern(t)
             merged = by_pattern.get(pattern)
             if merged is None:
-                merged = by_pattern[pattern] = _merged_reads(reads, pattern)
+                merged = by_pattern[pattern] = _merged_reads(elems, True,
+                                                             pattern)
             readers, (move,) = merged
             for s, c in move:
                 key = tuple(map(t.__getitem__, readers[s])), j
@@ -1198,42 +1227,35 @@ def harrison_dim_q(cx):
     are block-diagonal by content (the multiset of letters) and value
     index, and relabelling the letters carries every block of one
     multiplicity pattern onto the block of the pattern's own words
-    (_shuffle_pattern_block).  So each pattern's block is built once,
-    its kernel is taken once and checked against it, and relabelled into
-    every content and value index it gives a basis K_m of V^m.  Then
-    rank(delta on V^m) is the rank of delta o K_m, and V^m maps into
-    V^(m+1) exactly when every shuffle of degree m + 1 kills delta o K_m,
-    which is checked content by content through the pattern blocks, for
-    m + 1 = 2..n_max, before the rank is used.  The blocks live for one
-    call.
+    (_shuffle_pattern_block).  So each pattern's kernel, checked against
+    its block, is relabelled into every content and value index to give a
+    basis K_m of V^m.  Then rank(delta on V^m) is the rank of delta o K_m,
+    and V^m maps into V^(m+1) exactly when every shuffle of degree m + 1
+    kills delta o K_m, which is checked content by content through the
+    pattern blocks, for m + 1 = 2..n_max, before the rank is used.  The
+    contents of each degree are listed once, for that check and for the
+    basis of the next step.  The blocks and kernels depend on the pattern
+    alone and are kept for the process (_pattern_kernel).
     """
     if cx.coeff.has_torsion:
         raise BadParams("rational dimensions need free-valued coefficients")
     dual = cx.step < 0
-    blocks, kernels = {}, {}
-    out, rank_low = [], 0
+    out, rank_low, contents = [], 0, []
     for m in range(cx.n_max):
         # the map from degree m to m + 1 on the cochain side
         delta = _transpose_cols(cx.d_in(m), cx.dims[m]) if dual \
             else cx.d_out(m)
         if m < 2:  # no shuffles: V^m is all of degree m
             dim_v, moved = cx.dims[m], delta
-        else:
-            basis = []
-            for pattern, rows, rank in _content_blocks(cx, m, blocks):
-                if pattern not in kernels:
-                    words, cols = blocks[pattern]
-                    kernel = kernel_basis(cols, (m - 1) * len(words))
-                    if any(_compose_cols(kernel, cols)):
-                        raise CompositionNonzero(
-                            "a kernel vector of the shuffles on the words of"
-                            f" pattern {pattern} is not killed by them")
-                    kernels[pattern] = kernel
-                basis += [{rows[k] + i: v for k, v in vec.items()}
-                          for vec in kernels[pattern] for i in range(rank)]
+        else:  # contents holds degree m's, listed for the last check
+            basis = [{rows[k] + i: v for k, v in vec.items()}
+                     for pattern, rows, rank in contents
+                     for vec in _pattern_kernel(pattern)
+                     for i in range(rank)]
             dim_v, moved = len(basis), _compose_cols(basis, delta)
         if m:
-            _check_shuffles_kill(cx, m + 1, moved, blocks)
+            contents = list(_content_blocks(cx, m + 1))
+            _check_shuffles_kill(cx, m + 1, moved, contents)
         rank_up = int_rank(moved)
         if m:
             out.append(dim_v - rank_up - rank_low)
@@ -1241,6 +1263,7 @@ def harrison_dim_q(cx):
     return out
 
 
+@lru_cache(maxsize=None)
 def _shuffle_pattern_block(pattern):
     """The two-block shuffles sh_{p,m-p}, 0 < p < m, stacked, on the words
     that hold pattern[j] letters j: the words, in lexicographic order, and
@@ -1248,7 +1271,8 @@ def _shuffle_pattern_block(pattern):
     sh_{p,m-p} on the rows from (p - 1) * len(words).  This is the action
     on cochains, which reads a word through each permutation.  The
     antipodes act on chains by the same matrices, so the block serves the
-    dual of a chain complex in harrison_dim_q too."""
+    dual of a chain complex in harrison_dim_q too.  Kept for the process;
+    callers share the block and must not change it."""
     letters = [j for j, k in enumerate(pattern) for _ in range(k)]
     words = sorted(set(itertools.permutations(letters)))
     index = {w: k for k, w in enumerate(words)}
@@ -1268,14 +1292,30 @@ def _shuffle_pattern_block(pattern):
     return words, cols
 
 
-def _content_blocks(cx, m, blocks):
+@lru_cache(maxsize=None)
+def _pattern_kernel(pattern):
+    """A basis of the joint kernel of the stacked shuffles of
+    _shuffle_pattern_block(pattern), checked against the block: a kernel
+    vector the shuffles do not kill raises CompositionNonzero.  Kept for
+    the process, so each pattern's kernel is taken and checked once; a
+    kernel that fails the check is not kept and fails again on the next
+    call.  Callers share it and must not change it."""
+    words, cols = _shuffle_pattern_block(pattern)
+    kernel = kernel_basis(cols, (sum(pattern) - 1) * len(words))
+    if any(_compose_cols(kernel, cols)):
+        raise CompositionNonzero(
+            "a kernel vector of the shuffles on the words of pattern"
+            f" {pattern} is not killed by them")
+    return kernel
+
+
+def _content_blocks(cx, m):
     """One (pattern, rows, rank) per content of degree m with a nonzero
     value.  The pattern is the multiplicities of the content's letters,
     largest first; its letter j stands for the content's j-th letter in
     that order, ties by letter.  rows[k] is the offset of the pattern's
-    word k with the content's letters put back, and rank the rank of the
-    value.  blocks maps each pattern to its _shuffle_pattern_block and
-    gains the patterns first met here."""
+    word k of _shuffle_pattern_block with the content's letters put back,
+    and rank the rank of the value."""
     tuples = cx.tuples_at(m)
     offset = dict(zip(tuples, cx.tuple_offsets(m)))
     seen = set()
@@ -1287,22 +1327,21 @@ def _content_blocks(cx, m, blocks):
         seen.add(content)
         order = sorted(set(t), key=lambda a: (-t.count(a), a))
         pattern = tuple(map(t.count, order))
-        if pattern not in blocks:
-            blocks[pattern] = _shuffle_pattern_block(pattern)
         yield pattern, [offset[tuple(map(order.__getitem__, w))]
-                        for w in blocks[pattern][0]], rank
+                        for w in _shuffle_pattern_block(pattern)[0]], rank
 
 
-def _check_shuffles_kill(cx, n, vecs, blocks):
+def _check_shuffles_kill(cx, n, vecs, contents):
     """Raise NotAComplex unless every two-block shuffle of degree n on
     the cochain side kills each vector of vecs, applied block by block:
+    contents lists degree n's (pattern, rows, rank) (_content_blocks), and
     each row of degree n belongs to the block of its content and value
     index, keyed by the block's first row, where it is one word of the
     content's pattern.  Row s of a block's stacked shuffles is summed at
     key + s * dims[n], which no other block reaches, as key < dims[n]."""
     where, size = {}, cx.dims[n]
-    for pattern, rows, rank in _content_blocks(cx, n, blocks):
-        cols = blocks[pattern][1]
+    for pattern, rows, rank in contents:
+        cols = _shuffle_pattern_block(pattern)[1]
         for i in range(rank):
             for r, col in zip(rows, cols):
                 where[r + i] = rows[0] + i, col

@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import BadParams, NotAnnihilated, WeightNotPreserved
-from .exact_linalg import PivotReduction, kernel_basis
+from .exact_linalg import kernel_basis
 from .gamma_chain import (
     SymGroupElement,
     _compose_cols,
@@ -38,8 +38,11 @@ from .gamma_chain import (
 PROJECTOR_CAP = 5
 
 
+@lru_cache(maxsize=None)
 def total_shuffle_operator(n):
-    """s_n = sum of sh_{p, n-p} for 0 < p < n; zero when n = 1."""
+    """s_n = sum of sh_{p, n-p} for 0 < p < n; zero when n = 1.  Built
+    once per process for each n: callers share it and must not change
+    it."""
     if n < 1:
         raise BadParams("degree must be at least 1")
     return sum((shuffle_element(p, n - p) for p in range(1, n)),
@@ -138,12 +141,14 @@ def hodge_decomposition(cx):
     (see _eigenspace_dims), and two checks guard them: the cycles
     independent modulo the boundaries must number h, and the weights must
     add up to h, which holds exactly when s_n acts diagonalizably on H_n.
-    No projector is built, so no degree cap applies; the budget of the
+    Each boundary map is eliminated by columns once (_totals).  No
+    projector is built, so no degree cap applies; the budget of the
     complex bounds the work.
     """
     if cx.coeff.has_torsion:
         raise BadParams("rational dimensions need free-valued coefficients")
     dims = []
+    totals = _totals(cx, range(1, cx.n_max))
     s_low = [{r: -1} for r in range(cx.dims[0])]  # s_0 = 2^0 - 2
     for m in range(1, cx.n_max + 1):
         s_high, = _sym_cols(cx, m, [total_shuffle_operator(m)])
@@ -157,12 +162,12 @@ def hodge_decomposition(cx):
                 f"boundary from degree {src} does not commute with the total"
                 " shuffle operator")
         if m > 1:
-            h = hochschild_dim_q(cx, m - 1)
-            weights = _eigenspace_dims(cx, m - 1, s_low, h)
+            n, h, boundaries = next(totals)
+            weights = _eigenspace_dims(cx, n, s_low, h, boundaries)
             if sum(weights) != h:
                 raise WeightNotPreserved(
                     f"weight dimensions {weights} do not add up to the total"
-                    f" in degree {m - 1}")
+                    f" in degree {n}")
             dims.append(weights)
         s_low = s_high
     return dims
@@ -181,23 +186,23 @@ def morse_hodge(red):
     each lift: a cycle, which pi carries back); a degree with h = 0 is
     all zero, and nothing is lifted there.  Each image must be a cycle
     again, d o S = S o d on the cycles, and the weights must add up to
-    h, or WeightNotPreserved is raised.
+    h, or WeightNotPreserved is raised.  The weights are read over Q
+    whatever the ring of the complex, so each Morse map is eliminated
+    by columns once (_totals), and no invariant factor is computed.
 
     Cochains need no transposed maps of their own.  The coboundaries are
     the transposed boundaries of the translations as a right module
     (_right_act), and s_n acts on cochains by the transposed matrices, so
     over Q the weights of the cochains are those of these chains
-    (red.chains).  The ring of the complex does not change the
-    weights."""
+    (red.chains)."""
     if red.complex.coeff.has_torsion:
         raise BadParams("rational dimensions need free-valued coefficients")
     cx = red.chains()
     dims = []
-    for n in range(1, cx.n_max):
-        h = hochschild_dim_q(cx, n)
+    for n, h, boundaries in _totals(cx, range(1, cx.n_max)):
         weights = [0] * n
         if h:
-            reps, classes, boundaries = _representatives(cx, n, h)
+            reps, classes = _representatives(cx, n, h, boundaries)
             moved = red.transfer(n, total_shuffle_operator(n), reps)
             if any(_compose_cols(moved, cx.d_out(n))):
                 raise WeightNotPreserved(
@@ -213,30 +218,54 @@ def morse_hodge(red):
     return dims
 
 
-def _eigenspace_dims(cx, n, s, h):
+def _totals(cx, degrees):
+    """(n, h, boundaries) for each degree n of the increasing run
+    degrees: h = dim H_n, and boundaries the map into degree n eliminated
+    by columns (GammaChainComplex.reduction_in).
+
+    h reads the ranks of the maps into and out of degree n, and on a
+    ring-Q complex the reductions give them, so each map is eliminated
+    once.  On chains the map out of degree n entered degree n - 1.  On
+    cochains it enters degree n + 1, whose reduction is then built before
+    h and kept for the next step; no other reduction outlives its
+    degree."""
+    ahead = None
+    for n in degrees:
+        boundaries = ahead or cx.reduction_in(n)
+        ahead = cx.reduction_in(n + 1) if cx.step > 0 and n + 1 in degrees \
+            else None
+        yield n, hochschild_dim_q(cx, n), boundaries
+
+
+def _eigenspace_dims(cx, n, s, h, boundaries):
     """The dimensions h - rank(s - (2^i - 2)) on H_n for i = 1..n, with s
-    the columns of s_n on degree n and h = dim H_n: s_n acts on the h
-    cycles of _representatives only, and reduction is linear, so the
-    rank of s - (2^i - 2) on H_n is that of red(s z) - (2^i - 2) red(z)
-    modulo R (_eigen_ranks)."""
-    reps, rep_classes, boundaries = _representatives(cx, n, h)
+    the columns of s_n on degree n, h = dim H_n and boundaries the
+    reduction by the boundaries into degree n: s_n acts on the h cycles
+    of _representatives only, and reduction is linear, so the rank of
+    s - (2^i - 2) on H_n is that of red(s z) - (2^i - 2) red(z) modulo R
+    (_eigen_ranks)."""
+    reps, rep_classes = _representatives(cx, n, h, boundaries)
     moved = [boundaries.reduce(sz) for sz in _compose_cols(reps, s)]
     return _eigen_ranks(boundaries, rep_classes, moved, n, h)
 
 
-def _representatives(cx, n, h):
-    """h cycles of degree n that represent a basis of H_n, their
-    reductions and the reduction by the boundaries into degree n.
+def _representatives(cx, n, h, boundaries):
+    """h cycles of degree n that represent a basis of H_n, and their
+    reductions by boundaries, the PivotReduction of the boundaries into
+    degree n.
 
-    The boundaries are eliminated once (PivotReduction).  A cycle is a
-    boundary exactly when its reduction lies in the span of the residual
-    R, so the first h cycles of a kernel basis whose reductions are
-    independent modulo R represent a basis of H_n.  dim Z_n minus the
-    rank of the boundaries (pivots plus rank R) must equal h, and the
-    kernel basis must yield h such cycles, or WeightNotPreserved is
-    raised; no cycle past the h-th representative is reduced."""
+    A cycle is a boundary exactly when its reduction lies in the span of
+    the residual R, so the first h cycles of a kernel basis whose
+    reductions are independent modulo R represent a basis of H_n.  dim
+    Z_n minus the rank of the boundaries (pivots plus rank R) must equal
+    h, and the kernel basis must yield h such cycles, or
+    WeightNotPreserved is raised; no cycle past the h-th representative
+    is reduced.  On a ring-Q complex h reads the rank of the boundaries
+    off the same reduction (_totals), so the count checks the kernel
+    basis, from an elimination by rows of the map out of degree n,
+    against h, whose rank of that map comes from an elimination by
+    columns."""
     K = kernel_basis(cx.d_out(n), cx.dims[n + cx.step])
-    boundaries = PivotReduction(cx.d_in(n), cx.dims[n])
     found = len(K) - len(boundaries.pivots) - boundaries.rank
     reps, rep_classes = [], []
     if found == h:
@@ -252,7 +281,7 @@ def _representatives(cx, n, h):
         raise WeightNotPreserved(
             f"{found} cycles independent modulo the boundaries in degree {n},"
             f" where the total is {h}")
-    return reps, rep_classes, boundaries
+    return reps, rep_classes
 
 
 def _eigen_ranks(boundaries, rep_classes, moved, n, h):

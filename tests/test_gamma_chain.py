@@ -613,21 +613,21 @@ def test_two_block_shuffles_span_every_block_shuffle():
                         assert not any(_compose_cols(kernel, op))
 
 
+def _patterns(cx, degrees):
+    """The multiplicity patterns of the tuples of the given degrees."""
+    return {tuple(sorted((t.count(a) for a in set(t)), reverse=True))
+            for m in degrees for t in cx.tuples_at(m)}
+
+
 def test_each_shuffle_span_is_built_once(monkeypatch):
-    calls, blocks = [], []
+    calls, present = [], set()
     original = gamma_chain._shuffle_int_cols
-    block = gamma_chain._shuffle_pattern_block
 
     def counted(cx, m):
         calls.append(m)
         return original(cx, m)
 
-    def counted_block(pattern):
-        blocks.append(pattern)
-        return block(pattern)
-
     monkeypatch.setattr(gamma_chain, "_shuffle_int_cols", counted)
-    monkeypatch.setattr(gamma_chain, "_shuffle_pattern_block", counted_block)
     monoid = truncated_add(2)
     for side, direction in ((RIGHT, HOMOLOGICAL), (LEFT, COHOMOLOGICAL)):
         for ring in ("Z", "Q"):
@@ -638,18 +638,23 @@ def test_each_shuffle_span_is_built_once(monkeypatch):
                                             or ring == "Q"):
                     continue  # integral Harrison groups live on chains
                 calls.clear()
-                blocks.clear()
                 compute(cx)
                 if compute is harrison:
                     # no integral group reads the shuffles of the top degree
                     assert len(calls) == len(set(calls))
                     assert set(range(2, 5)) <= set(calls)
                 else:
-                    # one block per multiplicity pattern of degrees 2..5,
-                    # and no shuffle operator on a whole degree
+                    # no shuffle operator on a whole degree
                     assert not calls
-                    assert len(blocks) == len(set(blocks))
-                    assert {sum(p) for p in blocks} == set(range(2, 6))
+                    present |= _patterns(cx, range(2, 6))
+    # one block per multiplicity pattern of degrees 2..5, and one checked
+    # kernel per pattern of degrees 2..4, for the four complexes together
+    blocks = gamma_chain._shuffle_pattern_block.cache_info()
+    kernels = gamma_chain._pattern_kernel.cache_info()
+    assert {sum(p) for p in present} == set(range(2, 6))
+    assert blocks.misses == blocks.currsize == len(present)
+    assert kernels.misses == kernels.currsize == \
+        len({p for p in present if sum(p) < 5})
 
 
 def _counted_solves(monkeypatch):
@@ -783,9 +788,9 @@ def test_pattern_kernels_match_the_stacked_ranks():
 
 
 def test_one_kernel_per_pattern_and_ranks_of_one_degree(monkeypatch):
-    # Klein to degree 5: kernel_basis once per multiplicity pattern of
-    # degrees 2..4 (V^5 is not needed), and each rank is of delta o K_m,
-    # on the rows of degree m + 1
+    # Klein to degree 5, chains and cochains: kernel_basis once per
+    # multiplicity pattern of degrees 2..4 (V^5 is not needed) for the
+    # process, and each rank is of delta o K_m, on the rows of degree m + 1
     monoid = product_monoid(Z2, Z2).monoid
     blocks, kernels, ranks = {}, [], []
     block, kernel, rank = (gamma_chain._shuffle_pattern_block,
@@ -807,18 +812,16 @@ def test_one_kernel_per_pattern_and_ranks_of_one_degree(monkeypatch):
     monkeypatch.setattr(gamma_chain, "_shuffle_pattern_block", counted_block)
     monkeypatch.setattr(gamma_chain, "kernel_basis", counted_kernel)
     monkeypatch.setattr(gamma_chain, "int_rank", counted_rank)
+    present = set()
     for side, direction in ((RIGHT, HOMOLOGICAL), (LEFT, COHOMOLOGICAL)):
         cx = build_complex(monoid, trivial_module(monoid, side), 5,
                            direction, ring="Q")
-        blocks.clear()
-        kernels.clear()
         ranks.clear()
         harrison_dim_q(cx)
-        present = {tuple(sorted((t.count(a) for a in set(t)), reverse=True))
-                   for m in range(2, 5) for t in cx.tuples_at(m)}
-        assert sorted(kernels) == sorted(present)
+        present |= _patterns(cx, range(2, 5))
         assert len(ranks) == 5
         assert all(rows <= cx.dims[m + 1] for m, rows in enumerate(ranks))
+    assert sorted(kernels) == sorted(present)
 
 
 def test_a_wrong_pattern_kernel_is_caught(monkeypatch):

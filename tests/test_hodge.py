@@ -12,6 +12,7 @@ from monhom.exact_linalg import int_rank
 from monhom.gamma_chain import (
     COHOMOLOGICAL,
     HOMOLOGICAL,
+    MorseReduction,
     SymGroupElement,
     _compose_cols,
     build_complex,
@@ -31,6 +32,7 @@ from monhom.hodge import (
     HodgeProjectorSet,
     eulerian_idempotents,
     hodge_decomposition,
+    morse_hodge,
     total_shuffle_operator,
 )
 from monhom.monoids import (
@@ -304,8 +306,8 @@ def test_weights_that_do_not_add_up_are_caught(monkeypatch):
     # the cycle count does not see and the weight sum does
     original = hodge._eigenspace_dims
 
-    def corrupted(cx, n, s, h):
-        weights = original(cx, n, s, h)
+    def corrupted(*args):
+        weights = original(*args)
         return [weights[0] + 1] + weights[1:]
 
     monkeypatch.setattr(hodge, "_eigenspace_dims", corrupted)
@@ -317,37 +319,63 @@ def test_weights_that_do_not_add_up_are_caught(monkeypatch):
 
 
 def test_weights_act_on_homology_representatives_only(monkeypatch):
-    # per degree: one elimination of the boundaries, and s_n composed with
-    # h cycles beyond the two compositions of the commutation check
-    reductions, composed = [], []
-    original_reduction, original_compose = (hodge.PivotReduction,
-                                            hodge._compose_cols)
+    # each boundary map eliminated by columns once, by PivotReduction
+    # where its boundaries are reduced and by int_rank where only its rank
+    # is read, and s_n composed with h cycles beyond the two compositions
+    # of the commutation check
+    eliminated, composed = [], []
+    maps = {}
+    original_reduction, original_rank, original_compose = (
+        gamma_chain.PivotReduction, gamma_chain.int_rank, hodge._compose_cols)
 
     def reduction(vecs, size):
-        reductions.append(size)
+        eliminated.append(("pivots", maps.get(id(vecs))))
         return original_reduction(vecs, size)
+
+    def rank(vecs):
+        eliminated.append(("rank", maps.get(id(vecs))))
+        return original_rank(vecs)
 
     def compose(first, second):
         composed.append(len(first))
         return original_compose(first, second)
 
     monoid = truncated_add(3)
-    cx = build_complex(monoid, jstar(regular_kc_module(monoid), RIGHT), 5,
-                       HOMOLOGICAL, ring="Q", normalized=True)
-    monkeypatch.setattr(hodge, "PivotReduction", reduction)
+    complexes = [build_complex(monoid, jstar(regular_kc_module(monoid), side),
+                               5, direction, ring="Q", normalized=True)
+                 for side, direction in ((RIGHT, HOMOLOGICAL),
+                                         (LEFT, COHOMOLOGICAL))]
+    monkeypatch.setattr(gamma_chain, "PivotReduction", reduction)
+    monkeypatch.setattr(gamma_chain, "int_rank", rank)
     monkeypatch.setattr(hodge, "_compose_cols", compose)
     monkeypatch.setattr(hodge, "eulerian_idempotents", None)
     for module in (exact_linalg, gamma_chain):
         monkeypatch.setattr(module, "lattice_basis", None)
-    assert hodge_decomposition(cx) == [
-        [2 if i == (n + 1) // 2 else 0 for i in range(1, n + 1)]
-        for n in range(1, 5)]
-    assert reductions == list(cx.dims[1:5])
-    # commutation on the maps out of degrees 1..5, then the weights of
-    # degrees 1..4 after the maps around them are checked
-    checks = [[cx.dims[m]] * 2 for m in range(1, 6)]
-    assert composed == checks[0] + [x for m in range(1, 5)
-                                    for x in checks[m] + [2]]
+    for cx in complexes:
+        # the map between degrees k - 1 and k, known by its columns
+        maps.clear()
+        maps.update((id(cx.d_in(k if cx.step > 0 else k - 1)), k)
+                    for k in range(1, 6))
+        eliminated.clear()
+        composed.clear()
+        assert hodge_decomposition(cx) == [
+            [2 if i == (n + 1) // 2 else 0 for i in range(1, n + 1)]
+            for n in range(1, 5)]
+        # chains reduce the maps into degrees 1..4 and read the rank of
+        # the map out of degree 1 after the first; cochains reduce one map
+        # ahead and read the rank of the map into degree 5
+        if cx.step < 0:
+            assert eliminated == [("pivots", 2), ("rank", 1)] + [
+                ("pivots", k) for k in range(3, 6)]
+        else:
+            assert eliminated == [("pivots", k) for k in range(1, 5)] + [
+                ("rank", 5)]
+            continue
+        # commutation on the maps out of degrees 1..5, then the weights of
+        # degrees 1..4 after the maps around them are checked
+        checks = [[cx.dims[m]] * 2 for m in range(1, 6)]
+        assert composed == checks[0] + [x for m in range(1, 5)
+                                        for x in checks[m] + [2]]
 
 
 def _projector_weights(cx):
@@ -378,3 +406,59 @@ def test_weights_match_the_projector_route():
                     cx = build_complex(monoid, coeff, 4, direction, ring="Q",
                                        normalized=normalized)
                     assert hodge_decomposition(cx) == _projector_weights(cx)
+
+
+def _cached(fn, keys):
+    """fn at each key, every one a hit of its process cache."""
+    misses = fn.cache_info().misses
+    values = [fn(*key) for key in keys]
+    assert fn.cache_info().misses == misses
+    return values
+
+
+def test_warm_tables_give_the_cold_answers_and_stay_unchanged(
+        process_caches):
+    # Klein to degree 5, chains and cochains: the reference weights, Barr's
+    # kernel and the Morse weights, with every table built in the run and
+    # then read from the caches; each table read back must equal a fresh
+    # build, so no caller changed what it was handed
+    klein = product_monoid(cyclic_group(2), cyclic_group(2)).monoid
+    cases = []
+    for direction, side in ((HOMOLOGICAL, RIGHT), (COHOMOLOGICAL, LEFT)):
+        coeff = trivial_module(klein, side)
+        cases.append((build_complex(klein, coeff, 5, direction, ring="Q"),
+                      MorseReduction(klein, coeff, 5, direction, ring="Q",
+                                     transfer=True)))
+
+    def answers():
+        return [(hodge_decomposition(cx), harrison_dim_q(cx),
+                 morse_hodge(red)) for cx, red in cases]
+
+    cold = answers()
+    assert all(fn.cache_info().misses for fn in process_caches)
+    assert answers() == cold
+    patterns = {m: {gamma_chain._pattern(t) for t in cases[0][0].tuples_at(m)}
+                for m in range(1, 6)}
+    multiplicities = {
+        m: {tuple(sorted((t.count(a) for a in set(t)), reverse=True))
+            for t in cases[0][0].tuples_at(m)} for m in range(2, 6)}
+    keys = {
+        gamma_chain._block_shuffle: [((p, m - p),) for m in range(2, 6)
+                                     for p in range(1, m)],
+        hodge.total_shuffle_operator: [(m,) for m in range(1, 6)],
+        gamma_chain._merged_reads: [
+            ((total_shuffle_operator(m),), inverse, pattern)
+            for inverse in (True, False) for m in range(1, 6)
+            for pattern in patterns[m]],
+        gamma_chain._shuffle_pattern_block: [
+            (p,) for m in range(2, 6) for p in multiplicities[m]],
+        gamma_chain._pattern_kernel: [
+            (p,) for m in range(2, 5) for p in multiplicities[m]],
+    }
+    assert set(keys) == set(process_caches)
+    warm = {fn: _cached(fn, fn_keys) for fn, fn_keys in keys.items()}
+    for fn in process_caches:
+        fn.cache_clear()
+    for fn, fn_keys in keys.items():
+        assert warm[fn] == [fn(*key) for key in fn_keys], fn.__name__
+    assert answers() == cold

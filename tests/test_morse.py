@@ -376,6 +376,28 @@ def test_a_corrupted_lift_exits_three(monkeypatch, capsys):
                    " Morse cycle of degree 2 is no cycle"}
 
 
+def test_grillet_reads_its_weights_over_q(monkeypatch, capsys):
+    # the degree-1 check keeps its integral group, on the maps out of
+    # degrees 1 and 2; the weights read every Morse map's rank over Q, each
+    # map in one elimination by columns
+    calls = []
+    for name in ("rank_and_torsion", "int_rank", "PivotReduction"):
+        def counted(*args, _name=name, _original=getattr(gamma_chain, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(gamma_chain, name, counted)
+    assert cli.main(["compute", "grillet", "--monoid",
+                     "builtin:truncated_add(2)", "--coeff", "trivialZ",
+                     "--max-degree", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "degree 0 (exact): 0", "degree 1 (char0): 0", "degree 2 (char0): 0",
+        "degree 3 (char0): 0"]
+    # maps 2..5 reduced where the weights read their boundaries, map 1's
+    # rank read once
+    assert sorted(calls) == ["PivotReduction"] * 4 + ["int_rank"] + [
+        "rank_and_torsion"] * 2
+
+
 def test_the_morse_suite_checks_the_transfer_on_every_critical_cell(
         monkeypatch):
     red = MorseReduction(KLEIN, trivial_module(KLEIN, RIGHT), 5, HOMOLOGICAL,

@@ -121,7 +121,7 @@ def test_suites_report_the_same_under_python_dash_o(capsys):
     # -O strips assert statements: a check that rested on one would pass
     # or fail differently there
     argv = ["verify", "complex-soundness", "products", "morse",
-            "normalization", "grillet"]
+            "normalization", "grillet", "hodge"]
     assert cli.main(argv) == 0
     normal = capsys.readouterr().out
     src = os.path.dirname(os.path.dirname(os.path.abspath(monhom.__file__)))
