@@ -533,6 +533,7 @@ class MorseReduction:
             self.maps = {k: self._morse_cols(k) for k in range(1, n_max + 1)}
         self.complex = _assemble(monoid, coeff, direction, ring,
                                  self.layouts, self.maps, None, True)
+        self._chains = None
 
     def _morse_cols(self, k):
         """Columns of the Morse differential from the critical cells of
@@ -616,19 +617,23 @@ class MorseReduction:
         """The Morse complex on chains, over Q: the complex itself when it
         is one, else the chain complex of the translations as a right
         module (_right_act) over Q, whose maps are the transposes of the
-        coboundaries, or those of a ring-Z chain complex."""
-        if self.complex.step < 0 and self.complex.ring == "Q":
-            return self.complex
-        return _assemble(self.monoid, self.coeff, HOMOLOGICAL, "Q",
-                         self.layouts, self.maps, None, True)
+        coboundaries, or those of a ring-Z chain complex.  It is assembled
+        on the first call and kept, so its ranks are kept too."""
+        if self._chains is None:
+            ready = self.complex.step < 0 and self.complex.ring == "Q"
+            self._chains = self.complex if ready else _assemble(
+                self.monoid, self.coeff, HOMOLOGICAL, "Q", self.layouts,
+                self.maps, None, True)
+        return self._chains
 
     def transfer(self, m, elem, cycles):
         """pi o elem o iota on the Morse m-cycles cycles (sparse columns),
         for elem in Z[S_m] acting on the normalized chains as _sym_cols
-        acts.  Each lift is checked exactly first: it must be a cycle of
-        the normalized complex, computed face by face (_chain_boundary),
-        and pi must carry it back to its cycle.  Raises
-        WeightNotPreserved otherwise."""
+        acts, through the same per-pattern action (_permuted).  Each lift
+        is checked exactly first: it must be a cycle of the normalized
+        complex, computed face by face (_chain_boundary), and pi must
+        carry it back to its cycle.  Raises WeightNotPreserved
+        otherwise."""
         lifts = [self.lift(m, z) for z in cycles]
         for z, x in zip(cycles, lifts):
             if _chain_boundary(self.monoid, self.act, x):
@@ -1015,24 +1020,17 @@ def _block_shuffle(parts):
     return SymGroupElement(n, terms)
 
 
-def _pattern(t):
-    """Each entry of t replaced by the position where its letter first
-    occurs: (b, a, b, c) becomes (0, 1, 0, 3)."""
-    return tuple(map(t.index, t))
-
-
 def _sym_cols(cx, n, elems):
     """The actions of the elements of Z[S_n] in elems on degree n of a
     complex, as sparse integer columns: one list of columns per element.
 
-    A permutation moves positions, not letters, so its image of a tuple is
-    its image of the tuple's first-occurrence pattern with the same letters
-    put back, and putting them back is injective.  So each element's
-    coefficients are merged once per pattern (at most Bell(n) of them),
-    into slots keyed by image pattern, and each tuple with a nonzero value
-    relabels its image once per slot that some element reaches with a
-    nonzero coefficient, and never an image that every element cancels.
-    The merged coefficients are kept for the process (_merged_reads)."""
+    A permutation moves positions, not letters, so it keeps the content
+    of a tuple (the multiset of its letters), and relabelling the letters
+    carries the tuples of one content onto the words of its multiplicity
+    pattern (_content_blocks).  So each element acts once per pattern, on
+    the pattern's words (_pattern_action, kept for the process), and each
+    content with a nonzero value puts its rows back into those columns,
+    once per value index, with no tuple looked up."""
     cx._check_degree(n)
     for elem in elems:
         if elem.n != n:
@@ -1040,73 +1038,70 @@ def _sym_cols(cx, n, elems):
     # a permutation moves tuple t to (t[perm^-1(j)])_j on chains;
     # cochains act by the transpose, which reads t through perm itself
     elems, inverse = tuple(elems), cx.direction == HOMOLOGICAL
-    tuples = cx.tuples_at(n)
-    offset = dict(zip(tuples, cx.tuple_offsets(n)))
-    by_pattern = {}
-    out = [[] for _ in elems]
-    for t, p in zip(tuples, cx.prods_at(n)):
-        rank = cx.coeff.ranks[p]
-        if not rank:
-            continue
-        pattern = _pattern(t)
-        merged = by_pattern.get(pattern)
-        if merged is None:
-            merged = by_pattern[pattern] = _merged_reads(elems, inverse,
-                                                         pattern)
-        readers, moves = merged
-        # t read through perm is its pattern's image with the letters of t
-        # put back
-        row = [offset[tuple(map(t.__getitem__, perm))] for perm in readers]
-        for cols, move in zip(out, moves):
-            for i in range(rank):
-                cols.append({row[s] + i: v for s, v in move})
+    out = [[None] * cx.dims[n] for _ in elems]
+    for pattern, rows, rank in _content_blocks(cx, n):
+        for cols, action in zip(out, _pattern_action(elems, inverse,
+                                                     pattern)):
+            for r, entries in zip(rows, action):
+                for i in range(rank):
+                    cols[r + i] = {rows[k] + i: v for k, v in entries}
     return out
 
 
 @lru_cache(maxsize=None)
-def _merged_reads(elems, inverse, pattern):
-    """The coefficients of each element of the tuple elems merged on the
-    first-occurrence pattern of a tuple, into slots keyed by image
-    pattern: one permutation per slot that reads the slot's image, and
-    per element its (slot, coefficient) pairs, leaving out the images
-    whose coefficients cancel.  A permutation reads a tuple through its
-    inverse when inverse is set, through itself otherwise.  Kept for the
-    process, one entry per elements, direction and pattern; callers share
-    the lists and must not change them."""
-    reader, accs = {}, []
+def _pattern_words(pattern):
+    """The words that hold pattern[j] letters j, in lexicographic order,
+    and the index of each.  Kept for the process; callers share them and
+    must not change them."""
+    letters = [j for j, k in enumerate(pattern) for _ in range(k)]
+    words = sorted(set(itertools.permutations(letters)))
+    return words, {w: k for k, w in enumerate(words)}
+
+
+@lru_cache(maxsize=None)
+def _pattern_action(elems, inverse, pattern):
+    """For each element of the tuple elems and each word of the pattern
+    (_pattern_words), the (word index, coefficient) pairs of the word's
+    image: the coefficients merged by image word, in the order each image
+    first appears over the element's terms, leaving out the images whose
+    coefficients cancel.  A permutation reads a word through its inverse
+    when inverse is set, through itself otherwise.  Kept for the process,
+    one entry per elements, direction and pattern; callers share the
+    lists and must not change them."""
+    words, index = _pattern_words(pattern)
+    out = []
     for elem in elems:
-        acc = {}
-        for perm, c in elem.terms.items():
-            if inverse:
-                perm = _perm_inverse(perm)
-            img = tuple(map(pattern.__getitem__, perm))
-            reader.setdefault(img, perm)
-            acc[img] = acc.get(img, 0) + c
-        accs.append(acc)
-    slot = {}
-    moves = [[(slot.setdefault(img, len(slot)), v)
-              for img, v in acc.items() if v] for acc in accs]
-    return [reader[img] for img in slot], moves
+        terms = [(_perm_inverse(perm) if inverse else perm, c)
+                 for perm, c in elem.terms.items()]
+        action = []
+        for w in words:
+            acc = {}
+            for perm, c in terms:
+                k = index[tuple(map(w.__getitem__, perm))]
+                acc[k] = acc.get(k, 0) + c
+            action.append([(k, v) for k, v in acc.items() if v])
+        out.append(action)
+    return out
 
 
 def _permuted(elem, chains):
     """elem in Z[S_m] on normalized m-chains, each a dict from (tuple,
     value index) to coefficient, as _sym_cols acts on chains: a
-    permutation keeps a tuple's product and so its value, and the
-    coefficients are merged once per first-occurrence pattern."""
-    elems = (elem,)
-    by_pattern, out = {}, []
+    permutation keeps a tuple's content and product, and so its value,
+    and each tuple reads the images of its word in its content's pattern
+    (_pattern_action) with its letters put back."""
+    blocks, out = {}, []
     for chain in chains:
         moved = {}
         for (t, j), v in chain.items():
-            pattern = _pattern(t)
-            merged = by_pattern.get(pattern)
-            if merged is None:
-                merged = by_pattern[pattern] = _merged_reads(elems, True,
-                                                             pattern)
-            readers, (move,) = merged
-            for s, c in move:
-                key = tuple(map(t.__getitem__, readers[s])), j
+            order, pattern = _content_order(t)
+            block = blocks.get(pattern)
+            if block is None:
+                block = blocks[pattern] = _pattern_words(pattern) + (
+                    _pattern_action((elem,), True, pattern)[0],)
+            words, index, action = block
+            for k, c in action[index[tuple(map(order.index, t))]]:
+                key = tuple(map(order.__getitem__, words[k])), j
                 nv = moved.get(key, 0) + v * c
                 if nv:
                     moved[key] = nv
@@ -1273,10 +1268,8 @@ def _shuffle_pattern_block(pattern):
     antipodes act on chains by the same matrices, so the block serves the
     dual of a chain complex in harrison_dim_q too.  Kept for the process;
     callers share the block and must not change it."""
-    letters = [j for j, k in enumerate(pattern) for _ in range(k)]
-    words = sorted(set(itertools.permutations(letters)))
-    index = {w: k for k, w in enumerate(words)}
-    m = len(letters)
+    words, index = _pattern_words(pattern)
+    m = sum(pattern)
     cols = [dict() for _ in words]
     for p in range(1, m):
         off = (p - 1) * len(words)
@@ -1309,13 +1302,19 @@ def _pattern_kernel(pattern):
     return kernel
 
 
+def _content_order(t):
+    """The letters of t by multiplicity, largest first, ties by letter,
+    and their multiplicities, the pattern of t's content: letter j of the
+    pattern's words (_pattern_words) stands for the j-th letter."""
+    order = sorted(set(t), key=lambda a: (-t.count(a), a))
+    return order, tuple(map(t.count, order))
+
+
 def _content_blocks(cx, m):
     """One (pattern, rows, rank) per content of degree m with a nonzero
-    value.  The pattern is the multiplicities of the content's letters,
-    largest first; its letter j stands for the content's j-th letter in
-    that order, ties by letter.  rows[k] is the offset of the pattern's
-    word k of _shuffle_pattern_block with the content's letters put back,
-    and rank the rank of the value."""
+    value (_content_order).  rows[k] is the offset of the pattern's word k
+    (_pattern_words) with the content's letters put back, and rank the
+    rank of the value."""
     tuples = cx.tuples_at(m)
     offset = dict(zip(tuples, cx.tuple_offsets(m)))
     seen = set()
@@ -1325,10 +1324,9 @@ def _content_blocks(cx, m):
         if not rank or content in seen:
             continue
         seen.add(content)
-        order = sorted(set(t), key=lambda a: (-t.count(a), a))
-        pattern = tuple(map(t.count, order))
+        order, pattern = _content_order(t)
         yield pattern, [offset[tuple(map(order.__getitem__, w))]
-                        for w in _shuffle_pattern_block(pattern)[0]], rank
+                        for w in _pattern_words(pattern)[0]], rank
 
 
 def _check_shuffles_kill(cx, n, vecs, contents):

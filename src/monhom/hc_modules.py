@@ -390,12 +390,14 @@ def _offsets(sizes):
 
 
 def _block_diag(mats):
-    """Sparse columns of the block-diagonal matrix of dense blocks."""
-    cols, off = [], 0
+    """Sparse columns of the block-diagonal matrix of dense blocks.  Each
+    distinct block's columns are read once per call: a degree repeats the
+    value relations of one product over many tuples."""
+    cols, off, read = [], 0, {}
     for m in mats:
         if m.cols:  # free values give many blocks with no columns
-            cols += [{off + i: v for i, v in col.items()}
-                     for col in m.col_dicts()]
+            block = read.get(id(m)) or read.setdefault(id(m), m.col_dicts())
+            cols += [{off + i: v for i, v in col.items()} for col in block]
         off += m.rows
     return cols
 

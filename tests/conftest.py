@@ -7,7 +7,8 @@ from monhom import gamma_chain, hodge
 # table behind for the tests after it
 PROCESS_CACHES = (
     gamma_chain._block_shuffle,
-    gamma_chain._merged_reads,
+    gamma_chain._pattern_words,
+    gamma_chain._pattern_action,
     gamma_chain._shuffle_pattern_block,
     gamma_chain._pattern_kernel,
     hodge.total_shuffle_operator,

@@ -62,6 +62,7 @@ from monhom.hc_modules import (
     trivial_module,
     validate_module,
 )
+from monhom.hodge import eulerian_idempotents, total_shuffle_operator
 from monhom.monoids import (
     cyclic_group,
     product_monoid,
@@ -513,9 +514,50 @@ def test_a_batch_acts_as_one_call_per_element():
             assert gamma_chain._sym_cols(cx, n, []) == []
 
 
+def _items(cols):
+    """Each column's entries by row; a column left unset fails."""
+    return [sorted(col.items()) for col in cols]
+
+
+def test_pattern_blocks_give_the_direct_action():
+    # the suite's coefficient family, with the projective's zero-rank
+    # values and the torsion values of jstar:Zmod4:trivial, full and
+    # normalized, both directions: every column equal to the direct sum
+    # over permutations; then the Morse transfer's action on the unit
+    # chains of the normalized chains, entries in the same order
+    compared = 0
+    for monoid in (Z3, truncated_add(2)):
+        for direction, side in ((HOMOLOGICAL, RIGHT), (COHOMOLOGICAL, LEFT)):
+            for _, coeff in _family(monoid, side):
+                for normalized in (False, True):
+                    cx = build_complex(monoid, coeff, 4, direction,
+                                       normalized=normalized)
+                    for n in range(1, 5):
+                        batch = [total_shuffle_operator(n)] + [
+                            shuffle_element(p, n - p) for p in range(1, n)
+                        ] + list(eulerian_idempotents(n))
+                        acted = gamma_chain._sym_cols(cx, n, batch)
+                        assert [_items(cols) for cols in acted] == [
+                            _items(_direct_action_cols(cx, n, elem))
+                            for elem in batch]
+                        compared += len(batch)
+                        if normalized and direction == HOMOLOGICAL:
+                            basis = [(t, j) for t, p in zip(
+                                cx.tuples_at(n), cx.prods_at(n))
+                                for j in range(coeff.ranks[p])]
+                            moved = gamma_chain._permuted(
+                                batch[0], [{b: 1} for b in basis])
+                            assert [list(c.items()) for c in moved] == [
+                                [(basis[r], v) for r, v in col.items()]
+                                for col in acted[0]]
+    assert compared == 2 * 2 * 3 * 2 * sum(2 * n for n in range(1, 5))
+
+
 def test_sym_action_suite_catches_a_wrong_pattern_key(monkeypatch, capsys):
-    # tuples with the same letters in another order do not share images
-    monkeypatch.setattr(gamma_chain, "_pattern", lambda t: tuple(sorted(t)))
+    # letters in letter order against a pattern in multiplicity order: the
+    # words of (a, b, b) are put back as those of (a, a, b)
+    monkeypatch.setattr(gamma_chain, "_content_order", lambda t: (
+        sorted(set(t)), tuple(sorted(map(t.count, set(t)), reverse=True))))
     assert cli.main(["verify", "sym-action"]) == 3
     out = capsys.readouterr().out
     assert "FAIL sym-action[cyclic_group(2)]" in out

@@ -437,19 +437,19 @@ def test_warm_tables_give_the_cold_answers_and_stay_unchanged(
     cold = answers()
     assert all(fn.cache_info().misses for fn in process_caches)
     assert answers() == cold
-    patterns = {m: {gamma_chain._pattern(t) for t in cases[0][0].tuples_at(m)}
-                for m in range(1, 6)}
     multiplicities = {
         m: {tuple(sorted((t.count(a) for a in set(t)), reverse=True))
-            for t in cases[0][0].tuples_at(m)} for m in range(2, 6)}
+            for t in cases[0][0].tuples_at(m)} for m in range(1, 6)}
     keys = {
         gamma_chain._block_shuffle: [((p, m - p),) for m in range(2, 6)
                                      for p in range(1, m)],
         hodge.total_shuffle_operator: [(m,) for m in range(1, 6)],
-        gamma_chain._merged_reads: [
+        gamma_chain._pattern_words: [
+            (p,) for m in range(1, 6) for p in multiplicities[m]],
+        gamma_chain._pattern_action: [
             ((total_shuffle_operator(m),), inverse, pattern)
             for inverse in (True, False) for m in range(1, 6)
-            for pattern in patterns[m]],
+            for pattern in multiplicities[m]],
         gamma_chain._shuffle_pattern_block: [
             (p,) for m in range(2, 6) for p in multiplicities[m]],
         gamma_chain._pattern_kernel: [

@@ -398,6 +398,34 @@ def test_grillet_reads_its_weights_over_q(monkeypatch, capsys):
         "rank_and_torsion"] * 2
 
 
+def test_the_chains_of_a_reduction_are_assembled_once(monkeypatch):
+    # Klein with trivialZ and the projective: one Morse complex and one
+    # normalized complex per system, and on cochains one ring-Q chain
+    # complex, read by morse_hodge and again by the transfer-map check
+    calls, counts = [], {}
+    assemble, guarded = gamma_chain._assemble, verify._guarded
+
+    def counted(*args):
+        calls.append(args[2])
+        return assemble(*args)
+
+    def one_body(name, anchor, fn):
+        calls.clear()
+        result = guarded(name, anchor, fn)
+        counts[name] = list(calls)
+        return result
+
+    monkeypatch.setattr(gamma_chain, "_assemble", counted)
+    monkeypatch.setattr(verify, "_guarded", one_body)
+    monkeypatch.setattr(verify, "suite_monoids", lambda: [("Klein", KLEIN)])
+    assert all(result.passed for result in verify.check_morse())
+    directions = counts["morse[weights:Klein]"]
+    assert directions.count(HOMOLOGICAL) == 2 * 2 + 2
+    assert directions.count(COHOMOLOGICAL) == 2 * 2
+    red = MorseReduction(KLEIN, trivial_module(KLEIN, LEFT), 4, COHOMOLOGICAL)
+    assert red.chains() is red.chains() is not red.complex
+
+
 def test_the_morse_suite_checks_the_transfer_on_every_critical_cell(
         monkeypatch):
     red = MorseReduction(KLEIN, trivial_module(KLEIN, RIGHT), 5, HOMOLOGICAL,
