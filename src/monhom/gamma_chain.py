@@ -626,22 +626,27 @@ class MorseReduction:
                 self.maps, None, True)
         return self._chains
 
-    def transfer(self, m, elem, cycles):
-        """pi o elem o iota on the Morse m-cycles cycles (sparse columns),
+    def transfer(self, m, elem, chains):
+        """pi o elem o iota on the Morse m-chains chains (sparse columns),
         for elem in Z[S_m] acting on the normalized chains as _sym_cols
         acts, through the same per-pattern action (_permuted).  Each lift
-        is checked exactly first: it must be a cycle of the normalized
-        complex, computed face by face (_chain_boundary), and pi must
-        carry it back to its cycle.  Raises WeightNotPreserved
-        otherwise."""
-        lifts = [self.lift(m, z) for z in cycles]
-        for z, x in zip(cycles, lifts):
-            if _chain_boundary(self.monoid, self.act, x):
+        x = iota(z) is checked exactly first: d x, computed face by face on
+        the normalized complex (_chain_boundary), must be iota(d_M z), which
+        is 0 on a cycle, and pi must carry x back to z.  Raises
+        WeightNotPreserved otherwise."""
+        lifts = [self.lift(m, z) for z in chains]
+        for z, x, dz in zip(chains, lifts,
+                            _compose_cols(chains, self.maps[m])):
+            if _chain_boundary(self.monoid, self.act, x) != (
+                    self.lift(m - 1, dz) if dz else {}):
                 raise WeightNotPreserved(
-                    f"the lift of a Morse cycle of degree {m} is no cycle")
+                    f"d o iota is not iota o d_M on a Morse chain of degree"
+                    f" {m}" if dz else f"the lift of a Morse cycle of degree"
+                    f" {m} is no cycle")
             if self.project(m, x) != {r: v for r, v in z.items() if v}:
                 raise WeightNotPreserved(
-                    f"pi o iota moves a Morse cycle of degree {m}")
+                    f"pi o iota moves a Morse {'chain' if dz else 'cycle'}"
+                    f" of degree {m}")
         return [self.project(m, y) for y in _permuted(elem, lifts)]
 
 
@@ -1234,26 +1239,26 @@ def harrison_dim_q(cx):
     """
     if cx.coeff.has_torsion:
         raise BadParams("rational dimensions need free-valued coefficients")
-    dual = cx.step < 0
-    out, rank_low, contents = [], 0, []
-    for m in range(cx.n_max):
+    dual, out = cx.step < 0, []
+    for m in range(1, cx.n_max):
         # the map from degree m to m + 1 on the cochain side
         delta = _transpose_cols(cx.d_in(m), cx.dims[m]) if dual \
             else cx.d_out(m)
-        if m < 2:  # no shuffles: V^m is all of degree m
-            dim_v, moved = cx.dims[m], delta
+        if m == 1:
+            # no shuffles: V^0 and V^1 are all of degrees 0 and 1, and with
+            # no relations the cone's maps are d, whose ranks cx keeps
+            dim_v, moved = cx.dims[1], delta
+            rank_low, rank_up = (cx.map_invariants(k)[0] for k in (1, 2))
         else:  # contents holds degree m's, listed for the last check
             basis = [{rows[k] + i: v for k, v in vec.items()}
                      for pattern, rows, rank in contents
                      for vec in _pattern_kernel(pattern)
                      for i in range(rank)]
             dim_v, moved = len(basis), _compose_cols(basis, delta)
-        if m:
-            contents = list(_content_blocks(cx, m + 1))
-            _check_shuffles_kill(cx, m + 1, moved, contents)
-        rank_up = int_rank(moved)
-        if m:
-            out.append(dim_v - rank_up - rank_low)
+            rank_up = int_rank(moved)
+        contents = list(_content_blocks(cx, m + 1))
+        _check_shuffles_kill(cx, m + 1, moved, contents)
+        out.append(dim_v - rank_up - rank_low)
         rank_low = rank_up
     return out
 
@@ -1312,21 +1317,25 @@ def _content_order(t):
 
 def _content_blocks(cx, m):
     """One (pattern, rows, rank) per content of degree m with a nonzero
-    value (_content_order).  rows[k] is the offset of the pattern's word k
-    (_pattern_words) with the content's letters put back, and rank the
-    rank of the value."""
-    tuples = cx.tuples_at(m)
-    offset = dict(zip(tuples, cx.tuple_offsets(m)))
-    seen = set()
-    for t, p in zip(tuples, cx.prods_at(m)):
-        content = tuple(sorted(t))
-        rank = cx.coeff.ranks[p]
-        if not rank or content in seen:
-            continue
-        seen.add(content)
-        order, pattern = _content_order(t)
-        yield pattern, [offset[tuple(map(order.__getitem__, w))]
-                        for w in _pattern_words(pattern)[0]], rank
+    value (_content_order), in lexicographic order of the sorted tuples,
+    which is where each content first appears among the tuples.  rows[k]
+    is the offset of the pattern's word k (_pattern_words) with the
+    content's letters put back, found by its lexicographic index, and rank
+    the rank of the value."""
+    letters = _letters(cx.monoid, cx.normalized)
+    place = {a: i for i, a in enumerate(letters)}
+    offsets = cx.tuple_offsets(m)
+    for content in itertools.combinations_with_replacement(letters, m):
+        rank = cx.coeff.ranks[cx.monoid.product(content)]
+        if rank:
+            order, pattern = _content_order(content)
+            rows = []
+            for w in _pattern_words(pattern)[0]:
+                i = 0
+                for k in w:
+                    i = i * len(letters) + place[order[k]]
+                rows.append(offsets[i])
+            yield pattern, rows, rank
 
 
 def _check_shuffles_kill(cx, n, vecs, contents):

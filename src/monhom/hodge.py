@@ -9,12 +9,13 @@ the eigenspaces of s_n on it: s_n acts by an integer matrix that commutes
 with the boundary, and each weight's dimension is read from integer
 ranks on cycles that represent the homology, modulo the boundaries.
 That path builds no projector and has no cap of its own: the basis
-budget of the complex bounds it.  hodge_decomposition acts with s_n on
-the tuples of a complex from build_complex and is the reference;
-morse_hodge reads the same weights on the Morse complex, through the
-chain maps pi and iota of a MorseReduction, and every compute target
-takes that path.  Weight 1 is rational Harrison (co)homology, so every
-rational Harrison dimension is read from it.
+budget of the complex bounds it.  One reader takes each degree's weights
+(_degree_weights) and holds their guards.  hodge_decomposition feeds it
+s_n on the tuples of a complex from build_complex and is the reference;
+morse_hodge feeds it pi s_n iota on the Morse complex, through the chain
+maps of a MorseReduction, and every compute target takes that path.
+Weight 1 is rational Harrison (co)homology, so every rational Harrison
+dimension is read from it.
 """
 
 from __future__ import annotations
@@ -126,32 +127,55 @@ def hodge_decomposition(cx):
     normalized; the compute targets read the same weights on the Morse
     complex (morse_hodge), and the morse suite compares the two.
 
-    The coefficients must be free-valued.  The ring of the complex only
-    decides whether its totals also read torsion, so the weights do not
-    depend on it.  Weight 1 is the rational Harrison dimension (Loday,
-    Cyclic Homology 4.5).  s_n keeps the degenerate tuples, so normalizing
-    the complex changes no weight.  Weight i of degree n is the
-    (2^i - 2)-eigenspace of the total shuffle operator s_n on H_n, which
-    s_n carries to itself because it commutes with the boundary.  s_n is
-    diagonalizable on the chains with eigenvalues 2^i - 2, i = 1..n, so on
-    homology too.  Each degree's tuples are acted on once, with s_n alone
-    (_sym_cols), and d o s = s o d is verified exactly on every map before
-    any rank is trusted; degree 0 is weight 0, with s_0 = -1.  The weights
-    of degree n come from h = dim H_n cycles that represent its homology
-    (see _eigenspace_dims), and two checks guard them: the cycles
-    independent modulo the boundaries must number h, and the weights must
-    add up to h, which holds exactly when s_n acts diagonalizably on H_n.
-    Each boundary map is eliminated by columns once (_totals).  No
-    projector is built, so no degree cap applies; the budget of the
-    complex bounds the work.
+    The coefficients must be free-valued (_totals).  The ring of the
+    complex only decides whether its totals also read torsion, so the
+    weights do not depend on it.  Weight 1 is the rational Harrison
+    dimension (Loday, Cyclic Homology 4.5).  s_n keeps the degenerate
+    tuples, so normalizing the complex changes no weight.  Each degree's
+    tuples are acted on once, with s_n alone (_sym_cols), and
+    _degree_weights reads a degree's weights, with s_n composed on its
+    representatives, once d o s = s o d holds exactly on the maps around
+    it (_checked).
     """
-    if cx.coeff.has_torsion:
-        raise BadParams("rational dimensions need free-valued coefficients")
-    dims = []
-    totals = _totals(cx, range(1, cx.n_max))
-    s_low = [{r: -1} for r in range(cx.dims[0])]  # s_0 = 2^0 - 2
-    for m in range(1, cx.n_max + 1):
-        s_high, = _sym_cols(cx, m, [total_shuffle_operator(m)])
+    acted = _checked(cx, cx.n_max, lambda m: _sym_cols(
+        cx, m, [total_shuffle_operator(m)])[0])
+    return [_degree_weights(cx, n, h, boundaries,
+                            lambda reps: _compose_cols(reps, s))
+            for (_, h, boundaries), (n, s) in zip(
+                _totals(cx, range(1, cx.n_max)), acted)]
+
+
+def morse_hodge(red):
+    """The weights of hodge_decomposition, read on the Morse complex of a
+    MorseReduction built with transfer set.
+
+    pi and iota are chain maps with pi o iota = 1 and iota o pi
+    homotopic to 1, so S_n = pi s_n iota acts on H_n of the Morse
+    complex as s_n acts on H_n of the normalized complex, and
+    _degree_weights reads its weights with S_n applied to the
+    representatives through red.transfer, which checks each lift.  The
+    weights are read over Q whatever the ring of the complex.
+
+    Cochains need no transposed maps of their own.  The coboundaries are
+    the transposed boundaries of the translations as a right module
+    (_right_act), and s_n acts on cochains by the transposed matrices, so
+    over Q the weights of the cochains are those of these chains
+    (red.chains)."""
+    cx = red.chains()
+    return [_degree_weights(cx, n, h, boundaries, lambda reps: red.transfer(
+                n, total_shuffle_operator(n), reps))
+            for n, h, boundaries in _totals(cx, range(1, cx.n_max))]
+
+
+def _checked(cx, top, act):
+    """(n, S_n) for n = 1..top - 1, with S_m = act(m) the columns of an
+    operator on degree m and S_0 = -1 (s_0 = 2^0 - 2): S_n is yielded
+    once d o S = S o d holds exactly on the maps into and out of degree n,
+    and WeightNotPreserved is raised on a map where it fails.  Spent, the
+    generator has checked every map between degrees 0 and top."""
+    s_low = [{r: -1} for r in range(cx.dims[0])]
+    for m in range(1, top + 1):
+        s_high = act(m)
         if cx.step < 0:
             src, s_src, s_tgt = m, s_high, s_low
         else:
@@ -162,60 +186,8 @@ def hodge_decomposition(cx):
                 f"boundary from degree {src} does not commute with the total"
                 " shuffle operator")
         if m > 1:
-            n, h, boundaries = next(totals)
-            weights = _eigenspace_dims(cx, n, s_low, h, boundaries)
-            if sum(weights) != h:
-                raise WeightNotPreserved(
-                    f"weight dimensions {weights} do not add up to the total"
-                    f" in degree {n}")
-            dims.append(weights)
+            yield m - 1, s_low
         s_low = s_high
-    return dims
-
-
-def morse_hodge(red):
-    """The weights of hodge_decomposition, read on the Morse complex of a
-    MorseReduction built with transfer set.
-
-    pi and iota are chain maps with pi o iota = 1 and iota o pi
-    homotopic to 1, so S_n = pi s_n iota acts on H_n of the Morse
-    complex as s_n acts on H_n of the normalized complex, and weight i of
-    degree n is h - rank(S_n - (2^i - 2)) on H_n, h = dim H_n.  As in
-    _eigenspace_dims, h Morse cycles independent modulo the boundaries
-    represent H_n, and S_n acts on them alone (red.transfer, which checks
-    each lift: a cycle, which pi carries back); a degree with h = 0 is
-    all zero, and nothing is lifted there.  Each image must be a cycle
-    again, d o S = S o d on the cycles, and the weights must add up to
-    h, or WeightNotPreserved is raised.  The weights are read over Q
-    whatever the ring of the complex, so each Morse map is eliminated
-    by columns once (_totals), and no invariant factor is computed.
-
-    Cochains need no transposed maps of their own.  The coboundaries are
-    the transposed boundaries of the translations as a right module
-    (_right_act), and s_n acts on cochains by the transposed matrices, so
-    over Q the weights of the cochains are those of these chains
-    (red.chains)."""
-    if red.complex.coeff.has_torsion:
-        raise BadParams("rational dimensions need free-valued coefficients")
-    cx = red.chains()
-    dims = []
-    for n, h, boundaries in _totals(cx, range(1, cx.n_max)):
-        weights = [0] * n
-        if h:
-            reps, classes = _representatives(cx, n, h, boundaries)
-            moved = red.transfer(n, total_shuffle_operator(n), reps)
-            if any(_compose_cols(moved, cx.d_out(n))):
-                raise WeightNotPreserved(
-                    f"pi s_{n} iota carries a cycle of degree {n} off the"
-                    " cycles")
-            weights = _eigen_ranks(boundaries, classes, [
-                boundaries.reduce(sz) for sz in moved], n, h)
-            if sum(weights) != h:
-                raise WeightNotPreserved(
-                    f"weight dimensions {weights} do not add up to the total"
-                    f" in degree {n}")
-        dims.append(weights)
-    return dims
 
 
 def _totals(cx, degrees):
@@ -228,7 +200,8 @@ def _totals(cx, degrees):
     once.  On chains the map out of degree n entered degree n - 1.  On
     cochains it enters degree n + 1, whose reduction is then built before
     h and kept for the next step; no other reduction outlives its
-    degree."""
+    degree.  hochschild_dim_q raises BadParams on coefficients that are
+    not free-valued, before any weight is read."""
     ahead = None
     for n in degrees:
         boundaries = ahead or cx.reduction_in(n)
@@ -237,16 +210,33 @@ def _totals(cx, degrees):
         yield n, hochschild_dim_q(cx, n), boundaries
 
 
-def _eigenspace_dims(cx, n, s, h, boundaries):
-    """The dimensions h - rank(s - (2^i - 2)) on H_n for i = 1..n, with s
-    the columns of s_n on degree n, h = dim H_n and boundaries the
-    reduction by the boundaries into degree n: s_n acts on the h cycles
-    of _representatives only, and reduction is linear, so the rank of
-    s - (2^i - 2) on H_n is that of red(s z) - (2^i - 2) red(z) modulo R
-    (_eigen_ranks)."""
-    reps, rep_classes = _representatives(cx, n, h, boundaries)
-    moved = [boundaries.reduce(sz) for sz in _compose_cols(reps, s)]
-    return _eigen_ranks(boundaries, rep_classes, moved, n, h)
+def _degree_weights(cx, n, h, boundaries, act):
+    """The weights h - rank(S - (2^i - 2)) on H_n, i = 1..n, of an
+    operator S on degree n that commutes with d, for (n, h, boundaries)
+    from _totals and act giving the columns of S on a list of cycles.
+
+    S acts on the h cycles of _representatives only, and reduction is
+    linear, so the rank of S - (2^i - 2) on H_n is that of
+    red(S z) - (2^i - 2) red(z) modulo the residual.  Three guards raise
+    WeightNotPreserved: the representatives must number h, h = 0
+    included; their images must be cycles; and the weights must add up to
+    h, which holds exactly when S acts diagonalizably on H_n, as s_n does
+    on the chains, with eigenvalues 2^i - 2."""
+    reps, classes = _representatives(cx, n, h, boundaries)
+    moved = act(reps)
+    if any(_compose_cols(moved, cx.d_out(n))):
+        raise WeightNotPreserved(
+            f"s_{n} carries a cycle of degree {n} off the cycles")
+    moved = [boundaries.reduce(sz) for sz in moved]
+    weights = [h - boundaries.rank_modulo(
+        [{**sc, **{r: sc.get(r, 0) - lam * v for r, v in c.items()}}
+         for sc, c in zip(moved, classes)])
+        for lam in (2 ** i - 2 for i in range(1, n + 1))]
+    if sum(weights) != h:
+        raise WeightNotPreserved(
+            f"weight dimensions {weights} do not add up to the total"
+            f" in degree {n}")
+    return weights
 
 
 def _representatives(cx, n, h, boundaries):
@@ -282,13 +272,3 @@ def _representatives(cx, n, h, boundaries):
             f"{found} cycles independent modulo the boundaries in degree {n},"
             f" where the total is {h}")
     return reps, rep_classes
-
-
-def _eigen_ranks(boundaries, rep_classes, moved, n, h):
-    """h - rank(moved - (2^i - 2) rep_classes) modulo the residual of
-    boundaries, for i = 1..n: moved holds the reductions of the images of
-    the representatives whose reductions are rep_classes."""
-    return [h - boundaries.rank_modulo(
-        [{**sc, **{r: sc.get(r, 0) - lam * v for r, v in c.items()}}
-         for sc, c in zip(moved, rep_classes)])
-        for lam in (2 ** i - 2 for i in range(1, n + 1))]

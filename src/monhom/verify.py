@@ -12,7 +12,7 @@ import json
 import time
 from dataclasses import dataclass
 
-from .errors import MonhomError, OracleMismatch, WeightNotPreserved
+from .errors import MonhomError, OracleMismatch
 from .exact_linalg import (
     FgAbGroup,
     IntMatrix,
@@ -37,7 +37,6 @@ from .gamma_chain import (
     _face_targets,
     _lex_faces,
     _letters,
-    _permuted,
     _shuffle_int_cols,
     _shuffle_quotient,
     _sym_cols,
@@ -74,6 +73,7 @@ from .hc_modules import (
     trivial_module,
 )
 from .hodge import (
+    _checked,
     eulerian_idempotents,
     hodge_decomposition,
     morse_hodge,
@@ -517,25 +517,16 @@ def check_morse():
 
 def _check_transfer_maps(red):
     """The maps morse_hodge reads, on every Morse chain of degrees
-    1..n_max - 1 and not only on the cycles it lifts: pi o iota = 1 on
-    each critical cell, and S_n = pi s_n iota commutes with the Morse
-    differential, with s_0 = -1 as in hodge_decomposition."""
+    1..n_max - 1 and not only on the cycles it lifts: red.transfer of s_n
+    on the unit chains checks that iota is a chain map and pi o iota = 1
+    on each critical cell, and S_n = pi s_n iota must commute with the
+    Morse differential, with s_0 = -1 as in hodge_decomposition
+    (_checked)."""
     cx = red.chains()
-    s_low = [{r: -1} for r in range(cx.dims[0])]
-    for n in range(1, cx.n_max):
-        units = [{r: 1} for r in range(cx.dims[n])]
-        lifts = [red.lift(n, e) for e in units]
-        if [red.project(n, x) for x in lifts] != units:
-            raise WeightNotPreserved(
-                f"pi o iota is not 1 on the critical cells of degree {n}")
-        s_high = [red.project(n, y) for y in
-                  _permuted(total_shuffle_operator(n), lifts)]
-        d = cx.d_out(n)
-        if _compose_cols(s_high, d) != _compose_cols(d, s_low):
-            raise WeightNotPreserved(
-                f"pi s_{n} iota does not commute with the Morse differential"
-                f" out of degree {n}")
-        s_low = s_high
+    for _ in _checked(cx, cx.n_max - 1, lambda n: red.transfer(
+            n, total_shuffle_operator(n),
+            [{r: 1} for r in range(cx.dims[n])])):
+        pass
 
 
 def _full_and_normalized(monoid, coeff, direction, ring="Z"):

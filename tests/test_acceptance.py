@@ -3,6 +3,7 @@ single PASS/FAIL line with its runtime.  Tolerances are exact; stated
 runtime caps are part of the criterion."""
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +138,10 @@ def test_criterion_11_deterministic_reports(say, tmp_path):
             assert code == 0
             assert time.monotonic() - start <= 600
         assert paths[0].read_bytes() == paths[1].read_bytes()
+        # and the report is the pinned one, so a refactor that changes any
+        # check's name, anchor, detail or outcome fails here
+        pinned = Path(__file__).parent / "data" / "verify_all.json"
+        assert paths[0].read_bytes() == pinned.read_bytes()
 
     _run(say, 11, "running every self-check twice produces byte-identical "
-         "reports inside the time cap", body)
+         "reports, equal to the pinned report, inside the time cap", body)

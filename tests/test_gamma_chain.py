@@ -553,6 +553,42 @@ def test_pattern_blocks_give_the_direct_action():
     assert compared == 2 * 2 * 3 * 2 * sum(2 * n for n in range(1, 5))
 
 
+def _first_appearance_blocks(cx, m):
+    # the contents in order of first appearance over the tuples of degree
+    # m, each tuple sorted, and each word's row looked up by its tuple
+    offset = dict(zip(cx.tuples_at(m), cx.tuple_offsets(m)))
+    seen = set()
+    for t, p in zip(cx.tuples_at(m), cx.prods_at(m)):
+        content, rank = tuple(sorted(t)), cx.coeff.ranks[p]
+        if rank and content not in seen:
+            seen.add(content)
+            order, pattern = gamma_chain._content_order(t)
+            yield pattern, [offset[tuple(map(order.__getitem__, w))]
+                            for w in gamma_chain._pattern_words(pattern)[0]
+                            ], rank
+
+
+def test_contents_are_listed_in_order_of_first_appearance():
+    # every suite monoid, the suite's coefficient family (the projective
+    # has zero-rank values) and jstar:regular, full and normalized, both
+    # directions, degrees 0..5: the same (pattern, rows, rank) in the same
+    # order as the first-appearance enumeration over the tuples
+    compared = 0
+    for _, monoid in suite_monoids():
+        for direction, side in ((HOMOLOGICAL, RIGHT), (COHOMOLOGICAL, LEFT)):
+            coeffs = [c for _, c in _family(monoid, side)] + [
+                jstar(regular_kc_module(monoid), side)]
+            for coeff in coeffs:
+                for normalized in (False, True):
+                    cx = build_complex(monoid, coeff, 5, direction,
+                                       normalized=normalized)
+                    for m in range(6):
+                        assert list(gamma_chain._content_blocks(cx, m)) == \
+                            list(_first_appearance_blocks(cx, m))
+                        compared += 1
+    assert compared == 6 * 2 * 4 * 2 * 6
+
+
 def test_sym_action_suite_catches_a_wrong_pattern_key(monkeypatch, capsys):
     # letters in letter order against a pattern in multiplicity order: the
     # words of (a, b, b) are put back as those of (a, a, b)

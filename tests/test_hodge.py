@@ -1,12 +1,13 @@
 """Eulerian idempotents: algebra identities, eigenvector property, and
 weight decompositions cross-checked against rank arithmetic."""
 
+import json
 import random
 from math import factorial
 
 import pytest
 
-from monhom import cli, exact_linalg, gamma_chain, hodge
+from monhom import cli, exact_linalg, gamma_chain, hodge, verify
 from monhom.errors import BadParams, NotAnnihilated, WeightNotPreserved
 from monhom.exact_linalg import int_rank
 from monhom.gamma_chain import (
@@ -184,23 +185,78 @@ def test_weight_one_piece_equals_harrison():
 
 def test_harrison_reference_shares_no_weight_engine(monkeypatch):
     # the reference of weight 1 runs with the weight engine and the pivot
-    # reduction it rests on refusing every call
+    # reduction it rests on refusing every call, on complexes that have
+    # ranked no map yet
     monoid = product_monoid(cyclic_group(2), cyclic_group(2)).monoid
-    cxs = [build_complex(monoid, trivial_module(monoid, side), 5, direction,
-                         ring="Q")
-           for direction, side in ((HOMOLOGICAL, RIGHT),
-                                   (COHOMOLOGICAL, LEFT))]
-    expected = [harrison_dim_q(cx) for cx in cxs]
+
+    def complexes():
+        return [build_complex(monoid, trivial_module(monoid, side), 5,
+                              direction, ring="Q")
+                for direction, side in ((HOMOLOGICAL, RIGHT),
+                                        (COHOMOLOGICAL, LEFT))]
+
+    expected = [harrison_dim_q(cx) for cx in complexes()]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the Harrison reference reached the weights")
 
     for module, name in ((hodge, "hodge_decomposition"),
                          (hodge, "total_shuffle_operator"),
-                         (hodge, "_eigenspace_dims"),
-                         (exact_linalg, "PivotReduction")):
+                         (hodge, "_degree_weights"),
+                         (hodge, "_checked"),
+                         (exact_linalg, "PivotReduction"),
+                         (gamma_chain, "PivotReduction")):
         monkeypatch.setattr(module, name, refuse)
-    assert [harrison_dim_q(cx) for cx in cxs] == expected
+    assert [harrison_dim_q(cx) for cx in complexes()] == expected
+
+
+def test_harrison_reference_reads_the_low_ranks_off_the_complex(
+        monkeypatch):
+    # verify hodge: hodge_decomposition ranks the map the weights do not
+    # reduce once per complex (12 complexes), and harrison_dim_q takes the
+    # ranks of the maps out of degrees 0 and 1 from the complex, so it
+    # calls int_rank only on delta o K_m, m = 2..4: 3 times per complex,
+    # where it called it 5 times
+    calls, inside = [], []
+    rank, harrison = gamma_chain.int_rank, verify.harrison_dim_q
+
+    def counted(vecs):
+        calls.append(bool(inside))
+        return rank(vecs)
+
+    def flagged(cx):
+        inside.append(cx)
+        try:
+            return harrison(cx)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(gamma_chain, "int_rank", counted)
+    monkeypatch.setattr(verify, "harrison_dim_q", flagged)
+    assert all(result.passed for result in verify.check_hodge())
+    assert (calls.count(True), calls.count(False)) == (36, 12)
+
+
+def test_a_total_of_zero_is_counted_too(monkeypatch, capsys):
+    # H_1 of truncated_add(2) with regular coefficients is Q, read as 0:
+    # the cycle count runs at h = 0 as at every degree, so the Morse
+    # weights do not come out as [0]
+    total = hodge.hochschild_dim_q
+    monkeypatch.setattr(hodge, "hochschild_dim_q",
+                        lambda cx, n: 0 if n == 1 else total(cx, n))
+    monoid = truncated_add(2)
+    red = MorseReduction(monoid, jstar(regular_kc_module(monoid), RIGHT), 3,
+                         HOMOLOGICAL, ring="Q", transfer=True)
+    with pytest.raises(WeightNotPreserved,
+                       match="independent modulo the boundaries"):
+        morse_hodge(red)
+    assert cli.main(["compute", "hodge", "--monoid",
+                     "builtin:truncated_add(2)", "--coeff", "jstar:regular",
+                     "--max-degree", "2"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "type": "WeightNotPreserved",
+        "message": "1 cycles independent modulo the boundaries in degree 1,"
+                   " where the total is 0"}
 
 
 def test_weights_of_regular_coefficients():
@@ -302,19 +358,25 @@ def test_cycle_counts_that_miss_the_total_are_caught(monkeypatch):
 
 
 def test_weights_that_do_not_add_up_are_caught(monkeypatch):
-    # one eigenvalue's rank one short: weight 1 gains a dimension, which
-    # the cycle count does not see and the weight sum does
-    original = hodge._eigenspace_dims
+    # one eigenvalue's rank one short: weight 1 of degree 3, where H_3 is
+    # all weight 2 and s_3 has rank 1 on it, gains a dimension, which the
+    # cycle count does not see and the weight sum does
+    original = hodge._representatives
 
-    def corrupted(*args):
-        weights = original(*args)
-        return [weights[0] + 1] + weights[1:]
+    def corrupted(cx, n, h, boundaries):
+        found = original(cx, n, h, boundaries)
+        if n == 3:
+            rank, short = boundaries.rank_modulo, [1]
+            boundaries.rank_modulo = lambda reduced: rank(reduced) - (
+                short.pop() if short else 0)
+        return found
 
-    monkeypatch.setattr(hodge, "_eigenspace_dims", corrupted)
+    monkeypatch.setattr(hodge, "_representatives", corrupted)
     monoid = truncated_add(2)
     cx = build_complex(monoid, jstar(regular_kc_module(monoid), RIGHT), 4,
                        HOMOLOGICAL, ring="Q", normalized=True)
-    with pytest.raises(WeightNotPreserved, match="do not add up"):
+    with pytest.raises(WeightNotPreserved, match="weight dimensions"
+                       r" \[1, 1, 0\] do not add up to the total in degree 3"):
         hodge_decomposition(cx)
 
 
@@ -372,10 +434,11 @@ def test_weights_act_on_homology_representatives_only(monkeypatch):
                 ("rank", 5)]
             continue
         # commutation on the maps out of degrees 1..5, then the weights of
-        # degrees 1..4 after the maps around them are checked
+        # degrees 1..4 after the maps around them are checked: s_n on the
+        # h = 2 representatives, and d on their images, which must be cycles
         checks = [[cx.dims[m]] * 2 for m in range(1, 6)]
         assert composed == checks[0] + [x for m in range(1, 5)
-                                        for x in checks[m] + [2]]
+                                        for x in checks[m] + [2, 2]]
 
 
 def _projector_weights(cx):

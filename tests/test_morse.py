@@ -433,18 +433,33 @@ def test_the_morse_suite_checks_the_transfer_on_every_critical_cell(
     verify._check_transfer_maps(red)
     lift = MorseReduction.lift
     with monkeypatch.context() as patch:
-        # iota doubled: pi o iota = 2, on the critical cells of degree 1
+        # iota doubled: pi o iota = 2, on the critical cells of degree 1,
+        # where the Morse differential is 0
         patch.setattr(MorseReduction, "lift", lambda red, m, z: {
             key: 2 * v for key, v in lift(red, m, z).items()})
-        with pytest.raises(WeightNotPreserved, match="pi o iota is not 1 on"
-                           " the critical cells of degree 1"):
+        with pytest.raises(WeightNotPreserved, match="pi o iota moves a Morse"
+                           " cycle of degree 1"):
+            verify._check_transfer_maps(red)
+    # iota losing the last partner it adds in degree 3 is caught on the
+    # first critical cell whose lift has a partner: no cycle, so d iota
+    # differs from iota d_M there
+    def corrupted(red, m, z):
+        x = lift(red, m, z)
+        if m == 3 and len(x) > len(z):
+            del x[list(x)[-1]]
+        return x
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MorseReduction, "lift", corrupted)
+        with pytest.raises(WeightNotPreserved, match="d o iota is not iota o"
+                           " d_M on a Morse chain of degree 3"):
             verify._check_transfer_maps(red)
     # one transposition in place of s_n is no chain map on the Klein group
     monkeypatch.setattr(verify, "total_shuffle_operator", lambda n: (
         SymGroupElement(n, {(1, 0) + tuple(range(2, n)): 1}) if n > 1
         else SymGroupElement.identity(1)))
-    with pytest.raises(WeightNotPreserved, match="pi s_3 iota does not"
-                       " commute with the Morse differential out of degree 3"):
+    with pytest.raises(WeightNotPreserved, match="boundary from degree 3"
+                       " does not commute with the total shuffle operator"):
         verify._check_transfer_maps(red)
 
 
