@@ -629,7 +629,7 @@ class MorseReduction:
     def transfer(self, m, elem, chains):
         """pi o elem o iota on the Morse m-chains chains (sparse columns),
         for elem in Z[S_m] acting on the normalized chains as _sym_cols
-        acts, through the same per-pattern action (_permuted).  Each lift
+        acts, but tuple by tuple on the lifts alone (_permuted).  Each lift
         x = iota(z) is checked exactly first: d x, computed face by face on
         the normalized complex (_chain_boundary), must be iota(d_M z), which
         is 0 on a cycle, and pi must carry x back to z.  Raises
@@ -1090,23 +1090,28 @@ def _pattern_action(elems, inverse, pattern):
 
 
 def _permuted(elem, chains):
-    """elem in Z[S_m] on normalized m-chains, each a dict from (tuple,
-    value index) to coefficient, as _sym_cols acts on chains: a
-    permutation keeps a tuple's content and product, and so its value,
-    and each tuple reads the images of its word in its content's pattern
-    (_pattern_action) with its letters put back."""
-    blocks, out = {}, []
+    """elem in Z[S_m] on m-chains, each a dict from (tuple, value index)
+    to coefficient, tuple by tuple: sum_sigma c_sigma (t o sigma^-1),
+    whose position sigma(j) holds t_j, the oracle of the per-pattern
+    action (_sym_cols).  A permutation keeps a tuple's product, and so
+    its value.  Each distinct tuple's images are merged once a call, in
+    order of first appearance, without those that cancel; nothing is kept."""
+    # itemgetter of one position gives a letter, not a tuple
+    pick = operator.itemgetter if elem.n > 1 else lambda *_: tuple
+    reads = [(pick(*_perm_inverse(p)), c) for p, c in elem.terms.items()]
+    images, out = {}, []
     for chain in chains:
         moved = {}
         for (t, j), v in chain.items():
-            order, pattern = _content_order(t)
-            block = blocks.get(pattern)
-            if block is None:
-                block = blocks[pattern] = _pattern_words(pattern) + (
-                    _pattern_action((elem,), True, pattern)[0],)
-            words, index, action = block
-            for k, c in action[index[tuple(map(order.index, t))]]:
-                key = tuple(map(order.__getitem__, words[k])), j
+            merged = images.get(t)
+            if merged is None:
+                acc = {}
+                for read, c in reads:
+                    s = read(t)
+                    acc[s] = acc.get(s, 0) + c
+                merged = images[t] = [(s, c) for s, c in acc.items() if c]
+            for s, c in merged:
+                key = s, j
                 nv = moved.get(key, 0) + v * c
                 if nv:
                     moved[key] = nv

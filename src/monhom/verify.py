@@ -37,6 +37,7 @@ from .gamma_chain import (
     _face_targets,
     _lex_faces,
     _letters,
+    _permuted,
     _shuffle_int_cols,
     _shuffle_quotient,
     _sym_cols,
@@ -433,20 +434,25 @@ def check_grillet():
             return "degree-0 paths and rationalizations agree"
         out.append(_guarded(f"grillet[{label}]", anchor, body))
 
+    def char0(monoid, side, direction, top):
+        # grillet_char0 in degrees 0..top, off one Morse reduction
+        red = MorseReduction(monoid, trivial_module(monoid, side), top + 2,
+                             direction, ring="Q", transfer=True)
+        return [w[0] for w in morse_hodge(red)]
+
     def acyclicity():
         for k in (2, 3):
             monoid = cyclic_group(k)
-            for n in range(4):
-                if grillet_char0(monoid, trivial_module(monoid, RIGHT), n,
-                                 HOMOLOGICAL):
+            for n, (chains, cochains) in enumerate(zip(
+                    char0(monoid, RIGHT, HOMOLOGICAL, 3),
+                    char0(monoid, LEFT, COHOMOLOGICAL, 3))):
+                if chains:
                     raise MonhomError(f"Z/{k} not acyclic in degree {n}")
-                if grillet_char0(monoid, trivial_module(monoid, LEFT), n,
-                                 COHOMOLOGICAL):
+                if cochains:
                     raise MonhomError(f"Z/{k} cochain side, degree {n}")
         klein = product_monoid(cyclic_group(2), cyclic_group(2)).monoid
-        for n in range(3):
-            if grillet_char0(klein, trivial_module(klein, RIGHT), n,
-                             HOMOLOGICAL):
+        for n, dim in enumerate(char0(klein, RIGHT, HOMOLOGICAL, 2)):
+            if dim:
                 raise MonhomError(f"Klein group not acyclic in degree {n}")
         return "finite groups are rationally acyclic through degree 3"
     out.append(_guarded("grillet[group-acyclicity]",
@@ -595,27 +601,15 @@ def check_normalization():
 
 
 def _direct_action_cols(cx, n, elem):
-    """sum_sigma c_sigma (t o sigma^-1) on degree n, one permutation and
-    one tuple at a time: position sigma(j) of the image holds t_j.  A
-    cochain complex takes the transpose."""
-    tuples, prods = cx.tuples_at(n), cx.prods_at(n)
-    index = {t: k for k, t in enumerate(tuples)}
-    offs = cx.tuple_offsets(n)
-    cols = [dict() for _ in range(cx.dims[n])]
-    for kt, t in enumerate(tuples):
-        for perm, c in elem.terms.items():
-            moved = [None] * n
-            for j, a in enumerate(t):
-                moved[perm[j]] = a
-            ks = index[tuple(moved)]
-            for i in range(cx.coeff.ranks[prods[kt]]):
-                col, r = cols[offs[kt] + i], offs[ks] + i
-                col[r] = col.get(r, 0) + c
-                if not col[r]:
-                    del col[r]
-    if cx.step > 0:
-        return _transpose_cols(cols, cx.dims[n])
-    return cols
+    """sum_sigma c_sigma (t o sigma^-1) on degree n: the direct action
+    (_permuted) on the unit chains of the tuple layout, one tuple at a
+    time.  A cochain complex takes the transpose."""
+    basis = [(t, j) for t, p in zip(cx.tuples_at(n), cx.prods_at(n))
+             for j in range(cx.coeff.ranks[p])]
+    row = {b: r for r, b in enumerate(basis)}
+    cols = [{row[b]: v for b, v in moved.items()}
+            for moved in _permuted(elem, [{b: 1} for b in basis])]
+    return _transpose_cols(cols, cx.dims[n]) if cx.step > 0 else cols
 
 
 def check_sym_action():

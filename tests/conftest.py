@@ -6,12 +6,14 @@ from monhom import gamma_chain, hodge
 # behind one of them must build it cold, and must not leave a broken
 # table behind for the tests after it
 PROCESS_CACHES = (
+    gamma_chain._sym_index,
     gamma_chain._block_shuffle,
     gamma_chain._pattern_words,
     gamma_chain._pattern_action,
     gamma_chain._shuffle_pattern_block,
     gamma_chain._pattern_kernel,
     hodge.total_shuffle_operator,
+    hodge._eulerian,
 )
 
 

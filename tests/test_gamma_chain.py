@@ -600,6 +600,25 @@ def test_sym_action_suite_catches_a_wrong_pattern_key(monkeypatch, capsys):
     assert "OracleMismatch" in out
 
 
+def test_sym_action_suite_catches_a_direct_action_read_through_sigma(
+        monkeypatch, capsys):
+    # t read through sigma in place of sigma^-1: the same on an involution,
+    # not on the shuffles and idempotents of three letters and more
+    permuted = gamma_chain._permuted
+
+    def through_sigma(elem, chains):
+        return permuted(SymGroupElement(elem.n, {
+            gamma_chain._perm_inverse(p): c for p, c in elem.terms.items()}),
+            chains)
+
+    monkeypatch.setattr(gamma_chain, "_permuted", through_sigma)
+    monkeypatch.setattr(verify, "_permuted", through_sigma)
+    assert cli.main(["verify", "sym-action"]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL sym-action[cyclic_group(2)]" in out
+    assert "OracleMismatch" in out
+
+
 def test_shuffle_elements():
     e = shuffle_element(1, 1)
     assert e.terms == {(0, 1): 1, (1, 0): -1}

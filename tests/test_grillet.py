@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+from monhom import verify
 from monhom.errors import BadParams
 from monhom.exact_linalg import FgAbGroup
-from monhom.gamma_chain import COHOMOLOGICAL, HOMOLOGICAL
+from monhom.gamma_chain import COHOMOLOGICAL, HOMOLOGICAL, MorseReduction
 from monhom.grillet import (
     bar_complex_compare,
     d0_cohomology,
@@ -24,6 +25,7 @@ from monhom.hc_modules import (
     trivial_kc_module,
     trivial_module,
 )
+from monhom.hodge import morse_hodge
 from monhom.monoids import (
     cyclic_group,
     product_monoid,
@@ -94,6 +96,48 @@ def test_char0_group_acyclicity():
     for n in range(3):
         assert grillet_char0(TRIV, trivial_module(TRIV, RIGHT), n,
                              HOMOLOGICAL) == 0
+
+
+def test_group_acyclicity_reads_every_degree_off_one_reduction(monkeypatch):
+    # the suite's degree-0 checks build four reductions per monoid (d0 and
+    # grillet_char0, each direction); the acyclicity check one per group
+    # and direction, Z/2 and Z/3 both ways and the Klein group on chains,
+    # not one per degree
+    built, counts = [], {}
+    init, guarded = MorseReduction.__init__, verify._guarded
+
+    def counted(red, *args, **kwargs):
+        built.append(args[3])
+        init(red, *args, **kwargs)
+
+    def one_body(name, anchor, fn):
+        built.clear()
+        result = guarded(name, anchor, fn)
+        counts[name] = list(built)
+        return result
+
+    monkeypatch.setattr(MorseReduction, "__init__", counted)
+    monkeypatch.setattr(verify, "_guarded", one_body)
+    assert all(result.passed for result in verify.check_grillet())
+    assert counts.pop("grillet[group-acyclicity]") == [
+        HOMOLOGICAL, COHOMOLOGICAL] * 2 + [HOMOLOGICAL]
+    assert len(counts) == 6
+    assert all(sorted(directions) == [COHOMOLOGICAL] * 2 + [HOMOLOGICAL] * 2
+               for directions in counts.values())
+
+
+def test_group_acyclicity_reports_the_first_degree_that_fails(monkeypatch):
+    # chains of Z/2 off in degree 2 and its cochains in degree 1: the
+    # degrees are checked in order, chains before cochains in each
+    def skewed(red):
+        bad = 2 if red.complex.step < 0 else 1
+        return [[1] + w[1:] if n == bad else w
+                for n, w in enumerate(morse_hodge(red))]
+
+    monkeypatch.setattr(verify, "morse_hodge", skewed)
+    result = verify.check_grillet()[-1]
+    assert result.name == "grillet[group-acyclicity]" and not result.passed
+    assert result.detail == "MonhomError: Z/2 cochain side, degree 1"
 
 
 def test_grillet_report_shape():

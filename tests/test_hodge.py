@@ -498,7 +498,6 @@ def test_warm_tables_give_the_cold_answers_and_stay_unchanged(
                  morse_hodge(red)) for cx, red in cases]
 
     cold = answers()
-    assert all(fn.cache_info().misses for fn in process_caches)
     assert answers() == cold
     multiplicities = {
         m: {tuple(sorted((t.count(a) for a in set(t)), reverse=True))
@@ -518,7 +517,10 @@ def test_warm_tables_give_the_cold_answers_and_stay_unchanged(
         gamma_chain._pattern_kernel: [
             (p,) for m in range(2, 5) for p in multiplicities[m]],
     }
-    assert set(keys) == set(process_caches)
+    # the S_n composition table and the idempotents serve no weight path
+    assert set(process_caches) - set(keys) == {gamma_chain._sym_index,
+                                               hodge._eulerian}
+    assert all(fn.cache_info().misses for fn in keys)
     warm = {fn: _cached(fn, fn_keys) for fn, fn_keys in keys.items()}
     for fn in process_caches:
         fn.cache_clear()

@@ -5,6 +5,7 @@ against closed forms at high degree."""
 import itertools
 import json
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -461,6 +462,25 @@ def test_the_morse_suite_checks_the_transfer_on_every_critical_cell(
     with pytest.raises(WeightNotPreserved, match="boundary from degree 3"
                        " does not commute with the total shuffle operator"):
         verify._check_transfer_maps(red)
+
+
+def test_the_transfer_acts_on_the_lifted_tuples_alone(capsys):
+    # compute hodge to degree 10 reads no pattern table: the 6 patterns
+    # that its 112 distinct lifted tuples meet hold 6342 words, and acting
+    # on all of them takes about 80 MB
+    tracemalloc.start()
+    try:
+        assert cli.main(["compute", "hodge", "--monoid",
+                         "builtin:truncated_add(3)", "--coeff",
+                         "jstar:regular", "--max-degree", "10", "--budget",
+                         "10000000000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(capsys.readouterr().out.splitlines()) == 10
+    assert gamma_chain._pattern_action.cache_info().currsize == 0
+    assert gamma_chain._pattern_words.cache_info().currsize == 0
+    assert peak <= 8 * 2 ** 20
 
 
 PROJECTED = [("Klein", KLEIN), ("truncated_add(3)", truncated_add(3)),

@@ -137,3 +137,26 @@ def test_every_definition_has_a_caller():
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert len(trees) > 1, "sources not found"
     assert not unused, f"defined but named nowhere else: {unused}"
+
+
+def _lru_cached(node):
+    return any(getattr(target, "attr", getattr(target, "id", None))
+               in ("lru_cache", "cache")
+               for target in (getattr(dec, "func", dec)
+                              for dec in node.decorator_list))
+
+
+def test_every_process_cache_is_cleared_around_each_test(process_caches):
+    # a table kept for the process that no test clears carries a broken
+    # routine's output into the tests after it; the CLI's parser is no
+    # table of results
+    exempt = {("cli", "_build_parser")}
+    cached = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        cached.update((path.stem, node.name) for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef)
+                      and _lru_cached(node))
+    assert exempt <= cached
+    assert cached - exempt == {(f.__module__.rpartition(".")[2], f.__name__)
+                               for f in process_caches}
