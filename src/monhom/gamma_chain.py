@@ -935,8 +935,17 @@ class SymGroupElement:
 
     def mul(self, other):
         """The product in Z[S_n]: p*q is the permutation j -> p(q(j)), read
-        from the composition table of S_n, built once per n (_sym_index)."""
+        from the composition table of S_n, built once per n (_sym_index),
+        on at most 5 letters; above that, each pair of terms is composed,
+        since the table grows as n!^2.  Terms come in lexicographic order."""
         self._require_same(other)
+        if self.n > 5:
+            acc = {}
+            for p, a in self.terms.items():
+                for q, b in other.terms.items():
+                    pq = tuple(map(p.__getitem__, q))
+                    acc[pq] = acc.get(pq, 0) + a * b
+            return SymGroupElement(self.n, dict(sorted(acc.items())))
         perms, index, table = _sym_index(self.n)
         theirs = [(index[q], b) for q, b in other.terms.items()]
         acc = [0] * len(perms)
@@ -974,8 +983,9 @@ def _perm_inverse(perm):
 def _sym_index(n):
     """S_n indexed once: its permutations in lexicographic order, the
     index of each, and the n! x n! composition table, whose row a holds
-    the index of perms[a] o perms[b] at b.  The table grows as n!^2:
-    14 400 entries at n = 5, 518 400 at n = 6."""
+    the index of perms[a] o perms[b] at b.  The table grows as n!^2,
+    14 400 entries at n = 5, so SymGroupElement.mul reads it on at most
+    5 letters."""
     perms = tuple(itertools.permutations(range(n)))
     index = {p: k for k, p in enumerate(perms)}
     table = tuple(tuple(index[tuple(map(p.__getitem__, q))] for q in perms)
@@ -994,10 +1004,9 @@ def perm_sign(perm):
 
 def shuffle_element(*parts):
     """Signed sum over the permutations increasing on each consecutive
-    block of the given sizes, built once per process for each tuple of
-    sizes (_block_shuffle): callers share it and must not change it."""
-    if len(parts) == 1 and not isinstance(parts[0], int):
-        parts = tuple(parts[0])
+    block of the sizes given as arguments, built once per process for
+    each tuple of sizes (_block_shuffle): callers share it and must not
+    change it."""
     parts = tuple(int(p) for p in parts)
     if not parts or any(p < 1 for p in parts):
         raise BadParams("block sizes must be positive")
@@ -1006,23 +1015,21 @@ def shuffle_element(*parts):
 
 @lru_cache(maxsize=None)
 def _block_shuffle(parts):
-    n = sum(parts)
-    starts = [sum(parts[:b]) for b in range(len(parts))]
+    """One shuffle per word of the pattern parts (_pattern_words): block b
+    goes to the positions of the word's letters b, in order, with the sign
+    of the word's inversions.  With two blocks the terms come in
+    lexicographic order."""
+    starts = list(itertools.accumulate(parts, initial=0))
     terms = {}
-
-    def place(block, avail, sigma):
-        if block == len(parts):
-            perm = tuple(sigma)
-            terms[perm] = perm_sign(perm)
-            return
-        for img in itertools.combinations(avail, parts[block]):
-            taken = set(img)
-            for k, pos in enumerate(img):
-                sigma[starts[block] + k] = pos
-            place(block + 1, [x for x in avail if x not in taken], sigma)
-
-    place(0, list(range(n)), [0] * n)
-    return SymGroupElement(n, terms)
+    for w in _pattern_words(parts)[0]:
+        perm, placed, inv = [0] * starts[-1], starts[:-1], 0
+        for pos, b in enumerate(w):
+            # the letters greater than b already placed
+            inv += sum(placed[c] - starts[c] for c in range(b + 1, len(parts)))
+            perm[placed[b]] = pos
+            placed[b] += 1
+        terms[tuple(perm)] = -1 if inv % 2 else 1
+    return SymGroupElement(starts[-1], terms)
 
 
 def _sym_cols(cx, n, elems):
@@ -1042,11 +1049,11 @@ def _sym_cols(cx, n, elems):
             raise DegreeMismatch(f"element of S_{elem.n} on degree {n}")
     # a permutation moves tuple t to (t[perm^-1(j)])_j on chains;
     # cochains act by the transpose, which reads t through perm itself
-    elems, inverse = tuple(elems), cx.direction == HOMOLOGICAL
+    inverse = cx.direction == HOMOLOGICAL
     out = [[None] * cx.dims[n] for _ in elems]
     for pattern, rows, rank in _content_blocks(cx, n):
-        for cols, action in zip(out, _pattern_action(elems, inverse,
-                                                     pattern)):
+        for cols, elem in zip(out, elems):
+            action = _pattern_action(elem, inverse, pattern)
             for r, entries in zip(rows, action):
                 for i in range(rank):
                     cols[r + i] = {rows[k] + i: v for k, v in entries}
@@ -1056,37 +1063,38 @@ def _sym_cols(cx, n, elems):
 @lru_cache(maxsize=None)
 def _pattern_words(pattern):
     """The words that hold pattern[j] letters j, in lexicographic order,
-    and the index of each.  Kept for the process; callers share them and
-    must not change them."""
-    letters = [j for j, k in enumerate(pattern) for _ in range(k)]
-    words = sorted(set(itertools.permutations(letters)))
+    and the index of each, extended one letter at a time, so the cost
+    follows the number of words.  Kept for the process; callers share
+    them and must not change them."""
+    grown = [((), tuple(pattern))]
+    for _ in range(sum(pattern)):
+        grown = [(w + (j,), left[:j] + (k - 1,) + left[j + 1:])
+                 for w, left in grown for j, k in enumerate(left) if k]
+    words = [w for w, _ in grown]
     return words, {w: k for k, w in enumerate(words)}
 
 
 @lru_cache(maxsize=None)
-def _pattern_action(elems, inverse, pattern):
-    """For each element of the tuple elems and each word of the pattern
-    (_pattern_words), the (word index, coefficient) pairs of the word's
-    image: the coefficients merged by image word, in the order each image
-    first appears over the element's terms, leaving out the images whose
-    coefficients cancel.  A permutation reads a word through its inverse
-    when inverse is set, through itself otherwise.  Kept for the process,
-    one entry per elements, direction and pattern; callers share the
-    lists and must not change them."""
+def _pattern_action(elem, inverse, pattern):
+    """For each word of the pattern (_pattern_words), the (word index,
+    coefficient) pairs of the word's image under elem: the coefficients
+    merged by image word, in the order each image first appears over the
+    element's terms, leaving out the images whose coefficients cancel.  A
+    permutation reads a word through its inverse when inverse is set (on
+    chains), through itself otherwise (on cochains).  The one per-pattern
+    loop that reads words through permutations; kept for the process, one
+    entry per element, direction and pattern, as tuples."""
     words, index = _pattern_words(pattern)
-    out = []
-    for elem in elems:
-        terms = [(_perm_inverse(perm) if inverse else perm, c)
-                 for perm, c in elem.terms.items()]
-        action = []
-        for w in words:
-            acc = {}
-            for perm, c in terms:
-                k = index[tuple(map(w.__getitem__, perm))]
-                acc[k] = acc.get(k, 0) + c
-            action.append([(k, v) for k, v in acc.items() if v])
-        out.append(action)
-    return out
+    terms = [(_perm_inverse(perm) if inverse else perm, c)
+             for perm, c in elem.terms.items()]
+    action = []
+    for w in words:
+        acc = {}
+        for perm, c in terms:
+            k = index[tuple(map(w.__getitem__, perm))]
+            acc[k] = acc.get(k, 0) + c
+        action.append(tuple((k, v) for k, v in acc.items() if v))
+    return tuple(action)
 
 
 def _permuted(elem, chains):
@@ -1231,16 +1239,16 @@ def harrison_dim_q(cx):
     A shuffle moves positions and keeps the coefficient, so the shuffles
     are block-diagonal by content (the multiset of letters) and value
     index, and relabelling the letters carries every block of one
-    multiplicity pattern onto the block of the pattern's own words
-    (_shuffle_pattern_block).  So each pattern's kernel, checked against
-    its block, is relabelled into every content and value index to give a
-    basis K_m of V^m.  Then rank(delta on V^m) is the rank of delta o K_m,
-    and V^m maps into V^(m+1) exactly when every shuffle of degree m + 1
-    kills delta o K_m, which is checked content by content through the
-    pattern blocks, for m + 1 = 2..n_max, before the rank is used.  The
-    contents of each degree are listed once, for that check and for the
-    basis of the next step.  The blocks and kernels depend on the pattern
-    alone and are kept for the process (_pattern_kernel).
+    multiplicity pattern onto the action on the pattern's own words
+    (_pattern_action).  So each pattern's kernel (_pattern_kernel) is
+    relabelled into every content and value index to give a basis K_m of
+    V^m.  Then rank(delta on V^m) is the rank of delta o K_m, and V^m maps
+    into V^(m+1) exactly when every shuffle of degree m + 1 kills
+    delta o K_m, which is checked content by content through the same
+    actions, for m + 1 = 2..n_max, before the rank is used.  The contents
+    of each degree are listed once, for that check and for the basis of
+    the next step.  The actions and kernels depend on the pattern alone
+    and are kept for the process.
     """
     if cx.coeff.has_torsion:
         raise BadParams("rational dimensions need free-valued coefficients")
@@ -1269,42 +1277,25 @@ def harrison_dim_q(cx):
 
 
 @lru_cache(maxsize=None)
-def _shuffle_pattern_block(pattern):
-    """The two-block shuffles sh_{p,m-p}, 0 < p < m, stacked, on the words
-    that hold pattern[j] letters j: the words, in lexicographic order, and
-    one sparse column per word on (m - 1) * len(words) rows, with
-    sh_{p,m-p} on the rows from (p - 1) * len(words).  This is the action
-    on cochains, which reads a word through each permutation.  The
-    antipodes act on chains by the same matrices, so the block serves the
-    dual of a chain complex in harrison_dim_q too.  Kept for the process;
-    callers share the block and must not change it."""
-    words, index = _pattern_words(pattern)
-    m = sum(pattern)
-    cols = [dict() for _ in words]
-    for p in range(1, m):
-        off = (p - 1) * len(words)
-        terms = shuffle_element(p, m - p).terms.items()
-        for w, col in zip(words, cols):
-            for perm, c in terms:
-                r = off + index[tuple(map(w.__getitem__, perm))]
-                nv = col.get(r, 0) + c
-                if nv:
-                    col[r] = nv
-                else:
-                    del col[r]
-    return words, cols
-
-
-@lru_cache(maxsize=None)
 def _pattern_kernel(pattern):
-    """A basis of the joint kernel of the stacked shuffles of
-    _shuffle_pattern_block(pattern), checked against the block: a kernel
-    vector the shuffles do not kill raises CompositionNonzero.  Kept for
-    the process, so each pattern's kernel is taken and checked once; a
-    kernel that fails the check is not kept and fails again on the next
-    call.  Callers share it and must not change it."""
-    words, cols = _shuffle_pattern_block(pattern)
-    kernel = kernel_basis(cols, (sum(pattern) - 1) * len(words))
+    """A basis of the joint kernel of the two-block shuffles sh_{p,m-p},
+    0 < p < m, on the words that hold pattern[j] letters j: their actions
+    on cochains (_pattern_action, which reads a word through each
+    permutation) stacked, sh_{p,m-p} on the rows from (p - 1) * len(words).
+    The antipodes act on chains by the same matrices, so the kernel serves
+    the dual of a chain complex in harrison_dim_q too.  Checked against the
+    stack: a kernel vector the shuffles do not kill raises
+    CompositionNonzero.  Kept for the process, so each pattern's kernel is
+    taken and checked once; a kernel that fails the check is not kept and
+    fails again on the next call.  Callers share it and must not change
+    it."""
+    m, size = sum(pattern), len(_pattern_words(pattern)[0])
+    cols = [dict() for _ in range(size)]
+    for p in range(1, m):
+        sh, off = shuffle_element(p, m - p), (p - 1) * size
+        for col, entries in zip(cols, _pattern_action(sh, False, pattern)):
+            col.update((off + k, v) for k, v in entries)
+    kernel = kernel_basis(cols, (m - 1) * size)
     if any(_compose_cols(kernel, cols)):
         raise CompositionNonzero(
             "a kernel vector of the shuffles on the words of pattern"
@@ -1345,25 +1336,33 @@ def _content_blocks(cx, m):
 
 def _check_shuffles_kill(cx, n, vecs, contents):
     """Raise NotAComplex unless every two-block shuffle of degree n on
-    the cochain side kills each vector of vecs, applied block by block:
-    contents lists degree n's (pattern, rows, rank) (_content_blocks), and
-    each row of degree n belongs to the block of its content and value
-    index, keyed by the block's first row, where it is one word of the
-    content's pattern.  Row s of a block's stacked shuffles is summed at
-    key + s * dims[n], which no other block reaches, as key < dims[n]."""
-    where, size = {}, cx.dims[n]
+    the cochain side kills each vector of vecs, applied content by
+    content: contents lists degree n's (pattern, rows, rank)
+    (_content_blocks), and each row of degree n is one word of its
+    content's pattern at one value index, which the shuffles' actions on
+    that pattern (_pattern_action, looked up once a call per pattern)
+    carry to rows of the same content and value index.  sh_{p,n-p} sums
+    at its image row plus (p - 1) * dims[n]."""
+    shuffles = [shuffle_element(p, n - p) for p in range(1, n)]
+    images, where, size = {}, {}, cx.dims[n]
     for pattern, rows, rank in contents:
-        cols = _shuffle_pattern_block(pattern)[1]
+        # per word, its images under each shuffle in turn
+        by_word = images.get(pattern)
+        if by_word is None:
+            by_word = images[pattern] = list(zip(*(
+                _pattern_action(sh, False, pattern) for sh in shuffles)))
         for i in range(rank):
-            for r, col in zip(rows, cols):
-                where[r + i] = rows[0] + i, col
+            for r, word_images in zip(rows, by_word):
+                where[r + i] = rows, i, word_images
     for vec in vecs:
         acc = {}
         for r, x in vec.items():
-            key, col = where[r]
-            for s, c in col.items():
-                s = key + s * size
-                acc[s] = acc.get(s, 0) + x * c
+            rows, off, word_images = where[r]
+            for entries in word_images:
+                for k, c in entries:
+                    s = off + rows[k]
+                    acc[s] = acc.get(s, 0) + x * c
+                off += size
         if any(acc.values()):
             raise NotAComplex("shuffle span is not closed under the"
                               f" differential at degree {n}")

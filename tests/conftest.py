@@ -10,7 +10,6 @@ PROCESS_CACHES = (
     gamma_chain._block_shuffle,
     gamma_chain._pattern_words,
     gamma_chain._pattern_action,
-    gamma_chain._shuffle_pattern_block,
     gamma_chain._pattern_kernel,
     hodge.total_shuffle_operator,
     hodge._eulerian,

@@ -408,9 +408,11 @@ def _direct_product(x, y):
     return {p: c for p, c in terms.items() if c}
 
 
-def test_indexed_product_matches_the_double_loop():
+def test_indexed_product_matches_the_double_loop(monkeypatch):
     # 50 products of random integer elements of Z[S_n], n = 1..5, on the
-    # composition table of S_n
+    # composition table of S_n; then 40 on n = 6..9 letters, which must
+    # not build the table (n!^2 entries), with terms in lexicographic
+    # order as the table gives them
     rng = random.Random(5113)
     for k in range(50):
         n = k % 5 + 1
@@ -420,6 +422,27 @@ def test_indexed_product_matches_the_double_loop():
             for p in rng.sample(perms, rng.randint(1, len(perms)))})
             for _ in range(2))
         assert x.mul(y).terms == _direct_product(x, y)
+        assert list(x.mul(y).terms) == sorted(x.mul(y).terms)
+    table = gamma_chain._sym_index
+
+    def small_table(n):
+        if n > 5:
+            raise AssertionError(f"composition table of S_{n} built")
+        return table(n)
+
+    monkeypatch.setattr(gamma_chain, "_sym_index", small_table)
+    for k in range(40):
+        n = k % 4 + 6
+        x, y = (SymGroupElement(n, {
+            tuple(rng.sample(range(n), n)): rng.randint(-3, 3)
+            for _ in range(rng.randint(1, 30))}) for _ in range(2))
+        product = x.mul(y).terms
+        assert product == _direct_product(x, y)
+        assert list(product) == sorted(product)
+        # (1 + s)(1 - s) = 1 - s^2 = 0 for a transposition s
+        one = SymGroupElement.identity(n)
+        s = SymGroupElement(n, {(1, 0) + tuple(range(2, n)): 1})
+        assert (one + s).mul(one + s.scale(-1)).is_zero()
     # (1 + s)(1 - s + t) = t + st for a transposition s: the identity and
     # s cancel and must be dropped
     one = SymGroupElement.identity(3)
@@ -619,6 +642,71 @@ def test_sym_action_suite_catches_a_direct_action_read_through_sigma(
     assert "OracleMismatch" in out
 
 
+def test_pattern_words_are_the_distinct_permutations():
+    # every tuple of counts of sum 1..7 with at most that many entries,
+    # zero and unsorted counts included: the words of the distinct
+    # permutations of its letters, in the same order, with the same index
+    checked = 0
+    for total in range(1, 8):
+        for length in range(1, total + 1):
+            for cuts in itertools.combinations(range(total + length - 1),
+                                               length - 1):
+                bounds = (-1,) + cuts + (total + length - 1,)
+                pattern = tuple(b - a - 1 for a, b in zip(bounds, bounds[1:]))
+                letters = [j for j, k in enumerate(pattern) for _ in range(k)]
+                words = sorted(set(itertools.permutations(letters)))
+                assert gamma_chain._pattern_words(pattern) == \
+                    (words, {w: k for k, w in enumerate(words)})
+                checked += 1
+    assert checked == 4081
+    assert gamma_chain._pattern_words(()) == ([()], {(): 0})
+
+
+def _brute_shuffle(parts):
+    """The permutations of range(n), in lexicographic order, increasing on
+    each consecutive block of the sizes parts, each with its sign."""
+    cuts = list(itertools.accumulate(parts, initial=0))
+    return [(perm, perm_sign(perm))
+            for perm in itertools.permutations(range(cuts[-1]))
+            if all(list(perm[a:b]) == sorted(perm[a:b])
+                   for a, b in zip(cuts, cuts[1:]))]
+
+
+def test_block_shuffles_match_the_brute_force():
+    # every composition of n = 1..7; two-block terms in the brute force's
+    # lexicographic order, in which the pattern actions merge them
+    checked = 0
+    for n in range(1, 8):
+        for parts in _compositions(n):
+            terms = shuffle_element(*parts).terms
+            brute = _brute_shuffle(parts)
+            if len(parts) == 2:
+                assert list(terms.items()) == brute
+            assert terms == dict(brute)
+            checked += 1
+    assert checked == 2 ** 7 - 1
+
+
+def test_harrison_on_one_tuple_per_degree_lists_no_permutations(
+        monkeypatch, capsys):
+    # the trivial monoid has one tuple per degree, and the words of its
+    # patterns are listed one letter at a time: listing them as distinct
+    # permutations yields 4 037 914 tuples
+    yielded = []
+    permutations = itertools.permutations
+
+    def counted(*args):
+        for perm in permutations(*args):
+            yielded.append(1)
+            yield perm
+
+    monkeypatch.setattr(gamma_chain.itertools, "permutations", counted)
+    assert cli.main(["compute", "harrison", "--monoid", "builtin:trivial",
+                     "--max-degree", "10"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 10
+    assert len(yielded) <= 10 ** 4
+
+
 def test_shuffle_elements():
     e = shuffle_element(1, 1)
     assert e.terms == {(0, 1): 1, (1, 0): -1}
@@ -644,13 +732,9 @@ def test_non_integral_coefficients_are_rejected():
             shuffle_element(1, 1).scale(bad)
 
 
-def _every_block_shuffle(n):
-    """shuffle_element(parts) for every composition of n with at least two
-    parts, one per nonempty set of cut points."""
-    out = []
+def _compositions(n):
+    """Every composition of n, one per set of cut points."""
     for cuts in itertools.product((False, True), repeat=n - 1):
-        if not any(cuts):
-            continue
         parts, size = [], 1
         for cut in cuts:
             if cut:
@@ -658,8 +742,14 @@ def _every_block_shuffle(n):
                 size = 1
             else:
                 size += 1
-        out.append(shuffle_element(parts + [size]))
-    return out
+        yield tuple(parts) + (size,)
+
+
+def _every_block_shuffle(n):
+    """shuffle_element(*parts) for every composition of n with at least two
+    parts."""
+    return [shuffle_element(*parts) for parts in _compositions(n)
+            if len(parts) > 1]
 
 
 def _stack_cols(col_lists, block_rows):
@@ -744,12 +834,16 @@ def test_each_shuffle_span_is_built_once(monkeypatch):
                     # no shuffle operator on a whole degree
                     assert not calls
                     present |= _patterns(cx, range(2, 6))
-    # one block per multiplicity pattern of degrees 2..5, and one checked
-    # kernel per pattern of degrees 2..4, for the four complexes together
-    blocks = gamma_chain._shuffle_pattern_block.cache_info()
+    # for the four complexes together, one action of each two-block
+    # shuffle per multiplicity pattern of degrees 2..5 on cochains (Barr's
+    # kernels and their checks) and of degrees 2..4 on chains (the
+    # integral groups), and one checked kernel per pattern of degrees 2..4
+    actions = gamma_chain._pattern_action.cache_info()
     kernels = gamma_chain._pattern_kernel.cache_info()
     assert {sum(p) for p in present} == set(range(2, 6))
-    assert blocks.misses == blocks.currsize == len(present)
+    assert actions.misses == actions.currsize == \
+        sum(sum(p) - 1 for p in present) + \
+        sum(sum(p) - 1 for p in present if sum(p) < 5)
     assert kernels.misses == kernels.currsize == \
         len({p for p in present if sum(p) < 5})
 
@@ -889,16 +983,17 @@ def test_one_kernel_per_pattern_and_ranks_of_one_degree(monkeypatch):
     # multiplicity pattern of degrees 2..4 (V^5 is not needed) for the
     # process, and each rank is of delta o K_m, on the rows of degree m + 1
     monoid = product_monoid(Z2, Z2).monoid
-    blocks, kernels, ranks = {}, [], []
-    block, kernel, rank = (gamma_chain._shuffle_pattern_block,
-                           gamma_chain.kernel_basis, gamma_chain.int_rank)
+    asked, kernels, ranks = [], [], []
+    pattern_kernel, kernel, rank = (gamma_chain._pattern_kernel,
+                                    gamma_chain.kernel_basis,
+                                    gamma_chain.int_rank)
 
-    def counted_block(pattern):
-        out = blocks[pattern] = block(pattern)
-        return out
+    def counted_pattern(pattern):
+        asked.append(pattern)
+        return pattern_kernel(pattern)
 
     def counted_kernel(cols, rows):
-        kernels.append(next(p for p, b in blocks.items() if b[1] is cols))
+        kernels.append(asked[-1])
         return kernel(cols, rows)
 
     def counted_rank(vecs):
@@ -906,7 +1001,7 @@ def test_one_kernel_per_pattern_and_ranks_of_one_degree(monkeypatch):
         ranks.append(1 + max((r for v in vecs for r in v), default=-1))
         return rank(vecs)
 
-    monkeypatch.setattr(gamma_chain, "_shuffle_pattern_block", counted_block)
+    monkeypatch.setattr(gamma_chain, "_pattern_kernel", counted_pattern)
     monkeypatch.setattr(gamma_chain, "kernel_basis", counted_kernel)
     monkeypatch.setattr(gamma_chain, "int_rank", counted_rank)
     present = set()
@@ -918,7 +1013,7 @@ def test_one_kernel_per_pattern_and_ranks_of_one_degree(monkeypatch):
         present |= _patterns(cx, range(2, 5))
         assert len(ranks) == 5
         assert all(rows <= cx.dims[m + 1] for m, rows in enumerate(ranks))
-    assert sorted(kernels) == sorted(present)
+    assert sorted(kernels) == sorted(present) == sorted(set(asked))
 
 
 def test_a_wrong_pattern_kernel_is_caught(monkeypatch):

@@ -19,6 +19,7 @@ from monhom.gamma_chain import (
     build_complex,
     harrison_dim_q,
     hochschild_dim_q,
+    shuffle_element,
 )
 from monhom.hc_modules import (
     LEFT,
@@ -502,18 +503,21 @@ def test_warm_tables_give_the_cold_answers_and_stay_unchanged(
     multiplicities = {
         m: {tuple(sorted((t.count(a) for a in set(t)), reverse=True))
             for t in cases[0][0].tuples_at(m)} for m in range(1, 6)}
+    blocks = [(p, m - p) for m in range(2, 6) for p in range(1, m)]
     keys = {
-        gamma_chain._block_shuffle: [((p, m - p),) for m in range(2, 6)
-                                     for p in range(1, m)],
+        gamma_chain._block_shuffle: [(parts,) for parts in blocks],
         hodge.total_shuffle_operator: [(m,) for m in range(1, 6)],
+        # the contents' patterns, and the shuffles' block sizes
         gamma_chain._pattern_words: [
-            (p,) for m in range(1, 6) for p in multiplicities[m]],
+            (p,) for m in range(1, 6) for p in multiplicities[m]] + [
+            (parts,) for parts in blocks],
+        # s_m in both directions, and each two-block shuffle on cochains
         gamma_chain._pattern_action: [
-            ((total_shuffle_operator(m),), inverse, pattern)
+            (total_shuffle_operator(m), inverse, pattern)
             for inverse in (True, False) for m in range(1, 6)
-            for pattern in multiplicities[m]],
-        gamma_chain._shuffle_pattern_block: [
-            (p,) for m in range(2, 6) for p in multiplicities[m]],
+            for pattern in multiplicities[m]] + [
+            (shuffle_element(*parts), False, pattern) for parts in blocks
+            for pattern in multiplicities[sum(parts)]],
         gamma_chain._pattern_kernel: [
             (p,) for m in range(2, 5) for p in multiplicities[m]],
     }

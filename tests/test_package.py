@@ -5,6 +5,7 @@ import collections
 import importlib
 import importlib.util
 import pathlib
+import re
 
 import monhom
 from monhom.gamma_chain import COHOMOLOGICAL, HOMOLOGICAL, build_complex
@@ -15,6 +16,7 @@ PACKAGE = pathlib.Path(monhom.__file__).parent
 PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 GOLDEN = PERFBENCH / "golden.py"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 def test_no_bare_assert_in_the_package():
@@ -160,3 +162,20 @@ def test_every_process_cache_is_cleared_around_each_test(process_caches):
     assert exempt <= cached
     assert cached - exempt == {(f.__module__.rpartition(".")[2], f.__name__)
                                for f in process_caches}
+
+
+def test_readme_names_only_defined_private_names():
+    # a private name the README cites in backticks must still be defined
+    # in the package: a deleted or renamed helper leaves a stale design note
+    cited = set(re.findall(r"`(_\w+)", README.read_text(encoding="utf-8")))
+    defined = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                           ast.Store):
+                defined.add(node.id)
+    assert cited, "no private names found in the README"
+    assert not cited - defined, f"README names undefined: {cited - defined}"
