@@ -935,17 +935,8 @@ class SymGroupElement:
 
     def mul(self, other):
         """The product in Z[S_n]: p*q is the permutation j -> p(q(j)), read
-        from the composition table of S_n, built once per n (_sym_index),
-        on at most 5 letters; above that, each pair of terms is composed,
-        since the table grows as n!^2.  Terms come in lexicographic order."""
+        from the composition table of S_n, built once per n (_sym_index)."""
         self._require_same(other)
-        if self.n > 5:
-            acc = {}
-            for p, a in self.terms.items():
-                for q, b in other.terms.items():
-                    pq = tuple(map(p.__getitem__, q))
-                    acc[pq] = acc.get(pq, 0) + a * b
-            return SymGroupElement(self.n, dict(sorted(acc.items())))
         perms, index, table = _sym_index(self.n)
         theirs = [(index[q], b) for q, b in other.terms.items()]
         acc = [0] * len(perms)
@@ -983,9 +974,8 @@ def _perm_inverse(perm):
 def _sym_index(n):
     """S_n indexed once: its permutations in lexicographic order, the
     index of each, and the n! x n! composition table, whose row a holds
-    the index of perms[a] o perms[b] at b.  The table grows as n!^2,
-    14 400 entries at n = 5, so SymGroupElement.mul reads it on at most
-    5 letters."""
+    the index of perms[a] o perms[b] at b.  The table grows as n!^2:
+    14 400 entries at n = 5, 518 400 at n = 6."""
     perms = tuple(itertools.permutations(range(n)))
     index = {p: k for k, p in enumerate(perms)}
     table = tuple(tuple(index[tuple(map(p.__getitem__, q))] for q in perms)
@@ -1015,21 +1005,21 @@ def shuffle_element(*parts):
 
 @lru_cache(maxsize=None)
 def _block_shuffle(parts):
-    """One shuffle per word of the pattern parts (_pattern_words): block b
-    goes to the positions of the word's letters b, in order, with the sign
-    of the word's inversions.  With two blocks the terms come in
-    lexicographic order."""
-    starts = list(itertools.accumulate(parts, initial=0))
-    terms = {}
-    for w in _pattern_words(parts)[0]:
-        perm, placed, inv = [0] * starts[-1], starts[:-1], 0
-        for pos, b in enumerate(w):
-            # the letters greater than b already placed
-            inv += sum(placed[c] - starts[c] for c in range(b + 1, len(parts)))
-            perm[placed[b]] = pos
-            placed[b] += 1
-        terms[tuple(perm)] = -1 if inv % 2 else 1
-    return SymGroupElement(starts[-1], terms)
+    """One shuffle per word of the pattern parts (_words, listed here and
+    not kept): block b goes to the positions of the word's letters b, in
+    order (a stable sort of the positions by letter), with the sign of the
+    word's inversions.  With two blocks the terms come in lexicographic
+    order."""
+    n, terms = sum(parts), {}
+    for w in _words(parts):
+        # each letter b counts the letters greater than b placed before it
+        seen, inv = [0] * len(parts), 0
+        for b in w:
+            inv += sum(seen[b + 1:])
+            seen[b] += 1
+        perm = tuple(sorted(range(n), key=w.__getitem__))
+        terms[perm] = -1 if inv % 2 else 1
+    return SymGroupElement(n, terms)
 
 
 def _sym_cols(cx, n, elems):
@@ -1060,17 +1050,22 @@ def _sym_cols(cx, n, elems):
     return out
 
 
-@lru_cache(maxsize=None)
-def _pattern_words(pattern):
+def _words(pattern):
     """The words that hold pattern[j] letters j, in lexicographic order,
-    and the index of each, extended one letter at a time, so the cost
-    follows the number of words.  Kept for the process; callers share
-    them and must not change them."""
+    extended one letter at a time, so the cost follows the number of
+    words."""
     grown = [((), tuple(pattern))]
     for _ in range(sum(pattern)):
         grown = [(w + (j,), left[:j] + (k - 1,) + left[j + 1:])
                  for w, left in grown for j, k in enumerate(left) if k]
-    words = [w for w, _ in grown]
+    return [w for w, _ in grown]
+
+
+@lru_cache(maxsize=None)
+def _pattern_words(pattern):
+    """The words of the pattern (_words) and the index of each.  Kept for
+    the process; callers share them and must not change them."""
+    words = _words(pattern)
     return words, {w: k for k, w in enumerate(words)}
 
 
