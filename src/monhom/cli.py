@@ -31,8 +31,8 @@ from .errors import (BadParams, ComplexityBudget, CompositionNonzero,
                      ValidationError, WeightNotPreserved)
 from .exact_linalg import FgAbGroup
 from .gamma_chain import (COHOMOLOGICAL, HOMOLOGICAL, MorseReduction,
-                          build_complex, harrison, hochschild, morse_complex,
-                          resolve_budget)
+                          build_complex, harrison, hochschild,
+                          kunneth_complex, resolve_budget)
 from .grillet import GrilletReport, grillet_report, tensor_over_hc
 from .hc_modules import (LEFT, RIGHT, derivations, jstar, jstar_finite_cyclic,
                          omega, regular_kc_module, std_projective,
@@ -165,8 +165,8 @@ def _compute(args):
             lines.append(f"degree {entry['degree']} ({entry['path']}): "
                          f"{FgAbGroup(**entry['group'])}")
     elif args.target in ("hh", "leech"):
-        cx = morse_complex(monoid, coeff, deg + 1, direction,
-                           budget=budget, ring=ring)
+        cx = kunneth_complex(monoid, coeff, deg + 1, direction,
+                             budget=budget, ring=ring)
         mark = "_" if direction == HOMOLOGICAL else "^"
         for n in range(deg + 1):
             group = hochschild(cx, n)

@@ -37,8 +37,9 @@ from .exact_linalg import (
     rank_and_torsion,
     solve_int,
 )
-from .hc_modules import LEFT, RIGHT, _block_diag
-from .rewriting import rewriting
+from .hc_modules import LEFT, RIGHT, _block_diag, constant_module
+from .monoids import FiniteCommMonoid
+from .rewriting import _closure, _extend, _generators, rewriting
 
 HOMOLOGICAL = "homological"
 COHOMOLOGICAL = "cohomological"
@@ -482,6 +483,168 @@ def morse_complex(monoid, coeff, n_max, direction, budget=None, ring="Z"):
     layouts are None.  MorseReduction builds it; see there."""
     return MorseReduction(monoid, coeff, n_max, direction, budget,
                           ring).complex
+
+
+def kunneth_complex(monoid, coeff, n_max, direction, budget=None, ring="Z"):
+    """A complex with the (co)homology of morse_complex(...): where the
+    coefficients are constant and free (_constant_rank) and _factors
+    splits C as a direct product A x B x ..., the tensor product of the
+    factors' Morse complexes, and morse_complex itself otherwise.
+
+    Z[A x B] = Z[A] (x) Z[B], so the bar complex of A x B with
+    coefficients Z^r is the levelwise tensor product of those of A with
+    Z^r and of B with Z, and Eilenberg-Zilber (Amer. J. Math. 75, 1953)
+    makes it chain homotopy equivalent to the tensor product of the two
+    complexes, which may be their Morse complexes.  Its (co)homology is
+    that of C integrally, the Tor terms included; on cochains the factors'
+    cochain complexes are tensored alike.  The request and the budget are
+    checked before any factor is reduced, on the normalized basis of C, as
+    morse_complex checks them, so the same inputs raise the same errors."""
+    rank = _constant_rank(coeff)
+    factors = [monoid] if rank is None else _factors(monoid)
+    if len(factors) == 1:
+        return morse_complex(monoid, coeff, n_max, direction, budget, ring)
+    _check_request(monoid, coeff, n_max, direction, ring)
+    _check_budget(monoid, coeff, n_max, budget, normalized=True)
+    step = -1 if direction == HOMOLOGICAL else 1
+    parts = []
+    for i, factor in enumerate(factors):
+        cx = morse_complex(factor, constant_module(
+            factor, coeff.side, rank if i == 0 else 1), n_max, direction,
+            budget, ring)
+        parts.append((cx.dims, [cx.d_out(n) for n in range(n_max + 1)]))
+    dims, outs = parts[0]
+    for part in parts[1:]:
+        dims, outs = _tensor_outs((dims, outs), part, step)
+    maps = {max(n, n + step): outs[n] for n in range(n_max + 1)
+            if 0 <= n + step <= n_max}
+    cx = GammaChainComplex(monoid, coeff, direction, ring, dims, maps,
+                           [[] for _ in dims], None, True)
+    _check_squares(cx)
+    return cx
+
+
+def _tensor_outs(x, y, step):
+    """The tensor product of the complexes x and y, given through the
+    same top degree as (dims, outs), outs[n] the columns of the map out of
+    degree n (zero columns where it leaves the range), and returned so.
+    Degree n holds the blocks x_p (x) y_(n-p), p = 0..n, in that order,
+    each row-major, and d(a (x) b) = da (x) b + (-1)^p a (x) db."""
+    (xd, xo), (yd, yo) = x, y
+    top = len(xd) - 1
+    offs, dims = [], []
+    for n in range(top + 1):
+        offs.append([])
+        at = 0
+        for p in range(n + 1):
+            offs[n].append(at)
+            at += xd[p] * yd[n - p]
+        dims.append(at)
+    outs = []
+    for n in range(top + 1):
+        m = n + step
+        if not 0 <= m <= top:
+            outs.append([dict() for _ in range(dims[n])])
+            continue
+        cols = []
+        for p in range(n + 1):
+            q = n - p
+            sign = -1 if p % 2 else 1
+            width = yd[q]
+            # a block leaves the range only where its map is zero
+            ox = offs[m][p + step] if 0 <= p + step <= m else None
+            oy = offs[m][p] if p <= m else None
+            low = yd[q + step] if oy is not None else 0
+            for i, a in enumerate(xo[p]):
+                for j, b in enumerate(yo[q]):
+                    col = {} if ox is None else {
+                        ox + r * width + j: v for r, v in a.items()}
+                    if oy is not None:
+                        col.update((oy + i * low + r, sign * v)
+                                   for r, v in b.items())
+                    cols.append(col)
+        outs.append(cols)
+    return dims, outs
+
+
+def _constant_rank(coeff):
+    """r when every value of coeff is Z^r, with no relations, and every
+    translation is the identity (trivialZ, trivialQ, jstar:Z:trivial);
+    None otherwise."""
+    monoid = coeff.monoid
+    rank = coeff.ranks[monoid.identity]
+    if coeff.has_torsion or any(r != rank for r in coeff.ranks):
+        return None
+    ident = IntMatrix.identity(rank).data
+    for c in monoid.elements:
+        for a in monoid.elements:
+            A = coeff.act.get((c, a))
+            if A is None or A.data != ident:
+                return None
+    return rank
+
+
+def _split(monoid):
+    """Two submonoids A and B of C, as sorted tuples of elements, such
+    that multiplication A x B -> C is a bijection, so that C = A x B;
+    None when none is found.  First the generating set of rewriting
+    (_generators) is split into two parts in every way, when there are at
+    most |C| ways, and the submonoids the parts generate are tried; then
+    pairs of cyclic submonoids whose sizes multiply to |C|.  A pair is
+    accepted when |A| |B| = |C|, A and B meet in the identity alone and
+    the products ab reach every element.  The cyclic pairs do not depend
+    on the labels, so a product of two cyclic monoids is found under any
+    labelling.  The cost is a small multiple of |C|^2 multiplications,
+    plus |C| for each pair of cyclic submonoids of fitting sizes that
+    meet in the identity alone."""
+    e, size = monoid.identity, monoid.size
+    cyclic = [frozenset(_extend(monoid, {e}, a)) for a in monoid.elements]
+
+    def accepted(a_set, b_set):
+        if len(a_set) * len(b_set) != size or a_set & b_set != {e}:
+            return None
+        if len({monoid.mul(a, b) for a in a_set for b in b_set}) != size:
+            return None
+        return tuple(sorted(a_set)), tuple(sorted(b_set))
+
+    letters = _generators(monoid, [len(s) for s in cyclic])
+    if len(letters) >= 2 and 2 ** (len(letters) - 1) <= size:
+        for mask in range(1, 2 ** (len(letters) - 1)):
+            part = [x for i, x in enumerate(letters) if mask >> i & 1]
+            found = accepted(_closure(monoid, part), _closure(
+                monoid, [x for x in letters if x not in part]))
+            if found:
+                return found
+    by_size = {}
+    for s in dict.fromkeys(cyclic):
+        by_size.setdefault(len(s), []).append(s)
+    for k, small in sorted(by_size.items()):
+        if k < 2 or size % k or k * k > size:
+            continue
+        for i, a_set in enumerate(small):
+            for b_set in (small[i + 1:] if k * k == size
+                          else by_size.get(size // k, ())):
+                found = accepted(a_set, b_set)
+                if found:
+                    return found
+    return None
+
+
+def _submonoid(monoid, elems):
+    """The submonoid of C on elems, a tuple of elements closed under
+    multiplication that holds the identity, with elems[i] called i."""
+    index = {a: i for i, a in enumerate(elems)}
+    return FiniteCommMonoid(len(elems), index[monoid.identity], [
+        [index[monoid.mul(a, b)] for b in elems] for a in elems])
+
+
+def _factors(monoid):
+    """Direct factors of C that _split splits no further, as submonoids
+    (_submonoid): [C] itself when it does not split."""
+    split = _split(monoid)
+    if split is None:
+        return [monoid]
+    return [f for part in split for f in _factors(_submonoid(monoid, part))]
 
 
 class MorseReduction:
@@ -1151,8 +1314,9 @@ def hochschild_dim_q(cx, n):
 
 def leech_cohomology(monoid, coeff, n):
     """Cohomology of the contravariant tuple complex with left coefficients,
-    computed on the Morse complex of the normalized complex."""
-    cx = morse_complex(monoid, coeff, n + 1, COHOMOLOGICAL)
+    computed on the Morse complex of the normalized complex, or on the
+    tensor product of its factors' (kunneth_complex)."""
+    cx = kunneth_complex(monoid, coeff, n + 1, COHOMOLOGICAL)
     return hochschild(cx, n)
 
 

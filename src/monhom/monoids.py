@@ -124,6 +124,15 @@ def truncated_add(cap):
     return validate_monoid(size, 0, table)
 
 
+def relabel(monoid, perm):
+    """The isomorphic monoid in which element x is called perm[x]."""
+    table = [[0] * monoid.size for _ in monoid.elements]
+    for x in monoid.elements:
+        for y in monoid.elements:
+            table[perm[x]][perm[y]] = perm[monoid.mul(x, y)]
+    return validate_monoid(monoid.size, perm[monoid.identity], table)
+
+
 _BUILDERS = {
     "cyclic_group": cyclic_group,
     "semilattice_chain": semilattice_chain,

@@ -35,6 +35,7 @@ from .gamma_chain import (
     _distinct_up_to_sign,
     _face_cols,
     _face_targets,
+    _factors,
     _lex_faces,
     _letters,
     _permuted,
@@ -46,6 +47,7 @@ from .gamma_chain import (
     harrison,
     harrison_dim_q,
     hochschild,
+    kunneth_complex,
     leech_cohomology,
     morse_complex,
     shuffle_element,
@@ -83,6 +85,7 @@ from .hodge import (
 from .monoids import (
     cyclic_group,
     product_monoid,
+    relabel,
     semilattice_chain,
     trivial_monoid,
     truncated_add,
@@ -521,6 +524,57 @@ def check_morse():
     return out
 
 
+def kunneth_monoids():
+    """The direct products that the kunneth suite splits, each with its
+    elements in reverse order, so that the identity is the last."""
+    z2 = cyclic_group(2)
+    klein = product_monoid(z2, z2).monoid
+    products = [
+        ("Z2xZ2", klein),
+        ("Z2xZ3", product_monoid(z2, cyclic_group(3)).monoid),
+        ("truncated_add(2)xZ2", product_monoid(truncated_add(2), z2).monoid),
+        ("Z4xZ2", product_monoid(cyclic_group(4), z2).monoid),
+        ("semilattice_chain(1)xZ2",
+         product_monoid(semilattice_chain(1), z2).monoid),
+        ("Z2^3", product_monoid(klein, z2).monoid),
+    ]
+    return [(label, relabel(monoid, monoid.elements[::-1]))
+            for label, monoid in products]
+
+
+def check_kunneth():
+    anchor = ("HH_*(A x B; Z) = H_*(Morse(A) (x) Morse(B)) (Eilenberg-Zilber),"
+              " against the Morse complex of A x B")
+    out = []
+    for label, monoid in kunneth_monoids():
+        def body(monoid=monoid):
+            sizes = [f.size for f in _factors(monoid)]
+            if len(sizes) < 2:
+                raise OracleMismatch("no direct factors found")
+            systems = 0
+            for direction, side in ((HOMOLOGICAL, RIGHT),
+                                    (COHOMOLOGICAL, LEFT)):
+                coeff = trivial_module(monoid, side)
+                for name, ring in (("trivialZ", "Z"), ("trivialQ", "Q")):
+                    product = kunneth_complex(monoid, coeff, 6, direction,
+                                              ring=ring)
+                    whole = morse_complex(monoid, coeff, 6, direction,
+                                          ring=ring)
+                    for n in range(6):
+                        got, want = hochschild(product, n), \
+                            hochschild(whole, n)
+                        if got != want:
+                            raise OracleMismatch(
+                                f"{direction} {name} in degree {n}: the"
+                                f" factors give {got}, the whole monoid"
+                                f" {want}")
+                    systems += 1
+            return (f"factors of orders {' x '.join(map(str, sizes))};"
+                    f" {systems} coefficient systems agree in degrees 0..5")
+        out.append(_guarded(f"kunneth[{label}]", anchor, body))
+    return out
+
+
 def _check_transfer_maps(red):
     """The maps morse_hodge reads, on every Morse chain of degrees
     1..n_max - 1 and not only on the cycles it lifts: red.transfer of s_n
@@ -860,6 +914,7 @@ SUITES = {
     "grillet": check_grillet,
     "sym-action": check_sym_action,
     "morse": check_morse,
+    "kunneth": check_kunneth,
     "normalization": check_normalization,
     "sparse-homology": check_sparse_homology,
 }

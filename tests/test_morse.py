@@ -21,7 +21,7 @@ from monhom.hc_modules import (LEFT, RIGHT, jstar, jstar_finite_cyclic,
                                trivial_module)
 from monhom.hodge import hodge_decomposition, morse_hodge
 from monhom.monoids import (FiniteCommMonoid, cyclic_group, product_monoid,
-                            semilattice_chain, truncated_add, validate_monoid)
+                            relabel, semilattice_chain, truncated_add)
 from monhom.rewriting import Rewriting, rewriting
 from monhom.verify import suite_monoids
 
@@ -108,15 +108,6 @@ def test_the_matching_is_an_involution_through_an_interior_face(label,
     assert counts == [len(c) for c in _critical_cells(rw, 5)[1:]]
 
 
-def _relabelled(monoid, perm):
-    """monoid with each element x called perm[x]."""
-    table = [[0] * monoid.size for _ in monoid.elements]
-    for x in monoid.elements:
-        for y in monoid.elements:
-            table[perm[x]][perm[y]] = perm[monoid.mul(x, y)]
-    return validate_monoid(monoid.size, perm[monoid.identity], table)
-
-
 def test_critical_counts_in_closed_form():
     degrees = range(1, 9)
     assert _critical_counts(rewriting(KLEIN), 8) == [n + 1 for n in degrees]
@@ -136,9 +127,9 @@ def test_critical_counts_in_closed_form():
     # Z/3 x semilattice_chain(1) with g^2 labelled 2 and g labelled 4: gf
     # (3) and then g^2 reach everything, and {g^2, gf} gives more cells
     # than {f, g^2}, which replacing gf by its power f (1) gives
-    z3_f = _relabelled(product_monoid(cyclic_group(3),
-                                      semilattice_chain(1)).monoid,
-                       (0, 1, 4, 3, 2, 5))
+    z3_f = relabel(product_monoid(cyclic_group(3),
+                                  semilattice_chain(1)).monoid,
+                   (0, 1, 4, 3, 2, 5))
     assert _critical_counts(Rewriting(z3_f, (2, 3)), 5) == [2, 5, 11, 26, 59]
     rw = rewriting(z3_f)
     assert rw.letters == (1, 2)
@@ -305,7 +296,7 @@ def test_morse_weights_match_the_tuple_weights_after_relabelling(label,
     rng = random.Random(27)
     perm = list(monoid.elements)
     rng.shuffle(perm)
-    monoid = _relabelled(monoid, perm)
+    monoid = relabel(monoid, perm)
     for direction, side in ((HOMOLOGICAL, RIGHT), (COHOMOLOGICAL, LEFT)):
         a = rng.choice([x for x in monoid.elements if x != monoid.identity])
         coeffs = [trivial_module(monoid, side),
