@@ -415,15 +415,24 @@ def kernel_basis(A, rows):
     the lattice is saturated: any integer vector in ker(A) over Q is an
     integer combination of these columns.
     """
+    return spanning_kernel(A, rows)[0]
+
+
+def spanning_kernel(A, rows):
+    """kernel_basis(A, rows), and the indices of rows of A that span all
+    of its rows over Q: the elimination's pivot rows, then the rows it
+    leaves nonzero.  Each row stays a nonzero multiple of itself plus a
+    combination of the pivots taken before, so one that reaches zero lies
+    in the span of the pivots."""
     n = len(A)
     eqs = _transpose_cols(A, rows)
     pivots = list(_eliminate_units(eqs, n, equations=True))
-    live = [row for row in eqs if row]
+    live = [i for i, row in enumerate(eqs) if row]
     X = [{} for _ in range(n)]
     taken = {key for _, key, _ in pivots}
     width = 0
     if live:
-        residual, keys = _residual(live)
+        residual, keys = _residual([eqs[i] for i in live])
         K = dense_kernel_basis(residual)
         for k, vals in zip(keys, K.data):
             X[k] = {c: v for c, v in enumerate(vals) if v}
@@ -434,7 +443,7 @@ def kernel_basis(A, rows):
             X[k] = {width: 1}
             width += 1
     _back_substitute(pivots, X, None)
-    return _transpose_cols(X, width)
+    return _transpose_cols(X, width), [i for i, _, _ in pivots] + live
 
 
 def solve_int(B, rows, C):

@@ -32,10 +32,10 @@ from .exact_linalg import (
     PivotReduction,
     _transpose_cols,
     int_rank,
-    kernel_basis,
     lattice_basis,
     rank_and_torsion,
     solve_int,
+    spanning_kernel,
 )
 from .hc_modules import LEFT, RIGHT, _block_diag, constant_module
 from .monoids import FiniteCommMonoid
@@ -1240,8 +1240,8 @@ def _pattern_action(elem, inverse, pattern):
     element's terms, leaving out the images whose coefficients cancel.  A
     permutation reads a word through its inverse when inverse is set (on
     chains), through itself otherwise (on cochains).  The one per-pattern
-    loop that reads words through permutations; kept for the process, one
-    entry per element, direction and pattern, as tuples."""
+    loop that reads words through permutations; kept for the process (not
+    by _pattern_shuffles, which calls __wrapped__), as tuples."""
     words, index = _pattern_words(pattern)
     terms = [(_perm_inverse(perm) if inverse else perm, c)
              for perm, c in elem.terms.items()]
@@ -1398,16 +1398,16 @@ def harrison_dim_q(cx):
     A shuffle moves positions and keeps the coefficient, so the shuffles
     are block-diagonal by content (the multiset of letters) and value
     index, and relabelling the letters carries every block of one
-    multiplicity pattern onto the action on the pattern's own words
-    (_pattern_action).  So each pattern's kernel (_pattern_kernel) is
-    relabelled into every content and value index to give a basis K_m of
-    V^m.  Then rank(delta on V^m) is the rank of delta o K_m, and V^m maps
-    into V^(m+1) exactly when every shuffle of degree m + 1 kills
-    delta o K_m, which is checked content by content through the same
-    actions, for m + 1 = 2..n_max, before the rank is used.  The contents
-    of each degree are listed once, for that check and for the basis of
-    the next step.  The actions and kernels depend on the pattern alone
-    and are kept for the process.
+    multiplicity pattern onto the action on the pattern's own words.  So
+    each pattern's kernel (_pattern_shuffles) is relabelled into every
+    content and value index to give a basis K_m of V^m.  Then
+    rank(delta on V^m) is the rank of delta o K_m, and V^m maps into
+    V^(m+1) exactly when every shuffle of degree m + 1 kills delta o K_m,
+    which is checked content by content, for m + 1 = 2..n_max, before the
+    rank is used (_check_shuffles_kill): on each pattern's certified check
+    rows, which span the rows of its stacked shuffles over Q and so kill
+    exactly what the stack kills.  The contents of each degree are listed
+    once, for that check and for the basis of the next step.
     """
     if cx.coeff.has_torsion:
         raise BadParams("rational dimensions need free-valued coefficients")
@@ -1424,42 +1424,51 @@ def harrison_dim_q(cx):
         else:  # contents holds degree m's, listed for the last check
             basis = [{rows[k] + i: v for k, v in vec.items()}
                      for pattern, rows, rank in contents
-                     for vec in _pattern_kernel(pattern)
+                     for vec in _pattern_shuffles(pattern)[0]
                      for i in range(rank)]
             dim_v, moved = len(basis), _compose_cols(basis, delta)
             rank_up = int_rank(moved)
         contents = list(_content_blocks(cx, m + 1))
-        _check_shuffles_kill(cx, m + 1, moved, contents)
+        _check_shuffles_kill(m + 1, moved, contents)
         out.append(dim_v - rank_up - rank_low)
         rank_low = rank_up
     return out
 
 
 @lru_cache(maxsize=None)
-def _pattern_kernel(pattern):
-    """A basis of the joint kernel of the two-block shuffles sh_{p,m-p},
-    0 < p < m, on the words that hold pattern[j] letters j: their actions
-    on cochains (_pattern_action, which reads a word through each
-    permutation) stacked, sh_{p,m-p} on the rows from (p - 1) * len(words).
-    The antipodes act on chains by the same matrices, so the kernel serves
-    the dual of a chain complex in harrison_dim_q too.  Checked against the
-    stack: a kernel vector the shuffles do not kill raises
-    CompositionNonzero.  Kept for the process, so each pattern's kernel is
-    taken and checked once; a kernel that fails the check is not kept and
-    fails again on the next call.  Callers share it and must not change
-    it."""
+def _pattern_shuffles(pattern):
+    """Barr's kernel on the words that hold pattern[j] letters j, and rows
+    that check it: the two-block shuffles sh_{p,m-p}, 0 < p < m, act on
+    cochains (_pattern_action, read here and not kept), stacked from row
+    (p - 1) * len(words); the antipodes act on chains by the same matrices,
+    so both serve the dual of a chain complex in harrison_dim_q too.  The
+    check rows are the stack's rows that the kernel's elimination keeps
+    (spanning_kernel), one tuple of (stack row, coefficient) pairs per
+    word.  Certified once: a kernel vector the stack does not kill, or
+    check rows whose rank plus the kernel's size is not the number of
+    words, raise CompositionNonzero; their rank is at most the stack's,
+    which is at most the number of words less the kernel's size, so
+    equality means they span its rows over Q.  Kept for the process, a
+    table that fails is not; callers must not change it."""
     m, size = sum(pattern), len(_pattern_words(pattern)[0])
     cols = [dict() for _ in range(size)]
     for p in range(1, m):
         sh, off = shuffle_element(p, m - p), (p - 1) * size
-        for col, entries in zip(cols, _pattern_action(sh, False, pattern)):
+        action = _pattern_action.__wrapped__(sh, False, pattern)
+        for col, entries in zip(cols, action):
             col.update((off + k, v) for k, v in entries)
-    kernel = kernel_basis(cols, (m - 1) * size)
+    kernel, kept = spanning_kernel(cols, (m - 1) * size)
     if any(_compose_cols(kernel, cols)):
         raise CompositionNonzero(
             "a kernel vector of the shuffles on the words of pattern"
             f" {pattern} is not killed by them")
-    return kernel
+    kept = set(kept)
+    checks = tuple(tuple((j, v) for j, v in col.items() if j in kept)
+                   for col in cols)
+    if int_rank(map(dict, checks)) + len(kernel) != size:
+        raise CompositionNonzero(f"the check rows of pattern {pattern} do"
+                                 " not span its shuffles")
+    return kernel, checks
 
 
 def _content_order(t):
@@ -1493,35 +1502,26 @@ def _content_blocks(cx, m):
             yield pattern, rows, rank
 
 
-def _check_shuffles_kill(cx, n, vecs, contents):
-    """Raise NotAComplex unless every two-block shuffle of degree n on
-    the cochain side kills each vector of vecs, applied content by
-    content: contents lists degree n's (pattern, rows, rank)
-    (_content_blocks), and each row of degree n is one word of its
-    content's pattern at one value index, which the shuffles' actions on
-    that pattern (_pattern_action, looked up once a call per pattern)
-    carry to rows of the same content and value index.  sh_{p,n-p} sums
-    at its image row plus (p - 1) * dims[n]."""
-    shuffles = [shuffle_element(p, n - p) for p in range(1, n)]
-    images, where, size = {}, {}, cx.dims[n]
+def _check_shuffles_kill(n, vecs, contents):
+    """Raise NotAComplex unless every two-block shuffle of degree n on the
+    cochain side kills each vector of vecs.  The shuffles keep content and
+    value index, and contents lists degree n's (pattern, rows, rank)
+    (_content_blocks), so they act piece by piece on the pattern's words,
+    where only the pattern's check rows are read (_pattern_shuffles): they
+    span the stack's rows over Q, so they kill what the stack kills."""
+    where, base = {}, 0
     for pattern, rows, rank in contents:
-        # per word, its images under each shuffle in turn
-        by_word = images.get(pattern)
-        if by_word is None:
-            by_word = images[pattern] = list(zip(*(
-                _pattern_action(sh, False, pattern) for sh in shuffles)))
+        checks = _pattern_shuffles(pattern)[1]
         for i in range(rank):
-            for r, word_images in zip(rows, by_word):
-                where[r + i] = rows, i, word_images
+            for r, entries in zip(rows, checks):
+                where[r + i] = base, entries
+            base += (n - 1) * len(rows)
     for vec in vecs:
         acc = {}
         for r, x in vec.items():
-            rows, off, word_images = where[r]
-            for entries in word_images:
-                for k, c in entries:
-                    s = off + rows[k]
-                    acc[s] = acc.get(s, 0) + x * c
-                off += size
+            off, entries = where[r]
+            for j, c in entries:
+                acc[off + j] = acc.get(off + j, 0) + x * c
         if any(acc.values()):
             raise NotAComplex("shuffle span is not closed under the"
                               f" differential at degree {n}")

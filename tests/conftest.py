@@ -10,7 +10,7 @@ PROCESS_CACHES = (
     gamma_chain._block_shuffle,
     gamma_chain._pattern_words,
     gamma_chain._pattern_action,
-    gamma_chain._pattern_kernel,
+    gamma_chain._pattern_shuffles,
     hodge.total_shuffle_operator,
     hodge._eulerian,
 )

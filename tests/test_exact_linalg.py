@@ -8,6 +8,7 @@ from monhom.exact_linalg import (
     FgAbGroup,
     IntMatrix,
     PivotReduction,
+    _transpose_cols,
     cokernel_group,
     dense_kernel_basis,
     dense_solve_int,
@@ -20,6 +21,7 @@ from monhom.exact_linalg import (
     smith_normal_form,
     snf_diagonal,
     solve_int,
+    spanning_kernel,
     subquotient_group,
 )
 
@@ -462,6 +464,35 @@ def test_elimination_that_clears_everything_needs_no_dense_form(
     assert K.cols == 1 and B.mul(K).is_zero() and is_saturated(K)
     C = IntMatrix([[1, 0], [4, -2], [0, 7]])
     assert B.mul(dense(solve_int(B.col_dicts(), 3, C.col_dicts()), 4)) == C
+
+
+def test_spanning_kernel_rows_span_every_row():
+    # the kept rows have the rank of all of them, each row lies in their
+    # span, and their rank plus the kernel's size is the number of columns;
+    # the kernel is kernel_basis's
+    rng = random.Random(29)
+    values = [-3, -2, -1, 1, 2, 3]
+    for _ in range(60):
+        size, count = rng.randint(1, 14), rng.randint(0, 12)
+        vecs = sparse_matrix(rng, size, count, values, 0.3).col_dicts()
+        vecs += [{r: 2 * v for r, v in vec.items()} for vec in vecs[:2]]
+        A = _transpose_cols(vecs, size)
+        before = [dict(col) for col in A]
+        kernel, kept = spanning_kernel(A, len(vecs))
+        assert A == before and kernel == kernel_basis(A, len(vecs))
+        assert len(set(kept)) == len(kept)
+        chosen = [vecs[j] for j in kept]
+        rank = int_rank(chosen)
+        assert rank == int_rank(vecs) == size - len(kernel)
+        assert all(int_rank(chosen + [vec]) == rank for vec in vecs)
+
+    def kept(rows):
+        return sorted(spanning_kernel(_transpose_cols(rows, 2), len(rows))[1])
+
+    # three rows of rank 2 with no unit entry, even after dividing out
+    # their content, are all left as the residual and all kept
+    assert kept([{0: 2, 1: 3}, {0: 3, 1: 5}, {0: 5, 1: 8}, {}]) == [0, 1, 2]
+    assert kept([{0: 2, 1: 4}, {0: 1, 1: 2}]) in ([0], [1])
 
 
 def test_pivot_reduction_decides_membership_in_the_span():

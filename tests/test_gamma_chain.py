@@ -811,18 +811,17 @@ def test_each_shuffle_span_is_built_once(monkeypatch):
                     # no shuffle operator on a whole degree
                     assert not calls
                     present |= _patterns(cx, range(2, 6))
-    # for the four complexes together, one action of each two-block
-    # shuffle per multiplicity pattern of degrees 2..5 on cochains (Barr's
-    # kernels and their checks) and of degrees 2..4 on chains (the
-    # integral groups), and one checked kernel per pattern of degrees 2..4
+    # for the four complexes together, one kept action of each two-block
+    # shuffle per multiplicity pattern of degrees 2..4 on chains (the
+    # integral groups), and one certified kernel and check table per
+    # pattern of degrees 2..5 (Barr's kernels and their checks), whose
+    # cochain-side actions are not kept
     actions = gamma_chain._pattern_action.cache_info()
-    kernels = gamma_chain._pattern_kernel.cache_info()
+    tables = gamma_chain._pattern_shuffles.cache_info()
     assert {sum(p) for p in present} == set(range(2, 6))
     assert actions.misses == actions.currsize == \
-        sum(sum(p) - 1 for p in present) + \
         sum(sum(p) - 1 for p in present if sum(p) < 5)
-    assert kernels.misses == kernels.currsize == \
-        len({p for p in present if sum(p) < 5})
+    assert tables.misses == tables.currsize == len(present)
 
 
 def _counted_solves(monkeypatch):
@@ -956,30 +955,38 @@ def test_pattern_kernels_match_the_stacked_ranks():
 
 
 def test_one_kernel_per_pattern_and_ranks_of_one_degree(monkeypatch):
-    # Klein to degree 5, chains and cochains: kernel_basis once per
-    # multiplicity pattern of degrees 2..4 (V^5 is not needed) for the
-    # process, and each rank is of delta o K_m, on the rows of degree m + 1
+    # Klein to degree 5, chains and cochains: spanning_kernel and one
+    # certificate rank once per multiplicity pattern of degrees 2..5 (the
+    # check rows of degree 5 come with a kernel) for the process, and each
+    # other rank is of delta o K_m, on the rows of degree m + 1
     monoid = product_monoid(Z2, Z2).monoid
-    asked, kernels, ranks = [], [], []
-    pattern_kernel, kernel, rank = (gamma_chain._pattern_kernel,
-                                    gamma_chain.kernel_basis,
-                                    gamma_chain.int_rank)
+    asked, inside, kernels, ranks, certified = [], [], [], [], []
+    pattern_shuffles, kernel, rank = (gamma_chain._pattern_shuffles,
+                                      gamma_chain.spanning_kernel,
+                                      gamma_chain.int_rank)
 
     def counted_pattern(pattern):
         asked.append(pattern)
-        return pattern_kernel(pattern)
+        inside.append(pattern)
+        try:
+            return pattern_shuffles(pattern)
+        finally:
+            inside.pop()
 
     def counted_kernel(cols, rows):
-        kernels.append(asked[-1])
+        kernels.append(inside[-1])
         return kernel(cols, rows)
 
     def counted_rank(vecs):
         vecs = list(vecs)
-        ranks.append(1 + max((r for v in vecs for r in v), default=-1))
+        if inside:
+            certified.append(inside[-1])
+        else:
+            ranks.append(1 + max((r for v in vecs for r in v), default=-1))
         return rank(vecs)
 
-    monkeypatch.setattr(gamma_chain, "_pattern_kernel", counted_pattern)
-    monkeypatch.setattr(gamma_chain, "kernel_basis", counted_kernel)
+    monkeypatch.setattr(gamma_chain, "_pattern_shuffles", counted_pattern)
+    monkeypatch.setattr(gamma_chain, "spanning_kernel", counted_kernel)
     monkeypatch.setattr(gamma_chain, "int_rank", counted_rank)
     present = set()
     for side, direction in ((RIGHT, HOMOLOGICAL), (LEFT, COHOMOLOGICAL)):
@@ -987,18 +994,98 @@ def test_one_kernel_per_pattern_and_ranks_of_one_degree(monkeypatch):
                            direction, ring="Q")
         ranks.clear()
         harrison_dim_q(cx)
-        present |= _patterns(cx, range(2, 5))
+        present |= _patterns(cx, range(2, 6))
         assert len(ranks) == 5
         assert all(rows <= cx.dims[m + 1] for m, rows in enumerate(ranks))
-    assert sorted(kernels) == sorted(present) == sorted(set(asked))
+    assert sorted(kernels) == sorted(certified) == sorted(present) == \
+        sorted(set(asked))
 
 
 def test_a_wrong_pattern_kernel_is_caught(monkeypatch):
     # a unit vector in place of the first kernel vector is not killed by
     # sh_{1,1} = 1 - (0 1) on the words of pattern (1, 1)
-    kernel = gamma_chain.kernel_basis
-    monkeypatch.setattr(gamma_chain, "kernel_basis",
-                        lambda cols, rows: [{0: 1}] + kernel(cols, rows)[1:])
+    kernel = gamma_chain.spanning_kernel
+
+    def wrong(cols, rows):
+        vecs, kept = kernel(cols, rows)
+        return [{0: 1}] + vecs[1:], kept
+
+    monkeypatch.setattr(gamma_chain, "spanning_kernel", wrong)
+    cx = build_complex(Z3, trivial_module(Z3, LEFT), 3, COHOMOLOGICAL,
+                       ring="Q")
+    with pytest.raises(CompositionNonzero, match="pattern") as caught:
+        harrison_dim_q(cx)
+    assert cli._exit_code(caught.value) == 3
+
+
+def _direct_stack(pattern):
+    """The stacked two-block shuffles on the pattern's words, as sparse
+    rows, sh_{p,m-p} from row (p - 1) * len(words): word w goes to the
+    word read through each permutation of each shuffle, with no pattern
+    table."""
+    words = gamma_chain._words(pattern)
+    index = {w: k for k, w in enumerate(words)}
+    m, stack = sum(pattern), []
+    for p in range(1, m):
+        rows = [dict() for _ in words]
+        for k, w in enumerate(words):
+            for perm, c in shuffle_element(p, m - p).terms.items():
+                j = index[tuple(w[i] for i in perm)]
+                rows[j][k] = rows[j].get(k, 0) + c
+        stack += [{k: v for k, v in row.items() if v} for row in rows]
+    return stack
+
+
+def _killed(cols, vecs):
+    """Whether the matrix with sparse columns cols kills each vector."""
+    return [not image for image in _compose_cols(vecs, cols)]
+
+
+def test_pattern_check_rows_span_the_stacked_shuffles():
+    # every multiplicity pattern of 2..6 letters: the check rows are as many
+    # as the rank of the whole stack, which is the number of words less the
+    # kernel's size, and they kill a vector exactly when the stack does
+    patterns = [p for m in range(2, 7) for p in _partitions(m)]
+    assert len(patterns) == 2 + 3 + 5 + 7 + 11
+    moved = 0
+    for pattern in patterns:
+        kernel, checks = gamma_chain._pattern_shuffles(pattern)
+        stack, size = _direct_stack(pattern), len(checks)
+        cols = [dict(entries) for entries in checks]
+        kept = sorted({j for col in cols for j in col})
+        assert _transpose_cols(cols, len(stack)) == [
+            row if j in kept else {} for j, row in enumerate(stack)]
+        assert len(kept) == int_rank(stack) == size - len(kernel)
+        probes = list(kernel) + [
+            {**vec, n % size: vec.get(n % size, 0) + 1}
+            for n, vec in enumerate(kernel)]
+        whole = _killed(_transpose_cols(stack, size), probes)
+        assert _killed(cols, probes) == whole
+        assert whole[:len(kernel)] == [True] * len(kernel)
+        moved += whole.count(False)
+    assert moved
+    # the work the check saves: 96 of the 480 rows on five distinct letters
+    kernel, checks = gamma_chain._pattern_shuffles((1, 1, 1, 1, 1))
+    assert len({j for entries in checks for j, _ in entries}) == 96
+    assert len(_direct_stack((1, 1, 1, 1, 1))) == 480
+    assert sum(map(len, checks)) == 580
+
+
+def test_a_short_check_table_is_caught(monkeypatch):
+    # one spanning row left out: the rank of the rest plus the kernel's
+    # size falls short of the number of words, and the broken table is not
+    # kept, so the next call raises again
+    kernel = gamma_chain.spanning_kernel
+
+    def short(cols, rows):
+        vecs, kept = kernel(cols, rows)
+        return vecs, kept[1:]
+
+    monkeypatch.setattr(gamma_chain, "spanning_kernel", short)
+    for _ in range(2):
+        with pytest.raises(CompositionNonzero, match="not span its shuffles"):
+            gamma_chain._pattern_shuffles((2, 1, 1))
+        assert gamma_chain._pattern_shuffles.cache_info().currsize == 0
     cx = build_complex(Z3, trivial_module(Z3, LEFT), 3, COHOMOLOGICAL,
                        ring="Q")
     with pytest.raises(CompositionNonzero, match="pattern") as caught:
