@@ -173,33 +173,30 @@ def _compute(args):
             report.setdefault("results", []).append(
                 {"degree": n, "group": group.to_json()})
             lines.append(f"HH{mark}{n} = {group}")
-    elif args.target == "harrison":
+    else:  # harrison and hodge
         if deg < 1:
             raise ValidationError("--max-degree must be at least 1 here")
-        # over Z the normalized complex gives other groups; over Q the
-        # dimensions are weight 1, which the Morse complex keeps
+        # over Z the normalized complex gives other Harrison groups; over Q
+        # they are weight 1, which the Morse complex keeps
         if ring == "Z":
             groups = harrison(build_complex(monoid, coeff, deg + 1,
                                             HOMOLOGICAL, budget=budget))
         else:
-            groups = [FgAbGroup.free(w[0]) for w in morse_hodge(
-                MorseReduction(monoid, coeff, deg + 1, HOMOLOGICAL,
-                               budget=budget, ring="Q", transfer=True))]
+            weights = morse_hodge(MorseReduction(
+                monoid, coeff, deg + 1, HOMOLOGICAL, budget=budget, ring="Q",
+                transfer=True))
+            groups = [FgAbGroup.free(w[0]) for w in weights]
+        results = report["results"] = []
         for n, group in enumerate(groups, start=1):
-            report.setdefault("results", []).append(
-                {"degree": n, "group": group.to_json()})
-            lines.append(f"Harr_{n} = {group}")
-    else:
-        if deg < 1:
-            raise ValidationError("--max-degree must be at least 1 here")
-        red = MorseReduction(monoid, coeff, deg + 1, HOMOLOGICAL,
-                             budget=budget, ring="Q", transfer=True)
-        for n, weights in enumerate(morse_hodge(red), start=1):
-            report.setdefault("results", []).append(
-                {"degree": n, "weights": list(weights),
-                 "total": sum(weights)})
-            shown = " + ".join(str(w) for w in weights)
-            lines.append(f"degree {n}: {shown} = {sum(weights)}")
+            if args.target == "harrison":
+                results.append({"degree": n, "group": group.to_json()})
+                lines.append(f"Harr_{n} = {group}")
+            else:
+                w = weights[n - 1]
+                results.append({"degree": n, "weights": list(w),
+                                "total": sum(w)})
+                lines.append(f"degree {n}: {' + '.join(map(str, w))}"
+                             f" = {sum(w)}")
     return report, lines
 
 

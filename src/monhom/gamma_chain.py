@@ -4,10 +4,10 @@ A tuple (a_1..a_n) over the monoid C indexes a summand carrying the
 coefficient value at the product a_1...a_n.  The face eps_i collapses the
 pointed set [n] onto [n-1]: face 0 drops a_1 into the coefficient, face n
 drops a_n, and face i in between merges a_i and a_{i+1}.  Alternating
-sums of the faces assemble the boundary; permutations give the
-symmetric-group action used for shuffle operators, Harrison groups and
-Hodge projectors, and the orbits of Young subgroups on the tuples give
-the invariants of y_exactness_check.
+sums of the faces assemble the boundary; the signed shuffle product of
+t[:p] and t[p:] (_shuffle) gives the two-block shuffles of the Harrison
+groups and Hodge weights, and the orbits of Young subgroups on the
+tuples give the invariants of y_exactness_check.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ HOMOLOGICAL = "homological"
 COHOMOLOGICAL = "cohomological"
 
 DEFAULT_BUDGET = 10 ** 6
+# the most letters a product in Z[S_n] is taken on (SymGroupElement.mul)
+PROJECTOR_CAP = 5
 
 
 def resolve_budget(budget=None):
@@ -789,14 +791,14 @@ class MorseReduction:
                 self.maps, None, True)
         return self._chains
 
-    def transfer(self, m, elem, chains):
-        """pi o elem o iota on the Morse m-chains chains (sparse columns),
-        for elem in Z[S_m] acting on the normalized chains as _sym_cols
-        acts, but tuple by tuple on the lifts alone (_permuted).  Each lift
-        x = iota(z) is checked exactly first: d x, computed face by face on
-        the normalized complex (_chain_boundary), must be iota(d_M z), which
-        is 0 on a cycle, and pi must carry x back to z.  Raises
-        WeightNotPreserved otherwise."""
+    def transfer(self, m, chains):
+        """pi o s_m o iota on the Morse m-chains chains (sparse columns),
+        s_m acting on each distinct lifted tuple once a call, with a memo
+        of the tuple's own (_split_shuffles).  Each lift x = iota(z) is
+        checked exactly first: d x, computed face by face on the normalized
+        complex (_chain_boundary), must be iota(d_M z), which is 0 on a
+        cycle, and pi must carry x back to z.  Raises WeightNotPreserved
+        otherwise."""
         lifts = [self.lift(m, z) for z in chains]
         for z, x, dz in zip(chains, lifts,
                             _compose_cols(chains, self.maps[m])):
@@ -810,7 +812,15 @@ class MorseReduction:
                 raise WeightNotPreserved(
                     f"pi o iota moves a Morse {'chain' if dz else 'cycle'}"
                     f" of degree {m}")
-        return [self.project(m, y) for y in _permuted(elem, lifts)]
+        images = {t: _split_shuffles(t, range(1, m), {})
+                  for t in dict.fromkeys(t for x in lifts for t, _ in x)}
+        out = []
+        for x in lifts:
+            moved = {}
+            for (t, j), v in x.items():
+                _add_into(moved, {(s, j): c for s, c in images[t].items()}, v)
+            out.append(self.project(m, moved))
+        return out
 
 
 class _Flow:
@@ -1098,8 +1108,11 @@ class SymGroupElement:
 
     def mul(self, other):
         """The product in Z[S_n]: p*q is the permutation j -> p(q(j)), read
-        from the composition table of S_n, built once per n (_sym_index)."""
+        from the composition table of S_n, built once per n (_sym_index).
+        Raises BadParams above PROJECTOR_CAP letters, before the table."""
         self._require_same(other)
+        if self.n > PROJECTOR_CAP:
+            raise BadParams(f"Z[S_{self.n}] is above the projector cap")
         perms, index, table = _sym_index(self.n)
         theirs = [(index[q], b) for q, b in other.terms.items()]
         acc = [0] * len(perms)
@@ -1119,18 +1132,11 @@ class SymGroupElement:
         return (isinstance(other, SymGroupElement) and self.n == other.n
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
     def __repr__(self):
         if not self.terms:
             return f"SymGroupElement({self.n}, 0)"
         parts = [f"{c}*{p}" for p, c in sorted(self.terms.items())]
         return f"SymGroupElement({self.n}, {' + '.join(parts)})"
-
-
-def _perm_inverse(perm):
-    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
 
 
 @lru_cache(maxsize=None)
@@ -1171,8 +1177,7 @@ def _block_shuffle(parts):
     """One shuffle per word of the pattern parts (_words, listed here and
     not kept): block b goes to the positions of the word's letters b, in
     order (a stable sort of the positions by letter), with the sign of the
-    word's inversions.  With two blocks the terms come in lexicographic
-    order."""
+    word's inversions."""
     n, terms = sum(parts), {}
     for w in _words(parts):
         # each letter b counts the letters greater than b placed before it
@@ -1183,34 +1188,6 @@ def _block_shuffle(parts):
         perm = tuple(sorted(range(n), key=w.__getitem__))
         terms[perm] = -1 if inv % 2 else 1
     return SymGroupElement(n, terms)
-
-
-def _sym_cols(cx, n, elems):
-    """The actions of the elements of Z[S_n] in elems on degree n of a
-    complex, as sparse integer columns: one list of columns per element.
-
-    A permutation moves positions, not letters, so it keeps the content
-    of a tuple (the multiset of its letters), and relabelling the letters
-    carries the tuples of one content onto the words of its multiplicity
-    pattern (_content_blocks).  So each element acts once per pattern, on
-    the pattern's words (_pattern_action, kept for the process), and each
-    content with a nonzero value puts its rows back into those columns,
-    once per value index, with no tuple looked up."""
-    cx._check_degree(n)
-    for elem in elems:
-        if elem.n != n:
-            raise DegreeMismatch(f"element of S_{elem.n} on degree {n}")
-    # a permutation moves tuple t to (t[perm^-1(j)])_j on chains;
-    # cochains act by the transpose, which reads t through perm itself
-    inverse = cx.direction == HOMOLOGICAL
-    out = [[None] * cx.dims[n] for _ in elems]
-    for pattern, rows, rank in _content_blocks(cx, n):
-        for cols, elem in zip(out, elems):
-            action = _pattern_action(elem, inverse, pattern)
-            for r, entries in zip(rows, action):
-                for i in range(rank):
-                    cols[r + i] = {rows[k] + i: v for k, v in entries}
-    return out
 
 
 def _words(pattern):
@@ -1232,59 +1209,66 @@ def _pattern_words(pattern):
     return words, {w: k for k, w in enumerate(words)}
 
 
-@lru_cache(maxsize=None)
-def _pattern_action(elem, inverse, pattern):
-    """For each word of the pattern (_pattern_words), the (word index,
-    coefficient) pairs of the word's image under elem: the coefficients
-    merged by image word, in the order each image first appears over the
-    element's terms, leaving out the images whose coefficients cancel.  A
-    permutation reads a word through its inverse when inverse is set (on
-    chains), through itself otherwise (on cochains).  The one per-pattern
-    loop that reads words through permutations; kept for the process (not
-    by _pattern_shuffles, which calls __wrapped__), as tuples."""
-    words, index = _pattern_words(pattern)
-    terms = [(_perm_inverse(perm) if inverse else perm, c)
-             for perm, c in elem.terms.items()]
-    action = []
-    for w in words:
-        acc = {}
-        for perm, c in terms:
-            k = index[tuple(map(w.__getitem__, perm))]
-            acc[k] = acc.get(k, 0) + c
-        action.append(tuple((k, v) for k, v in acc.items() if v))
-    return tuple(action)
-
-
-def _permuted(elem, chains):
-    """elem in Z[S_m] on m-chains, each a dict from (tuple, value index)
-    to coefficient, tuple by tuple: sum_sigma c_sigma (t o sigma^-1),
-    whose position sigma(j) holds t_j, the oracle of the per-pattern
-    action (_sym_cols).  A permutation keeps a tuple's product, and so
-    its value.  Each distinct tuple's images are merged once a call, in
-    order of first appearance, without those that cancel; nothing is kept."""
-    # itemgetter of one position gives a letter, not a tuple
-    pick = operator.itemgetter if elem.n > 1 else lambda *_: tuple
-    reads = [(pick(*_perm_inverse(p)), c) for p, c in elem.terms.items()]
-    images, out = {}, []
-    for chain in chains:
-        moved = {}
-        for (t, j), v in chain.items():
-            merged = images.get(t)
-            if merged is None:
-                acc = {}
-                for read, c in reads:
-                    s = read(t)
-                    acc[s] = acc.get(s, 0) + c
-                merged = images[t] = [(s, c) for s, c in acc.items() if c]
-            for s, c in merged:
-                key = s, j
-                nv = moved.get(key, 0) + v * c
-                if nv:
-                    moved[key] = nv
-                else:
-                    del moved[key]
-        out.append(moved)
+def _shuffle(u, v, memo):
+    """The signed shuffle product sh(u, v) of two words, as a dict from
+    word to nonzero coefficient, by Ree's recursion (Ann. Math. 68, 1958):
+    sh(au, bv) = a sh(u, bv) + (-1)^|au| b sh(au, v), b passing every
+    letter of au.  memo maps each pair (u, v) met to its product, which
+    callers must not change."""
+    if not u or not v:
+        return {u + v: 1}
+    out = memo.get((u, v))
+    if out is None:
+        b, sign = v[:1], -1 if len(u) % 2 else 1
+        out = {u[:1] + w: c for w, c in _shuffle(u[1:], v, memo).items()}
+        for w, c in _shuffle(u, v[1:], memo).items():
+            w = b + w
+            c = out.get(w, 0) + sign * c
+            if c:
+                out[w] = c
+            else:
+                del out[w]
+        memo[u, v] = out
     return out
+
+
+def _split_shuffles(t, splits, memo):
+    """sum_p sh_(p,m-p), p in splits, on the chain tuple t: sum_p
+    sh(t[:p], t[p:]) (_shuffle), since the (p, m-p)-shuffles sigma carry t
+    to the interleavings t o sigma^-1 of t[:p] and t[p:]."""
+    out = {}
+    for p in splits:
+        _add_into(out, _shuffle(t[:p], t[p:], memo), 1)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _pattern_product(pattern, splits):
+    """For each word of the pattern (_pattern_words), the (word index,
+    coefficient) pairs of its image on chains (_split_shuffles), with a
+    memo of the word's own.  Kept for the process; callers must not change
+    it."""
+    words, index = _pattern_words(pattern)
+    return tuple(tuple((index[w], c) for w, c in _split_shuffles(
+        t, splits, {}).items()) for t in words)
+
+
+def _shuffle_cols(cx, n, batch):
+    """The columns of sum_p sh_(p,n-p), p in splits, on degree n of a
+    complex, one list per tuple splits in batch; cochains take the
+    transpose.  A shuffle keeps the content of a tuple, and relabelling
+    the letters carries the tuples of a content onto the words of its
+    multiplicity pattern (_content_blocks), so the product acts once per
+    pattern (_pattern_product) and each content puts its rows back, once
+    per value index."""
+    out = [[None] * cx.dims[n] for _ in batch]
+    for pattern, rows, rank in _content_blocks(cx, n):
+        for cols, splits in zip(out, batch):
+            for r, entries in zip(rows, _pattern_product(pattern, splits)):
+                for i in range(rank):
+                    cols[r + i] = {rows[k] + i: v for k, v in entries}
+    return out if cx.step < 0 else [_transpose_cols(cols, cx.dims[n])
+                                    for cols in out]
 
 
 def hochschild(cx, n):
@@ -1327,8 +1311,8 @@ def _shuffle_int_cols(cx, m):
     The shuffle product is associative: sh_{p,q,r} = sh_{p+q,r}(sh_{p,q} x 1)
     in Z[S_m].  So these m-1 operators span every block-shuffle image on
     chains and cut out the joint kernel of all block shuffles on cochains
-    (Barr 1968).  The m-1 elements act in one batch."""
-    return _sym_cols(cx, m, [shuffle_element(p, m - p) for p in range(1, m)])
+    (Barr 1968).  The m-1 shuffles act in one batch (_shuffle_cols)."""
+    return _shuffle_cols(cx, m, [(p,) for p in range(1, m)])
 
 
 def _distinct_up_to_sign(cols):
@@ -1439,7 +1423,8 @@ def harrison_dim_q(cx):
 def _pattern_shuffles(pattern):
     """Barr's kernel on the words that hold pattern[j] letters j, and rows
     that check it: the two-block shuffles sh_{p,m-p}, 0 < p < m, act on
-    cochains (_pattern_action, read here and not kept), stacked from row
+    cochains by the transposes of their products on chains
+    (_pattern_product, read here and not kept), stacked from row
     (p - 1) * len(words); the antipodes act on chains by the same matrices,
     so both serve the dual of a chain complex in harrison_dim_q too.  The
     check rows are the stack's rows that the kernel's elimination keeps
@@ -1451,12 +1436,9 @@ def _pattern_shuffles(pattern):
     equality means they span its rows over Q.  Kept for the process, a
     table that fails is not; callers must not change it."""
     m, size = sum(pattern), len(_pattern_words(pattern)[0])
-    cols = [dict() for _ in range(size)]
-    for p in range(1, m):
-        sh, off = shuffle_element(p, m - p), (p - 1) * size
-        action = _pattern_action.__wrapped__(sh, False, pattern)
-        for col, entries in zip(cols, action):
-            col.update((off + k, v) for k, v in entries)
+    cols = _transpose_cols([dict(entries) for p in range(1, m) for entries
+                            in _pattern_product.__wrapped__(pattern, (p,))],
+                           size)
     kernel, kept = spanning_kernel(cols, (m - 1) * size)
     if any(_compose_cols(kernel, cols)):
         raise CompositionNonzero(

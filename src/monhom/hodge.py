@@ -5,11 +5,12 @@ of all two-block shuffles, at its eigenvalues 2^i - 2, i = 1..n.  Their
 integral multiples n!*e^(i) have a closed form in descents (Loday, Cyclic
 Homology 4.5), checked here as elements of Z[S_n]; PROJECTOR_CAP bounds
 the degree they are built in.  The weight pieces of the (co)homology are
-the eigenspaces of s_n on it: s_n acts by an integer matrix that commutes
-with the boundary, and each weight's dimension is read from integer
-ranks on cycles that represent the homology, modulo the boundaries.
-That path builds no projector and has no cap of its own: the basis
-budget of the complex bounds it.  One reader takes each degree's weights
+the eigenspaces of s_n on it: s_n acts on the tuples by the shuffle
+product (gamma_chain._shuffle), an integer matrix that commutes with the
+boundary, and each weight's dimension is read from integer ranks on
+cycles that represent the homology, modulo the boundaries.  That path
+builds no element of Z[S_n] and has no cap of its own: the basis budget
+of the complex bounds it.  One reader takes each degree's weights
 (_degree_weights) and holds their guards.  hodge_decomposition feeds it
 s_n on the tuples of a complex from build_complex and is the reference;
 morse_hodge feeds it pi s_n iota on the Morse complex, through the chain
@@ -28,15 +29,14 @@ from math import factorial
 from .errors import BadParams, NotAnnihilated, WeightNotPreserved
 from .exact_linalg import kernel_basis
 from .gamma_chain import (
+    PROJECTOR_CAP,
     SymGroupElement,
     _compose_cols,
-    _sym_cols,
+    _shuffle_cols,
     hochschild_dim_q,
     perm_sign,
     shuffle_element,
 )
-
-PROJECTOR_CAP = 5
 
 
 @lru_cache(maxsize=None)
@@ -132,13 +132,14 @@ def hodge_decomposition(cx):
     weights do not depend on it.  Weight 1 is the rational Harrison
     dimension (Loday, Cyclic Homology 4.5).  s_n keeps the degenerate
     tuples, so normalizing the complex changes no weight.  Each degree's
-    tuples are acted on once, with s_n alone (_sym_cols), and
+    tuples are acted on once, with s_n alone, as the shuffle product acts
+    on the words of each multiplicity pattern (_shuffle_cols), and
     _degree_weights reads a degree's weights, with s_n composed on its
     representatives, once d o s = s o d holds exactly on the maps around
     it (_checked).
     """
-    acted = _checked(cx, cx.n_max, lambda m: _sym_cols(
-        cx, m, [total_shuffle_operator(m)])[0])
+    acted = _checked(cx, cx.n_max, lambda m: _shuffle_cols(
+        cx, m, [tuple(range(1, m))])[0])
     return [_degree_weights(cx, n, h, boundaries,
                             lambda reps: _compose_cols(reps, s))
             for (_, h, boundaries), (n, s) in zip(
@@ -153,8 +154,9 @@ def morse_hodge(red):
     homotopic to 1, so S_n = pi s_n iota acts on H_n of the Morse
     complex as s_n acts on H_n of the normalized complex, and
     _degree_weights reads its weights with S_n applied to the
-    representatives through red.transfer, which checks each lift.  The
-    weights are read over Q whatever the ring of the complex.
+    representatives through red.transfer, which checks each lift and
+    applies s_n to the lifted tuples by the shuffle product.  The weights
+    are read over Q whatever the ring of the complex.
 
     Cochains need no transposed maps of their own.  The coboundaries are
     the transposed boundaries of the translations as a right module
@@ -162,8 +164,8 @@ def morse_hodge(red):
     over Q the weights of the cochains are those of these chains
     (red.chains)."""
     cx = red.chains()
-    return [_degree_weights(cx, n, h, boundaries, lambda reps: red.transfer(
-                n, total_shuffle_operator(n), reps))
+    return [_degree_weights(cx, n, h, boundaries,
+                            lambda reps: red.transfer(n, reps))
             for n, h, boundaries in _totals(cx, range(1, cx.n_max))]
 
 

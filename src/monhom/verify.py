@@ -31,6 +31,7 @@ from .gamma_chain import (
     COHOMOLOGICAL,
     HOMOLOGICAL,
     MorseReduction,
+    _add_into,
     _compose_cols,
     _distinct_up_to_sign,
     _face_cols,
@@ -38,10 +39,9 @@ from .gamma_chain import (
     _factors,
     _lex_faces,
     _letters,
-    _permuted,
+    _shuffle_cols,
     _shuffle_int_cols,
     _shuffle_quotient,
-    _sym_cols,
     _term_layout,
     build_complex,
     harrison,
@@ -576,16 +576,24 @@ def check_kunneth():
 
 
 def _check_transfer_maps(red):
-    """The maps morse_hodge reads, on every Morse chain of degrees
-    1..n_max - 1 and not only on the cycles it lifts: red.transfer of s_n
-    on the unit chains checks that iota is a chain map and pi o iota = 1
-    on each critical cell, and S_n = pi s_n iota must commute with the
-    Morse differential, with s_0 = -1 as in hodge_decomposition
-    (_checked)."""
+    """red.transfer on the unit Morse chains of degrees 1..n_max - 1, not
+    only on the cycles morse_hodge lifts: it checks that iota is a chain
+    map and pi o iota = 1 on each critical cell, it must equal pi of the
+    direct sum over the permutations of s_n on the lifts (_permuted, or
+    OracleMismatch), and S_n = pi s_n iota must commute with the Morse
+    differential, with s_0 = -1 as in hodge_decomposition (_checked)."""
     cx = red.chains()
-    for _ in _checked(cx, cx.n_max - 1, lambda n: red.transfer(
-            n, total_shuffle_operator(n),
-            [{r: 1} for r in range(cx.dims[n])])):
+
+    def transferred(n):
+        units = [{r: 1} for r in range(cx.dims[n])]
+        got = red.transfer(n, units)
+        if got != [red.project(n, y) for y in _permuted(
+                total_shuffle_operator(n), [red.lift(n, z) for z in units])]:
+            raise OracleMismatch(f"the transfer of s_{n} differs from the"
+                                 " direct sum over permutations")
+        return got
+
+    for _ in _checked(cx, cx.n_max - 1, transferred):
         pass
 
 
@@ -654,6 +662,23 @@ def check_normalization():
     return out
 
 
+def _permuted(elem, chains):
+    """elem in Z[S_m] on m-chains, dicts from (tuple, value index) to
+    coefficient, tuple by tuple: sum_sigma c_sigma (t o sigma^-1), whose
+    position sigma(j) holds t_j; the oracle of the shuffle product
+    (gamma_chain._shuffle).  A permutation keeps a tuple's value."""
+    reads = [(sorted(range(elem.n), key=p.__getitem__), c)
+             for p, c in elem.terms.items()]
+    out = []
+    for chain in chains:
+        moved = {}
+        for (t, j), v in chain.items():
+            for read, c in reads:
+                _add_into(moved, {(tuple(t[i] for i in read), j): c}, v)
+        out.append(moved)
+    return out
+
+
 def _direct_action_cols(cx, n, elem):
     """sum_sigma c_sigma (t o sigma^-1) on degree n: the direct action
     (_permuted) on the unit chains of the tuple layout, one tuple at a
@@ -667,16 +692,13 @@ def _direct_action_cols(cx, n, elem):
 
 
 def check_sym_action():
-    anchor = ("sum_sigma c_sigma (t o sigma^-1), acted once per"
-              " first-occurrence pattern of t")
-    elements = [(f"e^({i}) on {m} letters", e)
-                for m in range(1, 5)
-                for i, e in enumerate(eulerian_idempotents(m), start=1)]
-    elements += [(f"sh_({p},{m - p})", shuffle_element(p, m - p))
+    anchor = ("sh_(p,m-p) t = sh(t[:p], t[p:]), the signed shuffle product"
+              " by Ree's recursion, = sum_sigma c_sigma (t o sigma^-1)")
+    # s_m and each sh_(p,m-p): the splits of the product, and Z[S_m]
+    elements = [(f"s_{m}", tuple(range(1, m)), total_shuffle_operator(m))
+                for m in range(1, 5)]
+    elements += [(f"sh_({p},{m - p})", (p,), shuffle_element(p, m - p))
                  for m in range(2, 5) for p in range(1, m)]
-    by_degree = {}
-    for _, elem in elements:
-        by_degree.setdefault(elem.n, []).append(elem)
     out = []
     for label, monoid in suite_monoids():
         def body(monoid=monoid):
@@ -689,20 +711,16 @@ def check_sym_action():
                          jstar(regular_kc_module(monoid), side))):
                     for cx in _full_and_normalized(monoid, coeff, direction):
                         kind = "normalized" if cx.normalized else "full"
-                        # the elements of each degree act in one batch,
-                        # as in _shuffle_int_cols
-                        acted = {n: iter(_sym_cols(cx, n, batch))
-                                 for n, batch in by_degree.items()}
-                        for what, elem in elements:
-                            if next(acted[elem.n]) != \
+                        for what, splits, elem in elements:
+                            if _shuffle_cols(cx, elem.n, [splits])[0] != \
                                     _direct_action_cols(cx, elem.n, elem):
                                 raise OracleMismatch(
                                     f"{direction} {name}, {kind} complex:"
                                     f" {what} differs from the direct sum"
                                     " over permutations")
                             compared += 1
-            return (f"{compared} actions agree with the direct sum over"
-                    " permutations, full and normalized, degrees 1..4")
+            return (f"{compared} shuffle products agree with the direct sum"
+                    " over permutations, full and normalized, degrees 1..4")
         out.append(_guarded(f"sym-action[{label}]", anchor, body))
     return out
 

@@ -12,7 +12,6 @@ from monhom.errors import (
     BadParams,
     ComplexityBudget,
     CompositionNonzero,
-    DegreeMismatch,
     NotAComplex,
     OracleMismatch,
 )
@@ -62,7 +61,6 @@ from monhom.hc_modules import (
     trivial_module,
     validate_module,
 )
-from monhom.hodge import eulerian_idempotents, total_shuffle_operator
 from monhom.monoids import (
     cyclic_group,
     product_monoid,
@@ -432,30 +430,44 @@ def test_indexed_product_matches_the_double_loop():
 
 
 def test_sym_action_group_law():
+    # the direct action that the shuffle product is checked against
     rng = random.Random(8141)
     cx = build_complex(Z2, jstar_finite_cyclic(Z2, 4, RIGHT), 3, HOMOLOGICAL)
     cy = build_complex(Z2, trivial_module(Z2, LEFT), 3, COHOMOLOGICAL)
     n = 3
     ident = SymGroupElement.identity(n)
-    assert gamma_chain._sym_cols(cx, n, [ident]) == \
-        [[{i: 1} for i in range(cx.dims[n])]]
+    assert _direct_action_cols(cx, n, ident) == \
+        [{i: 1} for i in range(cx.dims[n])]
     for _ in range(8):
         p = tuple(rng.sample(range(n), n))
         q = tuple(rng.sample(range(n), n))
         ep, eq = (SymGroupElement(n, {x: 1}) for x in (p, q))
         # _compose_cols(a, b) is the product b * a
-        on_pq, on_p, on_q = gamma_chain._sym_cols(cx, n, [ep.mul(eq), ep, eq])
+        on_pq, on_p, on_q = (_direct_action_cols(cx, n, e)
+                             for e in (ep.mul(eq), ep, eq))
         assert on_pq == _compose_cols(on_q, on_p)
         # contravariant degree: the action reverses products
-        on_pq, on_p, on_q = gamma_chain._sym_cols(cy, n, [ep.mul(eq), ep, eq])
+        on_pq, on_p, on_q = (_direct_action_cols(cy, n, e)
+                             for e in (ep.mul(eq), ep, eq))
         assert on_pq == _compose_cols(on_p, on_q)
 
 
+def _inverse(perm):
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
+
+
+def _split_element(n, splits):
+    """sum_p sh_(p,n-p), p in splits, as an element of Z[S_n]."""
+    return sum((shuffle_element(p, n - p) for p in splits),
+               SymGroupElement.zero(n))
+
+
 def test_pattern_action_matches_the_direct_action():
-    # 100 random integer elements of Z[S_n], n <= 5, on chains and
-    # cochains, with values of rank 3 and on the normalized complex, acted
-    # in one batch per complex and degree, so each tuple relabels the
-    # images that any element of its batch reaches
+    # 100 random sets of splits, n <= 5, on chains and cochains, with
+    # values of rank 3 and on the normalized complex, acted in one batch
+    # per complex and degree through the pattern tables of the shuffle
+    # product: each sum of two-block shuffles equals the direct sum over
+    # its permutations
     rng = random.Random(7321)
     monoid = truncated_add(2)
     complexes = [
@@ -468,50 +480,38 @@ def test_pattern_action_matches_the_direct_action():
     batches = {}
     for k in range(100):
         n = rng.randint(1, 5)
-        batch = batches.get((k % len(complexes), n))
-        if batch is None:
-            swap = SymGroupElement(
-                n, {(n - 1,) + tuple(range(1, n - 1)) + (0,): 1}) if n > 1 \
-                else SymGroupElement.identity(1)
-            batch = batches[k % len(complexes), n] = [swap]
-        perms = list(itertools.permutations(range(n)))
-        chosen = rng.sample(perms, rng.randint(1, len(perms)))
-        batch.append(SymGroupElement(n, {p: rng.randint(-4, 4)
-                                         for p in chosen}))
+        splits = tuple(sorted(rng.sample(range(1, n), rng.randint(
+            0, n - 1))))
+        batches.setdefault((k % len(complexes), n), []).append(splits)
     for (c, n), batch in batches.items():
         cx = complexes[c]
-        assert gamma_chain._sym_cols(cx, n, batch) == \
-            [_direct_action_cols(cx, n, elem) for elem in batch]
-        with pytest.raises(DegreeMismatch):
-            gamma_chain._sym_cols(cx, n,
-                                  batch + [SymGroupElement.identity(n + 1)])
+        assert gamma_chain._shuffle_cols(cx, n, batch) == [
+            _direct_action_cols(cx, n, _split_element(n, splits))
+            for splits in batch]
 
 
 def test_a_batch_acts_as_one_call_per_element():
-    # 1 - (0 1) cancels on the tuples whose first two letters agree, where
-    # the other elements still reach the image; x - x has no terms at all
-    rng = random.Random(4417)
+    # sh_(1,1) = 1 - (0 1) cancels on the tuples of degree 2 whose letters
+    # agree, and no splits give the zero operator; a batch gives what its
+    # splits give one call each, and the direct sum over permutations
     monoid = truncated_add(2)
-    n = 4
-    x = SymGroupElement(n, {
-        p: rng.randint(-3, 3)
-        for p in rng.sample(list(itertools.permutations(range(n))), 10)})
-    swap = SymGroupElement(n, {(1, 0, 2, 3): 1})
-    cancels = SymGroupElement.identity(n) + swap.scale(-1)
-    batch = [x, cancels, x + x.scale(-1), swap, shuffle_element(2, 2)]
+    batches = {2: [(1,), (), (1,)], 4: [(1, 2, 3), (), (1,), (2,), (1, 3)]}
     for side, direction in ((RIGHT, HOMOLOGICAL), (LEFT, COHOMOLOGICAL)):
         for normalized in (False, True):
             cx = build_complex(monoid, jstar(regular_kc_module(monoid), side),
-                               n, direction, normalized=normalized)
-            cols = gamma_chain._sym_cols(cx, n, batch)
-            assert cols == [gamma_chain._sym_cols(cx, n, [e])[0]
-                            for e in batch]
-            assert cols[1] == _direct_action_cols(cx, n, cancels)
-            assert [not col for col in cols[1]] == [
-                t[0] == t[1] for t, p in zip(cx.tuples_at(n), cx.prods_at(n))
+                               4, direction, normalized=normalized)
+            for n, batch in batches.items():
+                cols = gamma_chain._shuffle_cols(cx, n, batch)
+                assert cols == [gamma_chain._shuffle_cols(cx, n, [s])[0]
+                                for s in batch]
+                assert cols == [_direct_action_cols(
+                    cx, n, _split_element(n, s)) for s in batch]
+                assert len(cols[1]) == cx.dims[n] and not any(cols[1])
+                assert gamma_chain._shuffle_cols(cx, n, []) == []
+            assert [not col for col in gamma_chain._shuffle_cols(
+                cx, 2, [(1,)])[0]] == [
+                t[0] == t[1] for t, p in zip(cx.tuples_at(2), cx.prods_at(2))
                 for _ in range(cx.coeff.ranks[p])]
-            assert len(cols[2]) == cx.dims[n] and not any(cols[2])
-            assert gamma_chain._sym_cols(cx, n, []) == []
 
 
 def _items(cols):
@@ -522,9 +522,9 @@ def _items(cols):
 def test_pattern_blocks_give_the_direct_action():
     # the suite's coefficient family, with the projective's zero-rank
     # values and the torsion values of jstar:Zmod4:trivial, full and
-    # normalized, both directions: every column equal to the direct sum
-    # over permutations; then the Morse transfer's action on the unit
-    # chains of the normalized chains, entries in the same order
+    # normalized, both directions: s_n and every two-block shuffle, each
+    # column equal to the direct sum over permutations; then s_n on each
+    # tuple as the Morse transfer applies it, with a memo of its own
     compared = 0
     for monoid in (Z3, truncated_add(2)):
         for direction, side in ((HOMOLOGICAL, RIGHT), (COHOMOLOGICAL, LEFT)):
@@ -533,24 +533,24 @@ def test_pattern_blocks_give_the_direct_action():
                     cx = build_complex(monoid, coeff, 4, direction,
                                        normalized=normalized)
                     for n in range(1, 5):
-                        batch = [total_shuffle_operator(n)] + [
-                            shuffle_element(p, n - p) for p in range(1, n)
-                        ] + list(eulerian_idempotents(n))
-                        acted = gamma_chain._sym_cols(cx, n, batch)
+                        batch = [tuple(range(1, n))] + [
+                            (p,) for p in range(1, n)]
+                        acted = gamma_chain._shuffle_cols(cx, n, batch)
                         assert [_items(cols) for cols in acted] == [
-                            _items(_direct_action_cols(cx, n, elem))
-                            for elem in batch]
+                            _items(_direct_action_cols(
+                                cx, n, _split_element(n, splits)))
+                            for splits in batch]
                         compared += len(batch)
                         if normalized and direction == HOMOLOGICAL:
-                            basis = [(t, j) for t, p in zip(
-                                cx.tuples_at(n), cx.prods_at(n))
-                                for j in range(coeff.ranks[p])]
-                            moved = gamma_chain._permuted(
-                                batch[0], [{b: 1} for b in basis])
-                            assert [list(c.items()) for c in moved] == [
-                                [(basis[r], v) for r, v in col.items()]
-                                for col in acted[0]]
-    assert compared == 2 * 2 * 3 * 2 * sum(2 * n for n in range(1, 5))
+                            row = {(t, j): r for r, (t, j) in enumerate(
+                                (t, j) for t, p in zip(
+                                    cx.tuples_at(n), cx.prods_at(n))
+                                for j in range(coeff.ranks[p]))}
+                            assert [{row[s, j]: c for s, c in
+                                     gamma_chain._split_shuffles(
+                                         t, range(1, n), {}).items()}
+                                    for t, j in row] == acted[0]
+    assert compared == 2 * 2 * 3 * 2 * sum(range(1, 5))
 
 
 def _first_appearance_blocks(cx, m):
@@ -603,20 +603,64 @@ def test_sym_action_suite_catches_a_wrong_pattern_key(monkeypatch, capsys):
 def test_sym_action_suite_catches_a_direct_action_read_through_sigma(
         monkeypatch, capsys):
     # t read through sigma in place of sigma^-1: the same on an involution,
-    # not on the shuffles and idempotents of three letters and more
-    permuted = gamma_chain._permuted
+    # not on the shuffles of three letters and more
+    permuted = verify._permuted
 
     def through_sigma(elem, chains):
         return permuted(SymGroupElement(elem.n, {
-            gamma_chain._perm_inverse(p): c for p, c in elem.terms.items()}),
+            _inverse(p): c for p, c in elem.terms.items()}),
             chains)
 
-    monkeypatch.setattr(gamma_chain, "_permuted", through_sigma)
     monkeypatch.setattr(verify, "_permuted", through_sigma)
     assert cli.main(["verify", "sym-action"]) == 3
     out = capsys.readouterr().out
     assert "FAIL sym-action[cyclic_group(2)]" in out
     assert "OracleMismatch" in out
+
+
+def test_sym_action_suite_catches_a_flipped_sign(monkeypatch, capsys):
+    # sh(a, b) = ab + ba in place of ab - ba for two distinct letters, and
+    # every longer product built on it: the product no longer matches the
+    # direct sum over permutations
+    product = gamma_chain._shuffle
+
+    def flipped(u, v, memo):
+        out = product(u, v, memo)
+        if len(u) == len(v) == 1:
+            return {w: abs(c) for w, c in out.items()}
+        return out
+
+    monkeypatch.setattr(gamma_chain, "_shuffle", flipped)
+    assert cli.main(["verify", "sym-action"]) == 3
+    out = capsys.readouterr().out
+    assert "PASS sym-action[trivial]" in out
+    assert "FAIL sym-action[cyclic_group(2)]" in out
+    assert "OracleMismatch" in out
+
+
+def test_shuffle_product_matches_the_permutations():
+    # every word of 1..7 letters over three letters, every two-block
+    # shuffle and s_m: the signed shuffle products of prefix and suffix
+    # are the direct sum over the permutations, whether the memo is the
+    # word's own or shared by all words
+    shared, checked = {}, 0
+    for m in range(1, 8):
+        words = list(itertools.product(range(3), repeat=m))
+        own = {t: {} for t in words}
+        for splits in [(p,) for p in range(1, m)] + [tuple(range(1, m))]:
+            for t, want in zip(words, verify._permuted(
+                    _split_element(m, splits), [{(t, 0): 1} for t in words])):
+                want = {s: c for (s, _), c in want.items()}
+                assert gamma_chain._split_shuffles(t, splits, own[t]) == want
+                assert gamma_chain._split_shuffles(t, splits, shared) == want
+                checked += 1
+    assert checked == sum(m * 3 ** m for m in range(1, 8))
+    # small products by hand; words whose signs cancel are left out:
+    # sh(a, a) = aa - aa
+    assert gamma_chain._shuffle((0,), (0,), {}) == {}
+    assert gamma_chain._shuffle((), (1, 2), {}) == {(1, 2): 1}
+    assert gamma_chain._shuffle((0, 1), (2,), {}) == {
+        (0, 1, 2): 1, (0, 2, 1): -1, (2, 0, 1): 1}
 
 
 def test_pattern_words_are_the_distinct_permutations():
@@ -697,7 +741,7 @@ def test_shuffle_elements():
     # on the one-point monoid every permutation acts as the identity,
     # so the signs of sh_{1,1} cancel exactly
     cx = build_complex(TRIV, trivial_module(TRIV, RIGHT), 3, HOMOLOGICAL)
-    assert not any(gamma_chain._sym_cols(cx, 2, [e])[0])
+    assert not any(gamma_chain._shuffle_cols(cx, 2, [(1,)])[0])
 
 
 def test_non_integral_coefficients_are_rejected():
@@ -753,7 +797,8 @@ def test_two_block_shuffles_span_every_block_shuffle():
                                direction)
             for n in range(2, 6):
                 two = gamma_chain._shuffle_int_cols(cx, n)
-                every = gamma_chain._sym_cols(cx, n, _every_block_shuffle(n))
+                every = [_direct_action_cols(cx, n, e)
+                         for e in _every_block_shuffle(n)]
                 assert len(two) == n - 1 and len(every) == 2 ** (n - 1) - 1
                 orbits = {}
                 for k, t in enumerate(cx.tuples_at(n)):
@@ -811,12 +856,12 @@ def test_each_shuffle_span_is_built_once(monkeypatch):
                     # no shuffle operator on a whole degree
                     assert not calls
                     present |= _patterns(cx, range(2, 6))
-    # for the four complexes together, one kept action of each two-block
-    # shuffle per multiplicity pattern of degrees 2..4 on chains (the
-    # integral groups), and one certified kernel and check table per
+    # for the four complexes together, one kept product table of each
+    # two-block shuffle per multiplicity pattern of degrees 2..4 on chains
+    # (the integral groups), and one certified kernel and check table per
     # pattern of degrees 2..5 (Barr's kernels and their checks), whose
-    # cochain-side actions are not kept
-    actions = gamma_chain._pattern_action.cache_info()
+    # product tables are not kept
+    actions = gamma_chain._pattern_product.cache_info()
     tables = gamma_chain._pattern_shuffles.cache_info()
     assert {sum(p) for p in present} == set(range(2, 6))
     assert actions.misses == actions.currsize == \
@@ -872,14 +917,14 @@ def test_harrison_chain_solves_once_per_degree(monkeypatch):
 def test_unclosed_shuffle_span_is_caught(monkeypatch):
     # the identity in place of sh_{1,1} spans all of degree 2, which the
     # boundary does not carry into degree 1's empty shuffle span
-    original = gamma_chain.shuffle_element
+    original = gamma_chain._split_shuffles
 
-    def broken(*parts):
-        if parts == (1, 1):
-            return SymGroupElement.identity(2)
-        return original(*parts)
+    def broken(t, splits, memo):
+        if len(t) == 2:
+            return {t: 1}
+        return original(t, splits, memo)
 
-    monkeypatch.setattr(gamma_chain, "shuffle_element", broken)
+    monkeypatch.setattr(gamma_chain, "_split_shuffles", broken)
     for side, direction, ring in ((RIGHT, HOMOLOGICAL, "Z"),
                                   (RIGHT, HOMOLOGICAL, "Q"),
                                   (LEFT, COHOMOLOGICAL, "Q")):
@@ -914,10 +959,10 @@ def _stacked_rank_harrison_dim_q(cx):
         # by the transposes
         shuffles = [shuffle_element(p, m + 1 - p).terms
                     for p in range(1, m + 1)]
-        st_up = _stack_cols(gamma_chain._sym_cols(cx, m + 1, [
-            SymGroupElement(m + 1, {gamma_chain._perm_inverse(p) if dual
-                                    else p: c for p, c in sh.items()})
-            for sh in shuffles]), cx.dims[m + 1])
+        st_up = _stack_cols([_direct_action_cols(cx, m + 1, SymGroupElement(
+            m + 1, {_inverse(p) if dual else p: c
+                    for p, c in sh.items()})) for sh in shuffles],
+            cx.dims[m + 1])
         rank_st = int_rank(st)
         moved = _compose_cols(delta, st_up)
         if any(moved) and int_rank(_vstack_pair(st, moved, rows)) != rank_st:
@@ -1234,7 +1279,7 @@ def test_y_exactness_builds_no_complex_and_no_action(monkeypatch):
 
     assert not hasattr(gamma_chain, "preimage_lattice")
     monkeypatch.setattr(gamma_chain, "build_complex", refuse)
-    monkeypatch.setattr(gamma_chain, "_sym_cols", refuse)
+    monkeypatch.setattr(gamma_chain, "_shuffle_cols", refuse)
     monkeypatch.setattr(exact_linalg, "preimage_lattice", refuse)
     hmap = HCModuleMap(trivial_module(Z3, RIGHT),
                        jstar_finite_cyclic(Z3, 3, RIGHT),

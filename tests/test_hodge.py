@@ -19,7 +19,6 @@ from monhom.gamma_chain import (
     build_complex,
     harrison_dim_q,
     hochschild_dim_q,
-    shuffle_element,
 )
 from monhom.hc_modules import (
     LEFT,
@@ -73,6 +72,24 @@ def test_eulerian_idempotents_small():
         eulerian_idempotents(6)
 
 
+def test_products_in_z_sn_stop_at_the_projector_cap(process_caches):
+    # the composition table of S_5 has 14 400 entries, that of S_6 would
+    # have 518 400: a product on six letters is refused before it is built
+    assert hodge.PROJECTOR_CAP == gamma_chain.PROJECTOR_CAP == 5
+    s5, s6 = total_shuffle_operator(5), total_shuffle_operator(6)
+    assert not s5.mul(s5).is_zero()
+    assert gamma_chain._sym_index.cache_info().currsize == 1
+    refused = r"Z\[S_6\] is above the projector cap"
+    with pytest.raises(BadParams, match=refused):
+        s6.mul(s6)
+    with pytest.raises(BadParams, match=refused):
+        SymGroupElement.identity(6).mul(s6)
+    # the one table kept is that of S_5
+    assert gamma_chain._sym_index.cache_info().currsize == 1
+    assert gamma_chain._sym_index(5)[2][0] == tuple(range(120))
+    assert gamma_chain._sym_index.cache_info().currsize == 1
+
+
 def test_projector_identities_up_to_degree_five():
     for n in range(1, 6):
         assert eulerian_idempotents(n).identity_violations() == []
@@ -123,7 +140,8 @@ def test_hodge_validation(monkeypatch, capsys):
                             HOMOLOGICAL)
     acted = []
     with monkeypatch.context() as patched:
-        patched.setattr(hodge, "_sym_cols", lambda *args: acted.append(args))
+        patched.setattr(hodge, "_shuffle_cols",
+                        lambda *args: acted.append(args))
         with pytest.raises(BadParams, match="free-valued coefficients"):
             hodge_decomposition(torsion)
     assert acted == []
@@ -276,11 +294,35 @@ def test_weights_of_regular_coefficients():
 
 
 def test_sym_action_is_integral():
+    # the shuffle products and the idempotents' direct action
     cx = build_complex(cyclic_group(3), trivial_module(cyclic_group(3), RIGHT),
                        3, HOMOLOGICAL, ring="Q")
     for n in range(1, 4):
-        for cols in hodge._sym_cols(cx, n, list(eulerian_idempotents(n))):
+        acted = hodge._shuffle_cols(cx, n, [tuple(range(1, n))]) + [
+            verify._direct_action_cols(cx, n, e)
+            for e in eulerian_idempotents(n)]
+        for cols in acted:
             assert all(type(v) is int for col in cols for v in col.values())
+
+
+def test_rational_compute_targets_build_no_element_of_z_sn(monkeypatch,
+                                                         capsys):
+    # compute hodge, harrison over Q and grillet on truncated_add(3) with
+    # jstar:regular to degree 10 act by the shuffle product alone: no
+    # direct sum over permutations, no s_n, no composition table of S_n
+    permuted = []
+    monkeypatch.setattr(verify, "_permuted", lambda *args: permuted.append(
+        args))
+    for target in (["hodge"], ["harrison", "--ring", "Q"], ["grillet"]):
+        assert cli.main(["compute", *target, "--monoid",
+                         "builtin:truncated_add(3)", "--coeff",
+                         "jstar:regular", "--max-degree", "10", "--budget",
+                         "10000000000"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) >= 10
+    assert permuted == []
+    assert hodge.total_shuffle_operator.cache_info().currsize == 0
+    assert gamma_chain._sym_index.cache_info().currsize == 0
+    assert gamma_chain._block_shuffle.cache_info().currsize == 0
 
 
 def test_each_projector_action_is_built_once(monkeypatch):
@@ -290,39 +332,38 @@ def test_each_projector_action_is_built_once(monkeypatch):
     transfers, acted = [], []
     transfer = gamma_chain.MorseReduction.transfer
 
-    def counted_transfer(red, m, elem, cycles):
-        transfers.append((m, elem, len(cycles)))
-        return transfer(red, m, elem, cycles)
+    def counted_transfer(red, m, cycles):
+        transfers.append((m, len(cycles)))
+        return transfer(red, m, cycles)
 
-    def counted(cx, n, elems):
-        acted.append((n, len(elems)))
-        return gamma_chain._sym_cols(cx, n, elems)
+    def counted(cx, n, batch):
+        acted.append((n, batch))
+        return gamma_chain._shuffle_cols(cx, n, batch)
 
     monkeypatch.setattr(gamma_chain.MorseReduction, "transfer",
                         counted_transfer)
-    monkeypatch.setattr(hodge, "_sym_cols", counted)
+    monkeypatch.setattr(hodge, "_shuffle_cols", counted)
     assert cli.main(["compute", "hodge", "--monoid", "builtin:truncated_add(2)",
                      "--coeff", "jstar:regular", "--max-degree", "4"]) == 0
-    assert transfers == [(m, total_shuffle_operator(m), 1)
-                         for m in range(1, 5)]
+    assert transfers == [(m, 1) for m in range(1, 5)]
     assert acted == []
     monoid = truncated_add(2)
     cx = build_complex(monoid, trivial_module(monoid, RIGHT), 4, HOMOLOGICAL,
                        ring="Q")
     hodge_decomposition(cx)
-    assert sorted(acted) == [(m, 1) for m in range(1, 5)]
+    assert sorted(acted) == [(m, [tuple(range(1, m))]) for m in range(1, 5)]
 
 
 def test_non_commuting_projector_is_caught(monkeypatch):
     # the identity in place of s_2 on degree 2 does not commute with d_3
-    original = hodge.total_shuffle_operator
+    original = gamma_chain._split_shuffles
 
-    def broken(n):
-        if n == 2:
-            return SymGroupElement.identity(2)
-        return original(n)
+    def broken(t, splits, memo):
+        if len(t) == 2:
+            return {t: 1}
+        return original(t, splits, memo)
 
-    monkeypatch.setattr(hodge, "total_shuffle_operator", broken)
+    monkeypatch.setattr(gamma_chain, "_split_shuffles", broken)
     monoid = truncated_add(2)
     cx = build_complex(monoid, trivial_module(monoid, RIGHT), 4, HOMOLOGICAL,
                        ring="Q")
@@ -452,7 +493,7 @@ def _projector_weights(cx):
     def on(m, i):
         if not 1 <= i <= m:
             return [dict() for _ in range(cx.dims[m])]
-        return hodge._sym_cols(cx, m, [eulerian_idempotents(m)[i]])[0]
+        return verify._direct_action_cols(cx, m, eulerian_idempotents(m)[i])
 
     def restricted_rank(src, i):
         return int_rank(_compose_cols(on(src, i), cx.d_out(src)))
@@ -506,24 +547,23 @@ def test_warm_tables_give_the_cold_answers_and_stay_unchanged(
     multiplicities = {
         m: {tuple(sorted((t.count(a) for a in set(t)), reverse=True))
             for t in cases[0][0].tuples_at(m)} for m in range(1, 6)}
-    blocks = [(p, m - p) for m in range(2, 6) for p in range(1, m)]
     keys = {
-        gamma_chain._block_shuffle: [(parts,) for parts in blocks],
-        hodge.total_shuffle_operator: [(m,) for m in range(1, 6)],
         gamma_chain._pattern_words: [
             (p,) for m in range(1, 6) for p in multiplicities[m]],
-        # s_m in both directions; the two-block shuffles on cochains are
-        # read into the pattern tables and not kept
-        gamma_chain._pattern_action: [
-            (total_shuffle_operator(m), inverse, pattern)
-            for inverse in (True, False) for m in range(1, 6)
+        # s_m, which both directions read; the two-block shuffles are read
+        # into the pattern tables of Barr's kernels and not kept
+        gamma_chain._pattern_product: [
+            (pattern, tuple(range(1, m))) for m in range(1, 6)
             for pattern in multiplicities[m]],
         gamma_chain._pattern_shuffles: [
             (p,) for m in range(2, 6) for p in multiplicities[m]],
     }
-    # the S_n composition table and the idempotents serve no weight path
-    assert set(process_caches) - set(keys) == {gamma_chain._sym_index,
-                                               hodge._eulerian}
+    # no element of Z[S_n] serves a weight path
+    assert set(process_caches) - set(keys) == {
+        gamma_chain._sym_index, gamma_chain._block_shuffle,
+        hodge.total_shuffle_operator, hodge._eulerian}
+    assert not any(fn.cache_info().currsize
+                   for fn in set(process_caches) - set(keys))
     assert all(fn.cache_info().misses for fn in keys)
     warm = {fn: _cached(fn, fn_keys) for fn, fn_keys in keys.items()}
     for fn in process_caches:

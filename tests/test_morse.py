@@ -11,7 +11,8 @@ from math import comb
 import pytest
 
 from monhom import cli, gamma_chain, verify
-from monhom.errors import BadParams, NotAComplex, WeightNotPreserved
+from monhom.errors import (BadParams, NotAComplex, OracleMismatch,
+                           WeightNotPreserved)
 from monhom.exact_linalg import FgAbGroup
 from monhom.gamma_chain import (COHOMOLOGICAL, HOMOLOGICAL, MorseReduction,
                                 SymGroupElement, _critical_cells, _face_tuple,
@@ -446,7 +447,14 @@ def test_the_morse_suite_checks_the_transfer_on_every_critical_cell(
         with pytest.raises(WeightNotPreserved, match="d o iota is not iota o"
                            " d_M on a Morse chain of degree 3"):
             verify._check_transfer_maps(red)
-    # one transposition in place of s_n is no chain map on the Klein group
+    # the first two letters swapped in place of s_n, in the transfer alone,
+    # differs from pi of the direct sum over the permutations of s_n
+    monkeypatch.setattr(gamma_chain, "_split_shuffles", lambda t, splits, memo:
+                        {t[1::-1] + t[2:]: 1})
+    with pytest.raises(OracleMismatch, match="the transfer of s_1 differs"):
+        verify._check_transfer_maps(red)
+    # and with the oracle swapping them too, that transposition is no chain
+    # map on the Klein group
     monkeypatch.setattr(verify, "total_shuffle_operator", lambda n: (
         SymGroupElement(n, {(1, 0) + tuple(range(2, n)): 1}) if n > 1
         else SymGroupElement.identity(1)))
@@ -469,7 +477,7 @@ def test_the_transfer_acts_on_the_lifted_tuples_alone(capsys):
     finally:
         tracemalloc.stop()
     assert len(capsys.readouterr().out.splitlines()) == 10
-    assert gamma_chain._pattern_action.cache_info().currsize == 0
+    assert gamma_chain._pattern_product.cache_info().currsize == 0
     assert gamma_chain._pattern_words.cache_info().currsize == 0
     assert peak <= 8 * 2 ** 20
 
